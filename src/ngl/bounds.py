@@ -102,6 +102,14 @@ class Envelope:
 
     __call__ = curve
 
+    def excess(self, k, f_gap):
+        """Signed overshoot of f_gap over the bound at step k, after slack.
+
+        The slack is 1e-9 * max(1, curve(0)); a row violates the bound
+        exactly when its excess is positive.  k and f_gap may be arrays.
+        """
+        return f_gap - (self.curve(k) + 1e-9 * max(1.0, self.curve(0)))
+
 
 def _fail(theorem_id: str, message: str) -> None:
     raise EnvelopeDomainError(f"{theorem_id}: {message}")

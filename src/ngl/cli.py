@@ -10,8 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 malformed config or input, 2 a guarantee was
 violated at run time (an envelope row, a diverged iterate, a driver
-missing its certified target), 3 a mathematical hypothesis guard
-rejected the configuration (for example alpha > 1/3 with re_agm).
+missing its certified target, a failed verify check), 3 a mathematical
+hypothesis guard rejected the configuration (for example alpha > 1/3
+with re_agm).
 The environment variable NGL_SEED overrides the config's oracle seed.
 
 trace.csv columns are k, f_gap, grad_norm, noisy_grad_norm, bound,
@@ -77,8 +78,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATION = 2
 EXIT_GUARD = 3
-
-_VIOLATION_TOL = 1e-9
 
 
 def _env_seed() -> Optional[int]:
@@ -223,8 +222,7 @@ def _execute_core(cfg: ExperimentConfig, out_dir: Path) -> dict:
     violations = 0
     if env is not None:
         bound = env.curve(trace.k)
-        tol = _VIOLATION_TOL * max(1.0, float(env.curve(0)))
-        violations = int(np.count_nonzero(trace.f_gap > bound + tol))
+        violations = int(np.count_nonzero(env.excess(trace.k, trace.f_gap) > 0.0))
         record["floor"] = env.floor
         if env.floor > 0.0:
             hits = np.nonzero(trace.f_gap <= 10.0 * env.floor)[0]
@@ -358,7 +356,7 @@ def cmd_verify(args) -> int:
         all_ok &= r.passed
         print(f"{r.name:<{name_w}}  {status}  {r.seconds:7.2f}s  {r.detail}")
     print(f"{'overall':<{name_w}}  {'PASS' if all_ok else 'FAIL'}")
-    return EXIT_OK if all_ok else EXIT_CONFIG
+    return EXIT_OK if all_ok else EXIT_VIOLATION
 
 
 def _parse_constants(pairs):

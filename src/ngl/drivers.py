@@ -15,9 +15,8 @@ peeking at the problem's analytic minimizer.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .problems import ObjectiveProblem
 from .solvers import (
     TERMINAL_STOPPING_RULE,
     GDConfig,
+    IterateView,
     ReAgmConfig,
     RunTrace,
     gd_run,
@@ -191,65 +191,36 @@ def run_with_stopping(solver: str, problem: ObjectiveProblem,
     if not problem.mu > 0.0:
         raise ValueError("the stopping rule needs a strongly convex problem")
     threshold = rule.threshold(oracle.declared_alpha)
+    return _run_solver(solver, problem, oracle, N_cap, alpha_hat, x0,
+                       _halt_rule(threshold=threshold))
 
-    def monitor(vw):
-        if vw.noisy_grad_norm <= threshold:
-            return TERMINAL_STOPPING_RULE
-        return None
 
+def _run_solver(solver: str, problem: ObjectiveProblem, oracle: GradientOracle,
+                steps: int, alpha: float, x0, monitor) -> RunTrace:
+    """gd or re_agm on problem's own (mu, L) at relative level alpha."""
     if solver == "gd":
-        cfg = GDConfig(steps=N_cap, alpha=alpha_hat, L=problem.L)
+        cfg = GDConfig(steps=steps, alpha=alpha, L=problem.L)
         return gd_run(problem, oracle, cfg, x0=x0, monitor=monitor)
     if solver == "re_agm":
-        cfg = ReAgmConfig(steps=N_cap, mu=problem.mu, L=problem.L,
-                          alpha=alpha_hat)
+        cfg = ReAgmConfig(steps=steps, mu=problem.mu, L=problem.L, alpha=alpha)
         return re_agm_run(problem, oracle, cfg, x0=x0, monitor=monitor)
     raise ValueError(f"unknown solver {solver!r}; expected 'gd' or 're_agm'")
 
 
-class _BaseGapRecorder:
-    """Monitor helper: measures the base problem's gap at every iterate.
+def _halt_rule(gap_target: Optional[float] = None,
+               threshold: Optional[float] = None,
+               gap: Callable[[IterateView], float] = lambda vw: vw.f_gap):
+    """Monitor that stops once gap(view) <= gap_target or once the noisy
+    gradient norm <= threshold; either may be None (never stops on it)."""
 
-    The inner run sees the ridge objective; callers care about the base
-    one.  The recorder evaluates base.gap at each monitored point, can
-    halt when it reaches a target, and afterwards rewrites the trace's
-    gap columns so the returned trace reports base-problem gaps.
-    """
+    def monitor(vw):
+        if gap_target is not None and gap(vw) <= gap_target:
+            return TERMINAL_STOPPING_RULE
+        if threshold is not None and vw.noisy_grad_norm <= threshold:
+            return TERMINAL_STOPPING_RULE
+        return None
 
-    def __init__(self, base: ObjectiveProblem):
-        self.base = base
-        self.x_gaps: List[float] = []
-        self.y_gaps: List[float] = []
-
-    def prepend_start(self, x0) -> None:
-        # the accelerated runner does not monitor row 0
-        self.x_gaps.append(self.base.gap(x0))
-
-    def monitor(self, target: Optional[float] = None, extra=None):
-        def _monitor(vw):
-            g = self.base.gap(vw.x)
-            (self.y_gaps if vw.kind == "y" else self.x_gaps).append(g)
-            if target is not None and g <= target:
-                return TERMINAL_STOPPING_RULE
-            if extra is not None:
-                return extra(vw)
-            return None
-
-        return _monitor
-
-    def apply(self, trace: RunTrace) -> RunTrace:
-        if len(self.x_gaps) != len(trace.f_gap):
-            raise AssertionError("recorded gaps misaligned with trace rows")
-        halted_at_y = (trace.y_f_gap is not None
-                       and len(trace.y_f_gap) == len(trace.f_gap))
-        trace.f_gap = np.asarray(self.x_gaps, dtype=np.float64)
-        if trace.y_f_gap is not None:
-            if len(self.y_gaps) != len(trace.y_f_gap):
-                raise AssertionError("recorded y gaps misaligned with trace")
-            trace.y_f_gap = np.asarray(self.y_gaps, dtype=np.float64)
-        trace.final_f_gap = float(self.y_gaps[-1] if halted_at_y
-                                  else self.x_gaps[-1])
-        return trace
+    return monitor
 
 
 def _check_convex_inputs(op: str, base: ObjectiveProblem,
@@ -267,6 +238,47 @@ def _check_convex_inputs(op: str, base: ObjectiveProblem,
         raise ValueError(f"target accuracy must be positive, got {epsilon}")
     if not (R > 0.0 and math.isfinite(R)):
         raise ValueError(f"radius R must be positive, got {R}")
+
+
+def _ridge_route(solver: str, base: ObjectiveProblem, oracle: GradientOracle,
+                 R: float, x0, mu: float, alpha: float, budget: int,
+                 epsilon: float, threshold: Optional[float] = None) -> RunTrace:
+    """The ridge routes' shared body.
+
+    Adds a ridge of modulus mu around the start point, certifies the
+    ridge oracle and runs the solver at level alpha for the budget.  The
+    run sees the ridge objective; callers care about the base one, so
+    the base gap is measured at every monitored point (halting once it
+    reaches epsilon, or once the noisy gradient norm reaches threshold),
+    replaces the trace's gap columns, and is checked against epsilon.
+    """
+    center = np.zeros(base.dim) if x0 is None else as_vector(x0, base.dim)
+    reg = regularize(base, center, mu)
+    reg_oracle = RegularizedOracle(reg, oracle, R)
+    # the accelerated runner does not monitor row 0
+    gaps = {"x": [base.gap(center)] if solver == "re_agm" else [], "y": []}
+
+    def base_gap(vw):
+        gaps[vw.kind].append(base.gap(vw.x))
+        return gaps[vw.kind][-1]
+
+    trace = _run_solver(solver, reg, reg_oracle, budget, alpha, center,
+                        _halt_rule(epsilon, threshold, gap=base_gap))
+    with_y = trace.y_f_gap is not None
+    if (len(gaps["x"]) != len(trace.f_gap)
+            or (with_y and len(gaps["y"]) != len(trace.y_f_gap))):
+        raise AssertionError("recorded base gaps misaligned with trace rows")
+    halted_at_y = with_y and len(trace.y_f_gap) == len(trace.f_gap)
+    trace.f_gap = np.asarray(gaps["x"], dtype=np.float64)
+    if with_y:
+        trace.y_f_gap = np.asarray(gaps["y"], dtype=np.float64)
+    trace.final_f_gap = float(gaps["y" if halted_at_y else "x"][-1])
+    if trace.final_f_gap > epsilon:
+        raise ConvergenceFailureError(
+            f"{solver} ridge route missed target {epsilon:.3e}: base gap "
+            f"{trace.final_f_gap:.3e} after {trace.iterations} iterations "
+            f"(budget {budget})", trace)
+    return trace
 
 
 def plan_convex_gd(L: float, R: float, alpha: float, epsilon: float):
@@ -289,22 +301,8 @@ def solve_convex_gd(base: ObjectiveProblem, oracle: GradientOracle,
     _check_convex_inputs("solve_convex_gd", base, oracle, epsilon, R)
     alpha = oracle.declared_alpha
     mu, budget = plan_convex_gd(base.L, R, alpha, epsilon)
-    center = np.zeros(base.dim) if x0 is None else as_vector(x0, base.dim)
-    reg = regularize(base, center, mu)
-    reg_oracle = RegularizedOracle(reg, oracle, R)
-    cfg = GDConfig(steps=budget, alpha=2.0 * alpha, L=reg.L)
-    recorder = _BaseGapRecorder(base)
-    trace = gd_run(reg, reg_oracle, cfg, x0=center,
-                   monitor=recorder.monitor(target=epsilon))
-    recorder.apply(trace)
-    if trace.final_f_gap > epsilon:
-        raise ConvergenceFailureError(
-            f"budget {budget} exhausted at base gap {trace.final_f_gap:.3e} "
-            f"> target {epsilon:.3e}", trace)
-    return trace
-
-
-_UNDERSTATED_LEVEL = ".*declared relative level.*"
+    return _ridge_route("gd", base, oracle, R, x0, mu, 2.0 * alpha, budget,
+                        epsilon)
 
 
 def plan_convex_re_agm(L: float, R: float, alpha: float, epsilon: float,
@@ -327,28 +325,13 @@ def solve_convex_re_agm(base: ObjectiveProblem, oracle: GradientOracle,
     scales as (L R^2 / eps)^(1-beta).  At the boundary alpha = 1/3 the
     ridge-doubled level exceeds the accelerated parameter domain; the
     solver then runs at its edge level 1/3, which is the route's own
-    prescription, so the understated-level warning is suppressed.
+    prescription.
     """
     _check_convex_inputs("solve_convex_re_agm", base, oracle, epsilon, R)
     alpha = oracle.declared_alpha
     mu, alpha_param, budget = plan_convex_re_agm(base.L, R, alpha, epsilon, beta)
-    center = np.zeros(base.dim) if x0 is None else as_vector(x0, base.dim)
-    reg = regularize(base, center, mu)
-    reg_oracle = RegularizedOracle(reg, oracle, R)
-    cfg = ReAgmConfig(steps=budget, mu=reg.mu, L=reg.L, alpha=alpha_param)
-    recorder = _BaseGapRecorder(base)
-    recorder.prepend_start(center)
-    with warnings.catch_warnings():
-        if alpha_param < 2.0 * alpha:
-            warnings.filterwarnings("ignore", message=_UNDERSTATED_LEVEL)
-        trace = re_agm_run(reg, reg_oracle, cfg, x0=center,
-                           monitor=recorder.monitor(target=epsilon))
-    recorder.apply(trace)
-    if trace.final_f_gap > epsilon:
-        raise ConvergenceFailureError(
-            f"budget {budget} exhausted at base gap {trace.final_f_gap:.3e} "
-            f"> target {epsilon:.3e}", trace)
-    return trace
+    return _ridge_route("re_agm", base, oracle, R, x0, mu, alpha_param, budget,
+                        epsilon)
 
 
 def plan_combined(L: float, R: float, alpha: float, epsilon: float,
@@ -393,28 +376,8 @@ def combined_reg_stop(base: ObjectiveProblem, oracle: GradientOracle,
     alpha = oracle.declared_alpha
     mu, K, alpha_hat, threshold, budget = plan_combined(
         base.L, R, alpha, epsilon, tau)
-    center = np.zeros(base.dim) if x0 is None else as_vector(x0, base.dim)
-    reg = regularize(base, center, mu)
-    reg_oracle = RegularizedOracle(reg, oracle, R)
-    cfg = ReAgmConfig(steps=budget, mu=reg.mu, L=reg.L, alpha=alpha_hat)
-
-    def rule_check(vw):
-        if vw.noisy_grad_norm <= threshold:
-            return TERMINAL_STOPPING_RULE
-        return None
-
-    recorder = _BaseGapRecorder(base)
-    recorder.prepend_start(center)
-    trace = re_agm_run(reg, reg_oracle, cfg, x0=center,
-                       monitor=recorder.monitor(target=epsilon,
-                                                extra=rule_check))
-    recorder.apply(trace)
-    if trace.final_f_gap > epsilon:
-        raise ConvergenceFailureError(
-            f"combined route missed target {epsilon:.3e}: base gap "
-            f"{trace.final_f_gap:.3e} after {trace.iterations} iterations "
-            f"(budget {budget})", trace)
-    return trace
+    return _ridge_route("re_agm", base, oracle, R, x0, mu, alpha_hat, budget,
+                        epsilon, threshold)
 
 
 @dataclass(frozen=True)
@@ -464,11 +427,6 @@ def _invert_envelope(env, target: float) -> int:
     if env.start <= head:
         return 0
     return int(math.ceil(math.log(head / env.start) / math.log1p(-env.rate)))
-
-
-def _zero_step_trace(problem, oracle, x) -> RunTrace:
-    cfg = GDConfig(steps=0, alpha=oracle.declared_alpha, L=problem.L)
-    return gd_run(problem, oracle, cfg, x0=x)
 
 
 def _concat_traces(traces: List[RunTrace]) -> RunTrace:
@@ -542,17 +500,8 @@ def restart_to_convex(solver: str, problem: ObjectiveProblem,
             floor_reached = True
             break
         budget = _invert_envelope(env, target)
-
-        def monitor(vw, _t=target):
-            return TERMINAL_STOPPING_RULE if vw.f_gap <= _t else None
-
-        if solver == "gd":
-            cfg = GDConfig(steps=budget, alpha=alpha, L=problem.L)
-            trace = gd_run(problem, oracle, cfg, x0=x, monitor=monitor)
-        else:
-            cfg = ReAgmConfig(steps=budget, mu=problem.mu, L=problem.L,
-                              alpha=alpha)
-            trace = re_agm_run(problem, oracle, cfg, x0=x, monitor=monitor)
+        trace = _run_solver(solver, problem, oracle, budget, alpha, x,
+                            _halt_rule(gap_target=target))
         if trace.final_f_gap > target:
             raise StageFailureError(
                 f"stage {stage} missed target {target:.3e}: gap "
@@ -566,6 +515,7 @@ def restart_to_convex(solver: str, problem: ObjectiveProblem,
         gap_bound = target
 
     if not traces:
-        return RestartResult(_zero_step_trace(problem, oracle, x), reports,
-                             floor_reached)
+        # no stage ran: report the start point as a zero-step trace
+        return RestartResult(_run_solver("gd", problem, oracle, 0, alpha, x, None),
+                             reports, floor_reached)
     return RestartResult(_concat_traces(traces), reports, floor_reached)

@@ -1,5 +1,5 @@
 """Low-level numeric kernel: compensated summation, reduced-precision
-rounding, and checked dense vector operations.
+rounding, and validation of dense vectors.
 
 Everything here operates on float64. Reduced precision is simulated by
 rounding each value to a p-bit significand (round to nearest, ties to
@@ -55,43 +55,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _check_same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def norm2(x) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(as_vector(x)))
-
-
-def add(a, b) -> np.ndarray:
-    a, b = as_vector(a), as_vector(b)
-    _check_same_dim(a, b)
-    return a + b
-
-
-def sub(a, b) -> np.ndarray:
-    a, b = as_vector(a), as_vector(b)
-    _check_same_dim(a, b)
-    return a - b
-
-
-def scale(c: float, x) -> np.ndarray:
-    if not np.isfinite(c):
-        raise ValueError(f"non-finite scalar {c!r}")
-    return float(c) * as_vector(x)
-
-
-def axpy(c: float, x, y) -> np.ndarray:
-    """Return c*x + y."""
-    if not np.isfinite(c):
-        raise ValueError(f"non-finite scalar {c!r}")
-    x, y = as_vector(x), as_vector(y)
-    _check_same_dim(x, y)
-    return float(c) * x + y
-
-
 def kahan_sum(values: Iterable[float]) -> float:
     """Compensated (Kahan) summation with Neumaier's correction.
 
@@ -113,13 +76,6 @@ def kahan_sum(values: Iterable[float]) -> float:
             carry += (v - t) + total
         total = t
     return total + carry
-
-
-def kahan_dot(a, b) -> float:
-    """Dot product with float64 elementwise products and Kahan accumulation."""
-    a, b = as_vector(a), as_vector(b)
-    _check_same_dim(a, b)
-    return kahan_sum(a * b)
 
 
 def round_to_precision(x, spec: PrecisionSpec):

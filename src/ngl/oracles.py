@@ -105,8 +105,6 @@ class GradientOracle:
     def gradient_estimate(self, x) -> np.ndarray:
         return self.estimate_with_exact(x)[0]
 
-    __call__ = gradient_estimate
-
 
 class SyntheticNoiseOracle(GradientOracle):
     """Additive noise at declared levels, sampled or adversarial."""
@@ -344,11 +342,6 @@ class FloatingPointQuadraticOracle(GradientOracle):
             if err > allowed + CERT_SLACK:
                 raise AssertionError(f"precision bound violated: {err} > {allowed}")
         return est
-
-
-def noisy_gradient(oracle: GradientOracle, x) -> np.ndarray:
-    """Query an oracle (functional form of oracle.gradient_estimate)."""
-    return oracle.gradient_estimate(x)
 
 
 def certification_report(estimate, exact, alpha: float, delta: float) -> dict:

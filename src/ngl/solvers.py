@@ -15,6 +15,18 @@ Trace convention: row 0 is the starting point before any step; row k is
 the iterate after k accepted steps.  All runners accept an optional
 ``monitor`` callback that inspects each iterate and may end the run
 early (used for stopping rules and envelope violation detection).
+
+Each runner holds only its parameters and its update rule; one private
+stepping core (``_Core``) does the rest for all three: the start point,
+the finiteness guards that raise ``DivergedError`` or
+``InnerLoopStallError`` with the partial trace, the gap-floor check,
+the x rows, y rows and adaptive columns, the monitor call and the final
+``RunTrace``.  Its query rule: a point is queried when the method steps
+from its estimate or when a monitor is attached, and the monitor sees
+exactly the queried points.  Two kinds of row go unqueried, with a NaN
+noisy norm: the final row of an unmonitored run, and the x rows of
+``re_agm_run``, which steps from its y points; with a monitor those x
+rows are queried too, except row 0.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -43,7 +55,7 @@ _TERMINAL_DIVERGED = "diverged"
 _TERMINAL_STALLED = "inner_loop_stall"
 
 INNER_LOOP_CAP = 64
-_GAP_FLOOR = -1e-9
+_GAP_FLOOR = -1e-9  # relative: scaled by max(1, |f_star|)
 
 
 def _check_steps(steps) -> int:
@@ -149,17 +161,6 @@ class ReAgmParameters:
     m: float
     q: float
     omega: float
-
-    def as_dict(self) -> dict:
-        return {
-            "h": self.h,
-            "L_hat": self.L_hat,
-            "gamma_star": self.gamma_star,
-            "s": self.s,
-            "m": self.m,
-            "q": self.q,
-            "omega": self.omega,
-        }
 
 
 def re_agm_calculate_parameters(mu: float, L: float, alpha: float) -> ReAgmParameters:
@@ -286,97 +287,145 @@ class InnerLoopStallError(RuntimeError):
         self.trace = trace
 
 
-class _TraceBuilder:
-    def __init__(self, oracle: GradientOracle, adaptive: bool = False, with_y: bool = False):
-        self.declared_alpha = oracle.declared_alpha
-        self.declared_delta = oracle.declared_delta
+class _Halt(Exception):
+    """A monitor ended the run; carries the finished trace."""
+
+    def __init__(self, trace: RunTrace):
+        super().__init__(trace.terminal)
+        self.trace = trace
+
+
+class _Point(NamedTuple):
+    """A visited point: f(x), and the estimate and its norm if queried."""
+
+    k: int
+    x: np.ndarray
+    f_val: float
+    est: Optional[np.ndarray]
+    noisy_norm: float
+
+
+_X_COLUMNS = ("k", "f_gap", "grad_norm", "noisy_grad_norm")
+_ADAPTIVE_COLUMNS = ("inner_loops", "alpha_hat", "L_hat")
+_Y_COLUMNS = ("y_f_gap", "y_grad_norm", "y_noisy_grad_norm")
+_INT_COLUMNS = ("k", "inner_loops")
+
+
+class _Core:
+    """The stepping core: one run's loop, guards, trace rows and monitor.
+
+    A runner supplies only its update rule, ``step(point) -> next x``,
+    and ``run`` visits rows 0..steps around it.  ``adaptive`` keeps the
+    inner_loops/alpha_hat/L_hat columns, which ``trials`` sets for the
+    step leaving the latest row; ``accelerated`` keeps the y columns,
+    which the update rule fills by visiting its extrapolation points.
+    """
+
+    def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
+                 monitor: Optional[Monitor], adaptive: bool = False,
+                 accelerated: bool = False):
+        self.problem = problem
+        self.oracle = oracle
+        self.monitor = monitor
         self.adaptive = adaptive
-        self.with_y = with_y
-        self.k: list[int] = []
-        self.f_gap: list[float] = []
-        self.grad_norm: list[float] = []
-        self.noisy_grad_norm: list[float] = []
-        self.inner_loops: list[int] = []
-        self.alpha_hat: list[float] = []
-        self.L_hat: list[float] = []
-        self.y_f_gap: list[float] = []
-        self.y_grad_norm: list[float] = []
-        self.y_noisy_grad_norm: list[float] = []
+        self.accelerated = accelerated
+        # relative, like the package's other 1e-9 tolerances: the computed
+        # f(x) - f_star carries rounding error on the scale of |f_star|
+        self.floor = _GAP_FLOOR * max(1.0, abs(problem.f_star))
+        # one list of scalars per RunTrace column: rows kept as tuples
+        # would give the garbage collector a container per row to scan
+        names = (_X_COLUMNS + (_ADAPTIVE_COLUMNS if adaptive else ())
+                 + (_Y_COLUMNS if accelerated else ()))
+        self.cols = {name: [] for name in names}
+        self.last_x: Optional[np.ndarray] = None
 
-    def add_row(self, k, f_gap, grad_norm, noisy_grad_norm,
-                inner=0, alpha_hat=math.nan, L_hat=math.nan):
-        if not f_gap >= _GAP_FLOOR:
-            raise AssertionError(f"f_gap {f_gap} below {_GAP_FLOOR} at row {k}: bad f_star?")
-        self.k.append(int(k))
-        self.f_gap.append(float(f_gap))
-        self.grad_norm.append(float(grad_norm))
-        self.noisy_grad_norm.append(float(noisy_grad_norm))
-        if self.adaptive:
-            self.inner_loops.append(int(inner))
-            self.alpha_hat.append(float(alpha_hat))
-            self.L_hat.append(float(L_hat))
+    def run(self, steps: int, x0, step: Callable[[_Point], np.ndarray]) -> RunTrace:
+        dim = self.problem.dim
+        x = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
+        monitored = self.monitor is not None
+        try:
+            for k in range(steps + 1):
+                last = k == steps
+                if self.accelerated:
+                    # the method steps from its y points, so x rows are
+                    # queried only for a monitor, and row 0 never
+                    query = monitored and k > 0
+                else:
+                    query = monitored or not last
+                point = self.visit("x", k, x, query)
+                if last:
+                    break
+                x = step(point)
+        except _Halt as halt:
+            return halt.trace
+        return self.build(TERMINAL_STEPS_EXHAUSTED, x, self.cols["f_gap"][-1])
 
-    def add_y_row(self, f_gap, grad_norm, noisy_grad_norm):
-        if not f_gap >= _GAP_FLOOR:
-            raise AssertionError(f"y f_gap {f_gap} below {_GAP_FLOOR}: bad f_star?")
-        self.y_f_gap.append(float(f_gap))
-        self.y_grad_norm.append(float(grad_norm))
-        self.y_noisy_grad_norm.append(float(noisy_grad_norm))
+    def visit(self, kind: str, k: int, x: np.ndarray, query: bool) -> _Point:
+        """Evaluate and record an "x" row or a "y" point; monitor it if queried.
+
+        An unqueried point records the exact gradient norm and a NaN
+        noisy norm, and the monitor does not see it.
+        """
+        if not np.all(np.isfinite(x)):
+            raise self.abort(DivergedError, f"non-finite iterate at step {k}")
+        f_val = self.problem.value(x)
+        if not math.isfinite(f_val):
+            raise self.abort(DivergedError, f"non-finite objective value at step {k}")
+        gap = f_val - self.problem.f_star
+        if query:
+            est, exact = self.oracle.estimate_with_exact(x)
+            if not np.all(np.isfinite(est)):
+                raise self.abort(DivergedError, f"non-finite gradient estimate at step {k}")
+            grad_norm = float(np.linalg.norm(exact))
+            noisy_norm = float(np.linalg.norm(est))
+        else:
+            est, noisy_norm = None, math.nan
+            grad_norm = float(np.linalg.norm(self.problem.gradient(x)))
+        if not gap >= self.floor:
+            where = f"row {k}" if kind == "x" else f"y point {k}"
+            raise AssertionError(f"f_gap {gap} below {self.floor} at {where}: bad f_star?")
+        if kind == "x":
+            self.last_x = x
+            self._append(_X_COLUMNS, (k, gap, grad_norm, noisy_norm))
+            if self.adaptive:
+                self._append(_ADAPTIVE_COLUMNS, (0, math.nan, math.nan))
+        else:
+            self._append(_Y_COLUMNS, (gap, grad_norm, noisy_norm))
+        if query and self.monitor is not None:
+            reason = self.monitor(IterateView(kind, k, x, gap, grad_norm, noisy_norm))
+            if reason is not None:
+                raise _Halt(self.build(reason, x, gap))
+        return _Point(k, x, f_val, est, noisy_norm)
+
+    def _append(self, names, values) -> None:
+        for name, value in zip(names, values):
+            self.cols[name].append(value)
+
+    def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
+        """Set the adaptive columns of the latest row to the step leaving it."""
+        for name, value in zip(_ADAPTIVE_COLUMNS, (fails, alpha_hat, L_hat)):
+            self.cols[name][-1] = value
+
+    def abort(self, error, message: str) -> RuntimeError:
+        """``error`` carrying the rows so far, ending at the last x row."""
+        terminal = _TERMINAL_STALLED if error is InnerLoopStallError else _TERMINAL_DIVERGED
+        gaps = self.cols["f_gap"]
+        gap = gaps[-1] if gaps else math.nan
+        return error(message, self.build(terminal, self.last_x, gap))
 
     def build(self, terminal: str, x_final: np.ndarray, final_f_gap: float) -> RunTrace:
         if terminal not in TERMINAL_REASONS + (_TERMINAL_DIVERGED, _TERMINAL_STALLED):
             raise ValueError(f"unknown terminal reason {terminal!r}")
+        arrays = {name: np.asarray(col, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
+                  for name, col in self.cols.items()}
         return RunTrace(
-            k=np.asarray(self.k, dtype=np.int64),
-            f_gap=np.asarray(self.f_gap, dtype=np.float64),
-            grad_norm=np.asarray(self.grad_norm, dtype=np.float64),
-            noisy_grad_norm=np.asarray(self.noisy_grad_norm, dtype=np.float64),
             terminal=terminal,
             x_final=np.array(x_final, dtype=np.float64, copy=True),
             final_f_gap=float(final_f_gap),
-            declared_alpha=self.declared_alpha,
-            declared_delta=self.declared_delta,
-            inner_loops=np.asarray(self.inner_loops, dtype=np.int64) if self.adaptive else None,
-            alpha_hat=np.asarray(self.alpha_hat, dtype=np.float64) if self.adaptive else None,
-            L_hat=np.asarray(self.L_hat, dtype=np.float64) if self.adaptive else None,
-            y_f_gap=np.asarray(self.y_f_gap, dtype=np.float64) if self.with_y else None,
-            y_grad_norm=np.asarray(self.y_grad_norm, dtype=np.float64) if self.with_y else None,
-            y_noisy_grad_norm=(
-                np.asarray(self.y_noisy_grad_norm, dtype=np.float64) if self.with_y else None
-            ),
+            declared_alpha=self.oracle.declared_alpha,
+            declared_delta=self.oracle.declared_delta,
+            **arrays,
         )
-
-
-def _start_point(problem: ObjectiveProblem, x0) -> np.ndarray:
-    if x0 is None:
-        return np.zeros(problem.dim)
-    return as_vector(x0, problem.dim).copy()
-
-
-def _checked_value(problem, x, tb, k, last_x):
-    """f(x) with divergence guard; raises carrying the rows recorded so far."""
-    if not np.all(np.isfinite(x)):
-        raise DivergedError(
-            f"non-finite iterate at step {k}",
-            tb.build(_TERMINAL_DIVERGED, last_x, tb.f_gap[-1] if tb.f_gap else math.nan),
-        )
-    f_val = problem.value(x)
-    if not math.isfinite(f_val):
-        raise DivergedError(
-            f"non-finite objective value at step {k}",
-            tb.build(_TERMINAL_DIVERGED, last_x, tb.f_gap[-1] if tb.f_gap else math.nan),
-        )
-    return f_val
-
-
-def _checked_query(oracle, x, tb, k, last_x):
-    est, exact = oracle.estimate_with_exact(x)
-    if not np.all(np.isfinite(est)):
-        raise DivergedError(
-            f"non-finite gradient estimate at step {k}",
-            tb.build(_TERMINAL_DIVERGED, last_x, tb.f_gap[-1] if tb.f_gap else math.nan),
-        )
-    return est, exact
 
 
 def gd_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: GDConfig,
@@ -394,61 +443,7 @@ def gd_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: GDConfig,
             stacklevel=2,
         )
     h = cfg.step_size
-    x = _start_point(problem, x0)
-    last_finite = x
-    tb = _TraceBuilder(oracle)
-
-    for k in range(cfg.steps + 1):
-        f_val = _checked_value(problem, x, tb, k, last_finite)
-        gap = f_val - problem.f_star
-        last = k == cfg.steps
-        if last and monitor is None:
-            grad_norm = float(np.linalg.norm(problem.gradient(x)))
-            tb.add_row(k, gap, grad_norm, math.nan)
-            break
-        est, exact = _checked_query(oracle, x, tb, k, last_finite)
-        grad_norm = float(np.linalg.norm(exact))
-        noisy_norm = float(np.linalg.norm(est))
-        tb.add_row(k, gap, grad_norm, noisy_norm)
-        if monitor is not None:
-            reason = monitor(IterateView("x", k, x, gap, grad_norm, noisy_norm))
-            if reason is not None:
-                return tb.build(reason, x, gap)
-        if last:
-            break
-        last_finite = x
-        x = x - h * est
-    return tb.build(TERMINAL_STEPS_EXHAUSTED, x, tb.f_gap[-1])
-
-
-def gd_theoretical_descent_check(trace: RunTrace, problem: ObjectiveProblem,
-                                 cfg: GDConfig) -> bool:
-    """Check the per-step descent inequality along a gd_run trace.
-
-    Uses cfg's (alpha, L) for the constants and the trace's declared
-    absolute level for the noise term:
-
-        f(x^{k+1}) <= f(x^k) - (1-a)^3/((1+a) 16L) ||grad f(x^k)||^2
-                              + 3 delta^2 / (16L (1+a)^2)
-
-    with slack tolerance 1e-9 * max(1, |f(x^k)|) per step.  Expected to
-    hold whenever cfg.alpha covers the oracle's true relative level; a
-    False return indicates an understated level (or a non-conforming
-    oracle).
-    """
-    a, L = cfg.alpha, cfg.L
-    delta = trace.declared_delta
-    c1 = (1.0 - a) ** 3 / ((1.0 + a) * 16.0 * L)
-    c2 = 3.0 / (16.0 * L * (1.0 + a) ** 2)
-    noise_term = c2 * delta * delta
-    gaps = trace.f_gap
-    gnorms = trace.grad_norm
-    for k in range(len(gaps) - 1):
-        allowed = gaps[k] - c1 * gnorms[k] ** 2 + noise_term
-        slack_scale = 1e-9 * max(1.0, abs(gaps[k] + problem.f_star))
-        if gaps[k + 1] > allowed + slack_scale:
-            return False
-    return True
+    return _Core(problem, oracle, monitor).run(cfg.steps, x0, lambda pt: pt.x - h * pt.est)
 
 
 def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConfig,
@@ -467,44 +462,19 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
     """
     params = cfg.parameters()
     omega, h, mu = params.omega, params.h, cfg.mu
-    x = _start_point(problem, x0)
-    u = x.copy()
-    tb = _TraceBuilder(oracle, with_y=True)
+    core = _Core(problem, oracle, monitor, accelerated=True)
+    u = None
 
-    f_val = _checked_value(problem, x, tb, 0, x)
-    gap = f_val - problem.f_star
-    tb.add_row(0, gap, float(np.linalg.norm(problem.gradient(x))), math.nan)
+    def step(pt: _Point) -> np.ndarray:
+        nonlocal u
+        if u is None:
+            u = pt.x
+        y = (omega * u + pt.x) / (1.0 + omega)
+        est = core.visit("y", pt.k, y, query=True).est
+        u = (1.0 - omega) * u + omega * y - (2.0 * omega / mu) * est
+        return y - h * est
 
-    for k in range(cfg.steps):
-        y = (omega * u + x) / (1.0 + omega)
-        fy = _checked_value(problem, y, tb, k, x)
-        y_gap = fy - problem.f_star
-        est_y, exact_y = _checked_query(oracle, y, tb, k, x)
-        y_gn = float(np.linalg.norm(exact_y))
-        y_ngn = float(np.linalg.norm(est_y))
-        tb.add_y_row(y_gap, y_gn, y_ngn)
-        if monitor is not None:
-            reason = monitor(IterateView("y", k, y, y_gap, y_gn, y_ngn))
-            if reason is not None:
-                return tb.build(reason, y, y_gap)
-        u = (1.0 - omega) * u + omega * y - (2.0 * omega / mu) * est_y
-        x_prev = x
-        x = y - h * est_y
-        f_val = _checked_value(problem, x, tb, k + 1, x_prev)
-        gap = f_val - problem.f_star
-        if monitor is not None:
-            est_x, exact_x = _checked_query(oracle, x, tb, k + 1, x_prev)
-            gn = float(np.linalg.norm(exact_x))
-            ngn = float(np.linalg.norm(est_x))
-        else:
-            gn = float(np.linalg.norm(problem.gradient(x)))
-            ngn = math.nan
-        tb.add_row(k + 1, gap, gn, ngn)
-        if monitor is not None:
-            reason = monitor(IterateView("x", k + 1, x, gap, gn, ngn))
-            if reason is not None:
-                return tb.build(reason, x, gap)
-    return tb.build(TERMINAL_STEPS_EXHAUSTED, x, tb.f_gap[-1])
+    return core.run(cfg.steps, x0, step)
 
 
 def _adaptive_coefficients(t: int, L0: float, adapt_L: bool):
@@ -532,39 +502,20 @@ def adaptive_gd_run(problem: ObjectiveProblem, oracle: GradientOracle,
     N + max(log2(1/(1-alpha)), log2(L/L0)) + 1 for conforming oracles.
     inner_loops[k] records failed trials while leaving row k.
     """
-    x = _start_point(problem, x0)
-    last_finite = x
-    tb = _TraceBuilder(oracle, adaptive=True)
+    core = _Core(problem, oracle, monitor, adaptive=True)
     J = 1
     delta_sq = cfg.delta * cfg.delta
 
-    for k in range(cfg.steps + 1):
-        f_val = _checked_value(problem, x, tb, k, last_finite)
-        gap = f_val - problem.f_star
-        last = k == cfg.steps
-        if last and monitor is None:
-            tb.add_row(k, gap, float(np.linalg.norm(problem.gradient(x))), math.nan)
-            break
-        est, exact = _checked_query(oracle, x, tb, k, last_finite)
-        grad_norm = float(np.linalg.norm(exact))
-        noisy_norm = float(np.linalg.norm(est))
-        if monitor is not None:
-            reason = monitor(IterateView("x", k, x, gap, grad_norm, noisy_norm))
-            if reason is not None:
-                tb.add_row(k, gap, grad_norm, noisy_norm)
-                return tb.build(reason, x, gap)
-        if last:
-            tb.add_row(k, gap, grad_norm, noisy_norm)
-            break
-
-        est_sq = noisy_norm * noisy_norm
+    def step(pt: _Point) -> np.ndarray:
+        nonlocal J
+        est_sq = pt.noisy_norm * pt.noisy_norm
         fails = 0
         t = J
         while True:
             alpha_hat, L_hat, h, theta = _adaptive_coefficients(t, cfg.L0, cfg.adapt_L)
-            x_next = x - h * est
+            x_next = pt.x - h * pt.est
             f_next = problem.value(x_next)
-            allowed = f_val - theta * est_sq + 3.0 * delta_sq / (4.0 * (1.0 + alpha_hat) ** 2 * L_hat)
+            allowed = pt.f_val - theta * est_sq + 3.0 * delta_sq / (4.0 * (1.0 + alpha_hat) ** 2 * L_hat)
             # h == 0 means alpha_hat hit 1 in floats; such a "step" can
             # only pass vacuously, so count it as a failure to let
             # violating oracles reach the cap instead of freezing
@@ -572,17 +523,14 @@ def adaptive_gd_run(problem: ObjectiveProblem, oracle: GradientOracle,
                 break
             fails += 1
             if fails >= INNER_LOOP_CAP:
-                tb.add_row(k, gap, grad_norm, noisy_norm, inner=fails,
-                           alpha_hat=alpha_hat, L_hat=L_hat)
-                raise InnerLoopStallError(
-                    f"step {k}: {fails} rejected trials (last alpha_hat={alpha_hat}, "
-                    f"L_hat={L_hat}); oracle error fits no alpha < 1",
-                    tb.build(_TERMINAL_STALLED, x, gap),
-                )
+                core.trials(fails, alpha_hat, L_hat)
+                raise core.abort(
+                    InnerLoopStallError,
+                    f"step {pt.k}: {fails} rejected trials (last alpha_hat={alpha_hat}, "
+                    f"L_hat={L_hat}); oracle error fits no alpha < 1")
             t += 1
-        tb.add_row(k, gap, grad_norm, noisy_norm, inner=fails,
-                   alpha_hat=alpha_hat, L_hat=L_hat)
+        core.trials(fails, alpha_hat, L_hat)
         J = max(1, t - 1)
-        last_finite = x
-        x = x_next
-    return tb.build(TERMINAL_STEPS_EXHAUSTED, x, tb.f_gap[-1])
+        return x_next
+
+    return core.run(cfg.steps, x0, step)

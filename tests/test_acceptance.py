@@ -56,13 +56,6 @@ def oracle_for(problem, alpha=0.0, delta=0.0, mode="none", seed=0,
         certify=certify)
 
 
-def envelope_excess(trace, env):
-    """Worst signed overshoot of the gap above the bound, after slack."""
-    curve = env.curve(trace.k)
-    tol = 1e-9 * max(1.0, float(env.curve(0)))
-    return float(np.max(trace.f_gap - curve - tol))
-
-
 def constants_for(problem, alpha, delta, **extra):
     x0 = np.zeros(problem.dim)
     return EnvelopeConstants(
@@ -108,7 +101,7 @@ def test_01_descent_envelope_grid():
                 cfg = GDConfig(steps=10_000, alpha=alpha, L=problem.L)
                 trace = gd_run(problem, oracle, cfg)
                 env = envelope("GD_PL", constants_for(problem, alpha, delta))
-                excess = envelope_excess(trace, env)
+                excess = np.max(env.excess(trace.k, trace.f_gap))
                 assert excess <= 0.0, (alpha, delta, mode, excess)
     assert time.perf_counter() - t0 < 10.0
 
@@ -158,7 +151,7 @@ def test_04_accelerated_envelope_and_floors():
                           alpha=alpha)
         trace = re_agm_run(problem, oracle, cfg)
         env = envelope("REAGM", constants_for(problem, alpha, 100.0))
-        assert envelope_excess(trace, env) <= 0.0, alpha
+        assert np.max(env.excess(trace.k, trace.f_gap)) <= 0.0, alpha
         floors.append(env.floor)
         exponents.append(re_agm_calculate_parameters(
             problem.mu, problem.L, alpha).gamma_star)
@@ -209,7 +202,7 @@ def test_06_adaptive_trial_ledger_and_envelope():
         assert total <= steps + math.log2(1.0 / (1.0 - alpha)) + 1.0, delta
         env = envelope("ADAPT_ALPHA",
                        constants_for(problem, alpha, delta, L0=problem.L))
-        assert envelope_excess(trace, env) <= 0.0, delta
+        assert np.max(env.excess(trace.k, trace.f_gap)) <= 0.0, delta
 
         oracle = oracle_for(problem, alpha, delta, "adversarial_opposing",
                             seed=6)

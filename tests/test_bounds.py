@@ -342,3 +342,16 @@ class TestEnvelopeRepr:
         assert env.theorem_id == "GD_PL"
         assert env.constants.mu == 1.0
         assert "GD_PL" in repr(env)
+
+    def test_excess_sign_is_the_violation_test(self):
+        # excess > 0 exactly where f_gap > curve + 1e-9 * max(1, curve(0)),
+        # including gaps one ulp either side of the slackened bound
+        env = envelope("GD_PL", consts(mu=1.0, L=100.0, alpha=0.25, delta=0.1,
+                                       f0_gap=50.0))
+        k = np.arange(200)
+        edge = env.curve(k) + 1e-9 * max(1.0, env.curve(0))
+        rng = np.random.default_rng(0)
+        for f_gap in (edge, np.nextafter(edge, np.inf), np.nextafter(edge, -np.inf),
+                      edge * rng.uniform(0.5, 1.5, size=k.size)):
+            assert np.array_equal(env.excess(k, f_gap) > 0.0, f_gap > edge)
+        assert env.excess(3, env.curve(3)) == pytest.approx(-1e-9 * env.curve(0))

@@ -1,6 +1,7 @@
 """Command-line harness: configs, artifacts, exit codes, sweeps."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -218,14 +219,13 @@ class TestRunCommand:
 
     def test_envelope_violation_exit_two(self, tmp_path, monkeypatch, capsys):
         # an impossible printed bound must be detected, not papered over
-        class Zero:
-            floor = 0.0
+        real = cli._trace_envelope
 
-            def curve(self, N):
-                return np.zeros_like(np.asarray(N, dtype=float))
+        def zero_bound(*args):
+            return dataclasses.replace(real(*args), floor=0.0, _eval=np.zeros_like)
 
         path = write_config(tmp_path)
-        monkeypatch.setattr(cli, "_trace_envelope", lambda *a: Zero())
+        monkeypatch.setattr(cli, "_trace_envelope", zero_bound)
         assert cli.main(["run", str(path)]) == 2
         assert "exceed the printed bound" in capsys.readouterr().err
         # artifacts are still written for post-mortem
@@ -505,6 +505,18 @@ class TestVerifyCommand:
         passed, detail = verify._check_gd_envelope()
         assert not passed
         assert "excess" in detail
+
+    def test_failed_check_exits_two(self, monkeypatch, capsys):
+        # a failed check is a violated guarantee, not a malformed config
+        import ngl.verify as verify
+
+        name, _ = verify.CHECKS[0]
+        forced = (name, lambda: (False, "forced failure"))
+        monkeypatch.setattr(verify, "CHECKS", [forced] + verify.CHECKS[1:])
+        assert cli.main(["verify"]) == cli.EXIT_VIOLATION == 2
+        out = capsys.readouterr().out
+        assert f"{name}" in out and "forced failure" in out
+        assert any(line.split() == ["overall", "FAIL"] for line in out.splitlines())
 
 
 class TestConsoleScript:

@@ -19,7 +19,6 @@ from ngl.solvers import (
     adaptive_gd_run,
     gd_run,
     gd_step_size,
-    gd_theoretical_descent_check,
     re_agm_calculate_parameters,
     re_agm_run,
 )
@@ -42,6 +41,35 @@ class ScalingOracle(GradientOracle):
 
 def half_sphere_quadratic(dim=2, curvature=1.0):
     return quadratic(curvature * np.eye(dim), np.zeros(dim), name="sphere")
+
+
+def gd_theoretical_descent_check(trace, problem, cfg) -> bool:
+    """Check the per-step descent inequality along a gd_run trace.
+
+    Uses cfg's (alpha, L) for the constants and the trace's declared
+    absolute level for the noise term:
+
+        f(x^{k+1}) <= f(x^k) - (1-a)^3/((1+a) 16L) ||grad f(x^k)||^2
+                              + 3 delta^2 / (16L (1+a)^2)
+
+    with slack tolerance 1e-9 * max(1, |f(x^k)|) per step.  Expected to
+    hold whenever cfg.alpha covers the oracle's true relative level; a
+    False return indicates an understated level (or a non-conforming
+    oracle).
+    """
+    a, L = cfg.alpha, cfg.L
+    delta = trace.declared_delta
+    c1 = (1.0 - a) ** 3 / ((1.0 + a) * 16.0 * L)
+    c2 = 3.0 / (16.0 * L * (1.0 + a) ** 2)
+    noise_term = c2 * delta * delta
+    gaps = trace.f_gap
+    gnorms = trace.grad_norm
+    for k in range(len(gaps) - 1):
+        allowed = gaps[k] - c1 * gnorms[k] ** 2 + noise_term
+        slack_scale = 1e-9 * max(1.0, abs(gaps[k] + problem.f_star))
+        if gaps[k + 1] > allowed + slack_scale:
+            return False
+    return True
 
 
 class TestConfigs:
@@ -216,6 +244,24 @@ class TestGDRun:
         trace = gd_run(prob, oracle, GDConfig(steps=500, alpha=0.3, L=100.0))
         assert np.all(trace.f_gap >= -1e-9)
 
+    def test_gap_floor_scales_with_f_star(self):
+        # |f_star| ~ 5.8e6, so value(x) - f_star has rounding error of a
+        # few 1e-9 near the minimizer: an absolute -1e-9 floor would
+        # reject this well-posed run
+        prob = nesterov_strongly_convex(1e7, 1e8, 5000)
+        trace = gd_run(prob, exact_oracle(prob), GDConfig(steps=1000, alpha=0.0, L=1e8))
+        assert trace.terminal == "steps_exhausted"
+        assert trace.iterations == 1000
+        assert np.all(trace.f_gap >= -1e-9 * abs(prob.f_star))
+
+    def test_wrong_f_star_still_raises(self):
+        prob = nesterov_strongly_convex(1.0, 10.0, 8)
+        prob.f_star += 1.0  # claims a minimum one unit above the true one
+        with pytest.raises(AssertionError, match="bad f_star"):
+            gd_run(prob, exact_oracle(prob), GDConfig(steps=50, alpha=0.0, L=10.0))
+        with pytest.raises(AssertionError, match="bad f_star"):
+            re_agm_run(prob, exact_oracle(prob), ReAgmConfig(steps=50, mu=1.0, L=10.0, alpha=0.0))
+
 
 class TestDescentCheck:
     def test_exact_gd_passes(self):
@@ -369,3 +415,61 @@ class TestAdaptiveRun:
         assert trace.terminal == "stopping_rule"
         assert trace.final_f_gap < 0.05
         assert trace.iterations < 100
+
+
+class CountingMonitor:
+    """Never halts; keeps every view it is shown."""
+
+    def __init__(self):
+        self.views = []
+
+    def __call__(self, view):
+        self.views.append(view)
+        return None
+
+
+class TestMonitorRule:
+    """The core's rule: a point is queried when the method steps from its
+    estimate or a monitor is attached, and the monitor sees exactly the
+    queried points."""
+
+    RUNNERS = {
+        "gd": (gd_run, GDConfig(steps=30, alpha=0.25, L=100.0)),
+        "re_agm": (re_agm_run, ReAgmConfig(steps=30, mu=1.0, L=100.0, alpha=0.25)),
+        "adaptive_gd": (adaptive_gd_run, AdaptiveGDConfig(steps=30, L0=100.0, delta=0.1)),
+    }
+
+    @staticmethod
+    def sampled(prob):
+        return SyntheticNoiseOracle(
+            prob, NoiseSpec(alpha=0.25, delta=0.1, mode="sampled_unbiased", seed=4))
+
+    @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
+    def test_monitor_sees_exactly_the_queried_points(self, name):
+        run, cfg = self.RUNNERS[name]
+        prob = nesterov_strongly_convex(1.0, 100.0, 20)
+        oracle = self.sampled(prob)
+        monitor = CountingMonitor()
+        trace = run(prob, oracle, cfg, x0=np.ones(20), monitor=monitor)
+        assert trace.terminal == "steps_exhausted"
+        assert len(monitor.views) == oracle.queries
+        assert all(math.isfinite(v.noisy_grad_norm) for v in monitor.views)
+        x_rows = [v.k for v in monitor.views if v.kind == "x"]
+        if name == "re_agm":
+            # the accelerated method steps from y points; its row 0 is never queried
+            assert x_rows == list(range(1, cfg.steps + 1))
+            assert sum(v.kind == "y" for v in monitor.views) == cfg.steps
+            assert math.isnan(trace.noisy_grad_norm[0])
+        else:
+            assert x_rows == list(range(cfg.steps + 1))
+        assert np.all(np.isfinite(trace.noisy_grad_norm[1:]))
+
+    @pytest.mark.parametrize("name", ["gd", "adaptive_gd"])
+    def test_unmonitored_final_row_is_unqueried(self, name):
+        run, cfg = self.RUNNERS[name]
+        prob = nesterov_strongly_convex(1.0, 100.0, 20)
+        oracle = self.sampled(prob)
+        trace = run(prob, oracle, cfg, x0=np.ones(20))
+        assert oracle.queries == cfg.steps
+        assert math.isnan(trace.noisy_grad_norm[-1])
+        assert np.all(np.isfinite(trace.noisy_grad_norm[:-1]))
