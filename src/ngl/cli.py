@@ -176,18 +176,21 @@ def _format_float(v: float) -> str:
 
 
 def _write_trace_csv(path: Path, trace, bound) -> None:
+    # one %-format per row; "%.17g" % v is format(v, ".17g") for a float
+    columns = [trace.k, trace.f_gap, trace.grad_norm, trace.noisy_grad_norm]
+    row = "%d,%.17g,%.17g,%.17g"
+    if bound is not None:
+        columns.append(np.asarray(bound, dtype=np.float64))
+        row += ",%.17g"
+    else:
+        row += ",nan"
+    if trace.inner_loops is not None:
+        columns.append(trace.inner_loops)
+        row += ",%d"
+    else:
+        row += ",nan"
     lines = ["k,f_gap,grad_norm,noisy_grad_norm,bound,inner_loops"]
-    inner = trace.inner_loops
-    for i in range(len(trace.k)):
-        row = [
-            format(int(trace.k[i]), "d"),
-            _format_float(trace.f_gap[i]),
-            _format_float(trace.grad_norm[i]),
-            _format_float(trace.noisy_grad_norm[i]),
-            _format_float(bound[i]) if bound is not None else "nan",
-            format(int(inner[i]), "d") if inner is not None else "nan",
-        ]
-        lines.append(",".join(row))
+    lines += [row % values for values in zip(*(col.tolist() for col in columns))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

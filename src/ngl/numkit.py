@@ -10,6 +10,7 @@ finite and in the normal range.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -50,7 +51,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 
@@ -67,7 +68,7 @@ def kahan_sum(values: Iterable[float]) -> float:
     carry = 0.0
     for v in values:
         v = float(v)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"non-finite summand {v!r}")
         t = total + v
         if abs(total) >= abs(v):
@@ -86,7 +87,7 @@ def round_to_precision(x, spec: PrecisionSpec):
     rounding happens on an integer-valued float.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("cannot round non-finite values")
     m, e = np.frexp(arr)  # x = m * 2**e with |m| in [0.5, 1)
     scaled = np.ldexp(m, spec.bits + 1)  # |scaled| in [2**bits, 2**(bits+1))

@@ -9,7 +9,11 @@ arithmetic for explicit quadratics.
 
 Randomness is counter-based (Philox keyed by seed, counter = query
 index), so any run is bit-reproducible from (seed, query index) and
-queries never share stream state.
+queries never share stream state.  Each oracle builds one Philox bit
+generator and resets its whole state to counter [0, 0, 0, q] before
+query q, so its draws equal those of a fresh ``Philox(key=seed,
+counter=[0, 0, 0, q])`` in any query order, without paying for a new
+generator per query.
 """
 
 from __future__ import annotations
@@ -44,17 +48,36 @@ class NoiseSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def _query_rng(seed: int, query_index: int) -> np.random.Generator:
-    """Independent stream per query: Philox counter block = query index."""
-    key = int(seed) & (2**64 - 1)
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, query_index]))
+class _QueryStream:
+    """Independent stream per query: Philox counter block = query index.
+
+    One bit generator serves every query; ``at(q)`` sets its full state
+    (counter [0, 0, 0, q], empty output buffer, no cached 32-bit half),
+    which is the state of a fresh ``Philox(key, counter=[0, 0, 0, q])``.
+    """
+
+    def __init__(self, seed: int):
+        self._bitgen = np.random.Philox(key=int(seed) & (2**64 - 1))
+        self._rng = np.random.Generator(self._bitgen)
+        self._counter = [0, 0, 0, 0]
+        # a fresh generator's state, holding lists, which the setter reads fastest
+        state = self._bitgen.state
+        state["state"] = {"counter": self._counter, "key": state["state"]["key"].tolist()}
+        state["buffer"] = state["buffer"].tolist()
+        self._state = state
+
+    def at(self, query_index: int) -> np.random.Generator:
+        self._counter[3] = query_index
+        self._bitgen.state = self._state
+        return self._rng
 
 
 def _uniform_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
     if radius <= 0.0:
         return np.zeros(n)
     direction = rng.standard_normal(n)
-    norm = float(np.linalg.norm(direction))
+    # np.linalg.norm's own formula for a real 1-D vector, minus its overhead
+    norm = math.sqrt(direction.dot(direction))
     if norm == 0.0:
         return np.zeros(n)
     r = radius * rng.uniform() ** (1.0 / n)
@@ -94,8 +117,9 @@ class GradientOracle:
         est = self._estimate(x, exact)
         self.queries += 1
         if self.certify:
-            err = float(np.linalg.norm(est - exact))
-            allowed = self.declared_alpha * float(np.linalg.norm(exact)) + self.declared_delta
+            diff = est - exact
+            err = math.sqrt(diff.dot(diff))
+            allowed = self.declared_alpha * math.sqrt(exact.dot(exact)) + self.declared_delta
             if err > allowed + CERT_SLACK:
                 raise AssertionError(
                     f"composite bound violated: error {err} > {allowed} (query {self.queries})"
@@ -115,6 +139,7 @@ class SyntheticNoiseOracle(GradientOracle):
             alpha, delta = 0.0, 0.0
         super().__init__(problem, alpha, delta, certify)
         self.spec = spec
+        self._stream = _QueryStream(spec.seed) if spec.mode == "sampled_unbiased" else None
 
     def sample_components(self, x, query_index: int | None = None):
         """Return (estimate, relative part, absolute part) at x."""
@@ -126,7 +151,7 @@ class SyntheticNoiseOracle(GradientOracle):
 
     def _components(self, exact: np.ndarray, query_index: int):
         n = exact.shape[0]
-        gnorm = float(np.linalg.norm(exact))
+        gnorm = math.sqrt(exact.dot(exact))
         mode = self.spec.mode
         if mode == "none" or (self.declared_alpha == 0.0 and self.declared_delta == 0.0):
             return np.zeros(n), np.zeros(n)
@@ -134,7 +159,7 @@ class SyntheticNoiseOracle(GradientOracle):
             rel = -self.declared_alpha * exact
             absolute = np.zeros(n) if gnorm == 0.0 else -self.declared_delta / gnorm * exact
             return rel, absolute
-        rng = _query_rng(self.spec.seed, query_index)
+        rng = self._stream.at(query_index)
         rel = _uniform_ball(rng, n, self.declared_alpha * gnorm)
         absolute = _uniform_ball(rng, n, self.declared_delta)
         return rel, absolute
@@ -223,10 +248,17 @@ def finite_difference_gradient(problem: ObjectiveProblem, x, h: float, value_noi
         raise ValueError(f"h must be > 0, got {h}")
     if value_noise < 0.0:
         raise ValueError(f"value_noise must be >= 0, got {value_noise}")
+    stream = _QueryStream(seed) if value_noise > 0.0 else None
+    return _forward_differences(problem, x, h, value_noise, stream, query_index)
+
+
+def _forward_differences(problem: ObjectiveProblem, x: np.ndarray, h: float,
+                         value_noise: float, stream: _QueryStream | None,
+                         query_index: int) -> np.ndarray:
+    """finite_difference_gradient on validated inputs; no stream: no value noise."""
     n = problem.dim
-    if value_noise > 0.0:
-        rng = _query_rng(seed, query_index)
-        shifts = rng.uniform(-value_noise, value_noise, size=n + 1)
+    if stream is not None:
+        shifts = stream.at(query_index).uniform(-value_noise, value_noise, size=n + 1)
     else:
         shifts = np.zeros(n + 1)
     f0 = problem.value(x) + shifts[0]
@@ -252,29 +284,12 @@ class FiniteDifferenceOracle(GradientOracle):
         self.h = float(h)
         self.value_noise = float(value_noise)
         self.seed = int(seed)
+        self._stream = _QueryStream(seed) if value_noise > 0.0 else None
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
-        return finite_difference_gradient(
-            self.problem, x, self.h, self.value_noise, self.seed, self.queries
+        return _forward_differences(
+            self.problem, x, self.h, self.value_noise, self._stream, self.queries
         )
-
-
-def _compensated_sum_at_precision(values, spec: PrecisionSpec) -> float:
-    """Neumaier-compensated sum with every elementary op rounded to p bits."""
-
-    def rnd(v: float) -> float:
-        return round_to_precision(v, spec)
-
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        t = rnd(total + v)
-        if abs(total) >= abs(v):
-            carry = rnd(carry + rnd(rnd(total - t) + v))
-        else:
-            carry = rnd(carry + rnd(rnd(v - t) + total))
-        total = t
-    return rnd(total + carry)
 
 
 def fp_quadratic_gradient(A, b, x, spec: PrecisionSpec) -> np.ndarray:
@@ -283,6 +298,13 @@ def fp_quadratic_gradient(A, b, x, spec: PrecisionSpec) -> np.ndarray:
     Inputs are stored (rounded) at p bits; every product and every
     accumulation op rounds to p bits. Error stays within the
     C*(eps + n*eps^2)*(|b_i| + sum_j |A_ij x_j|) envelope, C <= 8.
+
+    Row i is the Neumaier-compensated sum of b_i, A_i1 x_1, ..., A_in x_n
+    in that order.  All rows advance together, one term at a time, and
+    each picks its compensation branch with ``np.where`` before rounding,
+    so every element goes through exactly the p-bit roundings of a
+    scalar loop over its row, and a non-finite value raises where that
+    loop would.
     """
     A = np.asarray(A, dtype=np.float64)
     x = as_vector(x)
@@ -293,11 +315,17 @@ def fp_quadratic_gradient(A, b, x, spec: PrecisionSpec) -> np.ndarray:
     Ap = round_to_precision(A, spec)
     xp = round_to_precision(x, spec)
     bp = round_to_precision(b, spec)
-    out = np.empty(n)
-    for i in range(n):
-        products = round_to_precision(Ap[i] * xp, spec)
-        out[i] = _compensated_sum_at_precision([bp[i], *products], spec)
-    return out
+    products = round_to_precision(Ap * xp, spec)
+    total = np.zeros(n)
+    carry = np.zeros(n)
+    for v in (bp, *np.ascontiguousarray(products.T)):
+        t = round_to_precision(total + v, spec)
+        big = np.abs(total) >= np.abs(v)
+        err = round_to_precision(np.where(big, total - t, v - t), spec)
+        err = round_to_precision(np.where(big, err + v, err + total), spec)
+        carry = round_to_precision(carry + err, spec)
+        total = t
+    return round_to_precision(total + carry, spec)
 
 
 class FloatingPointQuadraticOracle(GradientOracle):

@@ -92,7 +92,7 @@ class ChainedConvex(ObjectiveProblem):
         h = x[: self.k]
         chain = h[0] ** 2 + h[-1] ** 2
         if self.k > 1:
-            d = np.diff(h)
+            d = h[1:] - h[:-1]
             chain += float(d @ d)
         return self.L / 8.0 * float(chain) - self.L / 4.0 * float(h[0])
 
@@ -146,7 +146,7 @@ class ChainedStronglyConvex(ObjectiveProblem):
         x = as_vector(x, self.dim)
         chain = x[0] ** 2
         if self.dim > 1:
-            d = np.diff(x)
+            d = x[1:] - x[:-1]
             chain += float(d @ d)
         quarter = self._c / 2.0  # mu(chi-1)/8
         return quarter * (float(chain) - 2.0 * float(x[0])) + self.mu / 2.0 * float(x @ x)

@@ -366,7 +366,7 @@ class _Core:
         An unqueried point records the exact gradient norm and a NaN
         noisy norm, and the monitor does not see it.
         """
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
         f_val = self.problem.value(x)
         if not math.isfinite(f_val):
@@ -374,13 +374,15 @@ class _Core:
         gap = f_val - self.problem.f_star
         if query:
             est, exact = self.oracle.estimate_with_exact(x)
-            if not np.all(np.isfinite(est)):
+            if not np.isfinite(est).all():
                 raise self.abort(DivergedError, f"non-finite gradient estimate at step {k}")
-            grad_norm = float(np.linalg.norm(exact))
-            noisy_norm = float(np.linalg.norm(est))
+            # sqrt(v.dot(v)) is np.linalg.norm's formula for a real 1-D v
+            grad_norm = math.sqrt(exact.dot(exact))
+            noisy_norm = math.sqrt(est.dot(est))
         else:
             est, noisy_norm = None, math.nan
-            grad_norm = float(np.linalg.norm(self.problem.gradient(x)))
+            exact = self.problem.gradient(x)
+            grad_norm = math.sqrt(exact.dot(exact))
         if not gap >= self.floor:
             where = f"row {k}" if kind == "x" else f"y point {k}"
             raise AssertionError(f"f_gap {gap} below {self.floor} at {where}: bad f_star?")

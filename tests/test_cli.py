@@ -13,7 +13,7 @@ import pytest
 
 import ngl.cli as cli
 from ngl.config import ConfigError, expand_sweep, parse_config
-from ngl.solvers import DivergedError
+from ngl.solvers import DivergedError, RunTrace
 
 
 def write_config(tmp_path, name="config.json", **overrides):
@@ -161,6 +161,34 @@ class TestRunCommand:
         text = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         value = text[1].split(",")[1]
         assert value == format(float(value), ".17g")
+
+    @pytest.mark.parametrize("with_bound", [False, True])
+    @pytest.mark.parametrize("with_inner", [False, True])
+    def test_trace_csv_matches_per_cell_format(self, tmp_path, with_bound, with_inner):
+        floats = np.array([0.0, -0.0, 1.0 / 3.0, 5e-324, 1e-310, 2.5e-17,
+                           1.7976931348623157e308, 123456789.0, -7.0,
+                           math.inf, -math.inf, math.nan])
+        n = len(floats)
+        trace = RunTrace(
+            k=np.arange(n, dtype=np.int64), f_gap=floats, grad_norm=floats[::-1].copy(),
+            noisy_grad_norm=np.roll(floats, 3), terminal="steps_exhausted",
+            x_final=np.zeros(2), final_f_gap=0.0, declared_alpha=0.0, declared_delta=0.0,
+            inner_loops=np.arange(n, dtype=np.int64) * 7 if with_inner else None)
+        bound = np.roll(floats, 5) if with_bound else None
+        path = tmp_path / "trace.csv"
+        cli._write_trace_csv(path, trace, bound)
+        # the per-cell formatting the one-pass writer must reproduce
+        lines = ["k,f_gap,grad_norm,noisy_grad_norm,bound,inner_loops"]
+        for i in range(n):
+            lines.append(",".join([
+                format(int(trace.k[i]), "d"),
+                format(float(trace.f_gap[i]), ".17g"),
+                format(float(trace.grad_norm[i]), ".17g"),
+                format(float(trace.noisy_grad_norm[i]), ".17g"),
+                format(float(bound[i]), ".17g") if with_bound else "nan",
+                format(int(trace.inner_loops[i]), "d") if with_inner else "nan",
+            ]))
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_bit_reproducible(self, tmp_path):
         a = write_config(tmp_path, name="a.json",

@@ -1,6 +1,8 @@
 """Oracle tests: composite-bound certification, sandwich inequalities,
 alignment bound, decomposition, unbiasedness, compressor tie rules,
-finite-difference closed forms, reduced-precision error envelopes."""
+finite-difference closed forms, reduced-precision error envelopes,
+counter-based stream identity, and the scalar reference for the
+row-vectorised reduced-precision gradient."""
 
 import math
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ngl.numkit import PrecisionSpec
+from ngl.numkit import PrecisionSpec, round_to_precision
 from ngl.oracles import (
     CompressedGradientOracle,
     FiniteDifferenceOracle,
@@ -350,3 +352,171 @@ class TestFloatingPointGradient:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             fp_quadratic_gradient(np.eye(2), np.zeros(3), np.zeros(2), PrecisionSpec(8))
+
+
+def _fresh_rng(seed, q):
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, q]))
+
+
+def _ball_reference(rng, n, radius):
+    if radius <= 0.0:
+        return np.zeros(n)
+    direction = rng.standard_normal(n)
+    norm = float(np.linalg.norm(direction))
+    return (radius * rng.uniform() ** (1.0 / n) / norm) * direction
+
+
+# out of order, repeated, and past 2**32
+STREAM_QUERIES = (7, 0, 2**33 + 5, 3, 0, 2**40 + 1, 1)
+
+
+class TestStreamIdentity:
+    """Every draw equals that of a fresh Philox(key=seed, counter=[0,0,0,q])."""
+
+    def test_synthetic_noise(self):
+        # n = 6: a query usually draws 14 64-bit words, leaving part of a
+        # 4-word Philox block unused, so a buffer carried into the next
+        # query would change its draws
+        p = nesterov_strongly_convex(mu=1.0, L=50.0, n=6)
+        seed, alpha, delta = 123, 0.4, 0.3
+        o = SyntheticNoiseOracle(p, NoiseSpec(alpha, delta, "sampled_unbiased", seed=seed))
+        rng = np.random.default_rng(3)
+
+        def expected(x, q):
+            g = p.gradient(x)
+            fresh = _fresh_rng(seed, q)
+            rel = _ball_reference(fresh, 6, alpha * float(np.linalg.norm(g)))
+            absolute = _ball_reference(fresh, 6, delta)
+            return g + rel + absolute, rel, absolute
+
+        for q in STREAM_QUERIES:
+            x = rng.standard_normal(6)
+            want = expected(x, o.queries)
+            assert np.array_equal(o.gradient_estimate(x), want[0])
+            got = o.sample_components(x, query_index=q)
+            for a, b in zip(got, expected(x, q)):
+                assert np.array_equal(a, b)
+        assert o.queries == len(STREAM_QUERIES)
+
+    def test_finite_difference(self):
+        p = nesterov_strongly_convex(mu=1.0, L=10.0, n=5)
+        seed, h, noise = 17, 1e-4, 1e-7
+        o = FiniteDifferenceOracle(p, h=h, value_noise=noise, seed=seed)
+        rng = np.random.default_rng(4)
+
+        def expected(x, q):
+            shifts = _fresh_rng(seed, q).uniform(-noise, noise, size=6)
+            f0 = p.value(x) + shifts[0]
+            g = np.empty(5)
+            for j in range(5):
+                step = x.copy()
+                step[j] += h
+                g[j] = (p.value(step) + shifts[j + 1] - f0) / h
+            return g
+
+        for q in STREAM_QUERIES:
+            x = rng.standard_normal(5)
+            want = expected(x, o.queries)
+            assert np.array_equal(o.gradient_estimate(x), want)
+            got = finite_difference_gradient(p, x, h, noise, seed=seed, query_index=q)
+            assert np.array_equal(got, expected(x, q))
+
+
+@pytest.mark.parametrize("make", [
+    lambda p: SyntheticNoiseOracle(p, NoiseSpec(0.3, 0.2, "sampled_unbiased", seed=5)),
+    lambda p: FiniteDifferenceOracle(p, h=1e-4, value_noise=1e-8, seed=5),
+], ids=["synthetic", "finite_difference"])
+def test_one_bit_generator_per_oracle(monkeypatch, make):
+    built = []
+    philox = np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    p = nesterov_strongly_convex(mu=1.0, L=10.0, n=4)
+    oracle = make(p)
+    x = np.ones(4)
+    for _ in range(200):
+        oracle.gradient_estimate(x)
+    assert oracle.queries == 200
+    assert len(built) <= 1
+
+
+def _compensated_sum_at_precision(values, spec):
+    """Scalar reference: Neumaier sum with every elementary op rounded to p bits."""
+
+    def rnd(v):
+        return round_to_precision(v, spec)
+
+    total = 0.0
+    carry = 0.0
+    ties = 0
+    for v in values:
+        t = rnd(total + v)
+        ties += abs(total) == abs(v)
+        if abs(total) >= abs(v):
+            carry = rnd(carry + rnd(rnd(total - t) + v))
+        else:
+            carry = rnd(carry + rnd(rnd(v - t) + total))
+        total = t
+    return rnd(total + carry), ties
+
+
+def _fp_gradient_reference(A, b, x, spec):
+    """The row-at-a-time loop fp_quadratic_gradient vectorises."""
+    Ap = round_to_precision(np.asarray(A, dtype=np.float64), spec)
+    xp = round_to_precision(np.asarray(x, dtype=np.float64), spec)
+    bp = round_to_precision(np.asarray(b, dtype=np.float64), spec)
+    out = np.empty(len(b))
+    ties = 0
+    for i in range(len(b)):
+        products = round_to_precision(Ap[i] * xp, spec)
+        out[i], row_ties = _compensated_sum_at_precision([bp[i], *products], spec)
+        ties += row_ties
+    return out, ties
+
+
+class TestVectorisedPrecisionGradient:
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("bits", [5, 20, 52])
+    def test_bit_identical_to_scalar_loop(self, n, bits):
+        spec = PrecisionSpec(bits)
+        rng = np.random.default_rng(1000 * n + bits)
+        ties = 0
+        for case in range(12):
+            if case == 0:
+                # row i sums 1, then -1 at its diagonal: an exact tie
+                A, b, x = -np.eye(n), np.ones(n), np.ones(n)
+            elif case % 3 == 0:
+                # signed powers of two: many |total| == |v| ties
+                A = rng.choice([-1.0, 1.0], size=(n, n)) * 2.0 ** rng.integers(-2, 3, size=(n, n))
+                b = rng.choice([-1.0, 1.0], size=n) * 2.0 ** rng.integers(-2, 3, size=n)
+                x = np.ones(n)
+            else:
+                scale = 10.0 ** rng.integers(-4, 5)
+                A = rng.standard_normal((n, n)) * scale
+                b = rng.standard_normal(n) * scale
+                x = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+            want, case_ties = _fp_gradient_reference(A, b, x, spec)
+            ties += case_ties
+            got = fp_quadratic_gradient(A, b, x, spec)
+            assert got.dtype == np.float64 and got.shape == (n,)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert ties > 0
+
+    def test_raises_where_the_loop_raises(self):
+        spec = PrecisionSpec(10)
+        # only the second row's running sum overflows
+        A = np.array([[1.0, 0.0], [1.7e308, 1.7e308]])
+        b = np.array([0.5, 0.0])
+        x = np.ones(2)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="cannot round non-finite values"):
+                _fp_gradient_reference(A, b, x, spec)
+            with pytest.raises(ValueError, match="cannot round non-finite values"):
+                fp_quadratic_gradient(A, b, x, spec)
+        # one row less and neither raises
+        want, _ = _fp_gradient_reference(A[:1, :1], b[:1], x[:1], spec)
+        assert np.array_equal(fp_quadratic_gradient(A[:1, :1], b[:1], x[:1], spec), want)
