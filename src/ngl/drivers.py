@@ -93,13 +93,16 @@ class RegularizedProblem(ObjectiveProblem):
         self.x_star = base.shifted_minimizer(self.mu_reg, self.center)
         self.f_star = self.value(self.x_star)
 
-    def value(self, x) -> float:
-        d = np.asarray(x, dtype=np.float64) - self.center
-        return self.base.value(x) + 0.5 * self.mu_reg * float(d @ d)
+    value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
+    gradient = ObjectiveProblem.gradient
 
-    def gradient(self, x) -> np.ndarray:
-        d = np.asarray(x, dtype=np.float64) - self.center
-        return self.base.gradient(x) + self.mu_reg * d
+    def _value(self, x: np.ndarray) -> float:
+        d = x - self.center
+        return self.base._value(x) + 0.5 * self.mu_reg * float(d @ d)
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        d = x - self.center
+        return self.base._gradient(x) + self.mu_reg * d
 
     def shifted_minimizer(self, ridge: float, center) -> np.ndarray:
         if ridge == 0.0:

@@ -17,6 +17,7 @@ from typing import Iterable
 import numpy as np
 
 FLOAT64_SIGNIFICAND_BITS = 52
+_TOP_BINADE = 2.0**1023  # frexp exponent 1024: the binade whose rounding can overflow
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,8 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
-    if not np.isfinite(v).all():
+    # counting costs about half of .all() on the short vectors of a step
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise ValueError("vector contains non-finite entries")
     return v
 
@@ -82,16 +84,26 @@ def kahan_sum(values: Iterable[float]) -> float:
 def round_to_precision(x, spec: PrecisionSpec):
     """Round to ``spec.bits`` significand bits, round-to-nearest ties-to-even.
 
-    Accepts a scalar or an array; returns the same shape. Exact for any
-    float64 input: scaling by powers of two is lossless and the single
-    rounding happens on an integer-valued float.
+    Accepts a scalar or an array; returns the same shape. Exact for every
+    finite float64 input whose rounding stays finite: scaling by powers
+    of two is lossless and the single rounding happens on an
+    integer-valued float.  Raises ValueError on a non-finite input, and
+    on one whose rounding carries past the largest float64 (only
+    magnitudes in [2**1023, 2**1024) can, and only below 52 bits).
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(arr).all():
+    # one test for the common case: finite, and below the top binade
+    # (NaN compares false, so it fails the test too)
+    top = np.count_nonzero(np.abs(arr) < _TOP_BINADE) != arr.size
+    if top and np.count_nonzero(np.isfinite(arr)) != arr.size:
         raise ValueError("cannot round non-finite values")
     m, e = np.frexp(arr)  # x = m * 2**e with |m| in [0.5, 1)
     scaled = np.ldexp(m, spec.bits + 1)  # |scaled| in [2**bits, 2**(bits+1))
     rounded = np.rint(scaled)  # ties to even
+    # a carry to |rounded| = 2**(bits+1) makes the result 2**e, past the
+    # largest float64 when e = 1024
+    if top and np.count_nonzero((e == 1024) & (np.abs(rounded) == 2.0 ** (spec.bits + 1))):
+        raise ValueError(f"rounding to {spec.bits} bits overflows float64")
     out = np.ldexp(rounded, e - (spec.bits + 1))
     if np.isscalar(x) or arr.ndim == 0:
         return float(out)

@@ -48,6 +48,15 @@ class NoiseSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
+def _check_query_index(query_index) -> int:
+    """A Philox counter word: an integer in [0, 2**64), bools excluded."""
+    if isinstance(query_index, bool) or not isinstance(query_index, (int, np.integer)):
+        raise ValueError(f"query_index must be an integer, got {query_index!r}")
+    if not 0 <= int(query_index) < 2**64:
+        raise ValueError(f"query_index must be in [0, 2**64), got {query_index}")
+    return int(query_index)
+
+
 class _QueryStream:
     """Independent stream per query: Philox counter block = query index.
 
@@ -113,7 +122,7 @@ class GradientOracle:
         evaluation per step when recording traces.
         """
         x = as_vector(x, self.problem.dim)
-        exact = self.problem.gradient(x)
+        exact = self.problem._gradient(x)
         est = self._estimate(x, exact)
         self.queries += 1
         if self.certify:
@@ -142,10 +151,14 @@ class SyntheticNoiseOracle(GradientOracle):
         self._stream = _QueryStream(spec.seed) if spec.mode == "sampled_unbiased" else None
 
     def sample_components(self, x, query_index: int | None = None):
-        """Return (estimate, relative part, absolute part) at x."""
+        """Return (estimate, relative part, absolute part) at x.
+
+        The draws are those of query ``query_index`` (default: the next
+        query), which must be an integer in [0, 2**64).
+        """
         x = as_vector(x, self.problem.dim)
-        exact = self.problem.gradient(x)
-        q = self.queries if query_index is None else query_index
+        exact = self.problem._gradient(x)
+        q = self.queries if query_index is None else _check_query_index(query_index)
         rel, absolute = self._components(exact, q)
         return exact + rel + absolute, rel, absolute
 
@@ -175,7 +188,12 @@ def top_k_compress(g, k: int) -> np.ndarray:
     n = g.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
-    if k == n:
+    return _top_k(g, k)
+
+
+def _top_k(g: np.ndarray, k: int) -> np.ndarray:
+    """top_k_compress of a validated vector, 1 <= k <= len(g)."""
+    if k == g.shape[0]:
         return g.copy()
     # stable sort on -|g| keeps the earliest index first among ties
     order = np.argsort(-np.abs(g), kind="stable")
@@ -187,7 +205,10 @@ def top_k_compress(g, k: int) -> np.ndarray:
 
 def sign_compress(g) -> np.ndarray:
     """Mean magnitude times the sign pattern; sign(0) = 0."""
-    g = as_vector(g)
+    return _sign(as_vector(g))
+
+
+def _sign(g: np.ndarray) -> np.ndarray:
     return float(np.mean(np.abs(g))) * np.sign(g)
 
 
@@ -196,6 +217,10 @@ def sparsify_grid(g, m: int) -> np.ndarray:
     g = as_vector(g)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
+    return _grid(g, m)
+
+
+def _grid(g: np.ndarray, m: int) -> np.ndarray:
     return np.rint(g * m) / m  # rint ties to even
 
 
@@ -228,11 +253,13 @@ class CompressedGradientOracle(GradientOracle):
         self.param = param
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
+        # param was checked above and exact is the problem's own float64
+        # gradient, so the kernels skip the public functions' checks
         if self.kind == "top_k":
-            return top_k_compress(exact, self.param)
+            return _top_k(exact, self.param)
         if self.kind == "sign":
-            return sign_compress(exact)
-        return sparsify_grid(exact, self.param)
+            return _sign(exact)
+        return _grid(exact, self.param)
 
 
 def finite_difference_gradient(problem: ObjectiveProblem, x, h: float, value_noise: float = 0.0,
@@ -248,6 +275,7 @@ def finite_difference_gradient(problem: ObjectiveProblem, x, h: float, value_noi
         raise ValueError(f"h must be > 0, got {h}")
     if value_noise < 0.0:
         raise ValueError(f"value_noise must be >= 0, got {value_noise}")
+    query_index = _check_query_index(query_index)
     stream = _QueryStream(seed) if value_noise > 0.0 else None
     return _forward_differences(problem, x, h, value_noise, stream, query_index)
 

@@ -7,6 +7,12 @@ come from a direct symmetric tridiagonal solve, never from an iterative
 run. Every family can also produce the exact minimizer of a proximally
 shifted copy ``f + ridge/2 ||x - center||^2``, which the accuracy drivers
 rely on for ground truth.
+
+The public ``value`` and ``gradient`` validate their input (a finite 1-D
+vector of the problem's dimension) and raise ValueError otherwise.  The
+private kernels ``_value`` and ``_gradient`` hold the arithmetic and
+trust their input to be such a vector, already float64: the stepping
+core and the oracles call them on iterates they have validated once.
 """
 
 from __future__ import annotations
@@ -29,6 +35,11 @@ class ObjectiveProblem:
 
     Attributes: dim, mu (strong-convexity modulus, 0 for merely convex),
     L (smoothness), x_star (a minimizer), f_star (minimum value), name.
+
+    A subclass implements the kernels ``_value`` and ``_gradient``, and
+    binds ``value`` and ``gradient`` to these validating wrappers in its
+    own class body, so that tools reading a class's own attributes (the
+    benchmark's tracer) find both.
     """
 
     def __init__(self, name: str, dim: int, mu: float, L: float):
@@ -51,9 +62,19 @@ class ObjectiveProblem:
         return self.L / self.mu if self.mu > 0 else float("inf")
 
     def value(self, x) -> float:
-        raise NotImplementedError
+        """f(x); raises ValueError unless x is a finite vector of dimension dim."""
+        return self._value(as_vector(x, self.dim))
 
     def gradient(self, x) -> np.ndarray:
+        """grad f(x); raises ValueError unless x is a finite vector of dimension dim."""
+        return self._gradient(as_vector(x, self.dim))
+
+    def _value(self, x: np.ndarray) -> float:
+        """f(x) for a validated 1-D float64 x of dimension dim."""
+        raise NotImplementedError
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        """grad f(x) for a validated 1-D float64 x of dimension dim."""
         raise NotImplementedError
 
     def gap(self, x) -> float:
@@ -87,8 +108,10 @@ class ChainedConvex(ObjectiveProblem):
         self.x_star = x_star
         self.f_star = self.value(x_star)
 
-    def value(self, x) -> float:
-        x = as_vector(x, self.dim)
+    value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
+    gradient = ObjectiveProblem.gradient
+
+    def _value(self, x: np.ndarray) -> float:
         h = x[: self.k]
         chain = h[0] ** 2 + h[-1] ** 2
         if self.k > 1:
@@ -96,8 +119,7 @@ class ChainedConvex(ObjectiveProblem):
             chain += float(d @ d)
         return self.L / 8.0 * float(chain) - self.L / 4.0 * float(h[0])
 
-    def gradient(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
         h = x[: self.k]
         g = np.zeros(self.dim)
         # tridiag(-1, 2, -1) applied to the active head
@@ -142,8 +164,10 @@ class ChainedStronglyConvex(ObjectiveProblem):
         self.x_star = self.shifted_minimizer(0.0, None)
         self.f_star = self.value(self.x_star)
 
-    def value(self, x) -> float:
-        x = as_vector(x, self.dim)
+    value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
+    gradient = ObjectiveProblem.gradient
+
+    def _value(self, x: np.ndarray) -> float:
         chain = x[0] ** 2
         if self.dim > 1:
             d = x[1:] - x[:-1]
@@ -151,8 +175,7 @@ class ChainedStronglyConvex(ObjectiveProblem):
         quarter = self._c / 2.0  # mu(chi-1)/8
         return quarter * (float(chain) - 2.0 * float(x[0])) + self.mu / 2.0 * float(x @ x)
 
-    def gradient(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
         Bx = 2.0 * x
         Bx[-1] -= x[-1]
         if self.dim > 1:
@@ -210,12 +233,13 @@ class Quadratic(ObjectiveProblem):
             self.x_star = x_star
         self.f_star = self.value(self.x_star)
 
-    def value(self, x) -> float:
-        x = as_vector(x, self.dim)
+    value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
+    gradient = ObjectiveProblem.gradient
+
+    def _value(self, x: np.ndarray) -> float:
         return 0.5 * float(x @ (self.A @ x)) + float(self.b @ x)
 
-    def gradient(self, x) -> np.ndarray:
-        x = as_vector(x, self.dim)
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x + self.b
 
     def shifted_minimizer(self, ridge: float, center) -> np.ndarray:

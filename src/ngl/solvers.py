@@ -21,7 +21,11 @@ stepping core (``_Core``) does the rest for all three: the start point,
 the finiteness guards that raise ``DivergedError`` or
 ``InnerLoopStallError`` with the partial trace, the gap-floor check,
 the x rows, y rows and adaptive columns, the monitor call and the final
-``RunTrace``.  Its query rule: a point is queried when the method steps
+``RunTrace``.  The core validates each iterate once, with one
+finiteness check, and evaluates it with the problem's trusted kernels
+``_value`` and ``_gradient``; every oracle query still goes through
+``GradientOracle.estimate_with_exact``, the one ``as_vector`` of a gd
+step.  Its query rule: a point is queried when the method steps
 from its estimate or when a monitor is attached, and the monitor sees
 exactly the queried points.  Two kinds of row go unqueried, with a NaN
 noisy norm: the final row of an unmonitored run, and the x rows of
@@ -366,22 +370,27 @@ class _Core:
         An unqueried point records the exact gradient norm and a NaN
         noisy norm, and the monitor does not see it.
         """
-        if not np.isfinite(x).all():
+        # the one validation of x: the start went through as_vector and
+        # each update rule builds float64 vectors of the problem's dimension
+        if np.count_nonzero(np.isfinite(x)) != x.size:
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
-        f_val = self.problem.value(x)
+        f_val = self.problem._value(x)
         if not math.isfinite(f_val):
             raise self.abort(DivergedError, f"non-finite objective value at step {k}")
         gap = f_val - self.problem.f_star
         if query:
             est, exact = self.oracle.estimate_with_exact(x)
-            if not np.isfinite(est).all():
+            # sqrt(v.dot(v)) is np.linalg.norm's formula for a real 1-D v;
+            # a finite sum of squares means finite entries, and a finite
+            # estimate whose sum overflows still passes
+            est_sq = est.dot(est)
+            if not math.isfinite(est_sq) and not np.isfinite(est).all():
                 raise self.abort(DivergedError, f"non-finite gradient estimate at step {k}")
-            # sqrt(v.dot(v)) is np.linalg.norm's formula for a real 1-D v
             grad_norm = math.sqrt(exact.dot(exact))
-            noisy_norm = math.sqrt(est.dot(est))
+            noisy_norm = math.sqrt(est_sq)
         else:
             est, noisy_norm = None, math.nan
-            exact = self.problem.gradient(x)
+            exact = self.problem._gradient(x)
             grad_norm = math.sqrt(exact.dot(exact))
         if not gap >= self.floor:
             where = f"row {k}" if kind == "x" else f"y point {k}"

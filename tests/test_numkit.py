@@ -1,6 +1,7 @@
 """Kernel tests: compensated summation against an exact-rational oracle,
 bit-level rounding semantics, vector validation."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -134,6 +135,21 @@ class TestRoundToPrecision:
         with pytest.raises(ValueError):
             round_to_precision(np.inf, PrecisionSpec(8))
 
+    def test_carry_past_largest_float_raises(self):
+        big = np.finfo(np.float64).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rounding to 5 bits overflows float64"):
+                round_to_precision(big, PrecisionSpec(5))
+            with pytest.raises(ValueError, match="rounding to 5 bits overflows float64"):
+                round_to_precision(np.array([1.0, -big, 2.0]), PrecisionSpec(5))
+            # the top binade rounds exactly when nothing carries out of it
+            top = 2.0**1023 * np.array([1.0, -1.5, 1.96875])
+            assert np.array_equal(round_to_precision(top, PrecisionSpec(5)), top)
+            assert round_to_precision(big, PrecisionSpec(52)) == big
+            with pytest.raises(ValueError, match="cannot round non-finite values"):
+                round_to_precision(np.array([big, np.nan]), PrecisionSpec(5))
+
     def test_array_shape_preserved(self):
         out = round_to_precision(np.array([1.3125, -1.3125]), PrecisionSpec(3))
         assert out.shape == (2,)
@@ -144,6 +160,13 @@ class TestVectorOps:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             as_vector([1.0, np.nan])
+        for bad in (np.nan, np.inf, -np.inf):
+            for n in (1, 1000):
+                for at in {0, n // 2, n - 1}:
+                    v = np.ones(n)
+                    v[at] = bad
+                    with pytest.raises(ValueError, match="^vector contains non-finite entries$"):
+                        as_vector(v)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,8 @@ counter-based stream identity, and the scalar reference for the
 row-vectorised reduced-precision gradient."""
 
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -355,7 +357,9 @@ class TestFloatingPointGradient:
 
 
 def _fresh_rng(seed, q):
-    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, q]))
+    # a uint64 array, since a list holding q >= 2**63 would pass through float64
+    counter = np.array([0, 0, 0, q], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def _ball_reference(rng, n, radius):
@@ -367,7 +371,7 @@ def _ball_reference(rng, n, radius):
 
 
 # out of order, repeated, and past 2**32
-STREAM_QUERIES = (7, 0, 2**33 + 5, 3, 0, 2**40 + 1, 1)
+STREAM_QUERIES = (7, 0, 2**33 + 5, 3, 0, 2**40 + 1, 1, 2**64 - 1, np.int64(9))
 
 
 class TestStreamIdentity:
@@ -420,6 +424,18 @@ class TestStreamIdentity:
             assert np.array_equal(o.gradient_estimate(x), want)
             got = finite_difference_gradient(p, x, h, noise, seed=seed, query_index=q)
             assert np.array_equal(got, expected(x, q))
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, True, 1.0, np.float64(2.0), "3"])
+    def test_query_index_is_checked_at_the_public_entry_points(self, bad):
+        p = nesterov_strongly_convex(mu=1.0, L=10.0, n=5)
+        o = SyntheticNoiseOracle(p, NoiseSpec(0.3, 0.2, "sampled_unbiased", seed=5))
+        x = np.ones(5)
+        message = "query_index must be .*got " + re.escape(repr(bad))
+        with pytest.raises(ValueError, match=message):
+            o.sample_components(x, query_index=bad)
+        with pytest.raises(ValueError, match=message):
+            finite_difference_gradient(p, x, 1e-4, 1e-8, seed=5, query_index=bad)
+        assert o.queries == 0
 
 
 @pytest.mark.parametrize("make", [
@@ -520,3 +536,16 @@ class TestVectorisedPrecisionGradient:
         # one row less and neither raises
         want, _ = _fp_gradient_reference(A[:1, :1], b[:1], x[:1], spec)
         assert np.array_equal(fp_quadratic_gradient(A[:1, :1], b[:1], x[:1], spec), want)
+
+    def test_raises_at_the_rounding_that_overflows(self):
+        spec = PrecisionSpec(5)
+        # row 0 sums two 5-bit products to 1.984375 * 2**1023: finite, but
+        # halfway to 2**1024 at 5 bits, where ties to even carries it out
+        A = np.array([[2.0**1023, 0.984375 * 2.0**1023], [1.0, 1.0]])
+        b, x = np.zeros(2), np.ones(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="rounding to 5 bits overflows float64"):
+                _fp_gradient_reference(A, b, x, spec)
+            with pytest.raises(ValueError, match="rounding to 5 bits overflows float64"):
+                fp_quadratic_gradient(A, b, x, spec)

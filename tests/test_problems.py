@@ -4,6 +4,7 @@ finite-difference gradient consistency, minimizer correctness."""
 import numpy as np
 import pytest
 
+from ngl.drivers import regularize
 from ngl.problems import nesterov_convex, nesterov_strongly_convex, quadratic
 
 
@@ -97,6 +98,29 @@ class TestPinnedValues:
             p.value(np.zeros(3))
         with pytest.raises(ValueError):
             p.gradient(np.zeros(3))
+
+    @pytest.mark.parametrize("make", [
+        lambda: nesterov_convex(k=3, L=4.0, n=4),
+        lambda: nesterov_strongly_convex(mu=1.0, L=10.0, n=4),
+        lambda: quadratic(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4)),
+        lambda: regularize(nesterov_convex(k=3, L=4.0, n=4), np.ones(4), 0.5),
+    ], ids=["chained_convex", "chained_strongly_convex", "quadratic", "regularized"])
+    def test_public_methods_validate_input(self, make):
+        p = make()
+        cases = [
+            ([0.0, np.nan, 0.0, 0.0], "^vector contains non-finite entries$"),
+            ([0.0, 0.0, 0.0, -np.inf], "^vector contains non-finite entries$"),
+            (np.zeros(3), "^expected dimension 4, got 3$"),
+            (np.zeros((2, 4)), r"^expected a 1-D vector, got shape \(2, 4\)$"),
+        ]
+        for x, message in cases:
+            for method in (p.value, p.gradient):
+                with pytest.raises(ValueError, match=message):
+                    method(x)
+        # a list or float32 input is converted, and gives the float64 result
+        x = np.array([0.5, -0.25, 1.0, 2.0])
+        assert p.value(list(x)) == p.value(x)
+        assert np.array_equal(p.gradient(x.astype(np.float32)), p.gradient(x))
 
 
 class TestCertificates:

@@ -1,10 +1,12 @@
 """Solver unit tests: parameter formulas, traces, guards, inner-loop accounting."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from ngl import numkit
 from ngl.oracles import GradientOracle, NoiseSpec, SyntheticNoiseOracle
 from ngl.problems import nesterov_strongly_convex, quadratic
 from ngl.solvers import (
@@ -473,3 +475,70 @@ class TestMonitorRule:
         assert oracle.queries == cfg.steps
         assert math.isnan(trace.noisy_grad_norm[-1])
         assert np.all(np.isfinite(trace.noisy_grad_norm[:-1]))
+
+
+class NonFiniteAtQuery(GradientOracle):
+    """Exact gradient, except entry 0 of query ``at`` is set to ``value``."""
+
+    def __init__(self, problem, at, value):
+        super().__init__(problem, 0.0, 0.0)
+        self.at = at
+        self.value = value
+
+    def _estimate(self, x, exact):
+        est = exact.copy()
+        if self.queries == self.at:
+            est[0] = self.value
+        return est
+
+
+class TestEstimateGuard:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_estimate_ends_the_run(self, bad):
+        prob = nesterov_strongly_convex(1.0, 100.0, 10)
+        with pytest.raises(DivergedError, match="^non-finite gradient estimate at step 3$") as exc:
+            gd_run(prob, NonFiniteAtQuery(prob, 3, bad), GDConfig(steps=20, alpha=0.0, L=100.0),
+                   x0=np.ones(10))
+        trace = exc.value.trace
+        assert trace.terminal == "diverged"
+        assert list(trace.k) == [0, 1, 2]
+        assert np.all(np.isfinite(trace.noisy_grad_norm))
+
+    def test_finite_estimate_with_overflowing_norm_passes(self):
+        # the estimate check reads est.dot(est); entries of 1e200 overflow
+        # that sum but are finite, so the point is recorded, as before
+        prob = nesterov_strongly_convex(1.0, 100.0, 10)
+        oracle = NonFiniteAtQuery(prob, 0, 1e200)
+        with np.errstate(over="ignore"):
+            trace = gd_run(prob, oracle, GDConfig(steps=0, alpha=0.0, L=100.0),
+                           x0=np.ones(10), monitor=CountingMonitor())
+        assert oracle.queries == 1
+        assert trace.terminal == "steps_exhausted"
+        assert trace.noisy_grad_norm[0] == math.inf
+        assert math.isfinite(trace.grad_norm[0])
+
+
+def test_each_iterate_is_validated_once(monkeypatch):
+    """as_vector runs once per oracle query plus once for the start point;
+    inner calls on an already checked iterate must not re-validate it."""
+    prob = nesterov_strongly_convex(1.0, 100.0, 20)
+    oracle = SyntheticNoiseOracle(
+        prob, NoiseSpec(alpha=0.25, delta=0.1, mode="sampled_unbiased", seed=4))
+    calls = []
+    as_vector = numkit.as_vector
+
+    def counting_as_vector(*args, **kwargs):
+        calls.append(1)
+        return as_vector(*args, **kwargs)
+
+    patched = [name for name, module in sys.modules.items()
+               if name.split(".")[0] == "ngl" and getattr(module, "as_vector", None) is as_vector]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "as_vector", counting_as_vector)
+    assert {"ngl.numkit", "ngl.problems", "ngl.oracles", "ngl.solvers", "ngl.drivers"} <= set(patched)
+
+    gd_run(prob, oracle, GDConfig(steps=200, alpha=0.25, L=100.0), x0=np.ones(20))
+    assert len(calls) <= 201
+    calls.clear()
+    re_agm_run(prob, oracle, ReAgmConfig(steps=200, mu=1.0, L=100.0, alpha=0.25), x0=np.ones(20))
+    assert len(calls) <= 201
