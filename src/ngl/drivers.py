@@ -262,7 +262,8 @@ def _ridge_route(solver: str, base: ObjectiveProblem, oracle: GradientOracle,
     gaps = {"x": [base.gap(center)] if solver == "re_agm" else [], "y": []}
 
     def base_gap(vw):
-        gaps[vw.kind].append(base.gap(vw.x))
+        # vw.x is an iterate the core has already validated
+        gaps[vw.kind].append(base._value(vw.x) - base.f_star)
         return gaps[vw.kind][-1]
 
     trace = _run_solver(solver, reg, reg_oracle, budget, alpha, center,

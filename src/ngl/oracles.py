@@ -89,7 +89,9 @@ def _uniform_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray
     norm = math.sqrt(direction.dot(direction))
     if norm == 0.0:
         return np.zeros(n)
-    r = radius * rng.uniform() ** (1.0 / n)
+    # random() is the double uniform() scales by 1.0 and shifts by 0.0,
+    # bit for bit, without uniform()'s argument handling
+    r = radius * rng.random() ** (1.0 / n)
     return (r / norm) * direction
 
 
@@ -277,24 +279,24 @@ def finite_difference_gradient(problem: ObjectiveProblem, x, h: float, value_noi
         raise ValueError(f"value_noise must be >= 0, got {value_noise}")
     query_index = _check_query_index(query_index)
     stream = _QueryStream(seed) if value_noise > 0.0 else None
-    return _forward_differences(problem, x, h, value_noise, stream, query_index)
+    # the public value: a shifted point that overflows raises ValueError
+    return _forward_differences(problem.value, x, h, value_noise, stream, query_index)
 
 
-def _forward_differences(problem: ObjectiveProblem, x: np.ndarray, h: float,
-                         value_noise: float, stream: _QueryStream | None,
-                         query_index: int) -> np.ndarray:
-    """finite_difference_gradient on validated inputs; no stream: no value noise."""
-    n = problem.dim
+def _forward_differences(value, x: np.ndarray, h: float, value_noise: float,
+                         stream: _QueryStream | None, query_index: int) -> np.ndarray:
+    """finite_difference_gradient of ``value`` at a validated x; no stream: no value noise."""
+    n = x.shape[0]
     if stream is not None:
         shifts = stream.at(query_index).uniform(-value_noise, value_noise, size=n + 1)
     else:
         shifts = np.zeros(n + 1)
-    f0 = problem.value(x) + shifts[0]
+    f0 = value(x) + shifts[0]
     g = np.empty(n)
     for j in range(n):
         step = x.copy()
         step[j] += h
-        g[j] = (problem.value(step) + shifts[j + 1] - f0) / h
+        g[j] = (value(step) + shifts[j + 1] - f0) / h
     return g
 
 
@@ -315,8 +317,10 @@ class FiniteDifferenceOracle(GradientOracle):
         self._stream = _QueryStream(seed) if value_noise > 0.0 else None
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
+        # the trusted kernel: a shifted point that overflows gives a
+        # non-finite estimate, which a runner ends in DivergedError
         return _forward_differences(
-            self.problem, x, self.h, self.value_noise, self._stream, self.queries
+            self.problem._value, x, self.h, self.value_noise, self._stream, self.queries
         )
 
 
@@ -340,6 +344,12 @@ def fp_quadratic_gradient(A, b, x, spec: PrecisionSpec) -> np.ndarray:
     n = x.shape[0]
     if A.shape != (n, n) or b.shape[0] != n:
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}, x {x.shape}")
+    return _fp_quadratic(A, b, x, spec)
+
+
+def _fp_quadratic(A: np.ndarray, b: np.ndarray, x: np.ndarray, spec: PrecisionSpec) -> np.ndarray:
+    """fp_quadratic_gradient of validated float64 inputs of matching shapes."""
+    n = x.shape[0]
     Ap = round_to_precision(A, spec)
     xp = round_to_precision(x, spec)
     bp = round_to_precision(b, spec)
@@ -391,7 +401,8 @@ class FloatingPointQuadraticOracle(GradientOracle):
         return self.ERROR_CONSTANT * (eps + n * eps**2) * float(np.linalg.norm(per_row))
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
-        est = fp_quadratic_gradient(self.problem.A, self.problem.b, x, self.precision)
+        # A and b were validated when the problem was built, x by the query
+        est = _fp_quadratic(self.problem.A, self.problem.b, x, self.precision)
         if self._certify_fp:
             err = float(np.linalg.norm(est - exact))
             allowed = self.row_error_bound(x)

@@ -13,8 +13,9 @@ Three runners share one trace format:
 
 Trace convention: row 0 is the starting point before any step; row k is
 the iterate after k accepted steps.  All runners accept an optional
-``monitor`` callback that inspects each iterate and may end the run
-early (used for stopping rules and envelope violation detection).
+``monitor`` callback that inspects each iterate, passed as an
+``IterateView`` (an immutable NamedTuple), and may end the run early
+(used for stopping rules and envelope violation detection).
 
 Each runner holds only its parameters and its update rule; one private
 stepping core (``_Core``) does the rest for all three: the start point,
@@ -203,13 +204,14 @@ def re_agm_calculate_parameters(mu: float, L: float, alpha: float) -> ReAgmParam
     return ReAgmParameters(h=h, L_hat=L_hat, gamma_star=gamma_star, s=s, m=m, q=q, omega=omega)
 
 
-@dataclass(frozen=True)
-class IterateView:
+class IterateView(NamedTuple):
     """What a monitor callback sees at each recorded point.
 
     ``kind`` is "x" for main-sequence iterates and "y" for the
     accelerated method's extrapolation points.  ``noisy_grad_norm`` is
-    NaN when no oracle query was made at the point.
+    NaN when no oracle query was made at the point.  An immutable named
+    tuple: the core builds one per monitored point, and a tuple costs a
+    third of a frozen dataclass to build.
     """
 
     kind: str
@@ -341,6 +343,10 @@ class _Core:
         names = (_X_COLUMNS + (_ADAPTIVE_COLUMNS if adaptive else ())
                  + (_Y_COLUMNS if accelerated else ()))
         self.cols = {name: [] for name in names}
+        # each column's append, bound once: visit runs for every point
+        self.add_x = tuple(self.cols[name].append for name in _X_COLUMNS)
+        self.add_trials = tuple(self.cols[name].append for name in _ADAPTIVE_COLUMNS) if adaptive else ()
+        self.add_y = tuple(self.cols[name].append for name in _Y_COLUMNS) if accelerated else ()
         self.last_x: Optional[np.ndarray] = None
 
     def run(self, steps: int, x0, step: Callable[[_Point], np.ndarray]) -> RunTrace:
@@ -397,20 +403,27 @@ class _Core:
             raise AssertionError(f"f_gap {gap} below {self.floor} at {where}: bad f_star?")
         if kind == "x":
             self.last_x = x
-            self._append(_X_COLUMNS, (k, gap, grad_norm, noisy_norm))
+            add_k, add_gap, add_grad, add_noisy = self.add_x
+            add_k(k)
+            add_gap(gap)
+            add_grad(grad_norm)
+            add_noisy(noisy_norm)
             if self.adaptive:
-                self._append(_ADAPTIVE_COLUMNS, (0, math.nan, math.nan))
+                # placeholders until trials() sets the step leaving this row
+                add_fails, add_alpha, add_L = self.add_trials
+                add_fails(0)
+                add_alpha(math.nan)
+                add_L(math.nan)
         else:
-            self._append(_Y_COLUMNS, (gap, grad_norm, noisy_norm))
+            add_gap, add_grad, add_noisy = self.add_y
+            add_gap(gap)
+            add_grad(grad_norm)
+            add_noisy(noisy_norm)
         if query and self.monitor is not None:
             reason = self.monitor(IterateView(kind, k, x, gap, grad_norm, noisy_norm))
             if reason is not None:
                 raise _Halt(self.build(reason, x, gap))
         return _Point(k, x, f_val, est, noisy_norm)
-
-    def _append(self, names, values) -> None:
-        for name, value in zip(names, values):
-            self.cols[name].append(value)
 
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
         """Set the adaptive columns of the latest row to the step leaving it."""
@@ -472,7 +485,9 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
     point (see RunTrace).
     """
     params = cfg.parameters()
-    omega, h, mu = params.omega, params.h, cfg.mu
+    omega, h = params.omega, params.h
+    # the step's scalar factors, the same Python floats at every step
+    y_div, u_keep, u_grad = 1.0 + omega, 1.0 - omega, 2.0 * omega / cfg.mu
     core = _Core(problem, oracle, monitor, accelerated=True)
     u = None
 
@@ -480,9 +495,9 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
         nonlocal u
         if u is None:
             u = pt.x
-        y = (omega * u + pt.x) / (1.0 + omega)
+        y = (omega * u + pt.x) / y_div
         est = core.visit("y", pt.k, y, query=True).est
-        u = (1.0 - omega) * u + omega * y - (2.0 * omega / mu) * est
+        u = u_keep * u + omega * y - u_grad * est
         return y - h * est
 
     return core.run(cfg.steps, x0, step)
@@ -525,7 +540,9 @@ def adaptive_gd_run(problem: ObjectiveProblem, oracle: GradientOracle,
         while True:
             alpha_hat, L_hat, h, theta = _adaptive_coefficients(t, cfg.L0, cfg.adapt_L)
             x_next = pt.x - h * pt.est
-            f_next = problem.value(x_next)
+            # the trusted kernel: a trial point that overflows gets a
+            # non-finite value and fails below like any rejected trial
+            f_next = problem._value(x_next)
             allowed = pt.f_val - theta * est_sq + 3.0 * delta_sq / (4.0 * (1.0 + alpha_hat) ** 2 * L_hat)
             # h == 0 means alpha_hat hit 1 in floats; such a "step" can
             # only pass vacuously, so count it as a failure to let

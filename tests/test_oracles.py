@@ -30,6 +30,7 @@ from ngl.oracles import (
     top_k_compress,
 )
 from ngl.problems import nesterov_strongly_convex, quadratic
+from ngl.solvers import DivergedError, GDConfig, gd_run
 
 finite_vectors = hnp.arrays(
     np.float64,
@@ -285,6 +286,23 @@ class TestFiniteDifference:
         rng = np.random.default_rng(12)
         for _ in range(50):
             o.gradient_estimate(rng.standard_normal(6))
+
+    def test_overflowing_shift(self):
+        # h is the largest float, so x + h*e_j overflows while x stays a
+        # finite point with a finite value
+        p = quadratic(1e-300 * np.eye(2), np.zeros(2))
+        x, h = np.full(2, 1e300), float(np.finfo(np.float64).max)
+        assert math.isfinite(p.value(x))
+        with pytest.raises(ValueError, match="non-finite"):
+            finite_difference_gradient(p, x, h)
+        oracle = FiniteDifferenceOracle(p, h=h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(oracle.gradient_estimate(x)).all()
+            with pytest.raises(DivergedError, match="^non-finite gradient estimate at step 0$") as exc:
+                gd_run(p, FiniteDifferenceOracle(p, h=h), GDConfig(steps=3, alpha=0.0, L=p.L), x0=x)
+        # the guard runs before row 0 is recorded
+        assert exc.value.trace.terminal == "diverged"
+        assert len(exc.value.trace.k) == 0
 
     def test_h_validation(self):
         p = quadratic(np.eye(2), np.zeros(2))

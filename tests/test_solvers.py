@@ -6,9 +6,16 @@ import sys
 import numpy as np
 import pytest
 
-from ngl import numkit
-from ngl.oracles import GradientOracle, NoiseSpec, SyntheticNoiseOracle
-from ngl.problems import nesterov_strongly_convex, quadratic
+from ngl import drivers, numkit
+from ngl.numkit import PrecisionSpec
+from ngl.oracles import (
+    FiniteDifferenceOracle,
+    FloatingPointQuadraticOracle,
+    GradientOracle,
+    NoiseSpec,
+    SyntheticNoiseOracle,
+)
+from ngl.problems import nesterov_convex, nesterov_strongly_convex, quadratic
 from ngl.solvers import (
     INNER_LOOP_CAP,
     AdaptiveGDConfig,
@@ -347,6 +354,78 @@ class TestReAgmRun:
             re_agm_run(prob, oracle, cfg, x0=[1.0, 0.0])
         assert exc.value.trace.terminal == "diverged"
 
+    @pytest.mark.parametrize("monitored", [False, True], ids=["unmonitored", "monitored"])
+    @pytest.mark.parametrize("mode", ["sampled_unbiased", "adversarial_opposing"])
+    def test_matches_reference_recursion(self, mode, monitored):
+        # mu = 0.7, not a power of two, so dividing by it rounds
+        prob = nesterov_strongly_convex(0.7, 70.0, 20)
+        spec = NoiseSpec(alpha=0.3, delta=0.05, mode=mode, seed=11)
+        cfg = ReAgmConfig(steps=300, mu=0.7, L=70.0, alpha=0.3)
+        x0 = np.linspace(-1.0, 2.0, 20)
+        monitor = CountingMonitor() if monitored else None
+        oracle = SyntheticNoiseOracle(prob, spec)
+        trace = re_agm_run(prob, oracle, cfg, x0=x0, monitor=monitor)
+        want, views, x_final = reference_re_agm(prob, SyntheticNoiseOracle(prob, spec), cfg, x0, monitored)
+        for name, column in want.items():
+            assert np.array_equal(getattr(trace, name), column, equal_nan=True), name
+        assert trace.terminal == "steps_exhausted"
+        assert np.array_equal(trace.x_final, x_final)
+        assert trace.final_f_gap == want["f_gap"][-1]
+        if monitored:
+            assert len(monitor.views) == len(views) == oracle.queries
+            for got, (kind, k, x, f_gap, grad_norm, noisy_norm) in zip(monitor.views, views):
+                assert (got.kind, got.k, got.f_gap, got.grad_norm, got.noisy_grad_norm) == (
+                    kind, k, f_gap, grad_norm, noisy_norm)
+                assert np.array_equal(got.x, x)
+
+
+def reference_re_agm(problem, oracle, cfg, x0, monitored):
+    """The accelerated recursion written out with its literal expressions,
+    one query per y point and (with a monitor) per x row after row 0.
+    Returns the RunTrace columns, the monitored views and the final x."""
+    params = re_agm_calculate_parameters(cfg.mu, cfg.L, cfg.alpha)
+    omega, h, mu = params.omega, params.h, cfg.mu
+    cols = {name: [] for name in ("k", "f_gap", "grad_norm", "noisy_grad_norm",
+                                  "y_f_gap", "y_grad_norm", "y_noisy_grad_norm")}
+    views = []
+
+    def evaluate(kind, k, z, query):
+        gap = problem.value(z) - problem.f_star
+        if query:
+            est, exact = oracle.estimate_with_exact(z)
+            noisy = float(np.linalg.norm(est))
+        else:
+            est, exact, noisy = None, problem.gradient(z), math.nan
+        row = (gap, float(np.linalg.norm(exact)), noisy)
+        prefix = "" if kind == "x" else "y_"
+        for name, value in zip(("f_gap", "grad_norm", "noisy_grad_norm"), row):
+            cols[prefix + name].append(value)
+        if query and monitored:
+            views.append((kind, k, z, *row))
+        return est
+
+    x = np.array(x0, dtype=np.float64)
+    u = x
+    for k in range(cfg.steps + 1):
+        cols["k"].append(k)
+        evaluate("x", k, x, monitored and k > 0)
+        if k == cfg.steps:
+            break
+        y = (omega * u + x) / (1.0 + omega)
+        est = evaluate("y", k, y, True)
+        u = (1.0 - omega) * u + omega * y - (2.0 * omega / mu) * est
+        x = y - h * est
+    return {name: np.asarray(col) for name, col in cols.items()}, views, x
+
+
+def test_iterate_view_is_an_immutable_named_tuple():
+    assert IterateView._fields == ("kind", "k", "x", "f_gap", "grad_norm", "noisy_grad_norm")
+    view = IterateView("x", 3, np.ones(2), 0.5, 1.0, math.nan)
+    assert view.k == 3 and view[3] == 0.5
+    for field in IterateView._fields:
+        with pytest.raises(AttributeError):
+            setattr(view, field, 0.0)
+
 
 class TestAdaptiveRun:
     def test_t1_coefficients(self):
@@ -400,6 +479,20 @@ class TestAdaptiveRun:
         trace = exc.value.trace
         assert trace.terminal == "inner_loop_stall"
         assert trace.inner_loops[-1] == INNER_LOOP_CAP
+
+    def test_overflowing_trial_point_counts_as_a_failure(self):
+        # at L0 = 1e-300 every trial point x - h*est overflows; its value
+        # is not finite, so each trial is rejected until the cap
+        prob = nesterov_strongly_convex(1.0, 100.0, 6)
+        oracle = ScalingOracle(prob, 1e300)
+        cfg = AdaptiveGDConfig(steps=5, L0=1e-300)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(InnerLoopStallError) as exc:
+            adaptive_gd_run(prob, oracle, cfg, x0=np.ones(6))
+        trace = exc.value.trace
+        assert trace.terminal == "inner_loop_stall"
+        assert list(trace.k) == [0]
+        assert trace.inner_loops[-1] == INNER_LOOP_CAP
+        assert oracle.queries == 1
 
     def test_delta_margin_allows_acceptance_near_floor(self):
         prob = half_sphere_quadratic(dim=4, curvature=1.0)
@@ -542,3 +635,23 @@ def test_each_iterate_is_validated_once(monkeypatch):
     calls.clear()
     re_agm_run(prob, oracle, ReAgmConfig(steps=200, mu=1.0, L=100.0, alpha=0.25), x0=np.ones(20))
     assert len(calls) <= 201
+
+    # oracles that evaluate the problem themselves: one call per query
+    for evaluating in (FiniteDifferenceOracle(prob, h=1e-5, value_noise=1e-9, seed=3),
+                       FloatingPointQuadraticOracle(
+                           quadratic(2.0 * np.eye(20), np.ones(20)), PrecisionSpec(20))):
+        calls.clear()
+        evaluating.gradient_estimate(np.ones(20))
+        assert len(calls) == 1
+
+    # a 5-step accelerated ridge route: two calls per monitored point (the
+    # ridge query and the base query inside it), none for the base gap,
+    # and six to set up (the start, the ridge center twice, the ridge
+    # minimum, the base gap at the start and the core's start)
+    base = nesterov_convex(5, 10.0, 20)
+    oracle = SyntheticNoiseOracle(base, NoiseSpec(alpha=0.1, mode="sampled_unbiased", seed=3))
+    calls.clear()
+    with pytest.raises(drivers.ConvergenceFailureError):
+        drivers._ridge_route("re_agm", base, oracle, 1.0, np.ones(20), 0.05, 0.2, 5, 1e-9)
+    assert oracle.queries == 10
+    assert len(calls) == 2 * 10 + 6

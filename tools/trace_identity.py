@@ -1,0 +1,435 @@
+"""Digest every observable output of ngl, to show that a change keeps them bit-identical.
+
+    python tools/trace_identity.py [--root CHECKOUT] [--no-cli]
+
+Imports ``ngl`` from ``CHECKOUT/src`` (default: the checkout holding
+this file) and prints one line per case, sorted: the case name, its
+outcome (``ok`` or the exception's type) and the first 16 hex digits of
+a sha256 over everything the case can observe.
+
+- A solver case digests every ``RunTrace`` field, ``oracle.queries``,
+  every ``IterateView`` its monitor saw, the exception it raised (type,
+  message and carried trace) and the warnings it raised.
+- Cases cover gd, re_agm and adaptive_gd (``adapt_L`` off and on) at 0
+  and 40 steps; no monitor, a recording monitor, a gap-halting monitor
+  and (re_agm) a y-halting monitor; synthetic noise in every mode with
+  certification off and on, finite differences with and without value
+  noise, the three compressors and reduced precision; three problems.
+- Error cases: non-finite and huge estimates at queries 0-5, exploding
+  steps, an ascent stall, bad starts, a wrong ``f_star``.
+- The five driver routes on two seeds, and the ridge routes'
+  ``ConvergenceFailureError`` traces under a 5-step budget.
+- Helpers: problem values and gradients, raw noise draws, finite
+  differences, reduced-precision gradients, rounding, validation,
+  compressors, certification reports.
+- Unless ``--no-cli``: ``ngl run`` on every ``configs/*.json`` without a
+  list-valued key and ``ngl sweep --jobs 2`` on the others, run in a
+  temporary directory; every artifact is digested, ``summary.json``
+  without ``wall_time_s``.
+
+Cases whose name starts with ``edge:`` are points where a change is
+expected to alter behaviour on purpose; the last two lines give one
+digest over the other cases and one over the edge cases.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import math
+import os
+import struct
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+VIEW_FIELDS = ("kind", "k", "x", "f_gap", "grad_norm", "noisy_grad_norm")
+
+
+class Digest:
+    """sha256 over a typed, length-prefixed encoding of plain values."""
+
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, obj) -> None:
+        h = self.h
+        if obj is None:
+            h.update(b"N")
+        elif isinstance(obj, (bool, np.bool_)):
+            h.update(b"B1" if obj else b"B0")
+        elif isinstance(obj, (int, np.integer)):
+            h.update(b"I" + str(int(obj)).encode() + b";")
+        elif isinstance(obj, (float, np.floating)):
+            h.update(b"F" + struct.pack("<d", float(obj)))
+        elif isinstance(obj, str):
+            data = obj.encode()
+            h.update(b"S%d:" % len(data) + data)
+        elif isinstance(obj, bytes):
+            h.update(b"Y%d:" % len(obj) + obj)
+        elif isinstance(obj, np.ndarray):
+            h.update(f"A{obj.dtype.str}{obj.shape}:".encode())
+            h.update(np.ascontiguousarray(obj).tobytes())
+        elif isinstance(obj, dict):
+            h.update(b"D%d:" % len(obj))
+            for key in sorted(obj):
+                self.add(key)
+                self.add(obj[key])
+        elif isinstance(obj, (list, tuple)):
+            h.update(b"L%d:" % len(obj))
+            for item in obj:
+                self.add(item)
+        elif dataclasses.is_dataclass(obj):
+            self.add(type(obj).__name__)
+            self.add({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
+        else:
+            raise TypeError(f"cannot digest {type(obj).__name__}")
+
+    def hex(self) -> str:
+        return self.h.hexdigest()[:16]
+
+
+def view_record(view) -> tuple:
+    # attribute access: the same record whether the view is a dataclass or a tuple
+    return tuple(getattr(view, name) for name in VIEW_FIELDS)
+
+
+class Recorder:
+    """Monitor that keeps every view and halts when ``halt(view)`` is true."""
+
+    def __init__(self, halt=None):
+        self.views = []
+        self.halt = halt
+
+    def __call__(self, view):
+        self.views.append(view_record(view))
+        if self.halt is not None and self.halt(view):
+            return "stopping_rule"
+        return None
+
+
+class Cases:
+    def __init__(self):
+        self.lines = []
+
+    def run(self, name: str, fn) -> None:
+        """Call fn() and digest its result, or its exception, and the warnings."""
+        d = Digest()
+        outcome = "ok"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                d.add(("ok", fn()))
+            except Exception as exc:  # every exception is an observable outcome
+                outcome = type(exc).__name__
+                d.add(("raised", outcome, str(exc)))
+                for attr in ("trace", "stage", "target", "achieved"):
+                    if hasattr(exc, attr):
+                        d.add((attr, getattr(exc, attr)))
+        d.add(sorted({(w.category.__name__, str(w.message)) for w in caught}))
+        self.lines.append(f"{name} {outcome} {d.hex()}")
+
+
+def solver_cases(cases: Cases) -> None:
+    from ngl import oracles as O
+    from ngl import problems as P
+    from ngl import solvers as S
+    from ngl.numkit import PrecisionSpec
+
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((8, 8))
+    problems = {
+        "scvx": P.nesterov_strongly_convex(1.0, 50.0, 12),
+        "cvx": P.nesterov_convex(6, 50.0, 12),
+        "quad": P.quadratic(M @ M.T / 8.0 + 0.5 * np.eye(8), rng.standard_normal(8)),
+    }
+    oracles = {
+        "none": lambda p: O.SyntheticNoiseOracle(p, O.NoiseSpec(mode="none")),
+        "sampled": lambda p: O.SyntheticNoiseOracle(p, O.NoiseSpec(0.2, 0.05, "sampled_unbiased", 3)),
+        "sampled_cert": lambda p: O.SyntheticNoiseOracle(
+            p, O.NoiseSpec(0.2, 0.05, "sampled_unbiased", 3), certify=True),
+        "adversarial": lambda p: O.SyntheticNoiseOracle(p, O.NoiseSpec(0.2, 0.05, "adversarial_opposing")),
+        "adversarial_cert": lambda p: O.SyntheticNoiseOracle(
+            p, O.NoiseSpec(0.2, 0.05, "adversarial_opposing"), certify=True),
+        "fd": lambda p: O.FiniteDifferenceOracle(p, h=1e-5),
+        "fd_noise": lambda p: O.FiniteDifferenceOracle(p, h=1e-4, value_noise=1e-9, seed=7),
+        "top_k": lambda p: O.CompressedGradientOracle(p, "top_k", p.dim // 2),
+        "sign": lambda p: O.CompressedGradientOracle(p, "sign"),
+        "grid": lambda p: O.CompressedGradientOracle(p, "grid", 50),
+        "fp10": lambda p: O.FloatingPointQuadraticOracle(p, PrecisionSpec(10), 10.0, certify=True),
+        "fp30": lambda p: O.FloatingPointQuadraticOracle(p, PrecisionSpec(30), 10.0),
+    }
+
+    def run_solver(rname, p, oracle, steps, monitor):
+        """One runner from the start np.ones at the oracle's own levels."""
+        a, x0 = oracle.declared_alpha, np.ones(p.dim)
+        if rname == "gd":
+            return S.gd_run(p, oracle, S.GDConfig(steps, a, p.L), x0=x0, monitor=monitor)
+        if rname == "re_agm":
+            cfg = S.ReAgmConfig(steps, p.mu, p.L, min(a, 1.0 / 3.0))
+            return S.re_agm_run(p, oracle, cfg, x0=x0, monitor=monitor)
+        cfg = S.AdaptiveGDConfig(steps, p.L / 4.0, oracle.declared_delta, adapt_L=rname == "adaptive_L")
+        return S.adaptive_gd_run(p, oracle, cfg, x0=x0, monitor=monitor)
+
+    for pname, p in problems.items():
+        gap0 = p.gap(np.ones(p.dim))
+        monitors = {
+            "nomon": lambda: None,
+            "rec": Recorder,
+            "gaphalt": lambda: Recorder(lambda v: v.f_gap <= 0.3 * gap0),
+            "yhalt": lambda: Recorder(lambda v: v.kind == "y" and v.k == 7),
+        }
+        # the accelerated runner needs mu > 0
+        rnames = ("gd", "adaptive", "adaptive_L") + (("re_agm",) if p.mu > 0.0 else ())
+        for oname, make in oracles.items():
+            if oname.startswith("fp") and pname != "quad":
+                continue
+            for steps in (0, 40):
+                for rname in rnames:
+                    for mname, make_monitor in monitors.items():
+                        if mname == "yhalt" and rname != "re_agm":
+                            continue
+
+                        def case():
+                            oracle, monitor = make(p), make_monitor()
+                            trace = run_solver(rname, p, oracle, steps, monitor)
+                            return trace, oracle.queries, monitor.views if monitor else None
+
+                        cases.run(f"run:{pname}:{oname}:{rname}:{steps}:{mname}", case)
+
+    class Bad(O.GradientOracle):
+        """Exact gradient, except entry 0 of query ``at`` is ``value``."""
+
+        def __init__(self, p, at, value):
+            super().__init__(p, 0.0, 0.0)
+            self.at, self.value = at, value
+
+        def _estimate(self, x, exact):
+            est = exact.copy()
+            if self.queries == self.at:
+                est[0] = self.value
+            return est
+
+    class Scaled(O.GradientOracle):
+        def __init__(self, p, factor):
+            super().__init__(p, 0.0, 0.0)
+            self.factor = factor
+
+        def _estimate(self, x, exact):
+            return self.factor * exact
+
+    p = problems["scvx"]
+    x1 = np.ones(p.dim)
+    for bad in (math.nan, math.inf, -math.inf, 1e200):
+        for at in range(6):
+            for mname in ("nomon", "rec"):
+                for rname in ("gd", "re_agm", "adaptive"):
+                    def case(bad=bad, at=at, mname=mname, rname=rname):
+                        oracle = Bad(p, at, bad)
+                        monitor = Recorder() if mname == "rec" else None
+                        with np.errstate(over="ignore"):
+                            if rname == "gd":
+                                trace = S.gd_run(p, oracle, S.GDConfig(10, 0.0, p.L), x0=x1, monitor=monitor)
+                            elif rname == "re_agm":
+                                trace = S.re_agm_run(p, oracle, S.ReAgmConfig(10, p.mu, p.L, 0.0),
+                                                     x0=x1, monitor=monitor)
+                            else:
+                                trace = S.adaptive_gd_run(p, oracle, S.AdaptiveGDConfig(10, p.L),
+                                                          x0=x1, monitor=monitor)
+                        return trace, oracle.queries, monitor.views if monitor else None
+                    cases.run(f"bad_estimate:{bad}:{at}:{rname}:{mname}", case)
+
+    exact = oracles["none"]
+    cases.run("explode:gd", lambda: S.gd_run(p, exact(p), S.GDConfig(1000, 0.0, p.L / 100.0), x0=x1))
+    cases.run("explode:re_agm", lambda: S.re_agm_run(
+        p, exact(p), S.ReAgmConfig(1000, 0.01, 0.5, 0.0), x0=x1))
+    cases.run("stall:adaptive", lambda: S.adaptive_gd_run(p, Scaled(p, -1.0), S.AdaptiveGDConfig(5, p.L), x0=x1))
+    for rname, run in (("gd", lambda x0: S.gd_run(p, exact(p), S.GDConfig(3, 0.0, p.L), x0=x0)),
+                       ("re_agm", lambda x0: S.re_agm_run(p, exact(p), S.ReAgmConfig(3, p.mu, p.L, 0.0), x0=x0)),
+                       ("adaptive", lambda x0: S.adaptive_gd_run(p, exact(p), S.AdaptiveGDConfig(3, p.L), x0=x0))):
+        cases.run(f"start:nan:{rname}", lambda run=run: run(np.full(p.dim, np.nan)))
+        cases.run(f"start:dim:{rname}", lambda run=run: run(np.ones(p.dim - 1)))
+        cases.run(f"start:default:{rname}", lambda run=run: run(None))
+
+    def wrong_f_star():
+        q = P.nesterov_strongly_convex(1.0, 50.0, 12)
+        q.f_star += 1.0
+        return S.gd_run(q, exact(q), S.GDConfig(5, 0.0, q.L), x0=np.ones(12))
+
+    cases.run("wrong_f_star", wrong_f_star)
+    big = P.nesterov_strongly_convex(1e7, 1e8, 5000)
+    cases.run("large_scale_gd", lambda: S.gd_run(big, exact(big), S.GDConfig(1000, 0.0, big.L)))
+
+    # edge: an adaptive trial point that overflows (huge estimate, tiny L0)
+    def adaptive_overflow():
+        q = P.nesterov_strongly_convex(1.0, 50.0, 6)
+        oracle = Scaled(q, 0.0)
+        oracle._estimate = lambda x, g: np.full(q.dim, 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return S.adaptive_gd_run(q, oracle, S.AdaptiveGDConfig(3, 1e-300), x0=np.ones(6))
+
+    cases.run("edge:adaptive_overflowing_trial", adaptive_overflow)
+
+    # edge: a finite-difference shift that overflows
+    tiny = P.quadratic(1e-300 * np.eye(2), np.zeros(2))
+    huge_h = float(np.finfo(np.float64).max)
+
+    def fd_overflow_run():
+        oracle = O.FiniteDifferenceOracle(tiny, h=huge_h)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return S.gd_run(tiny, oracle, S.GDConfig(3, 0.0, tiny.L), x0=np.full(2, 1e300)), oracle.queries
+
+    def fd_overflow_query():
+        with np.errstate(over="ignore", invalid="ignore"):
+            return O.FiniteDifferenceOracle(tiny, h=huge_h).gradient_estimate(np.full(2, 1e300))
+
+    cases.run("edge:fd_overflowing_shift_run", fd_overflow_run)
+    cases.run("edge:fd_overflowing_shift_query", fd_overflow_query)
+    cases.run("fd_overflowing_shift_public", lambda: O.finite_difference_gradient(
+        tiny, np.full(2, 1e300), huge_h))
+
+
+def driver_cases(cases: Cases) -> None:
+    from ngl import drivers as D
+    from ngl import oracles as O
+    from ngl import problems as P
+
+    def sampled(p, alpha=0.0, delta=0.0, seed=0):
+        return O.SyntheticNoiseOracle(p, O.NoiseSpec(alpha, delta, "sampled_unbiased", seed))
+
+    for seed in (1, 2):
+        base = P.nesterov_convex(5, 10.0, 20)
+        R = float(np.linalg.norm(base.x_star))
+        eps = base.L * R**2 / 20.0
+        cases.run(f"drv:{seed}:convex_gd", lambda: D.solve_convex_gd(base, sampled(base, 0.25, 0, seed), eps, R))
+        for beta, alpha in ((0.0, 0.1), (0.5, 0.02)):
+            cases.run(f"drv:{seed}:convex_re_agm:{beta}", lambda beta=beta, alpha=alpha: D.solve_convex_re_agm(
+                base, sampled(base, alpha, 0, seed), eps, beta, R))
+        cases.run(f"drv:{seed}:combined", lambda: D.combined_reg_stop(base, sampled(base, 0.05, 0, seed), eps, 0.0, R))
+        for solver, threshold in (("gd", None), ("re_agm", None), ("re_agm", 1e3)):
+            cases.run(f"drv:{seed}:ridge_budget5:{solver}:{threshold}", lambda solver=solver, threshold=threshold:
+                      D._ridge_route(solver, base, sampled(base, 0.1, 0, seed), R, None, 0.05, 0.2, 5,
+                                     1e-6, threshold))
+        p = P.nesterov_strongly_convex(1.0, 25.0, 30)
+        rule = D.StoppingRule(K=4.0, delta=1e-3)
+        for solver in ("gd", "re_agm"):
+            cases.run(f"drv:{seed}:stopping:{solver}", lambda solver=solver: D.run_with_stopping(
+                solver, p, sampled(p, 0.0, 1e-3, seed), rule, 0.1, 2000, x0=np.ones(30)))
+        q = P.nesterov_strongly_convex(1.0, 10.0, 8)
+        gap0 = q.gap(np.zeros(8))
+        floor_delta = math.sqrt((gap0 / 12.0) * q.mu / 1.5)
+        for solver in ("gd", "re_agm"):
+            cases.run(f"drv:{seed}:restart:{solver}", lambda solver=solver: D.restart_to_convex(
+                solver, q, sampled(q, 0.1, 0.0, seed), gap0 / 8.0))
+            cases.run(f"drv:{seed}:restart_floor:{solver}", lambda solver=solver: D.restart_to_convex(
+                solver, q, sampled(q, 0.0, floor_delta, seed), gap0 / 100.0))
+
+
+def helper_cases(cases: Cases) -> None:
+    from ngl import numkit as N
+    from ngl import oracles as O
+    from ngl import problems as P
+
+    rng = np.random.default_rng(1)
+    M = rng.standard_normal((6, 6))
+    quad = P.quadratic(M @ M.T + np.eye(6), rng.standard_normal(6))
+    probs = {"scvx": P.nesterov_strongly_convex(0.5, 20.0, 6), "cvx": P.nesterov_convex(3, 20.0, 6),
+             "quad": quad}
+    for name, p in probs.items():
+        xs = [rng.standard_normal(6) for _ in range(3)]
+        cases.run(f"problem:{name}", lambda p=p, xs=xs: (
+            p.x_star, p.f_star, p.mu, p.L, [(p.value(x), p.gradient(x), p.gap(x)) for x in xs],
+            p.shifted_minimizer(0.7, xs[0])))
+        for bad in (np.full(6, np.nan), np.ones(5), np.ones((2, 3))):
+            cases.run(f"problem:{name}:bad:{'x'.join(map(str, bad.shape))}:{bad.flat[0]}", lambda p=p, bad=bad: p.value(bad))
+    p = probs["scvx"]
+    o = O.SyntheticNoiseOracle(p, O.NoiseSpec(0.3, 0.2, "sampled_unbiased", 11))
+    for q in (0, 1, 7, 2**33 + 5, 2**63 + 1, 2**64 - 1, -1, True):
+        cases.run(f"sample_components:{q}", lambda q=q: o.sample_components(np.ones(6), query_index=q))
+    for noise in (0.0, 1e-7):
+        for q in (0, 5):
+            cases.run(f"fd_gradient:{noise}:{q}", lambda noise=noise, q=q: O.finite_difference_gradient(
+                p, np.arange(6.0), 1e-4, noise, seed=3, query_index=q))
+    A = M @ M.T
+    b = rng.standard_normal(6)
+    for bits in (5, 20, 52):
+        for scale in (1e-3, 1.0, 1e3):
+            cases.run(f"fp_gradient:{bits}:{scale}", lambda bits=bits, scale=scale: O.fp_quadratic_gradient(
+                A, b, scale * np.arange(6.0), N.PrecisionSpec(bits)))
+    cases.run("fp_gradient:overflow", lambda: O.fp_quadratic_gradient(
+        np.eye(2) * 1.7e308, np.ones(2), np.ones(2), N.PrecisionSpec(5)))
+    for v in (1.0, 1.7976931348623157e308, -3.3e-5, math.nan):
+        cases.run(f"round:{v}", lambda v=v: N.round_to_precision(v, N.PrecisionSpec(5)))
+    cases.run("as_vector", lambda: [N.as_vector(v) for v in ([1, 2], np.float32([1.5]), 3.0)])
+    cases.run("as_vector:bad", lambda: N.as_vector([1.0, math.inf]))
+    cases.run("kahan", lambda: (N.kahan_sum([1e16, 1.0, -1e16]), N.kahan_sum([0.1] * 10)))
+    cases.run("kahan:bad", lambda: N.kahan_sum([1.0, math.nan]))
+    g = rng.standard_normal(9)
+    cases.run("compress", lambda: (O.top_k_compress(g, 3), O.sign_compress(g), O.sparsify_grid(g, 4)))
+    cases.run("certification_report", lambda: (
+        O.certification_report(g + 0.1, g, 0.2, 0.0), O.certification_report(g * 1.1, g, 0.2, 0.3)))
+
+
+def cli_cases(root: Path, cases: Cases) -> None:
+    env = {k: v for k, v in os.environ.items() if k != "NGL_SEED"}
+    env["PYTHONPATH"] = str(root / "src")
+    env["OMP_NUM_THREADS"] = env["OPENBLAS_NUM_THREADS"] = env["MKL_NUM_THREADS"] = "1"
+    for config in sorted((root / "configs").glob("*.json")):
+        raw = json.loads(config.read_text())
+        command = ["sweep", "--jobs", "2"] if any(isinstance(v, list) for v in raw.values()) else ["run"]
+        with tempfile.TemporaryDirectory() as tmp:
+            done = subprocess.run([sys.executable, "-m", "ngl.cli", *command, str(config)],
+                                  cwd=tmp, env=env, capture_output=True, text=True)
+            d = Digest()
+            d.add((" ".join(command), done.returncode, done.stderr))
+            cases.lines.append(f"cli:{config.stem}:exit {done.returncode} {d.hex()}")
+            for path in sorted(Path(tmp).rglob("*")):
+                if not path.is_file():
+                    continue
+                d = Digest()
+                if path.name == "summary.json":
+                    summary = json.loads(path.read_text())
+                    summary.pop("wall_time_s", None)
+                    d.add(json.dumps(summary, sort_keys=True))
+                else:
+                    d.add(path.read_bytes())
+                cases.lines.append(f"cli:{config.stem}:{path.relative_to(tmp).as_posix()} file {d.hex()}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
+                        help="checkout whose src/ngl and configs are digested")
+    parser.add_argument("--no-cli", action="store_true", help="skip the ngl run/sweep artifacts")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    sys.path.insert(0, str(root / "src"))
+    import ngl
+
+    if Path(ngl.__file__).resolve().parent != root / "src" / "ngl":
+        raise SystemExit(f"imported ngl from {ngl.__file__}, not from {root / 'src'}")
+    cases = Cases()
+    solver_cases(cases)
+    driver_cases(cases)
+    helper_cases(cases)
+    if not args.no_cli:
+        cli_cases(root, cases)
+    lines = sorted(cases.lines)
+    for line in lines:
+        print(line)
+    kept = [line for line in lines if not line.startswith("edge:")]
+    edge = [line for line in lines if line.startswith("edge:")]
+    for label, group in (("digest", kept), ("edge digest", edge)):
+        joined = "\n".join(group).encode()
+        print(f"{label} ({len(group)} cases) {hashlib.sha256(joined).hexdigest()[:16]}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
