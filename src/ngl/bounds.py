@@ -22,6 +22,7 @@ from .solvers import re_agm_calculate_parameters
 __all__ = [
     "THEOREM_IDS",
     "EnvelopeConstants",
+    "start_constants",
     "Envelope",
     "EnvelopeDomainError",
     "envelope",
@@ -71,6 +72,14 @@ class EnvelopeConstants:
     R: float
     L0: Optional[float] = None
     K: Optional[float] = None
+
+
+def start_constants(problem, alpha: float, delta: float, **extra) -> EnvelopeConstants:
+    """Constants of a run of ``problem`` from the origin: f0_gap = gap(0) and
+    R = ||x_star||; ``extra`` passes L0 or K through."""
+    return EnvelopeConstants(mu=problem.mu, L=problem.L, alpha=alpha, delta=delta,
+                             f0_gap=problem.gap(np.zeros(problem.dim)),
+                             R=float(np.linalg.norm(problem.x_star)), **extra)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bounds import THEOREM_IDS, EnvelopeConstants, EnvelopeDomainError, envelope
+from .bounds import (THEOREM_IDS, EnvelopeConstants, EnvelopeDomainError, envelope,
+                     start_constants)
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -149,24 +150,20 @@ def _trace_envelope(cfg: ExperimentConfig, problem, oracle):
     """
     if cfg.driver != "none":
         return None
-    x0 = np.zeros(problem.dim)
-    constants = dict(mu=problem.mu, L=problem.L,
-                     alpha=oracle.declared_alpha, delta=oracle.declared_delta,
-                     f0_gap=problem.gap(x0),
-                     R=float(np.linalg.norm(problem.x_star - x0)))
+    alpha, extra = oracle.declared_alpha, {}
     if cfg.solver == "adaptive_gd":
         tid = "ADAPT_BOTH" if cfg.adapt_L else "ADAPT_ALPHA"
-        constants["L0"] = cfg.L0 if cfg.L0 is not None else problem.L
+        extra["L0"] = cfg.L0 if cfg.L0 is not None else problem.L
     else:
         if problem.mu <= 0.0:
             return None
-        alpha_run = _solver_alpha(cfg, oracle)
-        if alpha_run < oracle.declared_alpha:
+        alpha = _solver_alpha(cfg, oracle)
+        if alpha < oracle.declared_alpha:
             return None
-        constants["alpha"] = alpha_run
         tid = "GD_PL" if cfg.solver == "gd" else "REAGM"
     try:
-        return envelope(tid, EnvelopeConstants(**constants))
+        return envelope(tid, start_constants(problem, alpha, oracle.declared_delta,
+                                             **extra))
     except EnvelopeDomainError:
         return None
 
@@ -444,6 +441,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "sweep" and args.jobs < 1:
         print("--jobs must be >= 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.command == "bounds" and (args.points < 1 or args.N < 0):
+        print("--points must be >= 1 and --N >= 0", file=sys.stderr)
         return EXIT_CONFIG
     return args.fn(args)
 

@@ -1,18 +1,17 @@
-"""Low-level numeric kernel: compensated summation, reduced-precision
-rounding, and validation of dense vectors.
+"""Low-level numeric kernel: reduced-precision rounding and validation
+of dense vectors.
 
 Everything here operates on float64. Reduced precision is simulated by
 rounding each value to a p-bit significand (round to nearest, ties to
 even), which is the arithmetic model used by the floating-point gradient
 oracle. Subnormal behavior is out of scope; inputs are expected to be
-finite and in the normal range.
+finite and in the normal range.  The package's one compensated
+(Neumaier) sum is the row sum of ``oracles.fp_quadratic_gradient``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -56,29 +55,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if np.count_nonzero(np.isfinite(v)) != v.size:
         raise ValueError("vector contains non-finite entries")
     return v
-
-
-def kahan_sum(values: Iterable[float]) -> float:
-    """Compensated (Kahan) summation with Neumaier's correction.
-
-    The branch keeps the compensation valid even when a summand exceeds
-    the running total, so [1e16, 1.0, -1e16] sums to 1.0 exactly. Error
-    is O(eps + n*eps^2) * sum(|v|) independent of ordering, versus the
-    naive bound that grows linearly in n.
-    """
-    total = 0.0
-    carry = 0.0
-    for v in values:
-        v = float(v)
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite summand {v!r}")
-        t = total + v
-        if abs(total) >= abs(v):
-            carry += (total - t) + v
-        else:
-            carry += (v - t) + total
-        total = t
-    return total + carry
 
 
 def round_to_precision(x, spec: PrecisionSpec):

@@ -152,19 +152,8 @@ class SyntheticNoiseOracle(GradientOracle):
         self.spec = spec
         self._stream = _QueryStream(spec.seed) if spec.mode == "sampled_unbiased" else None
 
-    def sample_components(self, x, query_index: int | None = None):
-        """Return (estimate, relative part, absolute part) at x.
-
-        The draws are those of query ``query_index`` (default: the next
-        query), which must be an integer in [0, 2**64).
-        """
-        x = as_vector(x, self.problem.dim)
-        exact = self.problem._gradient(x)
-        q = self.queries if query_index is None else _check_query_index(query_index)
-        rel, absolute = self._components(exact, q)
-        return exact + rel + absolute, rel, absolute
-
     def _components(self, exact: np.ndarray, query_index: int):
+        """(relative part, absolute part) of query ``query_index``'s noise at ``exact``."""
         n = exact.shape[0]
         gnorm = math.sqrt(exact.dot(exact))
         mode = self.spec.mode
@@ -291,12 +280,15 @@ def _forward_differences(value, x: np.ndarray, h: float, value_noise: float,
         shifts = stream.at(query_index).uniform(-value_noise, value_noise, size=n + 1)
     else:
         shifts = np.zeros(n + 1)
-    f0 = value(x) + shifts[0]
     g = np.empty(n)
-    for j in range(n):
-        step = x.copy()
-        step[j] += h
-        g[j] = (value(step) + shifts[j + 1] - f0) / h
+    # an overflow is caught downstream: the public value rejects the
+    # non-finite point, and the trusted one makes g non-finite
+    with np.errstate(over="ignore"):
+        f0 = value(x) + shifts[0]
+        for j in range(n):
+            step = x.copy()
+            step[j] += h
+            g[j] = (value(step) + shifts[j + 1] - f0) / h
     return g
 
 
@@ -348,14 +340,17 @@ def fp_quadratic_gradient(A, b, x, spec: PrecisionSpec) -> np.ndarray:
 
 
 def _fp_quadratic(A: np.ndarray, b: np.ndarray, x: np.ndarray, spec: PrecisionSpec) -> np.ndarray:
-    """fp_quadratic_gradient of validated float64 inputs of matching shapes."""
-    n = x.shape[0]
+    """fp_quadratic_gradient of validated float64 inputs: A (m, n), b (m,), x (n,).
+
+    At ``PrecisionSpec(52)`` the p-bit roundings change nothing, so with
+    x = 1 row i is the float64 Neumaier sum of b_i, A_i1, ..., A_in.
+    """
     Ap = round_to_precision(A, spec)
     xp = round_to_precision(x, spec)
     bp = round_to_precision(b, spec)
     products = round_to_precision(Ap * xp, spec)
-    total = np.zeros(n)
-    carry = np.zeros(n)
+    total = np.zeros(bp.shape[0])
+    carry = np.zeros(bp.shape[0])
     for v in (bp, *np.ascontiguousarray(products.T)):
         t = round_to_precision(total + v, spec)
         big = np.abs(total) >= np.abs(v)
@@ -390,7 +385,6 @@ class FloatingPointQuadraticOracle(GradientOracle):
         super().__init__(problem, 0.0, delta, certify=certify)
         self.precision = spec
         self.domain_radius = float(domain_radius)
-        self._certify_fp = bool(certify)
 
     def row_error_bound(self, x) -> float:
         """l2 bound from the per-row envelope at this x."""
@@ -403,7 +397,7 @@ class FloatingPointQuadraticOracle(GradientOracle):
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
         # A and b were validated when the problem was built, x by the query
         est = _fp_quadratic(self.problem.A, self.problem.b, x, self.precision)
-        if self._certify_fp:
+        if self.certify:
             err = float(np.linalg.norm(est - exact))
             allowed = self.row_error_bound(x)
             if err > allowed + CERT_SLACK:

@@ -353,21 +353,23 @@ class _Core:
         dim = self.problem.dim
         x = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
         monitored = self.monitor is not None
-        try:
-            for k in range(steps + 1):
-                last = k == steps
-                if self.accelerated:
-                    # the method steps from its y points, so x rows are
-                    # queried only for a monitor, and row 0 never
-                    query = monitored and k > 0
-                else:
-                    query = monitored or not last
-                point = self.visit("x", k, x, query)
-                if last:
-                    break
-                x = step(point)
-        except _Halt as halt:
-            return halt.trace
+        # an overflow ends in DivergedError or a failed trial, not a warning
+        with np.errstate(over="ignore"):
+            try:
+                for k in range(steps + 1):
+                    last = k == steps
+                    if self.accelerated:
+                        # the method steps from its y points, so x rows are
+                        # queried only for a monitor, and row 0 never
+                        query = monitored and k > 0
+                    else:
+                        query = monitored or not last
+                    point = self.visit("x", k, x, query)
+                    if last:
+                        break
+                    x = step(point)
+            except _Halt as halt:
+                return halt.trace
         return self.build(TERMINAL_STEPS_EXHAUSTED, x, self.cols["f_gap"][-1])
 
     def visit(self, kind: str, k: int, x: np.ndarray, query: bool) -> _Point:

@@ -502,6 +502,22 @@ class TestBoundsCommand:
         assert code == 1
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--points", "0"], ["--points", "-1"], ["--N", "-5"]])
+    def test_bad_table_arguments_exit_one(self, capsys, flags):
+        code = cli.main(["bounds", "GD_PL", "mu=1", "L=100", "alpha=0.1",
+                         "delta=0", "f0_gap=10", "R=1", *flags])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "--points must be >= 1 and --N >= 0\n"
+
+    def test_smallest_table_arguments_pass(self, capsys):
+        code = cli.main(["bounds", "GD_PL", "mu=1", "L=100", "alpha=0.1",
+                         "delta=0", "f0_gap=10", "R=1", "--points", "1", "--N", "0"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:3] == ["N,bound", "0,10"]
+
     def test_stopping_multiplier_passes_through(self, capsys):
         code = cli.main(["bounds", "STOP_GENERIC", "mu=1", "L=100", "alpha=0",
                          "delta=0.001", "f0_gap=10", "R=1", "K=10",
@@ -515,10 +531,15 @@ class TestBoundsCommand:
 
 class TestVerifyCommand:
     def test_all_checks_pass(self, capsys):
+        import ngl.verify as verify
+
         assert cli.main(["verify"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 15  # 14 checks plus the overall line
+        rows = [line.split(None, 3) for line in capsys.readouterr().out.splitlines()]
+        # one row per check, in CHECKS order, then the overall line
+        assert len(verify.CHECKS) == 14
+        assert [r[0] for r in rows] == [name for name, _ in verify.CHECKS] + ["overall"]
+        assert all(r[1] == "PASS" and len(r) == 4 for r in rows[:-1])
+        assert rows[-1] == ["overall", "PASS"]
 
     def test_corrupted_step_constant_fails_envelope_check(self, monkeypatch):
         # an understated step parks the iterate near f0 while the printed
@@ -526,11 +547,11 @@ class TestVerifyCommand:
         import ngl.solvers as solvers
         import ngl.verify as verify
 
-        passed, _ = verify._check_gd_envelope()
-        assert passed
+        check = dict(verify.CHECKS)["gd-envelope"]
+        assert check().passed
         monkeypatch.setattr(solvers, "gd_step_size",
                             lambda alpha, L: 1e-6 / L)
-        passed, detail = verify._check_gd_envelope()
+        passed, detail, _ = check()
         assert not passed
         assert "excess" in detail
 
@@ -539,7 +560,7 @@ class TestVerifyCommand:
         import ngl.verify as verify
 
         name, _ = verify.CHECKS[0]
-        forced = (name, lambda: (False, "forced failure"))
+        forced = (name, lambda: verify.Outcome(False, "forced failure"))
         monkeypatch.setattr(verify, "CHECKS", [forced] + verify.CHECKS[1:])
         assert cli.main(["verify"]) == cli.EXIT_VIOLATION == 2
         out = capsys.readouterr().out

@@ -1,8 +1,9 @@
 """Oracle tests: composite-bound certification, sandwich inequalities,
 alignment bound, decomposition, unbiasedness, compressor tie rules,
 finite-difference closed forms, reduced-precision error envelopes,
-counter-based stream identity, and the scalar reference for the
-row-vectorised reduced-precision gradient."""
+counter-based stream identity, the scalar reference for the
+row-vectorised reduced-precision gradient, and its full-precision row
+sums against exact rational sums."""
 
 import math
 import re
@@ -31,6 +32,7 @@ from ngl.oracles import (
 )
 from ngl.problems import nesterov_strongly_convex, quadratic
 from ngl.solvers import DivergedError, GDConfig, gd_run
+from ngl.verify import neumaier_row_sums
 
 finite_vectors = hnp.arrays(
     np.float64,
@@ -151,11 +153,12 @@ def test_decomposition_components():
     rng = np.random.default_rng(80)
     for q in range(300):
         x = rng.standard_normal(10) * rng.uniform(0.1, 5.0)
-        est, rel, absolute = o.sample_components(x, query_index=q)
         g = p.gradient(x)
+        rel, absolute = o._components(g, q)
         assert float(np.linalg.norm(rel)) <= 0.6 * float(np.linalg.norm(g)) + 1e-15
         assert float(np.linalg.norm(absolute)) <= 1.5 + 1e-15
-        assert np.allclose(est, g + rel + absolute)
+        # query q draws exactly these parts
+        assert np.array_equal(o.gradient_estimate(x), g + rel + absolute)
 
 
 def test_unbiasedness_mean_within_four_standard_errors():
@@ -166,8 +169,8 @@ def test_unbiasedness_mean_within_four_standard_errors():
     draws = 100_000
     errs = np.empty((draws, 3))
     for q in range(draws):
-        est, _, _ = o.sample_components(x, query_index=q)
-        errs[q] = est - g
+        rel, absolute = o._components(g, q)
+        errs[q] = (g + rel + absolute) - g
     mean = errs.mean(axis=0)
     se = errs.std(axis=0, ddof=1) / math.sqrt(draws)
     assert np.all(np.abs(mean) <= 4.0 * se), f"bias {mean} vs SE {se}"
@@ -287,6 +290,7 @@ class TestFiniteDifference:
         for _ in range(50):
             o.gradient_estimate(rng.standard_normal(6))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_shift(self):
         # h is the largest float, so x + h*e_j overflows while x stays a
         # finite point with a finite value
@@ -415,8 +419,9 @@ class TestStreamIdentity:
             x = rng.standard_normal(6)
             want = expected(x, o.queries)
             assert np.array_equal(o.gradient_estimate(x), want[0])
-            got = o.sample_components(x, query_index=q)
-            for a, b in zip(got, expected(x, q)):
+            g = p.gradient(x)
+            rel, absolute = o._components(g, q)
+            for a, b in zip((g + rel + absolute, rel, absolute), expected(x, q)):
                 assert np.array_equal(a, b)
         assert o.queries == len(STREAM_QUERIES)
 
@@ -446,14 +451,9 @@ class TestStreamIdentity:
     @pytest.mark.parametrize("bad", [-1, 2**64, True, 1.0, np.float64(2.0), "3"])
     def test_query_index_is_checked_at_the_public_entry_points(self, bad):
         p = nesterov_strongly_convex(mu=1.0, L=10.0, n=5)
-        o = SyntheticNoiseOracle(p, NoiseSpec(0.3, 0.2, "sampled_unbiased", seed=5))
-        x = np.ones(5)
         message = "query_index must be .*got " + re.escape(repr(bad))
         with pytest.raises(ValueError, match=message):
-            o.sample_components(x, query_index=bad)
-        with pytest.raises(ValueError, match=message):
-            finite_difference_gradient(p, x, 1e-4, 1e-8, seed=5, query_index=bad)
-        assert o.queries == 0
+            finite_difference_gradient(p, np.ones(5), 1e-4, 1e-8, seed=5, query_index=bad)
 
 
 @pytest.mark.parametrize("make", [
@@ -567,3 +567,62 @@ class TestVectorisedPrecisionGradient:
                 _fp_gradient_reference(A, b, x, spec)
             with pytest.raises(ValueError, match="rounding to 5 bits overflows float64"):
                 fp_quadratic_gradient(A, b, x, spec)
+
+
+# The Neumaier row sums at full precision, through the gate `ngl verify` runs
+
+EPS64 = 2.0**-52
+
+
+def _exact_sum(values):
+    """Exact rational sum (every float64 is an exact rational)."""
+    return sum((Fraction(float(v)) for v in values), Fraction(0))
+
+
+def _naive_sum(values):
+    acc = 0.0
+    for v in values:
+        acc += float(v)
+    return acc
+
+
+def _adversarial_sequence(rng, n):
+    """Mixed-magnitude, mixed-sign summands that defeat naive accumulation."""
+    seq = 10.0 ** rng.uniform(-8, 8, size=n) * rng.choice([-1.0, 1.0], size=n)
+    # interleave a cancelling pair of large values to force carry churn
+    big = 10.0 ** rng.uniform(12, 15)
+    i, j = rng.choice(n, size=2, replace=False)
+    seq[i] = big
+    seq[j] = -big
+    return seq
+
+
+def test_row_sums_beat_naive_on_random_trials():
+    rng = np.random.default_rng(20240814)
+    n, trials = 200, 1000
+    sequences = [_adversarial_sequence(rng, n) for _ in range(trials)]
+    passed, detail, sums = neumaier_row_sums(sequences)
+    assert passed, detail
+    wins = 0
+    for seq, got in zip(sequences, sums.tolist()):
+        exact = _exact_sum(seq)
+        err = abs(Fraction(got) - exact)
+        wins += err <= abs(Fraction(_naive_sum(seq)) - exact)
+        # ordering-independent worst-case bound, C = 4
+        assert float(err) <= (EPS64 + n * EPS64**2) * 4 * float(np.sum(np.abs(seq)))
+    assert wins >= 990, f"the compensated sum won only {wins}/{trials}"
+
+
+def test_row_sums_simple_values():
+    # the cancellation case: a naive left-to-right sum yields 0.0
+    sequences = [[], [1.5], [1.0, 2.0, 3.0], [1e16, 1.0, -1e16], [1.0, 1e100, 1.0, -1e100] * 1000]
+    passed, detail, sums = neumaier_row_sums(sequences)
+    assert passed, detail
+    assert sums.tolist() == [0.0, 1.5, 6.0, 1.0, 2000.0]
+
+
+def test_row_sums_reject_non_finite():
+    with pytest.raises(ValueError):
+        neumaier_row_sums([[1.0, np.inf]])
+    with pytest.raises(ValueError):
+        neumaier_row_sums([[np.nan]])

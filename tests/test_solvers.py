@@ -209,6 +209,7 @@ class TestGDRun:
             trace = gd_run(prob, oracle, cfg, x0=[1.0, 0.0])
         assert trace.iterations == 5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_carries_partial_trace(self):
         prob = half_sphere_quadratic()
         oracle = ScalingOracle(prob, -1e8, declared_alpha=0.9)
@@ -346,6 +347,7 @@ class TestReAgmRun:
         assert len(trace.y_f_gap) == 4
         assert trace.final_f_gap == trace.y_f_gap[3]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_guard(self):
         prob = half_sphere_quadratic()
         oracle = ScalingOracle(prob, -1e10, declared_alpha=0.3)

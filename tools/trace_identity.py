@@ -19,24 +19,29 @@ a sha256 over everything the case can observe.
   steps, an ascent stall, bad starts, a wrong ``f_star``.
 - The five driver routes on two seeds, and the ridge routes'
   ``ConvergenceFailureError`` traces under a 5-step budget.
-- Helpers: problem values and gradients, raw noise draws, finite
-  differences, reduced-precision gradients, rounding, validation,
-  compressors, certification reports.
+- Helpers: problem values and gradients, raw noise draws
+  (``_components``), finite differences, reduced-precision gradients,
+  rounding, validation, compressors, certification reports.
+- ``ngl verify``: its exit code and, per printed row, the row name, its
+  status and its detail text; the seconds column is dropped.
 - Unless ``--no-cli``: ``ngl run`` on every ``configs/*.json`` without a
   list-valued key and ``ngl sweep --jobs 2`` on the others, run in a
   temporary directory; every artifact is digested, ``summary.json``
   without ``wall_time_s``.
 
 Cases whose name starts with ``edge:`` are points where a change is
-expected to alter behaviour on purpose; the last two lines give one
-digest over the other cases and one over the edge cases.
+expected to alter behaviour on purpose (the verify summation row is
+one); the last two lines give one digest over the other cases and one
+over the edge cases.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -350,8 +355,9 @@ def helper_cases(cases: Cases) -> None:
             cases.run(f"problem:{name}:bad:{'x'.join(map(str, bad.shape))}:{bad.flat[0]}", lambda p=p, bad=bad: p.value(bad))
     p = probs["scvx"]
     o = O.SyntheticNoiseOracle(p, O.NoiseSpec(0.3, 0.2, "sampled_unbiased", 11))
-    for q in (0, 1, 7, 2**33 + 5, 2**63 + 1, 2**64 - 1, -1, True):
-        cases.run(f"sample_components:{q}", lambda q=q: o.sample_components(np.ones(6), query_index=q))
+    g1 = p.gradient(np.ones(6))
+    for q in (0, 1, 7, 2**33 + 5, 2**63 + 1, 2**64 - 1):
+        cases.run(f"components:{q}", lambda q=q: o._components(g1, q))
     for noise in (0.0, 1e-7):
         for q in (0, 5):
             cases.run(f"fd_gradient:{noise}:{q}", lambda noise=noise, q=q: O.finite_difference_gradient(
@@ -368,12 +374,28 @@ def helper_cases(cases: Cases) -> None:
         cases.run(f"round:{v}", lambda v=v: N.round_to_precision(v, N.PrecisionSpec(5)))
     cases.run("as_vector", lambda: [N.as_vector(v) for v in ([1, 2], np.float32([1.5]), 3.0)])
     cases.run("as_vector:bad", lambda: N.as_vector([1.0, math.inf]))
-    cases.run("kahan", lambda: (N.kahan_sum([1e16, 1.0, -1e16]), N.kahan_sum([0.1] * 10)))
-    cases.run("kahan:bad", lambda: N.kahan_sum([1.0, math.nan]))
     g = rng.standard_normal(9)
     cases.run("compress", lambda: (O.top_k_compress(g, 3), O.sign_compress(g), O.sparsify_grid(g, 4)))
     cases.run("certification_report", lambda: (
         O.certification_report(g + 0.1, g, 0.2, 0.0), O.certification_report(g * 1.1, g, 0.2, 0.3)))
+
+
+def verify_cases(cases: Cases) -> None:
+    from ngl import cli
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify"])
+    d = Digest()
+    d.add(code)
+    cases.lines.append(f"verify:exit {code} {d.hex()}")
+    for line in out.getvalue().splitlines():
+        name, status, *rest = line.split(None, 3)
+        # "name status seconds detail"; the overall row has neither
+        d = Digest()
+        d.add((status, rest[1] if rest else None))
+        edge = "edge:" if "sum" in name else ""
+        cases.lines.append(f"{edge}verify:{name} {status} {d.hex()}")
 
 
 def cli_cases(root: Path, cases: Cases) -> None:
@@ -418,6 +440,7 @@ def main(argv=None) -> int:
     solver_cases(cases)
     driver_cases(cases)
     helper_cases(cases)
+    verify_cases(cases)
     if not args.no_cli:
         cli_cases(root, cases)
     lines = sorted(cases.lines)
