@@ -389,8 +389,9 @@ def cmd_bounds(args) -> int:
     except EnvelopeDomainError as exc:
         print(f"hypothesis guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    grid = np.unique(np.concatenate(
-        [[0], np.geomspace(1, max(1, args.N), args.points).astype(np.int64)]))
+    # row 0, then log-spaced rows up to N; N = 0 asks for row 0 alone
+    steps = np.geomspace(1, args.N, args.points).astype(np.int64) if args.N else []
+    grid = np.unique(np.concatenate([[0], steps]))
 
     def opt(v):
         return "none" if v is None else _format_float(v)

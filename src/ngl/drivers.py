@@ -190,6 +190,11 @@ def run_with_stopping(solver: str, problem: ObjectiveProblem,
     to the solver's parameter calculation.  Exits with terminal
     "stopping_rule" on a trigger, "steps_exhausted" at N_cap (the normal
     outcome when rule.delta = 0 and the threshold is never reachable).
+
+    The threshold is read where the method queries: the x rows of gd,
+    the y points of re_agm, which then ends at that y.  rule.level
+    bounds the gap at any point whose noisy norm meets the threshold, so
+    it holds wherever the rule fires.
     """
     if not problem.mu > 0.0:
         raise ValueError("the stopping rule needs a strongly convex problem")
@@ -251,15 +256,14 @@ def _ridge_route(solver: str, base: ObjectiveProblem, oracle: GradientOracle,
     Adds a ridge of modulus mu around the start point, certifies the
     ridge oracle and runs the solver at level alpha for the budget.  The
     run sees the ridge objective; callers care about the base one, so
-    the base gap is measured at every monitored point (halting once it
+    the base gap is measured at every recorded point (halting once it
     reaches epsilon, or once the noisy gradient norm reaches threshold),
     replaces the trace's gap columns, and is checked against epsilon.
     """
     center = np.zeros(base.dim) if x0 is None else as_vector(x0, base.dim)
     reg = regularize(base, center, mu)
     reg_oracle = RegularizedOracle(reg, oracle, R)
-    # the accelerated runner does not monitor row 0
-    gaps = {"x": [base.gap(center)] if solver == "re_agm" else [], "y": []}
+    gaps = {"x": [], "y": []}
 
     def base_gap(vw):
         # vw.x is an iterate the core has already validated

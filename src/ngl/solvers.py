@@ -26,12 +26,9 @@ the x rows, y rows and adaptive columns, the monitor call and the final
 finiteness check, and evaluates it with the problem's trusted kernels
 ``_value`` and ``_gradient``; every oracle query still goes through
 ``GradientOracle.estimate_with_exact``, the one ``as_vector`` of a gd
-step.  Its query rule: a point is queried when the method steps
-from its estimate or when a monitor is attached, and the monitor sees
-exactly the queried points.  Two kinds of row go unqueried, with a NaN
-noisy norm: the final row of an unmonitored run, and the x rows of
-``re_agm_run``, which steps from its y points; with a monitor those x
-rows are queried too, except row 0.
+step.  Its query rule: a point is queried only when the method steps
+from its estimate.  The monitor sees every recorded point, with a NaN
+noisy norm where nothing was queried, so watching a run never changes it.
 """
 
 from __future__ import annotations
@@ -208,10 +205,10 @@ class IterateView(NamedTuple):
     """What a monitor callback sees at each recorded point.
 
     ``kind`` is "x" for main-sequence iterates and "y" for the
-    accelerated method's extrapolation points.  ``noisy_grad_norm`` is
-    NaN when no oracle query was made at the point.  An immutable named
-    tuple: the core builds one per monitored point, and a tuple costs a
-    third of a frozen dataclass to build.
+    accelerated method's extrapolation points.  The monitor sees every
+    recorded point in order; ``noisy_grad_norm`` is NaN where no oracle
+    query was made.  An immutable named tuple: the core builds one per
+    point, and a tuple costs a third of a frozen dataclass to build.
     """
 
     kind: str
@@ -352,19 +349,13 @@ class _Core:
     def run(self, steps: int, x0, step: Callable[[_Point], np.ndarray]) -> RunTrace:
         dim = self.problem.dim
         x = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
-        monitored = self.monitor is not None
         # an overflow ends in DivergedError or a failed trial, not a warning
         with np.errstate(over="ignore"):
             try:
                 for k in range(steps + 1):
                     last = k == steps
-                    if self.accelerated:
-                        # the method steps from its y points, so x rows are
-                        # queried only for a monitor, and row 0 never
-                        query = monitored and k > 0
-                    else:
-                        query = monitored or not last
-                    point = self.visit("x", k, x, query)
+                    # the accelerated method steps from its y points
+                    point = self.visit("x", k, x, not (last or self.accelerated))
                     if last:
                         break
                     x = step(point)
@@ -373,10 +364,10 @@ class _Core:
         return self.build(TERMINAL_STEPS_EXHAUSTED, x, self.cols["f_gap"][-1])
 
     def visit(self, kind: str, k: int, x: np.ndarray, query: bool) -> _Point:
-        """Evaluate and record an "x" row or a "y" point; monitor it if queried.
+        """Evaluate and record an "x" row or a "y" point, then monitor it.
 
         An unqueried point records the exact gradient norm and a NaN
-        noisy norm, and the monitor does not see it.
+        noisy norm, and the monitor sees it with that NaN.
         """
         # the one validation of x: the start went through as_vector and
         # each update rule builds float64 vectors of the problem's dimension
@@ -421,7 +412,7 @@ class _Core:
             add_gap(gap)
             add_grad(grad_norm)
             add_noisy(noisy_norm)
-        if query and self.monitor is not None:
+        if self.monitor is not None:
             reason = self.monitor(IterateView(kind, k, x, gap, grad_norm, noisy_norm))
             if reason is not None:
                 raise _Halt(self.build(reason, x, gap))
@@ -482,9 +473,9 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
     descent step x <- y - h*estimate.  Row k of the trace is x^k; the
     y_* arrays record every extrapolation point.
 
-    With a monitor, each new x is also queried so stopping rules can
-    watch both sequences; a monitor halt at y makes that y the terminal
-    point (see RunTrace).
+    The x rows are never queried; a monitor sees them with a NaN noisy
+    norm, and a monitor halt at y makes that y the terminal point (see
+    RunTrace).
     """
     params = cfg.parameters()
     omega, h = params.omega, params.h

@@ -40,8 +40,13 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+def read_rows(path):
+    with open(path) as fh:
+        return list(csv.DictReader(fh))
+
+
 def read_trace(out_dir):
-    rows = list(csv.DictReader(open(out_dir / "trace.csv")))
+    rows = read_rows(out_dir / "trace.csv")
     cols = {}
     for name in rows[0]:
         cols[name] = np.array([float(r[name]) for r in rows])
@@ -350,7 +355,7 @@ class TestSweepCommand:
         for i in range(4):
             assert (root / f"run_{i:03d}" / "trace.csv").exists()
             assert (root / f"run_{i:03d}" / "summary.json").exists()
-        rows = list(csv.DictReader(open(root / "comparison.csv")))
+        rows = read_rows(root / "comparison.csv")
         assert len(rows) == 4
         assert list(rows[0]) == ["run", "oracle.alpha", "oracle.mode",
                                  "final_f_gap", "iterations", "terminal",
@@ -364,8 +369,7 @@ class TestSweepCommand:
     def test_floor_column_and_iters_to_floor(self, tmp_path):
         path = self.sweep_config(tmp_path)
         cli.main(["sweep", str(path)])
-        rows = list(csv.DictReader(open(tmp_path / "sweep"
-                                        / "comparison.csv")))
+        rows = read_rows(tmp_path / "sweep" / "comparison.csv")
         for row in rows:
             floor = float(row["floor"])
             hit = float(row["iters_to_10x_floor"])
@@ -398,8 +402,7 @@ class TestSweepCommand:
             "solver.name": "re_agm", "solver.N": 100})
         assert cli.main(["sweep", str(path)]) == 3
         assert "hypothesis guard" in capsys.readouterr().err
-        rows = list(csv.DictReader(open(tmp_path / "sweep"
-                                        / "comparison.csv")))
+        rows = read_rows(tmp_path / "sweep" / "comparison.csv")
         assert rows[0]["terminal"] == "steps_exhausted"
         assert rows[1]["terminal"] == ""
         assert rows[1]["final_f_gap"] == "nan"
@@ -436,7 +439,7 @@ class TestSweepCommand:
         root = tmp_path / "sweep"
         assert (root / "run_000" / "trace.csv").exists()
         assert not (root / "run_001").exists()
-        rows = list(csv.DictReader(open(root / "comparison.csv")))
+        rows = read_rows(root / "comparison.csv")
         assert len(rows) == 1
         # no varied columns when nothing is swept
         assert list(rows[0]) == ["run", "final_f_gap", "iterations",
@@ -462,8 +465,7 @@ class TestSweepCommand:
         path = tmp_path / "ladder.json"
         path.write_text(json.dumps(base))
         assert cli.main(["sweep", str(path)]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "ladder"
-                                        / "comparison.csv")))
+        rows = read_rows(tmp_path / "ladder" / "comparison.csv")
         floors = [float(r["floor"]) for r in rows]
         hits = [int(r["iters_to_10x_floor"]) for r in rows]
         assert floors[0] > floors[1] > floors[2]
@@ -516,7 +518,8 @@ class TestBoundsCommand:
                          "delta=0", "f0_gap=10", "R=1", "--points", "1", "--N", "0"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1:3] == ["N,bound", "0,10"]
+        # N = 0 asks for row 0 alone: no row past the largest N
+        assert lines[1:] == ["N,bound", "0,10"]
 
     def test_stopping_multiplier_passes_through(self, capsys):
         code = cli.main(["bounds", "STOP_GENERIC", "mu=1", "L=100", "alpha=0",

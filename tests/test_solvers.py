@@ -1,5 +1,6 @@
 """Solver unit tests: parameter formulas, traces, guards, inner-loop accounting."""
 
+import dataclasses
 import math
 import sys
 
@@ -237,7 +238,7 @@ class TestGDRun:
         assert len(trace) == 6
         assert trace.final_f_gap == trace.f_gap[-1]
         assert set(seen) == {"x"}
-        # monitored runs query the oracle at every recorded row
+        # the halting row is queried before the monitor sees it: it is not the last
         assert not np.any(np.isnan(trace.noisy_grad_norm))
 
     def test_monitor_envelope_reason_passes_through(self):
@@ -367,24 +368,25 @@ class TestReAgmRun:
         monitor = CountingMonitor() if monitored else None
         oracle = SyntheticNoiseOracle(prob, spec)
         trace = re_agm_run(prob, oracle, cfg, x0=x0, monitor=monitor)
-        want, views, x_final = reference_re_agm(prob, SyntheticNoiseOracle(prob, spec), cfg, x0, monitored)
+        want, views, x_final = reference_re_agm(prob, SyntheticNoiseOracle(prob, spec), cfg, x0)
         for name, column in want.items():
             assert np.array_equal(getattr(trace, name), column, equal_nan=True), name
         assert trace.terminal == "steps_exhausted"
         assert np.array_equal(trace.x_final, x_final)
         assert trace.final_f_gap == want["f_gap"][-1]
+        assert oracle.queries == cfg.steps
         if monitored:
-            assert len(monitor.views) == len(views) == oracle.queries
-            for got, (kind, k, x, f_gap, grad_norm, noisy_norm) in zip(monitor.views, views):
-                assert (got.kind, got.k, got.f_gap, got.grad_norm, got.noisy_grad_norm) == (
-                    kind, k, f_gap, grad_norm, noisy_norm)
+            assert len(monitor.views) == len(views) == 2 * cfg.steps + 1
+            for got, (kind, k, x, *row) in zip(monitor.views, views):
+                assert (got.kind, got.k) == (kind, k)
+                assert np.array_equal(got[3:], row, equal_nan=True)
                 assert np.array_equal(got.x, x)
 
 
-def reference_re_agm(problem, oracle, cfg, x0, monitored):
+def reference_re_agm(problem, oracle, cfg, x0):
     """The accelerated recursion written out with its literal expressions,
-    one query per y point and (with a monitor) per x row after row 0.
-    Returns the RunTrace columns, the monitored views and the final x."""
+    one query per y point and none at the x rows.  Returns the RunTrace
+    columns, the view of every recorded point in order and the final x."""
     params = re_agm_calculate_parameters(cfg.mu, cfg.L, cfg.alpha)
     omega, h, mu = params.omega, params.h, cfg.mu
     cols = {name: [] for name in ("k", "f_gap", "grad_norm", "noisy_grad_norm",
@@ -402,15 +404,14 @@ def reference_re_agm(problem, oracle, cfg, x0, monitored):
         prefix = "" if kind == "x" else "y_"
         for name, value in zip(("f_gap", "grad_norm", "noisy_grad_norm"), row):
             cols[prefix + name].append(value)
-        if query and monitored:
-            views.append((kind, k, z, *row))
+        views.append((kind, k, z, *row))
         return est
 
     x = np.array(x0, dtype=np.float64)
     u = x
     for k in range(cfg.steps + 1):
         cols["k"].append(k)
-        evaluate("x", k, x, monitored and k > 0)
+        evaluate("x", k, x, False)
         if k == cfg.steps:
             break
         y = (omega * u + x) / (1.0 + omega)
@@ -526,46 +527,76 @@ class CountingMonitor:
 
 
 class TestMonitorRule:
-    """The core's rule: a point is queried when the method steps from its
-    estimate or a monitor is attached, and the monitor sees exactly the
-    queried points."""
+    """The core's rule: a point is queried only when the method steps from
+    its estimate.  The monitor sees every recorded point, and a NaN noisy
+    norm exactly where nothing was queried, so it never changes the run."""
 
     RUNNERS = {
         "gd": (gd_run, GDConfig(steps=30, alpha=0.25, L=100.0)),
         "re_agm": (re_agm_run, ReAgmConfig(steps=30, mu=1.0, L=100.0, alpha=0.25)),
         "adaptive_gd": (adaptive_gd_run, AdaptiveGDConfig(steps=30, L0=100.0, delta=0.1)),
     }
-
-    @staticmethod
-    def sampled(prob):
-        return SyntheticNoiseOracle(
-            prob, NoiseSpec(alpha=0.25, delta=0.1, mode="sampled_unbiased", seed=4))
+    ORACLES = {
+        "sampled": lambda prob: SyntheticNoiseOracle(
+            prob, NoiseSpec(alpha=0.25, delta=0.1, mode="sampled_unbiased", seed=4)),
+        "adversarial": lambda prob: SyntheticNoiseOracle(
+            prob, NoiseSpec(alpha=0.25, delta=0.1, mode="adversarial_opposing")),
+        "fd_value_noise": lambda prob: FiniteDifferenceOracle(prob, h=1e-4, value_noise=1e-9, seed=7),
+    }
 
     @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
     def test_monitor_sees_exactly_the_queried_points(self, name):
         run, cfg = self.RUNNERS[name]
         prob = nesterov_strongly_convex(1.0, 100.0, 20)
-        oracle = self.sampled(prob)
+        oracle = self.ORACLES["sampled"](prob)
         monitor = CountingMonitor()
         trace = run(prob, oracle, cfg, x0=np.ones(20), monitor=monitor)
         assert trace.terminal == "steps_exhausted"
-        assert len(monitor.views) == oracle.queries
-        assert all(math.isfinite(v.noisy_grad_norm) for v in monitor.views)
-        x_rows = [v.k for v in monitor.views if v.kind == "x"]
+        queried = [(v.kind, v.k) for v in monitor.views if math.isfinite(v.noisy_grad_norm)]
+        assert len(queried) == oracle.queries == cfg.steps
+        assert [v.k for v in monitor.views if v.kind == "x"] == list(range(cfg.steps + 1))
         if name == "re_agm":
-            # the accelerated method steps from y points; its row 0 is never queried
-            assert x_rows == list(range(1, cfg.steps + 1))
-            assert sum(v.kind == "y" for v in monitor.views) == cfg.steps
-            assert math.isnan(trace.noisy_grad_norm[0])
+            # the accelerated method steps from its y points, never from x rows
+            assert queried == [("y", k) for k in range(cfg.steps)]
+            assert np.all(np.isnan(trace.noisy_grad_norm))
         else:
-            assert x_rows == list(range(cfg.steps + 1))
-        assert np.all(np.isfinite(trace.noisy_grad_norm[1:]))
+            assert queried == [("x", k) for k in range(cfg.steps)]
+            assert math.isnan(trace.noisy_grad_norm[-1])
+
+    @pytest.mark.parametrize("oracle_name", ["sampled", "adversarial", "fd_value_noise"])
+    @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
+    def test_watching_a_run_never_changes_it(self, name, oracle_name):
+        run, cfg = self.RUNNERS[name]
+        prob = nesterov_strongly_convex(1.0, 100.0, 20)
+        alone, watched = self.ORACLES[oracle_name](prob), self.ORACLES[oracle_name](prob)
+        want = run(prob, alone, cfg, x0=np.ones(20))
+        monitor = CountingMonitor()
+        got = run(prob, watched, cfg, x0=np.ones(20), monitor=monitor)
+        for field in dataclasses.fields(want):
+            a, b = getattr(want, field.name), getattr(got, field.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b, equal_nan=True), field.name
+            else:
+                assert a == b, field.name
+        assert watched.queries == alone.queries
+        # every recorded point, in order: x0, then (y_k, x_{k+1}) for re_agm
+        seen = [(v.kind, v.k, v.f_gap, v.grad_norm, v.noisy_grad_norm) for v in monitor.views]
+        rows = list(zip(want.k, want.f_gap, want.grad_norm, want.noisy_grad_norm))
+        if want.y_f_gap is None:
+            recorded = [("x", *row) for row in rows]
+        else:
+            ys = zip(range(len(want.y_f_gap)), want.y_f_gap, want.y_grad_norm, want.y_noisy_grad_norm)
+            recorded = [("x", *rows[0])] + [p for y, x in zip(ys, rows[1:]) for p in (("y", *y), ("x", *x))]
+        assert len(seen) == len(recorded)
+        for s_point, r_point in zip(seen, recorded):
+            assert s_point[:2] == r_point[:2]
+            assert np.array_equal(s_point[2:], r_point[2:], equal_nan=True)
 
     @pytest.mark.parametrize("name", ["gd", "adaptive_gd"])
     def test_unmonitored_final_row_is_unqueried(self, name):
         run, cfg = self.RUNNERS[name]
         prob = nesterov_strongly_convex(1.0, 100.0, 20)
-        oracle = self.sampled(prob)
+        oracle = self.ORACLES["sampled"](prob)
         trace = run(prob, oracle, cfg, x0=np.ones(20))
         assert oracle.queries == cfg.steps
         assert math.isnan(trace.noisy_grad_norm[-1])
@@ -601,14 +632,16 @@ class TestEstimateGuard:
 
     def test_finite_estimate_with_overflowing_norm_passes(self):
         # the estimate check reads est.dot(est); entries of 1e200 overflow
-        # that sum but are finite, so the point is recorded, as before
+        # that sum but are finite, so the point is recorded, as before.
+        # Row 0 of one step is queried; the monitor ends the run there,
+        # before a step along that estimate overflows the objective
         prob = nesterov_strongly_convex(1.0, 100.0, 10)
         oracle = NonFiniteAtQuery(prob, 0, 1e200)
         with np.errstate(over="ignore"):
-            trace = gd_run(prob, oracle, GDConfig(steps=0, alpha=0.0, L=100.0),
-                           x0=np.ones(10), monitor=CountingMonitor())
+            trace = gd_run(prob, oracle, GDConfig(steps=1, alpha=0.0, L=100.0),
+                           x0=np.ones(10), monitor=lambda v: "stopping_rule")
         assert oracle.queries == 1
-        assert trace.terminal == "steps_exhausted"
+        assert trace.terminal == "stopping_rule"
         assert trace.noisy_grad_norm[0] == math.inf
         assert math.isfinite(trace.grad_norm[0])
 
@@ -646,14 +679,14 @@ def test_each_iterate_is_validated_once(monkeypatch):
         evaluating.gradient_estimate(np.ones(20))
         assert len(calls) == 1
 
-    # a 5-step accelerated ridge route: two calls per monitored point (the
-    # ridge query and the base query inside it), none for the base gap,
-    # and six to set up (the start, the ridge center twice, the ridge
-    # minimum, the base gap at the start and the core's start)
+    # a 5-step accelerated ridge route: two calls per query (the ridge
+    # query and the base query inside it), none for the base gap, and
+    # five to set up (the start, the ridge center twice, the ridge
+    # minimum and the core's start)
     base = nesterov_convex(5, 10.0, 20)
     oracle = SyntheticNoiseOracle(base, NoiseSpec(alpha=0.1, mode="sampled_unbiased", seed=3))
     calls.clear()
     with pytest.raises(drivers.ConvergenceFailureError):
         drivers._ridge_route("re_agm", base, oracle, 1.0, np.ones(20), 0.05, 0.2, 5, 1e-9)
-    assert oracle.queries == 10
-    assert len(calls) == 2 * 10 + 6
+    assert oracle.queries == 5
+    assert len(calls) == 2 * 5 + 5

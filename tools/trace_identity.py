@@ -11,7 +11,8 @@ a sha256 over everything the case can observe.
   every ``IterateView`` its monitor saw, the exception it raised (type,
   message and carried trace) and the warnings it raised.
 - Cases cover gd, re_agm and adaptive_gd (``adapt_L`` off and on) at 0
-  and 40 steps; no monitor, a recording monitor, a gap-halting monitor
+  and 40 steps; no monitor (``nomon``), a recording monitor (``rec``)
+  that sees every recorded point and never halts, a gap-halting monitor
   and (re_agm) a y-halting monitor; synthetic noise in every mode with
   certification off and on, finite differences with and without value
   noise, the three compressors and reduced precision; three problems.
@@ -32,7 +33,11 @@ a sha256 over everything the case can observe.
 Cases whose name starts with ``edge:`` are points where a change is
 expected to alter behaviour on purpose (the verify summation row is
 one); the last two lines give one digest over the other cases and one
-over the edge cases.
+over the edge cases.  A last line compares each ``nomon`` run with its
+``rec`` twin: how many pairs end alike (same outcome and terminal) and
+how many are identical apart from the views (same trace, and same
+queries or error).  A monitor only observes, so every pair should be
+identical.
 """
 
 from __future__ import annotations
@@ -122,23 +127,37 @@ class Recorder:
 class Cases:
     def __init__(self):
         self.lines = []
+        self.pairs = {}  # pair key -> [(outcome, terminal, run digest)]
 
-    def run(self, name: str, fn) -> None:
-        """Call fn() and digest its result, or its exception, and the warnings."""
+    def run(self, name: str, fn, pair=None) -> None:
+        """Call fn() and digest its result, or its exception, and the warnings.
+
+        With a ``pair`` key, fn returns (trace, queries, views); the run's
+        end and a digest of everything but the views are kept under it.
+        """
         d = Digest()
         outcome = "ok"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                d.add(("ok", fn()))
+                result = fn()
+                d.add(("ok", result))
+                if pair is not None:
+                    trace, ran = result[0], result[:2]
             except Exception as exc:  # every exception is an observable outcome
                 outcome = type(exc).__name__
                 d.add(("raised", outcome, str(exc)))
                 for attr in ("trace", "stage", "target", "achieved"):
                     if hasattr(exc, attr):
                         d.add((attr, getattr(exc, attr)))
+                trace = getattr(exc, "trace", None)
+                ran = (str(exc), trace)
         d.add(sorted({(w.category.__name__, str(w.message)) for w in caught}))
         self.lines.append(f"{name} {outcome} {d.hex()}")
+        if pair is not None:
+            rd = Digest()
+            rd.add(ran)
+            self.pairs.setdefault(pair, []).append((outcome, getattr(trace, "terminal", None), rd.hex()))
 
 
 def solver_cases(cases: Cases) -> None:
@@ -206,7 +225,8 @@ def solver_cases(cases: Cases) -> None:
                             trace = run_solver(rname, p, oracle, steps, monitor)
                             return trace, oracle.queries, monitor.views if monitor else None
 
-                        cases.run(f"run:{pname}:{oname}:{rname}:{steps}:{mname}", case)
+                        pair = f"{pname}:{oname}:{rname}:{steps}" if mname in ("nomon", "rec") else None
+                        cases.run(f"run:{pname}:{oname}:{rname}:{steps}:{mname}", case, pair)
 
     class Bad(O.GradientOracle):
         """Exact gradient, except entry 0 of query ``at`` is ``value``."""
@@ -248,7 +268,7 @@ def solver_cases(cases: Cases) -> None:
                                 trace = S.adaptive_gd_run(p, oracle, S.AdaptiveGDConfig(10, p.L),
                                                           x0=x1, monitor=monitor)
                         return trace, oracle.queries, monitor.views if monitor else None
-                    cases.run(f"bad_estimate:{bad}:{at}:{rname}:{mname}", case)
+                    cases.run(f"bad_estimate:{bad}:{at}:{rname}:{mname}", case, f"{bad}:{at}:{rname}")
 
     exact = oracles["none"]
     cases.run("explode:gd", lambda: S.gd_run(p, exact(p), S.GDConfig(1000, 0.0, p.L / 100.0), x0=x1))
@@ -451,6 +471,10 @@ def main(argv=None) -> int:
     for label, group in (("digest", kept), ("edge digest", edge)):
         joined = "\n".join(group).encode()
         print(f"{label} ({len(group)} cases) {hashlib.sha256(joined).hexdigest()[:16]}")
+    pairs = [ends for ends in cases.pairs.values() if len(ends) == 2]
+    alike = sum(a[:2] == b[:2] for a, b in pairs)
+    same = sum(a == b for a, b in pairs)
+    print(f"monitor pairs ({len(pairs)}): {alike} end alike, {same} identical")
     return 0
 
 
