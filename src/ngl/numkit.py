@@ -57,6 +57,11 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row i is ``X[i].dot(Y[i])`` (``.dot(Y)`` for a 1-D Y): a BLAS ddot per row, the 1-D dot's bits."""
+    return np.matmul(X[:, None, :], Y[..., None])[:, 0, 0]
+
+
 def round_to_precision(x, spec: PrecisionSpec):
     """Round to ``spec.bits`` significand bits, round-to-nearest ties-to-even.
 

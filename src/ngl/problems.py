@@ -13,6 +13,7 @@ vector of the problem's dimension) and raise ValueError otherwise.  The
 private kernels ``_value`` and ``_gradient`` hold the arithmetic and
 trust their input to be such a vector, already float64: the stepping
 core and the oracles call them on iterates they have validated once.
+The row kernels ``_values``/``_gradients`` give each row of a 2-D X its bits.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ def _solve_spd_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return rhs / ab[1, 0]
     return solveh_banded(ab, rhs)
 
-from .numkit import as_vector
+from .numkit import as_vector, row_dots
 
 
 class ObjectiveProblem:
@@ -76,6 +77,14 @@ class ObjectiveProblem:
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         """grad f(x) for a validated 1-D float64 x of dimension dim."""
         raise NotImplementedError
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        """f at each row of X; row i is ``_value(X[i])`` bit for bit."""
+        return np.array([self._value(x) for x in X])
+
+    def _gradients(self, X: np.ndarray) -> np.ndarray:
+        """grad f at each row of X; row i is ``_gradient(X[i])`` bit for bit."""
+        return np.array([self._gradient(x) for x in X])
 
     def gap(self, x) -> float:
         """value(x) - f_star."""
@@ -185,6 +194,17 @@ class ChainedStronglyConvex(ObjectiveProblem):
         g[0] -= self._c
         return g
 
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        # x[0] ** 2 on a scalar is C pow, which can differ from the array square
+        chain = np.array([x0 ** 2 for x0 in X[:, 0]])
+        D = X[:, 1:] - X[:, :-1]  # no columns at n = 1: then chain gains an exact 0.0
+        chain += row_dots(D, D)
+        return self._c / 2.0 * (chain - 2.0 * X[:, 0]) + self.mu / 2.0 * row_dots(X, X)
+
+    def _gradients(self, X: np.ndarray) -> np.ndarray:
+        # the 1-D kernel on X.T's axis 0; elementwise ops keep rows contiguous
+        return self._gradient(X.T).T
+
     def shifted_minimizer(self, ridge: float, center) -> np.ndarray:
         if ridge < 0.0 or (ridge == 0.0 and center is not None):
             raise ValueError("ridge must be > 0 for an off-origin shift")
@@ -241,6 +261,13 @@ class Quadratic(ObjectiveProblem):
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         return self.A @ x + self.b
+
+    # matmul of A with a stack of columns makes one gemv per row, as A @ x does
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        return 0.5 * row_dots(X, np.matmul(self.A, X[:, :, None])[:, :, 0]) + row_dots(X, self.b)
+
+    def _gradients(self, X: np.ndarray) -> np.ndarray:
+        return np.matmul(self.A, X[:, :, None])[:, :, 0] + self.b
 
     def shifted_minimizer(self, ridge: float, center) -> np.ndarray:
         if ridge <= 0.0:

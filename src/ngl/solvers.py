@@ -23,12 +23,19 @@ the finiteness guards that raise ``DivergedError`` or
 ``InnerLoopStallError`` with the partial trace, the gap-floor check,
 the x rows, y rows and adaptive columns, the monitor call and the final
 ``RunTrace``.  The core validates each iterate once, with one
-finiteness check, and evaluates it with the problem's trusted kernels
-``_value`` and ``_gradient``; every oracle query still goes through
+finiteness check, and evaluates it with the problem's trusted kernels;
+every oracle query still goes through
 ``GradientOracle.estimate_with_exact``, the one ``as_vector`` of a gd
 step.  Its query rule: a point is queried only when the method steps
 from its estimate.  The monitor sees every recorded point, with a NaN
 noisy norm where nothing was queried, so watching a run never changes it.
+Its evaluation rule: a point gets at once only what the method needs
+(the x check, the query, the estimate guard, a queried point's norms);
+f(x) and the other gradient norms wait for a block of ``2**14 // dim``
+rows, which row kernels evaluate with the same bits.  A monitor or the
+adaptive predicate reads rows live: a block of one.  Failures settle
+earlier rows first, so errors and traces are unchanged; only an
+unmonitored run whose objective overflows may query up to a block more.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .numkit import as_vector
+from .numkit import as_vector, row_dots
 from .oracles import GradientOracle
 from .problems import ObjectiveProblem
 
@@ -299,11 +306,11 @@ class _Halt(Exception):
 
 
 class _Point(NamedTuple):
-    """A visited point: f(x), and the estimate and its norm if queried."""
+    """A visited point: f(x) if evaluated yet, and the estimate and its norm if queried."""
 
     k: int
     x: np.ndarray
-    f_val: float
+    f_val: Optional[float]
     est: Optional[np.ndarray]
     noisy_norm: float
 
@@ -317,11 +324,16 @@ _INT_COLUMNS = ("k", "inner_loops")
 class _Core:
     """The stepping core: one run's loop, guards, trace rows and monitor.
 
-    A runner supplies only its update rule, ``step(point) -> next x``,
-    and ``run`` visits rows 0..steps around it.  ``adaptive`` keeps the
-    inner_loops/alpha_hat/L_hat columns, which ``trials`` sets for the
-    step leaving the latest row; ``accelerated`` keeps the y columns,
-    which the update rule fills by visiting its extrapolation points.
+    A runner supplies only its update rule, ``step(point) -> (next x, its
+    f or None)``, and ``run`` visits rows 0..steps around it.  ``adaptive``
+    keeps the inner_loops/alpha_hat/L_hat columns, which ``trials`` sets
+    for the step leaving the latest row; ``accelerated`` keeps the y
+    columns, which the update rule fills by visiting its extrapolation
+    points.  ``visit`` does what the method needs to go on and leaves the
+    rest pending; ``flush`` evaluates a block with the row kernels, then
+    ``record`` checks and appends each row in order, so an overflowing f
+    is found up to a block of queries late.  ``block`` is 1 (the eager
+    order) under a monitor, in adaptive runs, and when dim > 2**14.
     """
 
     def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
@@ -332,6 +344,8 @@ class _Core:
         self.monitor = monitor
         self.adaptive = adaptive
         self.accelerated = accelerated
+        self.block = 1 if monitor is not None or adaptive else max(1, 2**14 // problem.dim)
+        self.pending = []  # (kind, k, x, grad_norm or None, noisy_norm) per row
         # relative, like the package's other 1e-9 tolerances: the computed
         # f(x) - f_star carries rounding error on the scale of |f_star|
         self.floor = _GAP_FLOOR * max(1.0, abs(problem.f_star))
@@ -340,83 +354,115 @@ class _Core:
         names = (_X_COLUMNS + (_ADAPTIVE_COLUMNS if adaptive else ())
                  + (_Y_COLUMNS if accelerated else ()))
         self.cols = {name: [] for name in names}
-        # each column's append, bound once: visit runs for every point
-        self.add_x = tuple(self.cols[name].append for name in _X_COLUMNS)
+        # each column's append, bound once: record runs for every point
+        self.add_k = self.cols["k"].append
+        self.add_x = tuple(self.cols[name].append for name in _X_COLUMNS[1:])
         self.add_trials = tuple(self.cols[name].append for name in _ADAPTIVE_COLUMNS) if adaptive else ()
         self.add_y = tuple(self.cols[name].append for name in _Y_COLUMNS) if accelerated else ()
         self.last_x: Optional[np.ndarray] = None
 
-    def run(self, steps: int, x0, step: Callable[[_Point], np.ndarray]) -> RunTrace:
+    def run(self, steps: int, x0, step: Callable[[_Point], tuple]) -> RunTrace:
         dim = self.problem.dim
         x = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
+        f_val = None
         # an overflow ends in DivergedError or a failed trial, not a warning
         with np.errstate(over="ignore"):
             try:
                 for k in range(steps + 1):
                     last = k == steps
                     # the accelerated method steps from its y points
-                    point = self.visit("x", k, x, not (last or self.accelerated))
+                    point = self.visit("x", k, x, not (last or self.accelerated), f_val)
                     if last:
                         break
-                    x = step(point)
+                    x, f_val = step(point)
+                self.flush()
             except _Halt as halt:
                 return halt.trace
         return self.build(TERMINAL_STEPS_EXHAUSTED, x, self.cols["f_gap"][-1])
 
-    def visit(self, kind: str, k: int, x: np.ndarray, query: bool) -> _Point:
-        """Evaluate and record an "x" row or a "y" point, then monitor it.
-
-        An unqueried point records the exact gradient norm and a NaN
-        noisy norm, and the monitor sees it with that NaN.
-        """
+    def visit(self, kind: str, k: int, x: np.ndarray, query: bool,
+              f_val: Optional[float] = None) -> _Point:
+        """Check and query an "x" row or "y" point (``f_val``: f(x) if known); record it or pend it."""
         # the one validation of x: the start went through as_vector and
         # each update rule builds float64 vectors of the problem's dimension
         if np.count_nonzero(np.isfinite(x)) != x.size:
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
-        f_val = self.problem._value(x)
-        if not math.isfinite(f_val):
-            raise self.abort(DivergedError, f"non-finite objective value at step {k}")
-        gap = f_val - self.problem.f_star
+        if self.block == 1:  # the eager order: f(x) is checked before the query
+            f_val = self.settle(k, x, f_val)
+        grad_norm, est, noisy_norm = None, None, math.nan
         if query:
-            est, exact = self.oracle.estimate_with_exact(x)
+            try:
+                est, exact = self.oracle.estimate_with_exact(x)
+            except Exception:  # an earlier row's error, or this f(x)'s, comes first
+                self.settle(k, x, f_val)
+                self.flush()
+                raise
             # sqrt(v.dot(v)) is np.linalg.norm's formula for a real 1-D v;
             # a finite sum of squares means finite entries, and a finite
             # estimate whose sum overflows still passes
             est_sq = est.dot(est)
             if not math.isfinite(est_sq) and not np.isfinite(est).all():
+                self.settle(k, x, f_val)
                 raise self.abort(DivergedError, f"non-finite gradient estimate at step {k}")
             grad_norm = math.sqrt(exact.dot(exact))
             noisy_norm = math.sqrt(est_sq)
+        if self.block > 1:
+            self.pending.append((kind, k, x, grad_norm, noisy_norm))
+            if len(self.pending) == self.block:
+                self.flush()
         else:
-            est, noisy_norm = None, math.nan
-            exact = self.problem._gradient(x)
-            grad_norm = math.sqrt(exact.dot(exact))
+            if grad_norm is None:
+                exact = self.problem._gradient(x)
+                grad_norm = math.sqrt(exact.dot(exact))
+            self.record(kind, k, x, f_val, grad_norm, noisy_norm)
+        return _Point(k, x, f_val, est, noisy_norm)
+
+    def settle(self, k: int, x: np.ndarray, f_val: Optional[float]) -> float:
+        """f(x) at point k; if it is not finite, raise that (after any earlier row's error)."""
+        if f_val is None:
+            f_val = self.problem._value(x)
+        if not math.isfinite(f_val):
+            raise self.abort(DivergedError, f"non-finite objective value at step {k}")
+        return f_val
+
+    def flush(self) -> None:
+        """Evaluate the pending block with the row kernels, then record its rows in order."""
+        pending = self.pending
+        if not pending:
+            return
+        self.pending = []
+        X = np.array([row[2] for row in pending])
+        values = self.problem._values(X).tolist()
+        unqueried = [i for i, row in enumerate(pending) if row[3] is None]
+        if unqueried:
+            G = self.problem._gradients(X[unqueried])
+            norms = iter(np.sqrt(row_dots(G, G)).tolist())
+        for (kind, k, x, grad_norm, noisy_norm), f_val in zip(pending, values):
+            if not math.isfinite(f_val):
+                raise self.abort(DivergedError, f"non-finite objective value at step {k}")
+            self.record(kind, k, x, f_val, next(norms) if grad_norm is None else grad_norm, noisy_norm)
+
+    def record(self, kind, k, x, f_val, grad_norm, noisy_norm) -> None:
+        gap = f_val - self.problem.f_star
         if not gap >= self.floor:
             where = f"row {k}" if kind == "x" else f"y point {k}"
             raise AssertionError(f"f_gap {gap} below {self.floor} at {where}: bad f_star?")
         if kind == "x":
             self.last_x = x
-            add_k, add_gap, add_grad, add_noisy = self.add_x
-            add_k(k)
-            add_gap(gap)
-            add_grad(grad_norm)
-            add_noisy(noisy_norm)
-            if self.adaptive:
-                # placeholders until trials() sets the step leaving this row
-                add_fails, add_alpha, add_L = self.add_trials
-                add_fails(0)
-                add_alpha(math.nan)
-                add_L(math.nan)
+            self.add_k(k)
+            if self.adaptive:  # placeholders until trials() sets the step leaving this row
+                for add, value in zip(self.add_trials, (0, math.nan, math.nan)):
+                    add(value)
+            add_gap, add_grad, add_noisy = self.add_x
         else:
             add_gap, add_grad, add_noisy = self.add_y
-            add_gap(gap)
-            add_grad(grad_norm)
-            add_noisy(noisy_norm)
+        add_gap(gap)
+        add_grad(grad_norm)
+        add_noisy(noisy_norm)
         if self.monitor is not None:
             reason = self.monitor(IterateView(kind, k, x, gap, grad_norm, noisy_norm))
             if reason is not None:
                 raise _Halt(self.build(reason, x, gap))
-        return _Point(k, x, f_val, est, noisy_norm)
 
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
         """Set the adaptive columns of the latest row to the step leaving it."""
@@ -424,7 +470,8 @@ class _Core:
             self.cols[name][-1] = value
 
     def abort(self, error, message: str) -> RuntimeError:
-        """``error`` carrying the rows so far, ending at the last x row."""
+        """``error`` carrying the rows so far, to the last x row (a failing pending row raises first)."""
+        self.flush()
         terminal = _TERMINAL_STALLED if error is InnerLoopStallError else _TERMINAL_DIVERGED
         gaps = self.cols["f_gap"]
         gap = gaps[-1] if gaps else math.nan
@@ -460,7 +507,7 @@ def gd_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: GDConfig,
             stacklevel=2,
         )
     h = cfg.step_size
-    return _Core(problem, oracle, monitor).run(cfg.steps, x0, lambda pt: pt.x - h * pt.est)
+    return _Core(problem, oracle, monitor).run(cfg.steps, x0, lambda pt: (pt.x - h * pt.est, None))
 
 
 def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConfig,
@@ -491,7 +538,7 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
         y = (omega * u + pt.x) / y_div
         est = core.visit("y", pt.k, y, query=True).est
         u = u_keep * u + omega * y - u_grad * est
-        return y - h * est
+        return y - h * est, None
 
     return core.run(cfg.steps, x0, step)
 
@@ -552,6 +599,7 @@ def adaptive_gd_run(problem: ObjectiveProblem, oracle: GradientOracle,
             t += 1
         core.trials(fails, alpha_hat, L_hat)
         J = max(1, t - 1)
-        return x_next
+        # the accepted trial's value is the next row's: the core reuses it
+        return x_next, f_next
 
     return core.run(cfg.steps, x0, step)

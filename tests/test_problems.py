@@ -207,3 +207,38 @@ class TestShiftedMinimizer:
         p = nesterov_convex(k=2, L=1.0, n=4)
         with pytest.raises(ValueError):
             p.shifted_minimizer(0.0, np.zeros(4))
+
+
+class TestRowKernels:
+    """``_values`` and ``_gradients`` give row i of a 2-D X the bits of
+    ``_value`` and ``_gradient`` at X[i]: the stepping core evaluates its
+    trace rows in blocks with them."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 100, 1000])
+    def test_rows_match_the_1d_kernels_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        # first entries whose scalar square (C pow) differs from x * x in
+        # the last bit: a kernel squaring the column X[:, 0] at once fails
+        # (a Python float's ** is C pow too); small other entries keep the
+        # first square's last bit visible in f
+        odd = [c for c in rng.standard_normal(200_000).tolist() if c ** 2 != c * c]
+        assert len(odd) >= 50
+        X = 1e-3 * rng.standard_normal((2 * len(odd), n))
+        X[: len(odd), 0] = odd
+        assert np.any(X[:, 0] ** 2 != np.array([x0 ** 2 for x0 in X[:, 0]]))
+        M = rng.standard_normal((n, n))
+        strongly = nesterov_strongly_convex(mu=0.5, L=40.0, n=n)
+        families = [
+            strongly,
+            nesterov_convex(k=max(1, n // 2), L=20.0, n=n),  # the default row loop
+            quadratic(M @ M.T / n + np.eye(n), rng.standard_normal(n)),
+            regularize(strongly, rng.standard_normal(n), 0.3),  # the default row loop
+        ]
+        for p in families:
+            values, gradients = p._values(X), p._gradients(X)
+            # each row as a vector of its own, as the core's iterates are
+            want_values = np.array([p._value(x.copy()) for x in X])
+            want_gradients = np.array([p._gradient(x.copy()) for x in X])
+            assert values.shape == (len(X),) and gradients.shape == X.shape
+            assert values.tobytes() == want_values.tobytes(), p
+            assert gradients.tobytes() == want_gradients.tobytes(), p

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from ngl import drivers, numkit
+from ngl import drivers, numkit, solvers
 from ngl.numkit import PrecisionSpec
 from ngl.oracles import (
     FiniteDifferenceOracle,
@@ -567,11 +567,15 @@ class TestMonitorRule:
     @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
     def test_watching_a_run_never_changes_it(self, name, oracle_name):
         run, cfg = self.RUNNERS[name]
-        prob = nesterov_strongly_convex(1.0, 100.0, 20)
+        # unmonitored runs evaluate rows in blocks of 2**14 // n = 8 here, so
+        # gd's 31 rows span 4 blocks and re_agm's 61 points 8; a monitored
+        # run evaluates each point as it comes
+        prob = nesterov_strongly_convex(1.0, 100.0, 2000)
+        assert solvers._Core(prob, None, None).block == 8
         alone, watched = self.ORACLES[oracle_name](prob), self.ORACLES[oracle_name](prob)
-        want = run(prob, alone, cfg, x0=np.ones(20))
+        want = run(prob, alone, cfg, x0=np.ones(2000))
         monitor = CountingMonitor()
-        got = run(prob, watched, cfg, x0=np.ones(20), monitor=monitor)
+        got = run(prob, watched, cfg, x0=np.ones(2000), monitor=monitor)
         for field in dataclasses.fields(want):
             a, b = getattr(want, field.name), getattr(got, field.name)
             if isinstance(a, np.ndarray):
@@ -616,6 +620,52 @@ class NonFiniteAtQuery(GradientOracle):
         if self.queries == self.at:
             est[0] = self.value
         return est
+
+
+class TestDeferredRows:
+    """Unmonitored runs evaluate f(x) and unqueried gradient norms per block
+    of rows; a failure in a block still raises the error of the first bad
+    row, with the trace before it, as a monitored run does."""
+
+    class ThenNaN(NonFiniteAtQuery):
+        """NonFiniteAtQuery whose query 14 also carries a NaN entry."""
+
+        def _estimate(self, x, exact):
+            est = super()._estimate(x, exact)
+            if self.queries == 14:
+                est[1] = np.nan
+            return est
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("then_nan", [False, True], ids=["flushed", "guard_later_in_block"])
+    @pytest.mark.parametrize("name", ["gd", "re_agm"])
+    def test_divergence_mid_block_matches_the_monitored_twin(self, name, then_nan):
+        # a huge estimate at query 12 sends the next point where f(x)
+        # overflows while x stays finite: row 13, in the second block of 8.
+        # With a NaN estimate at query 14 too, the estimate guard fails at
+        # a later point of the same block, and row 13 must still win
+        prob = nesterov_strongly_convex(1.0, 50.0, 2000)
+        run, cfg = {"gd": (gd_run, GDConfig(steps=40, alpha=0.0, L=50.0)),
+                    "re_agm": (re_agm_run, ReAgmConfig(steps=40, mu=1.0, L=50.0, alpha=0.0))}[name]
+        raised = []
+        for monitor in (None, CountingMonitor()):
+            oracle = (self.ThenNaN if then_nan else NonFiniteAtQuery)(prob, 12, 1e200)
+            with pytest.raises(DivergedError) as exc:
+                run(prob, oracle, cfg, x0=np.ones(2000), monitor=monitor)
+            raised.append((str(exc.value), exc.value.trace, oracle.queries))
+        (message, trace, queries), (watched_message, watched_trace, watched_queries) = raised
+        assert message == watched_message == "non-finite objective value at step 13"
+        for field in dataclasses.fields(trace):
+            a, b = getattr(trace, field.name), getattr(watched_trace, field.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b, equal_nan=True), field.name
+            else:
+                assert a == b, field.name
+        assert list(trace.k) == list(range(13))
+        # the documented difference: the unmonitored run queried on to the
+        # end of the block before it evaluated row 13
+        assert watched_queries == 13
+        assert 13 < queries <= 13 + 8
 
 
 class TestEstimateGuard:

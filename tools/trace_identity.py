@@ -9,15 +9,19 @@ a sha256 over everything the case can observe.
 
 - A solver case digests every ``RunTrace`` field, ``oracle.queries``,
   every ``IterateView`` its monitor saw, the exception it raised (type,
-  message and carried trace) and the warnings it raised.
+  message and carried trace, and the queries its oracles made before
+  it) and the warnings it raised.
 - Cases cover gd, re_agm and adaptive_gd (``adapt_L`` off and on) at 0
   and 40 steps; no monitor (``nomon``), a recording monitor (``rec``)
   that sees every recorded point and never halts, a gap-halting monitor
   and (re_agm) a y-halting monitor; synthetic noise in every mode with
   certification off and on, finite differences with and without value
   noise, the three compressors and reduced precision; three problems.
+  At n = 2000 (8 rows per evaluation block), gd and re_agm with sampled
+  noise span several blocks (``blocks:``).
 - Error cases: non-finite and huge estimates at queries 0-5, exploding
-  steps, an ascent stall, bad starts, a wrong ``f_star``.
+  steps, an ascent stall, bad starts, a wrong ``f_star``, and at
+  n = 2000 an objective that overflows mid-block in a later block.
 - The five driver routes on two seeds, and the ridge routes'
   ``ConvergenceFailureError`` traces under a 5-step budget.
 - Helpers: problem values and gradients, raw noise draws
@@ -128,6 +132,12 @@ class Cases:
     def __init__(self):
         self.lines = []
         self.pairs = {}  # pair key -> [(outcome, terminal, run digest)]
+        self.watched = []  # the oracles the running case made
+
+    def watch(self, oracle):
+        """Keep ``oracle`` so that a raising case digests its query count."""
+        self.watched.append(oracle)
+        return oracle
 
     def run(self, name: str, fn, pair=None) -> None:
         """Call fn() and digest its result, or its exception, and the warnings.
@@ -137,6 +147,7 @@ class Cases:
         """
         d = Digest()
         outcome = "ok"
+        self.watched = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -150,6 +161,7 @@ class Cases:
                 for attr in ("trace", "stage", "target", "achieved"):
                     if hasattr(exc, attr):
                         d.add((attr, getattr(exc, attr)))
+                d.add(("queries", [oracle.queries for oracle in self.watched]))
                 trace = getattr(exc, "trace", None)
                 ran = (str(exc), trace)
         d.add(sorted({(w.category.__name__, str(w.message)) for w in caught}))
@@ -221,7 +233,7 @@ def solver_cases(cases: Cases) -> None:
                             continue
 
                         def case():
-                            oracle, monitor = make(p), make_monitor()
+                            oracle, monitor = cases.watch(make(p)), make_monitor()
                             trace = run_solver(rname, p, oracle, steps, monitor)
                             return trace, oracle.queries, monitor.views if monitor else None
 
@@ -256,7 +268,7 @@ def solver_cases(cases: Cases) -> None:
             for mname in ("nomon", "rec"):
                 for rname in ("gd", "re_agm", "adaptive"):
                     def case(bad=bad, at=at, mname=mname, rname=rname):
-                        oracle = Bad(p, at, bad)
+                        oracle = cases.watch(Bad(p, at, bad))
                         monitor = Recorder() if mname == "rec" else None
                         with np.errstate(over="ignore"):
                             if rname == "gd":
@@ -270,11 +282,32 @@ def solver_cases(cases: Cases) -> None:
                         return trace, oracle.queries, monitor.views if monitor else None
                     cases.run(f"bad_estimate:{bad}:{at}:{rname}:{mname}", case, f"{bad}:{at}:{rname}")
 
-    exact = oracles["none"]
+    def exact(q):
+        return cases.watch(oracles["none"](q))
+
+    # several evaluation blocks: 2**14 // 2000 = 8 rows each
+    wide = P.nesterov_strongly_convex(1.0, 50.0, 2000)
+    for rname in ("gd", "re_agm"):
+        for mname in ("nomon", "rec"):
+            def case(rname=rname, mname=mname):
+                oracle, monitor = cases.watch(oracles["sampled"](wide)), Recorder() if mname == "rec" else None
+                trace = run_solver(rname, wide, oracle, 40, monitor)
+                return trace, oracle.queries, monitor.views if monitor else None
+            cases.run(f"blocks:{rname}:{mname}", case, f"blocks:{rname}")
+
+            # a huge estimate at query 12 overflows the objective mid-block in the second block
+            def overflow(rname=rname, mname=mname):
+                oracle, monitor = cases.watch(Bad(wide, 12, 1e200)), Recorder() if mname == "rec" else None
+                with np.errstate(over="ignore"):
+                    trace = run_solver(rname, wide, oracle, 40, monitor)
+                return trace, oracle.queries, monitor.views if monitor else None
+            cases.run(f"blocks:overflow:{rname}:{mname}", overflow, f"blocks:overflow:{rname}")
+
     cases.run("explode:gd", lambda: S.gd_run(p, exact(p), S.GDConfig(1000, 0.0, p.L / 100.0), x0=x1))
     cases.run("explode:re_agm", lambda: S.re_agm_run(
         p, exact(p), S.ReAgmConfig(1000, 0.01, 0.5, 0.0), x0=x1))
-    cases.run("stall:adaptive", lambda: S.adaptive_gd_run(p, Scaled(p, -1.0), S.AdaptiveGDConfig(5, p.L), x0=x1))
+    cases.run("stall:adaptive", lambda: S.adaptive_gd_run(
+        p, cases.watch(Scaled(p, -1.0)), S.AdaptiveGDConfig(5, p.L), x0=x1))
     for rname, run in (("gd", lambda x0: S.gd_run(p, exact(p), S.GDConfig(3, 0.0, p.L), x0=x0)),
                        ("re_agm", lambda x0: S.re_agm_run(p, exact(p), S.ReAgmConfig(3, p.mu, p.L, 0.0), x0=x0)),
                        ("adaptive", lambda x0: S.adaptive_gd_run(p, exact(p), S.AdaptiveGDConfig(3, p.L), x0=x0))):
@@ -294,7 +327,7 @@ def solver_cases(cases: Cases) -> None:
     # edge: an adaptive trial point that overflows (huge estimate, tiny L0)
     def adaptive_overflow():
         q = P.nesterov_strongly_convex(1.0, 50.0, 6)
-        oracle = Scaled(q, 0.0)
+        oracle = cases.watch(Scaled(q, 0.0))
         oracle._estimate = lambda x, g: np.full(q.dim, 1e308)
         with np.errstate(over="ignore", invalid="ignore"):
             return S.adaptive_gd_run(q, oracle, S.AdaptiveGDConfig(3, 1e-300), x0=np.ones(6))
@@ -306,7 +339,7 @@ def solver_cases(cases: Cases) -> None:
     huge_h = float(np.finfo(np.float64).max)
 
     def fd_overflow_run():
-        oracle = O.FiniteDifferenceOracle(tiny, h=huge_h)
+        oracle = cases.watch(O.FiniteDifferenceOracle(tiny, h=huge_h))
         with np.errstate(over="ignore", invalid="ignore"):
             return S.gd_run(tiny, oracle, S.GDConfig(3, 0.0, tiny.L), x0=np.full(2, 1e300)), oracle.queries
 
@@ -326,7 +359,7 @@ def driver_cases(cases: Cases) -> None:
     from ngl import problems as P
 
     def sampled(p, alpha=0.0, delta=0.0, seed=0):
-        return O.SyntheticNoiseOracle(p, O.NoiseSpec(alpha, delta, "sampled_unbiased", seed))
+        return cases.watch(O.SyntheticNoiseOracle(p, O.NoiseSpec(alpha, delta, "sampled_unbiased", seed)))
 
     for seed in (1, 2):
         base = P.nesterov_convex(5, 10.0, 20)
