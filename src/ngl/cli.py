@@ -37,7 +37,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional
 
@@ -313,6 +312,10 @@ def cmd_sweep(args) -> int:
     tasks = [(i, d, str(out_root / f"run_{i:03d}"))
              for i, d in enumerate(run_dicts)]
     if args.jobs > 1 and len(tasks) > 1:
+        # imported here: the pool's modules (multiprocessing, socket, logging)
+        # would otherwise load on every command's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_sweep_task, tasks))
     else:

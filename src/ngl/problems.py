@@ -3,10 +3,13 @@
 Three families, all quadratic: the chained "worst-case" convex function,
 its strongly convex variant, and explicit quadratics ``1/2 x'Ax + b'x``.
 Each problem carries (mu, L, x_star, f_star); minimizers are analytic or
-come from a direct symmetric tridiagonal solve, never from an iterative
-run. Every family can also produce the exact minimizer of a proximally
-shifted copy ``f + ridge/2 ||x - center||^2``, which the accuracy drivers
-rely on for ground truth.
+come from a direct solve, never from an iterative run.  Every family can
+also produce the exact minimizer of a proximally shifted copy
+``f + ridge/2 ||x - center||^2``, which the accuracy drivers rely on for
+ground truth.  The chain families get both from one symmetric
+tridiagonal solve, ``_solve_spd_tridiagonal``: LAPACK's ``dptsv``
+(``dpttrf`` then ``dptts2``) written out in Python floats, which gives
+scipy's ``solveh_banded`` bits with numpy as the only import.
 
 The public ``value`` and ``gradient`` validate their input (a finite 1-D
 vector of the problem's dimension) and raise ValueError otherwise.  The
@@ -19,16 +22,37 @@ The row kernels ``_values``/``_gradients`` give each row of a 2-D X its bits.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solveh_banded
-
-
-def _solve_spd_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """solveh_banded with a scalar fallback (scipy rejects 1x1 systems)."""
-    if rhs.shape[0] == 1:
-        return rhs / ab[1, 0]
-    return solveh_banded(ab, rhs)
 
 from .numkit import as_vector, row_dots
+
+
+def _solve_spd_tridiagonal(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve T x = rhs for the SPD tridiagonal T with diagonal d and off-diagonal e.
+
+    Reference LAPACK ``dptsv``: the factorization T = L D L' of ``dpttrf``,
+    then the two sweeps of ``dptts2``, step for step in Python floats, so x
+    has the bits of ``scipy.linalg.solveh_banded`` on the same band.  A
+    non-finite input raises ValueError; a pivot failing LAPACK's ``<= 0``
+    test raises LinAlgError naming its 1-based leading minor.
+    """
+    if not (np.isfinite(d).all() and np.isfinite(e).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    d, e, b = d.tolist(), e.tolist(), rhs.tolist()
+    n = len(d)
+    for i in range(n - 1):
+        if d[i] <= 0.0:
+            raise np.linalg.LinAlgError(f"{i + 1}th leading minor not positive definite")
+        ei = e[i]
+        e[i] = ei / d[i]
+        d[i + 1] = d[i + 1] - e[i] * ei
+    if d[n - 1] <= 0.0:
+        raise np.linalg.LinAlgError(f"{n}th leading minor not positive definite")
+    for i in range(1, n):
+        b[i] = b[i] - b[i - 1] * e[i - 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    for i in range(n - 2, -1, -1):
+        b[i] = b[i] / d[i] - b[i + 1] * e[i]
+    return np.array(b)
 
 
 class ObjectiveProblem:
@@ -145,13 +169,10 @@ class ChainedConvex(ObjectiveProblem):
         center = as_vector(center, self.dim)
         c = self.L / 4.0
         k = self.k
-        ab = np.zeros((2, k))
-        ab[0, 1:] = -c
-        ab[1, :] = 2.0 * c + ridge
         rhs = ridge * center[:k].copy()
         rhs[0] += c
         out = np.empty(self.dim)
-        out[:k] = _solve_spd_tridiagonal(ab, rhs)
+        out[:k] = _solve_spd_tridiagonal(np.full(k, 2.0 * c + ridge), np.full(k - 1, -c), rhs)
         # flat directions feel only the ridge pull
         out[k:] = center[k:]
         return out
@@ -209,15 +230,13 @@ class ChainedStronglyConvex(ObjectiveProblem):
         if ridge < 0.0 or (ridge == 0.0 and center is not None):
             raise ValueError("ridge must be > 0 for an off-origin shift")
         n, c = self.dim, self._c
-        ab = np.zeros((2, n))
-        ab[0, 1:] = -c
-        ab[1, :] = 2.0 * c + self.mu + ridge
-        ab[1, -1] = c + self.mu + ridge
+        d = np.full(n, 2.0 * c + self.mu + ridge)
+        d[-1] = c + self.mu + ridge
         rhs = np.zeros(n)
         rhs[0] = c
         if center is not None:
             rhs += ridge * as_vector(center, n)
-        return _solve_spd_tridiagonal(ab, rhs)
+        return _solve_spd_tridiagonal(d, np.full(n - 1, -c), rhs)
 
 
 class Quadratic(ObjectiveProblem):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -580,3 +581,15 @@ class TestConsoleScript:
             env={**os.environ, "NGL_SEED": "3"})
         assert proc.returncode == 0
         assert (tmp_path / "out" / "trace.csv").exists()
+
+    def test_start_up_imports_no_scipy_and_no_process_pool(self):
+        # numpy is the only runtime dependency, and the sweep pool's modules
+        # load only when a sweep runs in parallel
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = ("import sys, ngl, ngl.cli; print(*sorted(m for m in sys.modules if "
+                "m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []

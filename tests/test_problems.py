@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from ngl.drivers import regularize
-from ngl.problems import nesterov_convex, nesterov_strongly_convex, quadratic
+from ngl.problems import (_solve_spd_tridiagonal, nesterov_convex, nesterov_strongly_convex,
+                          quadratic)
 
 
 def central_fd_gradient(problem, x, h):
@@ -242,3 +243,115 @@ class TestRowKernels:
             assert values.shape == (len(X),) and gradients.shape == X.shape
             assert values.tobytes() == want_values.tobytes(), p
             assert gradients.tobytes() == want_gradients.tobytes(), p
+
+
+@pytest.fixture
+def solveh_banded():
+    """scipy's banded solve, the reference for the tridiagonal solve's bits."""
+    return pytest.importorskip("scipy.linalg").solveh_banded
+
+
+def band(d, e):
+    """LAPACK upper band storage of the symmetric tridiagonal (d, e)."""
+    ab = np.zeros((2, len(d)))
+    ab[0, 1:] = e
+    ab[1, :] = d
+    return ab
+
+
+def raised(fn):
+    """(type, message) of the exception fn() raises."""
+    with pytest.raises(Exception) as info:
+        fn()
+    return info.type, str(info.value)
+
+
+class TestTridiagonalSolve:
+    """``_solve_spd_tridiagonal`` is LAPACK's dptsv step for step: its x has
+    the bits of ``scipy.linalg.solveh_banded`` on every band the chain
+    families build, and its errors have scipy's type and message."""
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 100, 5000])
+    def test_strongly_convex_band_matches_scipy(self, solveh_banded, n):
+        rng = np.random.default_rng(n)
+        for mu, L in ((1.0, 100.0), (0.05, 3.0), (1e7, 1e8), (1.0 - 1e-9, 1.0)):
+            p = nesterov_strongly_convex(mu=mu, L=L, n=n)
+            c = p._c
+            for ridge, center in ((0.0, None), (0.3, rng.standard_normal(n)),
+                                  (1e-4, 10.0 * rng.standard_normal(n))):
+                # the band and right-hand side the problem solved with scipy
+                ab = np.zeros((2, n))
+                ab[0, 1:] = -c
+                ab[1, :] = 2.0 * c + p.mu + ridge
+                ab[1, -1] = c + p.mu + ridge
+                rhs = np.zeros(n)
+                rhs[0] = c
+                if center is not None:
+                    rhs += ridge * center
+                want = solveh_banded(ab, rhs).tobytes()
+                assert p.shifted_minimizer(ridge, center).tobytes() == want, (mu, L, ridge)
+                if center is None:
+                    assert p.x_star.tobytes() == want, (mu, L)
+
+    @pytest.mark.parametrize("k", [2, 3, 16, 100])
+    def test_convex_head_band_matches_scipy(self, solveh_banded, k):
+        rng = np.random.default_rng(k)
+        p = nesterov_convex(k=k, L=7.5, n=k + 3)
+        c = p.L / 4.0
+        for ridge in (1e-4, 0.3, 20.0):
+            center = rng.standard_normal(p.dim)
+            rhs = ridge * center[:k].copy()
+            rhs[0] += c
+            want = solveh_banded(band(np.full(k, 2.0 * c + ridge), np.full(k - 1, -c)), rhs)
+            got = p.shifted_minimizer(ridge, center)
+            assert got[:k].tobytes() == want.tobytes(), ridge
+            assert got[k:].tobytes() == center[k:].tobytes()
+
+    def test_random_spd_systems_match_scipy(self, solveh_banded):
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            n = int(rng.integers(2, 80))
+            e = rng.standard_normal(n - 1) * 10.0 ** rng.uniform(-3, 3)
+            # diagonally dominant by a margin from tiny to large: SPD
+            d = np.abs(np.r_[e, 0.0]) + np.abs(np.r_[0.0, e]) + 10.0 ** rng.uniform(-6, 2, n)
+            b = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+            want = solveh_banded(band(d, e), b)
+            assert _solve_spd_tridiagonal(d, e, b).tobytes() == want.tobytes()
+
+    def test_one_by_one_system_divides(self):
+        rng = np.random.default_rng(1)
+        for d, r in zip(10.0 ** rng.uniform(-5, 5, 200), rng.standard_normal(200)):
+            x = _solve_spd_tridiagonal(np.array([d]), np.empty(0), np.array([r]))
+            assert x.tobytes() == np.array([r / d]).tobytes()
+        p = nesterov_strongly_convex(mu=0.3, L=7.0, n=1)
+        assert p.x_star.tobytes() == np.array([p._c / (p._c + p.mu + 0.0)]).tobytes()
+
+    def test_non_finite_input_is_rejected_as_scipy_does(self, solveh_banded):
+        d, e, b = np.full(4, 3.0), np.full(3, -1.0), np.ones(4)
+        for bad in (np.nan, np.inf, -np.inf):
+            for which in range(3):
+                args = [d.copy(), e.copy(), b.copy()]
+                args[which][which] = bad
+                got = raised(lambda: _solve_spd_tridiagonal(*args))
+                assert got == raised(lambda: solveh_banded(band(args[0], args[1]), args[2]))
+                assert got == (ValueError, "array must not contain infs or NaNs")
+        # L = inf makes the chain's band infinite
+        assert raised(lambda: nesterov_strongly_convex(1.0, np.inf, 4)) == (
+            ValueError, "array must not contain infs or NaNs")
+
+    def test_failed_pivot_names_its_leading_minor_as_scipy_does(self, solveh_banded):
+        n = 6
+        cases = []
+        for k in range(1, n + 1):
+            d = np.full(n, 3.0)
+            d[k - 1] = 0.0 if k % 2 else -0.0  # a zero pivot at minor k
+            cases.append((k, d, np.full(n - 1, -1.0)))
+        # 2 > 1 * 1: the second pivot goes negative after one elimination
+        cases.append((2, np.array([1.0, 1.0, 5.0]), np.array([2.0, 1.0])))
+        # e0 / d0 overflows to inf, so the second pivot is -inf
+        cases.append((2, np.array([1e-300, 1.0]), np.array([1e200])))
+        for k, d, e in cases:
+            b = np.ones(len(d))
+            got = raised(lambda: _solve_spd_tridiagonal(d, e, b))
+            assert got == raised(lambda: solveh_banded(band(d, e), b))
+            assert got == (np.linalg.LinAlgError, f"{k}th leading minor not positive definite")

@@ -24,6 +24,9 @@ a sha256 over everything the case can observe.
   n = 2000 an objective that overflows mid-block in a later block.
 - The five driver routes on two seeds, and the ridge routes'
   ``ConvergenceFailureError`` traces under a 5-step budget.
+- The chains' tridiagonal solve: ``x_star`` and ``f_star`` at n = 1, 2
+  and 5000, shifted minimizers of a 1x1 system, and the ``L = inf``
+  construction error.
 - Helpers: problem values and gradients, raw noise draws
   (``_components``), finite differences, reduced-precision gradients,
   rounding, validation, compressors, certification reports.
@@ -406,6 +409,18 @@ def helper_cases(cases: Cases) -> None:
             p.shifted_minimizer(0.7, xs[0])))
         for bad in (np.full(6, np.nan), np.ones(5), np.ones((2, 3))):
             cases.run(f"problem:{name}:bad:{'x'.join(map(str, bad.shape))}:{bad.flat[0]}", lambda p=p, bad=bad: p.value(bad))
+    # the chains' tridiagonal solve: the scalar case, a 2x2, long chains, a failed construction
+    def chain_minimum(mu, L, n):
+        q = P.nesterov_strongly_convex(mu, L, n)
+        return q.x_star, q.f_star
+
+    for mu, L, n in ((0.5, 20.0, 1), (0.5, 20.0, 2), (0.5, 20.0, 5000), (1e7, 1e8, 5000)):
+        cases.run(f"chain_solve:{mu}:{L}:{n}", lambda mu=mu, L=L, n=n: chain_minimum(mu, L, n))
+    cases.run("chain_solve:shifted:1", lambda: P.nesterov_strongly_convex(0.5, 20.0, 1).shifted_minimizer(
+        0.7, np.array([-0.3])))
+    cases.run("chain_solve:shifted:convex_k1", lambda: P.nesterov_convex(1, 20.0, 3).shifted_minimizer(
+        0.7, np.array([-0.3, 0.2, 5.0])))
+    cases.run("chain_solve:L_inf", lambda: P.nesterov_strongly_convex(1.0, math.inf, 4))
     p = probs["scvx"]
     o = O.SyntheticNoiseOracle(p, O.NoiseSpec(0.3, 0.2, "sampled_unbiased", 11))
     g1 = p.gradient(np.ones(6))
