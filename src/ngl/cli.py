@@ -47,6 +47,7 @@ from .bounds import (THEOREM_IDS, EnvelopeConstants, EnvelopeDomainError, envelo
 from .config import (
     ConfigError,
     ExperimentConfig,
+    _typed,
     build_oracle,
     build_problem,
     expand_sweep,
@@ -56,6 +57,7 @@ from .config import (
 from .drivers import (
     ConvergenceFailureError,
     StoppingRule,
+    _run_solver,
     combined_reg_stop,
     restart_to_convex,
     run_with_stopping,
@@ -65,12 +67,8 @@ from .drivers import (
 from .solvers import (
     AdaptiveGDConfig,
     DivergedError,
-    GDConfig,
     InnerLoopStallError,
-    ReAgmConfig,
     adaptive_gd_run,
-    gd_run,
-    re_agm_run,
 )
 from .verify import run_all_checks
 
@@ -96,6 +94,10 @@ def _solver_alpha(cfg: ExperimentConfig, oracle) -> float:
     return oracle.declared_alpha
 
 
+def _solver_L0(cfg: ExperimentConfig, problem) -> float:
+    return cfg.L0 if cfg.L0 is not None else problem.L
+
+
 def _run_experiment(cfg: ExperimentConfig):
     """Assemble and execute one experiment; returns (problem, oracle, trace)."""
     problem = build_problem(cfg)
@@ -104,20 +106,14 @@ def _run_experiment(cfg: ExperimentConfig):
     radius = float(np.linalg.norm(problem.x_star - x0))
 
     if cfg.driver == "none":
-        if cfg.solver == "gd":
-            run_cfg = GDConfig(steps=cfg.steps, alpha=_solver_alpha(cfg, oracle),
-                               L=problem.L)
-            trace = gd_run(problem, oracle, run_cfg, x0=x0)
-        elif cfg.solver == "re_agm":
-            run_cfg = ReAgmConfig(steps=cfg.steps, mu=problem.mu, L=problem.L,
-                                  alpha=_solver_alpha(cfg, oracle))
-            trace = re_agm_run(problem, oracle, run_cfg, x0=x0)
-        else:
-            run_cfg = AdaptiveGDConfig(steps=cfg.steps,
-                                       L0=cfg.L0 if cfg.L0 is not None else problem.L,
+        if cfg.solver == "adaptive_gd":
+            run_cfg = AdaptiveGDConfig(steps=cfg.steps, L0=_solver_L0(cfg, problem),
                                        delta=oracle.declared_delta,
                                        adapt_L=cfg.adapt_L)
             trace = adaptive_gd_run(problem, oracle, run_cfg, x0=x0)
+        else:
+            trace = _run_solver(cfg.solver, problem, oracle, cfg.steps,
+                                _solver_alpha(cfg, oracle), x0, None)
     elif cfg.driver == "regularize":
         if cfg.solver == "gd":
             trace = solve_convex_gd(problem, oracle, cfg.epsilon, radius, x0=x0)
@@ -152,7 +148,7 @@ def _trace_envelope(cfg: ExperimentConfig, problem, oracle):
     alpha, extra = oracle.declared_alpha, {}
     if cfg.solver == "adaptive_gd":
         tid = "ADAPT_BOTH" if cfg.adapt_L else "ADAPT_ALPHA"
-        extra["L0"] = cfg.L0 if cfg.L0 is not None else problem.L
+        extra["L0"] = _solver_L0(cfg, problem)
     else:
         if problem.mu <= 0.0:
             return None
@@ -268,13 +264,8 @@ def cmd_run(args) -> int:
 
 
 def _sweep_task(item) -> dict:
-    index, run_raw, out_dir = item
-    try:
-        cfg = parse_config(run_raw)
-    except ConfigError as exc:  # caught during expansion, kept for safety
-        return {"index": index, "code": EXIT_CONFIG,
-                "error": f"config error: {exc}"}
-    record = _execute_core(cfg, Path(out_dir))
+    index, cfg = item
+    record = _execute_core(cfg, Path(cfg.out_dir) / f"run_{index:03d}")
     record["index"] = index
     return record
 
@@ -309,8 +300,7 @@ def cmd_sweep(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    tasks = [(i, d, str(out_root / f"run_{i:03d}"))
-             for i, d in enumerate(run_dicts)]
+    tasks = list(enumerate(configs))
     if args.jobs > 1 and len(tasks) > 1:
         # imported here: the pool's modules (multiprocessing, socket, logging)
         # would otherwise load on every command's start-up
@@ -327,7 +317,7 @@ def cmd_sweep(args) -> int:
               + ["final_f_gap", "iterations", "terminal", "floor",
                  "iters_to_10x_floor"])
     lines = [",".join(header)]
-    for record, (_, run_raw, _) in zip(records, tasks):
+    for record, run_raw in zip(records, run_dicts):
         row = [format(record["index"], "d")]
         for key in varied:
             v = run_raw[key]
@@ -372,9 +362,10 @@ def _parse_constants(pairs):
             raise ConfigError(f"expected key=value with key in "
                               f"{sorted(known)}, got {pair!r}")
         try:
-            values[key] = float(raw)
+            value = float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}")
+        values[key] = _typed(key, value, float)
     missing = sorted(required - set(values))
     if missing:
         raise ConfigError(f"missing constant(s): {', '.join(missing)}")

@@ -6,35 +6,42 @@ folders diffable: one line per knob, no nesting.  Sweep configs use the
 same keys but may give a list of values for any leaf, meaning a
 cross-product over the listed values.
 
-Sections and keys:
+The keys, in the order parse_config reads them:
 
-  problem.family   nesterov_convex | nesterov_strongly_convex | quadratic
-  problem.n        dimension, default 100
-  problem.k        chain length (nesterov_convex only)
-  problem.mu       strong convexity modulus (required unless convex family)
-  problem.L        smoothness constant, required
-  oracle.mode      none | sampled_unbiased | adversarial_opposing | top_k
-                   | sign | grid | finite_difference | reduced_precision
-  oracle.alpha     relative noise level (synthetic modes)
-  oracle.delta     absolute noise level (synthetic modes)
-  oracle.seed      noise stream seed, default 0
-  oracle.k         kept coordinates (top_k)
-  oracle.m         grid resolution (grid)
-  oracle.h         difference step (finite_difference)
-  oracle.value_noise  value-oracle noise bound (finite_difference)
-  oracle.precision_bits  significand bits (reduced_precision, quadratic only)
-  oracle.domain_radius   certified query radius (reduced_precision)
-  solver.name      gd | re_agm | adaptive_gd, default gd
-  solver.N         step budget, default 10^4 strongly convex / 10^3 convex
-  solver.alpha_param  level handed to the step-size rule, default declared
-  solver.L0        initial smoothness guess (adaptive_gd)
-  solver.tau       adapt the smoothness guess too (adaptive_gd), default false
-  driver.name      none | regularize | stopping | restart | combined
-  driver.epsilon   target accuracy (regularize, restart, combined)
-  driver.beta      budget exponent (regularize with re_agm), default 0.5
-  driver.tau       budget exponent (combined), default 0.0
-  driver.K         stopping-rule multiplier (stopping)
+  problem.family   objective family, see FAMILIES
+  oracle.mode      gradient error source, see ORACLE_MODES
+  solver.name      gradient method, see SOLVERS
+  driver.name      outer loop around the method, see DRIVERS
+  problem.n        dimension
+  problem.L        smoothness constant
+  problem.k        chain length of nesterov_convex
+  problem.mu       strong convexity modulus
+  oracle.alpha     relative noise level
+  oracle.delta     absolute noise level
+  oracle.seed      noise stream seed
+  oracle.k         coordinates kept by top_k
+  oracle.m         grid resolution
+  oracle.h         finite-difference step
+  oracle.value_noise     value-oracle noise bound of finite_difference
+  oracle.precision_bits  significand bits of reduced_precision
+  oracle.domain_radius   query radius reduced_precision certifies
+  solver.N         step budget
+  solver.alpha_param  level handed to the step-size rule (default: declared)
+  solver.L0        initial smoothness guess of adaptive_gd (default: L)
+  solver.tau       let adaptive_gd adapt its smoothness guess too
+  driver.epsilon   target accuracy
+  driver.beta      budget exponent of regularize with re_agm
+  driver.tau       budget exponent of combined
+  driver.K         stopping-rule multiplier
   output.dir       directory for trace.csv and summary.json
+
+``_KEYS`` holds each key's rules: its type, its default, the selector
+values under which it applies, whether it is required there, and its
+range.  A key set where it does not apply is rejected unless its value
+equals its default.  parse_config adds the rules that span keys: mu <=
+L, reduced_precision only on the quadratic family, the driver and
+solver wiring, and the solver.N default of 10^4 steps when mu > 0 and
+10^3 otherwise.
 
 The quadratic family builds a diagonal spectrum spread linearly over
 [mu, L] with the minimizer at the all-ones point, so conditioning is
@@ -110,81 +117,6 @@ def load_config_file(path: str) -> dict:
     return data
 
 
-class _Flat:
-    """Typed reader over the flat dict; tracks consumed keys."""
-
-    def __init__(self, raw: dict):
-        for key in raw:
-            if not isinstance(key, str):
-                raise ConfigError(f"config keys must be strings, got {key!r}")
-        self.raw = raw
-        self.seen = set()
-
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
-    def _get(self, key, default, required):
-        if key not in self.raw:
-            if required:
-                raise ConfigError(f"{key}: required field is missing")
-            return default
-        self.seen.add(key)
-        return self.raw[key]
-
-    def str_(self, key, default=None, required=False, choices=None):
-        v = self._get(key, default, required)
-        if v is default and key not in self.raw:
-            return default
-        if not isinstance(v, str):
-            raise ConfigError(f"{key}: expected a string, got {v!r}")
-        if choices is not None and v not in choices:
-            raise ConfigError(f"{key}: {v!r} is not one of {list(choices)}")
-        return v
-
-    def number(self, key, default=None, required=False):
-        v = self._get(key, default, required)
-        if v is default and key not in self.raw:
-            return default
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise ConfigError(f"{key}: expected a number, got {v!r}")
-        if not math.isfinite(v):
-            raise ConfigError(f"{key}: must be finite, got {v!r}")
-        return float(v)
-
-    def int_(self, key, default=None, required=False):
-        v = self._get(key, default, required)
-        if v is default and key not in self.raw:
-            return default
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise ConfigError(f"{key}: expected an integer, got {v!r}")
-        return v
-
-    def bool_(self, key, default=None, required=False):
-        v = self._get(key, default, required)
-        if v is default and key not in self.raw:
-            return default
-        if not isinstance(v, bool):
-            raise ConfigError(f"{key}: expected true or false, got {v!r}")
-        return v
-
-    def reject_unknown(self):
-        unknown = sorted(set(self.raw) - self.seen)
-        if unknown:
-            raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
-
-
-def _positive(key, v):
-    if not v > 0.0:
-        raise ConfigError(f"{key}: must be positive, got {v}")
-    return v
-
-
-def _nonnegative(key, v):
-    if v < 0.0:
-        raise ConfigError(f"{key}: must be >= 0, got {v}")
-    return v
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One validated experiment: problem, oracle, solver, driver, output."""
@@ -217,6 +149,94 @@ class ExperimentConfig:
     out_dir: Optional[str]
 
 
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
+
+
+def _typed(key: str, value, kind: type):
+    """value as a ``kind`` (str, int, float or bool); a bool is never a number."""
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"{key}: expected {_TYPE_NAMES[kind]}, got {value!r}")
+    if kind is not float:
+        return value
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: must be finite, got {value!r}")
+    return float(value)
+
+
+# range checks: (what the value must do, test of the value and the keys read so far)
+def _one_of(choices):
+    return f"be one of {list(choices)}", lambda v, got: v in choices
+
+
+_POSITIVE = ("be positive", lambda v, got: v > 0.0)
+_NONNEGATIVE = ("be >= 0", lambda v, got: v >= 0.0)
+_AT_LEAST_ONE = ("be >= 1", lambda v, got: v >= 1)
+_UNIT = ("be in [0, 1)", lambda v, got: 0.0 <= v < 1.0)
+_HALF = ("be in [0, 1/2]", lambda v, got: 0.0 <= v <= 0.5)
+_UP_TO_N = ("be in [1, problem.n]", lambda v, got: 1 <= v <= got["problem.n"])
+
+_EVERY = "every config"
+_SYNTHETIC = ({"oracle.mode": _SYNTHETIC_MODES},
+              "oracle.mode sampled_unbiased or adversarial_opposing (the other "
+              "modes' levels are derived)")
+_FD = ({"oracle.mode": ("finite_difference",)}, "oracle.mode finite_difference")
+_RP = ({"oracle.mode": ("reduced_precision",)}, "oracle.mode reduced_precision")
+_ADAPTIVE = ({"solver.name": ("adaptive_gd",)}, "solver.name adaptive_gd")
+
+# One row per key: (key, ExperimentConfig field, type, default, where it
+# applies ({selector: values}, None for always), what it applies to,
+# required there, range check).  The selectors come first, because
+# every other row's applicability reads them.
+_KEYS = (
+    ("problem.family", "family", str, None, None, _EVERY, True, _one_of(FAMILIES)),
+    ("oracle.mode", "mode", str, "none", None, _EVERY, False, _one_of(ORACLE_MODES)),
+    ("solver.name", "solver", str, "gd", None, _EVERY, False, _one_of(SOLVERS)),
+    ("driver.name", "driver", str, "none", None, _EVERY, False, _one_of(DRIVERS)),
+    ("problem.n", "n", int, 100, None, _EVERY, False, _AT_LEAST_ONE),
+    ("problem.L", "L", float, None, None, _EVERY, True, _POSITIVE),
+    ("problem.k", "k", int, None, {"problem.family": ("nesterov_convex",)},
+     "problem.family nesterov_convex", True, _UP_TO_N),
+    ("problem.mu", "mu", float, 0.0,
+     {"problem.family": ("nesterov_strongly_convex", "quadratic")},
+     "problem.family nesterov_strongly_convex or quadratic (nesterov_convex "
+     "is a mu = 0 family)", True, _POSITIVE),
+    ("oracle.alpha", "alpha", float, 0.0, *_SYNTHETIC, False, _UNIT),
+    ("oracle.delta", "delta", float, 0.0, *_SYNTHETIC, False, _NONNEGATIVE),
+    ("oracle.seed", "seed", int, 0, None, _EVERY, False, None),
+    ("oracle.k", "top_k", int, None, {"oracle.mode": ("top_k",)},
+     "oracle.mode top_k", True, _UP_TO_N),
+    ("oracle.m", "grid_m", int, None, {"oracle.mode": ("grid",)},
+     "oracle.mode grid", True, _AT_LEAST_ONE),
+    ("oracle.h", "fd_h", float, None, *_FD, True, _POSITIVE),
+    ("oracle.value_noise", "fd_value_noise", float, 0.0, *_FD, False, _NONNEGATIVE),
+    ("oracle.precision_bits", "precision_bits", int, None, *_RP, True,
+     ("be in [1, 52]", lambda v, got: 1 <= v <= 52)),
+    ("oracle.domain_radius", "domain_radius", float, 1.0, *_RP, False, _POSITIVE),
+    ("solver.N", "steps", int, None, {"driver.name": ("none", "stopping")},
+     "driver.name none or stopping (every other driver budgets its own runs)",
+     False, _NONNEGATIVE),
+    ("solver.alpha_param", "alpha_param", float, None,
+     {"solver.name": ("gd", "re_agm"), "driver.name": ("none",)},
+     "solver.name gd or re_agm and driver.name none (adaptive_gd discovers "
+     "its level, drivers prescribe their own)", False, _UNIT),
+    ("solver.L0", "L0", float, None, *_ADAPTIVE, False, _POSITIVE),
+    ("solver.tau", "adapt_L", bool, False, *_ADAPTIVE, False, None),
+    ("driver.epsilon", "epsilon", float, None,
+     {"driver.name": ("regularize", "restart", "combined")},
+     "driver.name regularize, restart or combined", True, _POSITIVE),
+    ("driver.beta", "beta", float, 0.5,
+     {"driver.name": ("regularize",), "solver.name": ("re_agm",)},
+     "driver.name regularize and solver.name re_agm", False, _HALF),
+    ("driver.tau", "tau", float, 0.0, {"driver.name": ("combined",)},
+     "driver.name combined", False, _HALF),
+    ("driver.K", "K", float, None, {"driver.name": ("stopping",)},
+     "driver.name stopping", True, ("exceed 1", lambda v, got: v > 1.0)),
+    ("output.dir", "out_dir", str, None, None, _EVERY, False,
+     ("be a non-empty path", lambda v, got: v != "")),
+)
+
+
 def parse_config(raw: dict, seed_override: Optional[int] = None,
                  require_output: bool = True) -> ExperimentConfig:
     """Validate a flat dict into an ExperimentConfig.
@@ -226,162 +246,40 @@ def parse_config(raw: dict, seed_override: Optional[int] = None,
     mathematical hypothesis guards stay in the core modules and fire at
     assembly or run time.
     """
-    flat = _Flat(raw)
+    for key in raw:
+        if not isinstance(key, str):
+            raise ConfigError(f"config keys must be strings, got {key!r}")
+    unknown = sorted(set(raw).difference(row[0] for row in _KEYS))
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {', '.join(unknown)}")
 
-    family = flat.str_("problem.family", required=True, choices=FAMILIES)
-    n = flat.int_("problem.n", default=100)
-    if n < 1:
-        raise ConfigError(f"problem.n: must be >= 1, got {n}")
-    L = flat.number("problem.L", required=True)
-    _positive("problem.L", L)
+    got = {}
+    for key, _, kind, default, where, what, required, check in _KEYS:
+        applies = where is None or all(got[s] in values for s, values in where.items())
+        if key not in raw:
+            if applies and required:
+                raise ConfigError(f"{key}: required for {what}")
+            got[key] = default
+            continue
+        value = _typed(key, raw[key], kind)
+        if not applies and value != default:
+            raise ConfigError(f"{key}: only used with {what}, got {value!r}")
+        if applies and check is not None and not check[1](value, got):
+            raise ConfigError(f"{key}: must {check[0]}, got {value!r}")
+        got[key] = value
 
-    k = flat.int_("problem.k")
-    mu = flat.number("problem.mu")
-    if family == "nesterov_convex":
-        if k is None:
-            raise ConfigError("problem.k: required for family nesterov_convex")
-        if not 1 <= k <= n:
-            raise ConfigError(f"problem.k: need 1 <= k <= n={n}, got {k}")
-        if mu not in (None, 0.0):
-            raise ConfigError(f"problem.mu: nesterov_convex is a mu = 0 "
-                              f"family, got {mu}")
-        mu = 0.0
-    else:
-        if k is not None:
-            raise ConfigError(f"problem.k: not used by family {family}")
-        if mu is None:
-            raise ConfigError(f"problem.mu: required for family {family}")
-        _positive("problem.mu", mu)
-        if mu > L:
-            raise ConfigError(f"problem.mu: must not exceed problem.L, "
-                              f"got mu={mu} > L={L}")
-
-    mode = flat.str_("oracle.mode", default="none", choices=ORACLE_MODES)
-    alpha = flat.number("oracle.alpha", default=0.0)
-    delta = flat.number("oracle.delta", default=0.0)
-    seed = flat.int_("oracle.seed", default=0)
-    if seed_override is not None:
-        seed = seed_override
-    if not 0.0 <= alpha < 1.0:
-        raise ConfigError(f"oracle.alpha: must be in [0, 1), got {alpha}")
-    _nonnegative("oracle.delta", delta)
-    if mode not in _SYNTHETIC_MODES and (alpha != 0.0 or delta != 0.0):
-        raise ConfigError(f"oracle.alpha/oracle.delta: set but ignored by "
-                          f"mode {mode!r}; its levels are derived")
-
-    top_k = flat.int_("oracle.k")
-    grid_m = flat.int_("oracle.m")
-    fd_h = flat.number("oracle.h")
-    fd_value_noise = flat.number("oracle.value_noise", default=0.0)
-    precision_bits = flat.int_("oracle.precision_bits")
-    domain_radius = flat.number("oracle.domain_radius", default=1.0)
-
-    def _only_for(key, value, wanted, sentinel=None):
-        if value is not sentinel and mode != wanted:
-            raise ConfigError(f"{key}: only used by oracle.mode {wanted!r}")
-
-    _only_for("oracle.k", top_k, "top_k")
-    _only_for("oracle.m", grid_m, "grid")
-    _only_for("oracle.h", fd_h, "finite_difference")
-    _only_for("oracle.precision_bits", precision_bits, "reduced_precision")
-    if fd_value_noise != 0.0 and mode != "finite_difference":
-        raise ConfigError("oracle.value_noise: only used by oracle.mode "
-                          "'finite_difference'")
-    if domain_radius != 1.0 and mode != "reduced_precision":
-        raise ConfigError("oracle.domain_radius: only used by oracle.mode "
-                          "'reduced_precision'")
-    if mode == "top_k":
-        if top_k is None:
-            raise ConfigError("oracle.k: required for mode top_k")
-        if not 1 <= top_k <= n:
-            raise ConfigError(f"oracle.k: need 1 <= k <= n={n}, got {top_k}")
-    if mode == "grid":
-        if grid_m is None:
-            raise ConfigError("oracle.m: required for mode grid")
-        if grid_m < 1:
-            raise ConfigError(f"oracle.m: must be >= 1, got {grid_m}")
-    if mode == "finite_difference":
-        if fd_h is None:
-            raise ConfigError("oracle.h: required for mode finite_difference")
-        _positive("oracle.h", fd_h)
-        _nonnegative("oracle.value_noise", fd_value_noise)
-    if mode == "reduced_precision":
-        if family != "quadratic":
-            raise ConfigError("oracle.mode: reduced_precision needs an "
-                              "explicit quadratic, set problem.family to "
-                              "'quadratic'")
-        if precision_bits is None:
-            raise ConfigError("oracle.precision_bits: required for mode "
-                              "reduced_precision")
-        if not 1 <= precision_bits <= 52:
-            raise ConfigError(f"oracle.precision_bits: must be in [1, 52], "
-                              f"got {precision_bits}")
-        _positive("oracle.domain_radius", domain_radius)
-
-    solver = flat.str_("solver.name", default="gd", choices=SOLVERS)
-    steps = flat.int_("solver.N", default=10_000 if mu > 0.0 else 1_000)
-    if steps < 0:
-        raise ConfigError(f"solver.N: must be >= 0, got {steps}")
-    alpha_param = flat.number("solver.alpha_param")
-    if alpha_param is not None:
-        if not 0.0 <= alpha_param < 1.0:
-            raise ConfigError(f"solver.alpha_param: must be in [0, 1), "
-                              f"got {alpha_param}")
-        if solver == "adaptive_gd":
-            raise ConfigError("solver.alpha_param: adaptive_gd discovers its "
-                              "level, the field is not used")
-    L0 = flat.number("solver.L0")
-    adapt_L = flat.bool_("solver.tau", default=False)
-    if solver != "adaptive_gd":
-        if L0 is not None:
-            raise ConfigError("solver.L0: only used by solver.name "
-                              "'adaptive_gd'")
-        if adapt_L:
-            raise ConfigError("solver.tau: only used by solver.name "
-                              "'adaptive_gd'")
-    elif L0 is not None:
-        _positive("solver.L0", L0)
-
-    driver = flat.str_("driver.name", default="none", choices=DRIVERS)
-    epsilon = flat.number("driver.epsilon")
-    beta = flat.number("driver.beta", default=0.5)
-    tau = flat.number("driver.tau", default=0.0)
-    K = flat.number("driver.K")
-
-    needs_epsilon = driver in ("regularize", "restart", "combined")
-    if needs_epsilon:
-        if epsilon is None:
-            raise ConfigError(f"driver.epsilon: required for driver {driver}")
-        _positive("driver.epsilon", epsilon)
-    elif epsilon is not None:
-        raise ConfigError(f"driver.epsilon: not used by driver {driver}")
-    if K is not None and driver != "stopping":
-        raise ConfigError("driver.K: only used by driver 'stopping'")
-    if driver == "stopping":
-        if K is None:
-            raise ConfigError("driver.K: required for driver stopping")
-        if not K > 1.0:
-            raise ConfigError(f"driver.K: must exceed 1, got {K}")
-    if beta != 0.5 and not (driver == "regularize" and solver == "re_agm"):
-        raise ConfigError("driver.beta: only used by driver 'regularize' "
-                          "with solver 're_agm'")
-    if not 0.0 <= beta <= 0.5:
-        raise ConfigError(f"driver.beta: must be in [0, 1/2], got {beta}")
-    if tau != 0.0 and driver != "combined":
-        raise ConfigError("driver.tau: only used by driver 'combined'")
-    if not 0.0 <= tau <= 0.5:
-        raise ConfigError(f"driver.tau: must be in [0, 1/2], got {tau}")
-
-    # cross-field wiring
+    mu, L = got["problem.mu"], got["problem.L"]
+    solver, driver = got["solver.name"], got["driver.name"]
+    if mu > L:
+        raise ConfigError(f"problem.mu: must not exceed problem.L, "
+                          f"got mu={mu} > L={L}")
+    if got["oracle.mode"] == "reduced_precision" and got["problem.family"] != "quadratic":
+        raise ConfigError("oracle.mode: reduced_precision needs an "
+                          "explicit quadratic, set problem.family to "
+                          "'quadratic'")
     if driver != "none" and solver == "adaptive_gd":
         raise ConfigError("driver.name: drivers dispatch gd or re_agm only, "
                           "not adaptive_gd")
-    if alpha_param is not None and driver != "none":
-        raise ConfigError("solver.alpha_param: drivers prescribe their own "
-                          "solver level, the field needs driver 'none'")
-    if flat.has("solver.N") and driver in ("regularize", "restart", "combined"):
-        raise ConfigError(f"solver.N: driver {driver} budgets its own runs, "
-                          "the field is not used")
     if driver in ("regularize", "combined") and mu != 0.0:
         raise ConfigError(f"driver.name: {driver} needs a convex base "
                           f"(mu = 0), got mu={mu}")
@@ -392,21 +290,14 @@ def parse_config(raw: dict, seed_override: Optional[int] = None,
                                                            "combined"):
         raise ConfigError("solver.name: re_agm needs mu > 0; on a convex "
                           "problem use driver regularize or combined")
+    if require_output and got["output.dir"] is None:
+        raise ConfigError("output.dir: required field is missing")
 
-    out_dir = flat.str_("output.dir", required=require_output)
-    if out_dir is not None and not out_dir:
-        raise ConfigError("output.dir: must be a non-empty path")
-
-    flat.reject_unknown()
-    return ExperimentConfig(
-        family=family, n=n, k=k, mu=float(mu), L=L,
-        mode=mode, alpha=alpha, delta=delta, seed=seed,
-        top_k=top_k, grid_m=grid_m, fd_h=fd_h, fd_value_noise=fd_value_noise,
-        precision_bits=precision_bits, domain_radius=domain_radius,
-        solver=solver, steps=steps, alpha_param=alpha_param, L0=L0,
-        adapt_L=adapt_L, driver=driver, epsilon=epsilon, beta=beta, tau=tau,
-        K=K, out_dir=out_dir,
-    )
+    if seed_override is not None:
+        got["oracle.seed"] = seed_override
+    if got["solver.N"] is None:
+        got["solver.N"] = 10_000 if mu > 0.0 else 1_000
+    return ExperimentConfig(**{field: got[key] for key, field, *_ in _KEYS})
 
 
 def expand_sweep(raw: dict):

@@ -6,7 +6,8 @@ rounding each value to a p-bit significand (round to nearest, ties to
 even), which is the arithmetic model used by the floating-point gradient
 oracle. Subnormal behavior is out of scope; inputs are expected to be
 finite and in the normal range.  The package's one compensated
-(Neumaier) sum is the row sum of ``oracles.fp_quadratic_gradient``.
+(Neumaier) sum is the row sum of ``oracles._fp_quadratic``, the
+reduced-precision oracle's kernel.
 """
 
 from __future__ import annotations

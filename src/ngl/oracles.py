@@ -173,17 +173,8 @@ class SyntheticNoiseOracle(GradientOracle):
         return exact + rel + absolute
 
 
-def top_k_compress(g, k: int) -> np.ndarray:
-    """Keep the k largest-magnitude entries (ties: lowest index), zero the rest."""
-    g = as_vector(g)
-    n = g.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n={n}, got k={k}")
-    return _top_k(g, k)
-
-
 def _top_k(g: np.ndarray, k: int) -> np.ndarray:
-    """top_k_compress of a validated vector, 1 <= k <= len(g)."""
+    """Keep the k largest-magnitude entries (ties: lowest index), zero the rest; 1 <= k <= len(g)."""
     if k == g.shape[0]:
         return g.copy()
     # stable sort on -|g| keeps the earliest index first among ties
@@ -194,24 +185,13 @@ def _top_k(g: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def sign_compress(g) -> np.ndarray:
-    """Mean magnitude times the sign pattern; sign(0) = 0."""
-    return _sign(as_vector(g))
-
-
 def _sign(g: np.ndarray) -> np.ndarray:
+    """Mean magnitude times the sign pattern; sign(0) = 0."""
     return float(np.mean(np.abs(g))) * np.sign(g)
 
 
-def sparsify_grid(g, m: int) -> np.ndarray:
-    """Round each coordinate to the nearest s/m grid point, ties toward even s."""
-    g = as_vector(g)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return _grid(g, m)
-
-
 def _grid(g: np.ndarray, m: int) -> np.ndarray:
+    """Round each coordinate to the nearest s/m grid point, ties toward even s; m >= 1."""
     return np.rint(g * m) / m  # rint ties to even
 
 
@@ -245,7 +225,7 @@ class CompressedGradientOracle(GradientOracle):
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
         # param was checked above and exact is the problem's own float64
-        # gradient, so the kernels skip the public functions' checks
+        # gradient, so the kernels check nothing
         if self.kind == "top_k":
             return _top_k(exact, self.param)
         if self.kind == "sign":
@@ -316,34 +296,22 @@ class FiniteDifferenceOracle(GradientOracle):
         )
 
 
-def fp_quadratic_gradient(A, b, x, spec: PrecisionSpec) -> np.ndarray:
+def _fp_quadratic(A: np.ndarray, b: np.ndarray, x: np.ndarray, spec: PrecisionSpec) -> np.ndarray:
     """Ax + b in simulated p-bit arithmetic with compensated row sums.
 
-    Inputs are stored (rounded) at p bits; every product and every
-    accumulation op rounds to p bits. Error stays within the
-    C*(eps + n*eps^2)*(|b_i| + sum_j |A_ij x_j|) envelope, C <= 8.
+    Takes validated float64 inputs: A (m, n), b (m,), x (n,).  Inputs
+    are stored (rounded) at p bits; every product and every accumulation
+    op rounds to p bits. Error stays within the C*(eps + n*eps^2)*(|b_i|
+    + sum_j |A_ij x_j|) envelope, C <= 8.
 
     Row i is the Neumaier-compensated sum of b_i, A_i1 x_1, ..., A_in x_n
     in that order.  All rows advance together, one term at a time, and
     each picks its compensation branch with ``np.where`` before rounding,
     so every element goes through exactly the p-bit roundings of a
     scalar loop over its row, and a non-finite value raises where that
-    loop would.
-    """
-    A = np.asarray(A, dtype=np.float64)
-    x = as_vector(x)
-    b = as_vector(b)
-    n = x.shape[0]
-    if A.shape != (n, n) or b.shape[0] != n:
-        raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}, x {x.shape}")
-    return _fp_quadratic(A, b, x, spec)
-
-
-def _fp_quadratic(A: np.ndarray, b: np.ndarray, x: np.ndarray, spec: PrecisionSpec) -> np.ndarray:
-    """fp_quadratic_gradient of validated float64 inputs: A (m, n), b (m,), x (n,).
-
-    At ``PrecisionSpec(52)`` the p-bit roundings change nothing, so with
-    x = 1 row i is the float64 Neumaier sum of b_i, A_i1, ..., A_in.
+    loop would.  At ``PrecisionSpec(52)`` the p-bit roundings change
+    nothing, so with x = 1 row i is the float64 Neumaier sum of b_i,
+    A_i1, ..., A_in.
     """
     Ap = round_to_precision(A, spec)
     xp = round_to_precision(x, spec)

@@ -81,11 +81,6 @@ class ObjectiveProblem:
         self.x_star: np.ndarray
         self.f_star: float
 
-    @property
-    def chi(self) -> float:
-        """Condition ratio L/mu (inf when mu = 0)."""
-        return self.L / self.mu if self.mu > 0 else float("inf")
-
     def value(self, x) -> float:
         """f(x); raises ValueError unless x is a finite vector of dimension dim."""
         return self._value(as_vector(x, self.dim))
@@ -190,7 +185,7 @@ class ChainedStronglyConvex(ObjectiveProblem):
             raise ValueError(f"need 0 < mu < L, got mu={mu}, L={L}")
         super().__init__(f"chained_strongly_convex(mu={mu},L={L},n={n})", n, mu, L)
         # Hessian = c * B + mu * I with B the chain matrix (B_nn = 1)
-        self._c = mu * (self.chi - 1.0) / 4.0
+        self._c = mu * (self.L / self.mu - 1.0) / 4.0
         self.x_star = self.shifted_minimizer(0.0, None)
         self.f_star = self.value(self.x_star)
 

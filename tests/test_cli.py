@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 import ngl.cli as cli
+import ngl.config as config
+from config_faults import FAULTS, fault_config
 from ngl.config import ConfigError, expand_sweep, parse_config
 from ngl.solvers import DivergedError, RunTrace
 
@@ -106,6 +109,17 @@ class TestParseConfig:
             parse_config({"problem.family": "nesterov_convex", "problem.k": 5,
                           "problem.L": 10.0, "solver.name": "re_agm",
                           "output.dir": "x"})
+
+    @pytest.mark.parametrize("changes, message", [f[1:] for f in FAULTS],
+                             ids=[f[0] for f in FAULTS])
+    def test_single_fault_message(self, changes, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(fault_config(changes))
+        assert str(info.value) == message
+
+    def test_docstring_lists_the_table_keys_in_order(self):
+        listed = re.findall(r"^  ([a-z]+\.[A-Za-z0-9_]+) ", config.__doc__, re.M)
+        assert listed == [row[0] for row in config._KEYS]
 
     def test_expand_sweep_order(self):
         varied, runs = expand_sweep({
@@ -504,6 +518,19 @@ class TestBoundsCommand:
                          "delta=0", "f0_gap=10", "R=1", "bogus=3"])
         assert code == 1
         assert "key=value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("theorem, pair", [("GD_PL", "mu=nan"), ("ADAPT_BOTH", "L0=inf"),
+                                               ("STOP_GENERIC", "K=-inf")])
+    def test_non_finite_constant_exit_one(self, capsys, theorem, pair):
+        constants = {"mu": "1", "L": "100", "alpha": "0.1", "delta": "0.001",
+                     "f0_gap": "10", "R": "1", "L0": "50", "K": "10"}
+        key, _, value = pair.partition("=")
+        constants[key] = value
+        code = cli.main(["bounds", theorem, *(f"{k}={v}" for k, v in constants.items())])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {key}: must be finite, got {value}\n"
 
     @pytest.mark.parametrize("flags", [["--points", "0"], ["--points", "-1"], ["--N", "-5"]])
     def test_bad_table_arguments_exit_one(self, capsys, flags):

@@ -58,7 +58,7 @@ class TestPinnedValues:
 
     def test_strongly_convex_solve(self):
         p = nesterov_strongly_convex(mu=1.0, L=100.0, n=100)
-        assert p.chi == 100.0
+        assert p.L / p.mu == 100.0
         assert np.linalg.norm(p.gradient(p.x_star)) <= 1e-9
 
     def test_strongly_convex_near_degenerate(self):

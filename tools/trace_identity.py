@@ -28,8 +28,11 @@ a sha256 over everything the case can observe.
   and 5000, shifted minimizers of a 1x1 system, and the ``L = inf``
   construction error.
 - Helpers: problem values and gradients, raw noise draws
-  (``_components``), finite differences, reduced-precision gradients,
-  rounding, validation, compressors, certification reports.
+  (``_components``), finite differences, the reduced-precision and
+  compressor kernels, rounding, validation, certification reports.
+- ``parse_config``: the config's fields or the error's message, for
+  every run of every ``configs/*.json`` and for each single-fault config
+  in ``tests/config_faults.py`` (read from this tool's checkout).
 - ``ngl verify``: its exit code and, per printed row, the row name, its
   status and its detail text; the seconds column is dropped.
 - Unless ``--no-cli``: ``ngl run`` on every ``configs/*.json`` without a
@@ -434,18 +437,34 @@ def helper_cases(cases: Cases) -> None:
     b = rng.standard_normal(6)
     for bits in (5, 20, 52):
         for scale in (1e-3, 1.0, 1e3):
-            cases.run(f"fp_gradient:{bits}:{scale}", lambda bits=bits, scale=scale: O.fp_quadratic_gradient(
+            cases.run(f"fp_gradient:{bits}:{scale}", lambda bits=bits, scale=scale: O._fp_quadratic(
                 A, b, scale * np.arange(6.0), N.PrecisionSpec(bits)))
-    cases.run("fp_gradient:overflow", lambda: O.fp_quadratic_gradient(
+    cases.run("fp_gradient:overflow", lambda: O._fp_quadratic(
         np.eye(2) * 1.7e308, np.ones(2), np.ones(2), N.PrecisionSpec(5)))
     for v in (1.0, 1.7976931348623157e308, -3.3e-5, math.nan):
         cases.run(f"round:{v}", lambda v=v: N.round_to_precision(v, N.PrecisionSpec(5)))
     cases.run("as_vector", lambda: [N.as_vector(v) for v in ([1, 2], np.float32([1.5]), 3.0)])
     cases.run("as_vector:bad", lambda: N.as_vector([1.0, math.inf]))
     g = rng.standard_normal(9)
-    cases.run("compress", lambda: (O.top_k_compress(g, 3), O.sign_compress(g), O.sparsify_grid(g, 4)))
+    cases.run("compress", lambda: (O._top_k(g, 3), O._sign(g), O._grid(g, 4)))
     cases.run("certification_report", lambda: (
         O.certification_report(g + 0.1, g, 0.2, 0.0), O.certification_report(g * 1.1, g, 0.2, 0.3)))
+
+
+def config_cases(root: Path, cases: Cases) -> None:
+    """parse_config on every run of ``configs/*.json`` and on each single-fault config."""
+    from ngl.config import expand_sweep, parse_config
+
+    # the fault list comes from this tool's own checkout, so that one list
+    # is digested against any --root
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+    from config_faults import FAULTS, fault_config
+
+    for config in sorted((root / "configs").glob("*.json")):
+        for i, run in enumerate(expand_sweep(json.loads(config.read_text()))[1]):
+            cases.run(f"config:{config.stem}:{i}", lambda run=run: parse_config(run))
+    for name, changes, _ in FAULTS:
+        cases.run(f"config:fault:{name}", lambda changes=changes: parse_config(fault_config(changes)))
 
 
 def verify_cases(cases: Cases) -> None:
@@ -508,6 +527,7 @@ def main(argv=None) -> int:
     solver_cases(cases)
     driver_cases(cases)
     helper_cases(cases)
+    config_cases(root, cases)
     verify_cases(cases)
     if not args.no_cli:
         cli_cases(root, cases)
