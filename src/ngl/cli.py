@@ -38,7 +38,6 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -78,14 +77,16 @@ EXIT_VIOLATION = 2
 EXIT_GUARD = 3
 
 
-def _env_seed() -> Optional[int]:
-    raw = os.environ.get("NGL_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"NGL_SEED: expected an integer, got {raw!r}")
+def _load(path: str) -> dict:
+    """The config file's dict, with NGL_SEED, when set, as its oracle.seed."""
+    raw = load_config_file(path)
+    seed = os.environ.get("NGL_SEED")
+    if seed is not None:
+        try:
+            raw["oracle.seed"] = int(seed)
+        except ValueError:
+            raise ConfigError(f"NGL_SEED: expected an integer, got {seed!r}")
+    return raw
 
 
 def _solver_alpha(cfg: ExperimentConfig, oracle) -> float:
@@ -138,10 +139,10 @@ def _run_experiment(cfg: ExperimentConfig):
 def _trace_envelope(cfg: ExperimentConfig, problem, oracle):
     """The printed bound governing a plain run's gap column, if one applies.
 
-    Driver runs report base-problem gaps on rewritten traces, so no
-    single printed curve bounds them; plain gd on a merely convex
-    problem has a gradient-norm bound but no gap bound.  Running above
-    the declared level keeps the envelope valid, below it does not.
+    Driver runs report base-problem gaps, so no single printed curve
+    bounds them; plain gd on a merely convex problem has a gradient-norm
+    bound but no gap bound.  Running above the declared level keeps the
+    envelope valid, below it does not.
     """
     if cfg.driver != "none":
         return None
@@ -249,8 +250,7 @@ def _execute_core(cfg: ExperimentConfig, out_dir: Path) -> dict:
 
 def cmd_run(args) -> int:
     try:
-        raw = load_config_file(args.config)
-        cfg = parse_config(raw, seed_override=_env_seed())
+        cfg = parse_config(_load(args.config))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -281,10 +281,7 @@ def _comparison_value(record, key):
 
 def cmd_sweep(args) -> int:
     try:
-        raw = load_config_file(args.config)
-        seed = _env_seed()
-        if seed is not None:
-            raw["oracle.seed"] = seed
+        raw = _load(args.config)
         if isinstance(raw.get("output.dir"), list):
             raise ConfigError("output.dir: cannot be swept; runs are placed "
                               "in numbered subdirectories")

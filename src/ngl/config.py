@@ -41,7 +41,7 @@ range.  A key set where it does not apply is rejected unless its value
 equals its default.  parse_config adds the rules that span keys: mu <=
 L, reduced_precision only on the quadratic family, the driver and
 solver wiring, and the solver.N default of 10^4 steps when mu > 0 and
-10^3 otherwise.
+10^3 otherwise.  NGL_SEED is the command line's: it sets oracle.seed.
 
 The quadratic family builds a diagonal spectrum spread linearly over
 [mu, L] with the minimizer at the all-ones point, so conditioning is
@@ -146,7 +146,7 @@ class ExperimentConfig:
     beta: float
     tau: float
     K: Optional[float]
-    out_dir: Optional[str]
+    out_dir: str
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
@@ -159,9 +159,13 @@ def _typed(key: str, value, kind: type):
         raise ConfigError(f"{key}: expected {_TYPE_NAMES[kind]}, got {value!r}")
     if kind is not float:
         return value
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:  # an int too large for a float
+        number = math.inf
+    if not math.isfinite(number):
         raise ConfigError(f"{key}: must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 # range checks: (what the value must do, test of the value and the keys read so far)
@@ -232,14 +236,13 @@ _KEYS = (
      "driver.name combined", False, _HALF),
     ("driver.K", "K", float, None, {"driver.name": ("stopping",)},
      "driver.name stopping", True, ("exceed 1", lambda v, got: v > 1.0)),
-    ("output.dir", "out_dir", str, None, None, _EVERY, False,
+    ("output.dir", "out_dir", str, None, None, _EVERY, True,
      ("be a non-empty path", lambda v, got: v != "")),
 )
 
 
-def parse_config(raw: dict, seed_override: Optional[int] = None,
-                 require_output: bool = True) -> ExperimentConfig:
-    """Validate a flat dict into an ExperimentConfig.
+def parse_config(raw: dict) -> ExperimentConfig:
+    """Validate a flat dict of one run into an ExperimentConfig.
 
     Structural problems (types, unknown keys, inapplicable or missing
     fields, broken cross-field wiring) raise ConfigError here; the
@@ -290,11 +293,6 @@ def parse_config(raw: dict, seed_override: Optional[int] = None,
                                                            "combined"):
         raise ConfigError("solver.name: re_agm needs mu > 0; on a convex "
                           "problem use driver regularize or combined")
-    if require_output and got["output.dir"] is None:
-        raise ConfigError("output.dir: required field is missing")
-
-    if seed_override is not None:
-        got["oracle.seed"] = seed_override
     if got["solver.N"] is None:
         got["solver.N"] = 10_000 if mu > 0.0 else 1_000
     return ExperimentConfig(**{field: got[key] for key, field, *_ in _KEYS})

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .problems import ObjectiveProblem
 from .solvers import (
     TERMINAL_STOPPING_RULE,
     GDConfig,
-    IterateView,
     ReAgmConfig,
     RunTrace,
     gd_run,
@@ -145,7 +144,8 @@ class RegularizedOracle(GradientOracle):
         self.R = float(R)
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
-        est = self.base_oracle.gradient_estimate(x)
+        # x is validated by this query; the base query still counts and certifies
+        est = self.base_oracle._query(x)[0]
         return est + self.problem.mu_reg * (x - self.problem.center)
 
 
@@ -205,24 +205,25 @@ def run_with_stopping(solver: str, problem: ObjectiveProblem,
 
 def _run_solver(solver: str, problem: ObjectiveProblem, oracle: GradientOracle,
                 steps: int, alpha: float, x0, monitor) -> RunTrace:
-    """gd or re_agm on problem's own (mu, L) at relative level alpha."""
+    """gd or re_agm on problem at relative level alpha, tuned to the (mu, L)
+    of the problem the oracle estimates (a ridge route's ridge problem)."""
+    tuned = oracle.problem
     if solver == "gd":
-        cfg = GDConfig(steps=steps, alpha=alpha, L=problem.L)
+        cfg = GDConfig(steps=steps, alpha=alpha, L=tuned.L)
         return gd_run(problem, oracle, cfg, x0=x0, monitor=monitor)
     if solver == "re_agm":
-        cfg = ReAgmConfig(steps=steps, mu=problem.mu, L=problem.L, alpha=alpha)
+        cfg = ReAgmConfig(steps=steps, mu=tuned.mu, L=tuned.L, alpha=alpha)
         return re_agm_run(problem, oracle, cfg, x0=x0, monitor=monitor)
     raise ValueError(f"unknown solver {solver!r}; expected 'gd' or 're_agm'")
 
 
 def _halt_rule(gap_target: Optional[float] = None,
-               threshold: Optional[float] = None,
-               gap: Callable[[IterateView], float] = lambda vw: vw.f_gap):
-    """Monitor that stops once gap(view) <= gap_target or once the noisy
-    gradient norm <= threshold; either may be None (never stops on it)."""
+               threshold: Optional[float] = None):
+    """Monitor that stops once the recorded gap <= gap_target or once the
+    noisy gradient norm <= threshold; either may be None (never stops on it)."""
 
     def monitor(vw):
-        if gap_target is not None and gap(vw) <= gap_target:
+        if gap_target is not None and vw.f_gap <= gap_target:
             return TERMINAL_STOPPING_RULE
         if threshold is not None and vw.noisy_grad_norm <= threshold:
             return TERMINAL_STOPPING_RULE
@@ -254,33 +255,16 @@ def _ridge_route(solver: str, base: ObjectiveProblem, oracle: GradientOracle,
     """The ridge routes' shared body.
 
     Adds a ridge of modulus mu around the start point, certifies the
-    ridge oracle and runs the solver at level alpha for the budget.  The
-    run sees the ridge objective; callers care about the base one, so
-    the base gap is measured at every recorded point (halting once it
-    reaches epsilon, or once the noisy gradient norm reaches threshold),
-    replaces the trace's gap columns, and is checked against epsilon.
+    ridge oracle and runs the solver with it on the base problem at
+    level alpha for the budget: it steps on the ridge objective and
+    records base gaps (and ridge gradient norms).  It halts once the
+    base gap reaches epsilon, or once the noisy gradient norm reaches
+    threshold; the final base gap is checked against epsilon.
     """
     center = np.zeros(base.dim) if x0 is None else as_vector(x0, base.dim)
-    reg = regularize(base, center, mu)
-    reg_oracle = RegularizedOracle(reg, oracle, R)
-    gaps = {"x": [], "y": []}
-
-    def base_gap(vw):
-        # vw.x is an iterate the core has already validated
-        gaps[vw.kind].append(base._value(vw.x) - base.f_star)
-        return gaps[vw.kind][-1]
-
-    trace = _run_solver(solver, reg, reg_oracle, budget, alpha, center,
-                        _halt_rule(epsilon, threshold, gap=base_gap))
-    with_y = trace.y_f_gap is not None
-    if (len(gaps["x"]) != len(trace.f_gap)
-            or (with_y and len(gaps["y"]) != len(trace.y_f_gap))):
-        raise AssertionError("recorded base gaps misaligned with trace rows")
-    halted_at_y = with_y and len(trace.y_f_gap) == len(trace.f_gap)
-    trace.f_gap = np.asarray(gaps["x"], dtype=np.float64)
-    if with_y:
-        trace.y_f_gap = np.asarray(gaps["y"], dtype=np.float64)
-    trace.final_f_gap = float(gaps["y" if halted_at_y else "x"][-1])
+    reg_oracle = RegularizedOracle(regularize(base, center, mu), oracle, R)
+    trace = _run_solver(solver, base, reg_oracle, budget, alpha, center,
+                        _halt_rule(epsilon, threshold))
     if trace.final_f_gap > epsilon:
         raise ConvergenceFailureError(
             f"{solver} ridge route missed target {epsilon:.3e}: base gap "

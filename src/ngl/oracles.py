@@ -123,7 +123,10 @@ class GradientOracle:
         Exposing the exact gradient saves solvers a second gradient
         evaluation per step when recording traces.
         """
-        x = as_vector(x, self.problem.dim)
+        return self._query(as_vector(x, self.problem.dim))
+
+    def _query(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One query at an already validated 1-D float64 x of dimension dim."""
         exact = self.problem._gradient(x)
         est = self._estimate(x, exact)
         self.queries += 1
@@ -136,9 +139,6 @@ class GradientOracle:
                     f"composite bound violated: error {err} > {allowed} (query {self.queries})"
                 )
         return est, exact
-
-    def gradient_estimate(self, x) -> np.ndarray:
-        return self.estimate_with_exact(x)[0]
 
 
 class SyntheticNoiseOracle(GradientOracle):

@@ -17,6 +17,11 @@ the iterate after k accepted steps.  All runners accept an optional
 ``IterateView`` (an immutable NamedTuple), and may end the run early
 (used for stopping rules and envelope violation detection).
 
+Recording rule: ``f_gap`` columns are gaps of the problem passed to the
+runner; every ``grad_norm`` is the norm of ``oracle.problem``'s gradient.
+They differ on a ridge route, which runs on the base problem with the
+ridge oracle, so it records base gaps with nothing rewritten afterwards.
+
 Each runner holds only its parameters and its update rule; one private
 stepping core (``_Core``) does the rest for all three: the start point,
 the finiteness guards that raise ``DivergedError`` or
@@ -235,6 +240,8 @@ class RunTrace:
 
     Arrays ``k``, ``f_gap``, ``grad_norm``, ``noisy_grad_norm`` all have
     length (executed iterations + 1); row 0 is the starting point.
+    ``f_gap`` is the gap of the runner's problem and ``grad_norm`` the
+    norm of the gradient the oracle estimates (``oracle.problem``'s);
     ``noisy_grad_norm`` is NaN where the runner made no oracle query at
     that row.  Adaptive runs fill ``inner_loops`` (failed trials while
     leaving row k), ``alpha_hat`` and ``L_hat`` (accepted values for that
@@ -334,6 +341,8 @@ class _Core:
     ``record`` checks and appends each row in order, so an overflowing f
     is found up to a block of queries late.  ``block`` is 1 (the eager
     order) under a monitor, in adaptive runs, and when dim > 2**14.
+    f(x), its finiteness and the gap floor are the run's problem's; the
+    gradient norms are those of the problem the oracle estimates.
     """
 
     def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
@@ -363,6 +372,7 @@ class _Core:
 
     def run(self, steps: int, x0, step: Callable[[_Point], tuple]) -> RunTrace:
         dim = self.problem.dim
+        self.estimated = self.oracle.problem  # gives every row's grad_norm
         x = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
         f_val = None
         # an overflow ends in DivergedError or a failed trial, not a warning
@@ -412,7 +422,7 @@ class _Core:
                 self.flush()
         else:
             if grad_norm is None:
-                exact = self.problem._gradient(x)
+                exact = self.estimated._gradient(x)
                 grad_norm = math.sqrt(exact.dot(exact))
             self.record(kind, k, x, f_val, grad_norm, noisy_norm)
         return _Point(k, x, f_val, est, noisy_norm)
@@ -435,7 +445,7 @@ class _Core:
         values = self.problem._values(X).tolist()
         unqueried = [i for i, row in enumerate(pending) if row[3] is None]
         if unqueried:
-            G = self.problem._gradients(X[unqueried])
+            G = self.estimated._gradients(X[unqueried])
             norms = iter(np.sqrt(row_dots(G, G)).tolist())
         for (kind, k, x, grad_norm, noisy_norm), f_val in zip(pending, values):
             if not math.isfinite(f_val):

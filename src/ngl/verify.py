@@ -74,7 +74,7 @@ def oracle_certification(problem, alpha: float, delta: float, seed: int, queries
     for mode in _NOISE_MODES:
         oracle = SyntheticNoiseOracle(problem, NoiseSpec(alpha, delta, mode, seed), certify=True)
         for _ in range(queries):
-            oracle.gradient_estimate(spread * rng.standard_normal(problem.dim))
+            oracle.estimate_with_exact(spread * rng.standard_normal(problem.dim))[0]
     return Outcome(True, f"{len(_NOISE_MODES) * queries} certified queries, no violation")
 
 

@@ -58,6 +58,8 @@ FAULTS = [
      "problem.L: expected a number, got '10'"),
     ("problem.L:nonfinite", {"problem.L": math.inf},
      "problem.L: must be finite, got inf"),
+    ("problem.L:huge_int", {"problem.L": 10**400},
+     "problem.L: must be finite, got 1" + "0" * 400),
     ("problem.L:missing", {"problem.L": DROP},
      "problem.L: required for every config"),
     ("problem.L:range", {"problem.L": 0.0},
@@ -221,7 +223,7 @@ FAULTS = [
     ("output.dir:type", {"output.dir": 5},
      "output.dir: expected a string, got 5"),
     ("output.dir:missing", {"output.dir": DROP},
-     "output.dir: required field is missing"),
+     "output.dir: required for every config"),
     ("output.dir:range", {"output.dir": ""},
      "output.dir: must be a non-empty path, got ''"),
     # keys and cross-field rules

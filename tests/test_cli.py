@@ -242,6 +242,13 @@ class TestRunCommand:
         assert cli.main(["run", str(path)]) == 1
         assert "output.dir" in capsys.readouterr().err
 
+    def test_huge_int_for_a_float_key_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, **{"problem.L": 10**400})
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "problem.L: must be finite, got 1000" in err
+        assert "Traceback" not in err
+
     def test_malformed_json_names_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"problem.family": }')

@@ -157,7 +157,7 @@ class TestRegularizedOracle:
         oracle = RegularizedOracle(reg, SyntheticNoiseOracle(base, spec), R)
         rng = np.random.default_rng(3)
         for _ in range(200):
-            oracle.gradient_estimate(2.0 * rng.standard_normal(50))
+            oracle.estimate_with_exact(2.0 * rng.standard_normal(50))[0]
         assert oracle.queries == 200
 
     def test_estimate_maps_through_the_ridge(self):
@@ -168,8 +168,8 @@ class TestRegularizedOracle:
         twin = sampled_oracle(base, alpha=0.1, seed=4)
         oracle = RegularizedOracle(reg, base_oracle, 5.0)
         x = np.linspace(0, 1, 12)
-        est = oracle.gradient_estimate(x)
-        want = twin.gradient_estimate(x) + 0.8 * (x - center)
+        est = oracle.estimate_with_exact(x)[0]
+        want = twin.estimate_with_exact(x)[0] + 0.8 * (x - center)
         np.testing.assert_array_equal(est, want)
 
     def test_rejects_large_base_level(self):

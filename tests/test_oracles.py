@@ -56,26 +56,26 @@ def test_mode_none_forces_exact():
     p = nesterov_strongly_convex(mu=1.0, L=10.0, n=5)
     o = SyntheticNoiseOracle(p, NoiseSpec(alpha=0.5, delta=2.0, mode="none"), certify=True)
     x = np.ones(5)
-    assert np.array_equal(o.gradient_estimate(x), p.gradient(x))
+    assert np.array_equal(o.estimate_with_exact(x)[0], p.gradient(x))
     assert o.declared_alpha == 0.0 and o.declared_delta == 0.0
 
 
 def test_adversarial_pinned_value():
     p = quadratic(np.eye(2), np.zeros(2))  # gradient is x itself
     o = SyntheticNoiseOracle(p, NoiseSpec(alpha=0.5, delta=0.0, mode="adversarial_opposing"))
-    assert np.allclose(o.gradient_estimate(np.array([2.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(o.estimate_with_exact(np.array([2.0, 0.0]))[0], [1.0, 0.0])
     # with delta: shrink along the gradient direction by alpha*|g| + delta
     o2 = SyntheticNoiseOracle(p, NoiseSpec(alpha=0.5, delta=0.25, mode="adversarial_opposing"))
-    assert np.allclose(o2.gradient_estimate(np.array([2.0, 0.0])), [0.75, 0.0])
+    assert np.allclose(o2.estimate_with_exact(np.array([2.0, 0.0]))[0], [0.75, 0.0])
     # zero gradient: absolute part vanishes rather than dividing by zero
-    assert np.allclose(o2.gradient_estimate(np.zeros(2)), [0.0, 0.0])
+    assert np.allclose(o2.estimate_with_exact(np.zeros(2))[0], [0.0, 0.0])
 
 
 def test_noiseless_alpha_delta_zero_identity():
     p = nesterov_strongly_convex(mu=1.0, L=10.0, n=4)
     o = SyntheticNoiseOracle(p, NoiseSpec(alpha=0.0, delta=0.0, mode="sampled_unbiased", seed=5))
     x = np.arange(4.0)
-    assert np.array_equal(o.gradient_estimate(x), p.gradient(x))
+    assert np.array_equal(o.estimate_with_exact(x)[0], p.gradient(x))
 
 
 def test_reproducible_and_query_indexed():
@@ -84,12 +84,12 @@ def test_reproducible_and_query_indexed():
     x = np.ones(6)
     a = SyntheticNoiseOracle(p, spec)
     b = SyntheticNoiseOracle(p, spec)
-    g1, g2 = a.gradient_estimate(x), a.gradient_estimate(x)
-    h1, h2 = b.gradient_estimate(x), b.gradient_estimate(x)
+    g1, g2 = a.estimate_with_exact(x)[0], a.estimate_with_exact(x)[0]
+    h1, h2 = b.estimate_with_exact(x)[0], b.estimate_with_exact(x)[0]
     assert np.array_equal(g1, h1) and np.array_equal(g2, h2)
     assert not np.array_equal(g1, g2)  # distinct queries, distinct draws
     other = SyntheticNoiseOracle(p, NoiseSpec(alpha=0.3, delta=0.5, mode="sampled_unbiased", seed=43))
-    assert not np.array_equal(other.gradient_estimate(x), g1)
+    assert not np.array_equal(other.estimate_with_exact(x)[0], g1)
 
 
 def _oracle_zoo(certify=True):
@@ -116,7 +116,7 @@ def test_composite_bound_certification_1000_queries():
         n = oracle.problem.dim
         for _ in range(1000 // 8):
             x = rng.standard_normal(n) * rng.uniform(0.05, 10.0)
-            oracle.gradient_estimate(x)  # certify=True raises on violation
+            oracle.estimate_with_exact(x)[0]  # certify=True raises on violation
 
 
 def test_sandwich_inequalities_every_estimate():
@@ -125,7 +125,7 @@ def test_sandwich_inequalities_every_estimate():
         n = oracle.problem.dim
         for _ in range(60):
             x = rng.standard_normal(n) * rng.uniform(0.05, 10.0)
-            est = oracle.gradient_estimate(x)
+            est = oracle.estimate_with_exact(x)[0]
             rep = certification_report(
                 est, oracle.problem.gradient(x), oracle.declared_alpha, oracle.declared_delta
             )
@@ -140,7 +140,7 @@ def test_alignment_bound_relative_only():
         o = SyntheticNoiseOracle(p, NoiseSpec(alpha, 0.0, "sampled_unbiased", seed=11))
         for _ in range(200):
             x = rng.standard_normal(12) * rng.uniform(0.1, 5.0)
-            est = o.gradient_estimate(x)
+            est = o.estimate_with_exact(x)[0]
             g = p.gradient(x)
             lhs = float(est @ g)
             rhs = math.sqrt(1.0 - alpha**2) * float(np.linalg.norm(est)) * float(np.linalg.norm(g))
@@ -158,7 +158,7 @@ def test_decomposition_components():
         assert float(np.linalg.norm(rel)) <= 0.6 * float(np.linalg.norm(g)) + 1e-15
         assert float(np.linalg.norm(absolute)) <= 1.5 + 1e-15
         # query q draws exactly these parts
-        assert np.array_equal(o.gradient_estimate(x), g + rel + absolute)
+        assert np.array_equal(o.estimate_with_exact(x)[0], g + rel + absolute)
 
 
 def test_unbiasedness_mean_within_four_standard_errors():
@@ -289,7 +289,7 @@ class TestFiniteDifference:
         assert o.declared_delta <= bound * (1.0 + 1e-9)
         rng = np.random.default_rng(12)
         for _ in range(50):
-            o.gradient_estimate(rng.standard_normal(6))
+            o.estimate_with_exact(rng.standard_normal(6))[0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_shift(self):
@@ -302,7 +302,7 @@ class TestFiniteDifference:
             finite_difference_gradient(p, x, h)
         oracle = FiniteDifferenceOracle(p, h=h)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(oracle.gradient_estimate(x)).all()
+            assert not np.isfinite(oracle.estimate_with_exact(x)[0]).all()
             with pytest.raises(DivergedError, match="^non-finite gradient estimate at step 0$") as exc:
                 gd_run(p, FiniteDifferenceOracle(p, h=h), GDConfig(steps=3, alpha=0.0, L=p.L), x0=x)
         # the guard runs before row 0 is recorded
@@ -362,7 +362,7 @@ class TestFloatingPointGradient:
         for bits in (8, 16, 32, 52):
             o = FloatingPointQuadraticOracle(p, PrecisionSpec(bits), domain_radius=15.0, certify=True)
             for _ in range(25):
-                o.gradient_estimate(rng.uniform(-1.0, 1.0, size=n) * 10.0)
+                o.estimate_with_exact(rng.uniform(-1.0, 1.0, size=n) * 10.0)[0]
 
     def test_exactness_at_coarse_grid(self):
         # data already on the 5-bit grid passes through with zero error
@@ -415,7 +415,7 @@ class TestStreamIdentity:
         for q in STREAM_QUERIES:
             x = rng.standard_normal(6)
             want = expected(x, o.queries)
-            assert np.array_equal(o.gradient_estimate(x), want[0])
+            assert np.array_equal(o.estimate_with_exact(x)[0], want[0])
             g = p.gradient(x)
             rel, absolute = o._components(g, q)
             for a, b in zip((g + rel + absolute, rel, absolute), expected(x, q)):
@@ -441,7 +441,7 @@ class TestStreamIdentity:
         for q in STREAM_QUERIES:
             x = rng.standard_normal(5)
             want = expected(x, o.queries)
-            assert np.array_equal(o.gradient_estimate(x), want)
+            assert np.array_equal(o.estimate_with_exact(x)[0], want)
             got = finite_difference_gradient(p, x, h, noise, seed=seed, query_index=q)
             assert np.array_equal(got, expected(x, q))
 
@@ -470,7 +470,7 @@ def test_one_bit_generator_per_oracle(monkeypatch, make):
     oracle = make(p)
     x = np.ones(4)
     for _ in range(200):
-        oracle.gradient_estimate(x)
+        oracle.estimate_with_exact(x)[0]
     assert oracle.queries == 200
     assert len(built) <= 1
 

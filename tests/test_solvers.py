@@ -607,6 +607,46 @@ class TestMonitorRule:
         assert np.all(np.isfinite(trace.noisy_grad_norm[:-1]))
 
 
+class TestRecordingRule:
+    """f_gap is the gap of the runner's problem; grad_norm is the norm of
+    the gradient the oracle estimates, queried or not."""
+
+    @pytest.mark.parametrize("name", ["gd", "re_agm"])
+    def test_base_run_with_a_ridge_oracle(self, name):
+        # 2**14 // 2000 = 8 rows per block: the unmonitored run spans several
+        base = nesterov_convex(1000, 10.0, 2000)
+        reg = drivers.regularize(base, np.zeros(2000), 0.05)
+
+        def run(monitor):
+            base_oracle = SyntheticNoiseOracle(base, NoiseSpec(0.1, 0.0, "sampled_unbiased", 3))
+            oracle = drivers.RegularizedOracle(reg, base_oracle, 1.0)
+            if name == "gd":
+                cfg = GDConfig(steps=40, alpha=0.2, L=reg.L)
+                return gd_run(base, oracle, cfg, x0=np.ones(2000), monitor=monitor)
+            cfg = ReAgmConfig(steps=40, mu=reg.mu, L=reg.L, alpha=0.2)
+            return re_agm_run(base, oracle, cfg, x0=np.ones(2000), monitor=monitor)
+
+        monitor = CountingMonitor()
+        watched, alone = run(monitor), run(None)
+        for field in dataclasses.fields(watched):
+            a, b = getattr(watched, field.name), getattr(alone, field.name)
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b, equal_nan=True), field.name
+            else:
+                assert a == b, field.name
+        rows = {"x": (watched.f_gap, watched.grad_norm), "y": (watched.y_f_gap, watched.y_grad_norm)}
+        counts = {"x": 0, "y": 0}
+        for view in monitor.views:
+            gaps, norms = rows[view.kind]
+            i = counts[view.kind]
+            counts[view.kind] += 1
+            g = reg._gradient(view.x)
+            assert gaps[i] == base._value(view.x) - base.f_star
+            assert norms[i] == math.sqrt(g.dot(g))
+        assert counts["x"] == len(watched.f_gap) == 41
+        assert counts["y"] == (40 if name == "re_agm" else 0)
+
+
 class NonFiniteAtQuery(GradientOracle):
     """Exact gradient, except entry 0 of query ``at`` is set to ``value``."""
 
@@ -726,17 +766,17 @@ def test_each_iterate_is_validated_once(monkeypatch):
                        FloatingPointQuadraticOracle(
                            quadratic(2.0 * np.eye(20), np.ones(20)), PrecisionSpec(20))):
         calls.clear()
-        evaluating.gradient_estimate(np.ones(20))
+        evaluating.estimate_with_exact(np.ones(20))[0]
         assert len(calls) == 1
 
-    # a 5-step accelerated ridge route: two calls per query (the ridge
-    # query and the base query inside it), none for the base gap, and
-    # five to set up (the start, the ridge center twice, the ridge
-    # minimum and the core's start)
+    # a 5-step accelerated ridge route: one call per query (the ridge
+    # query; the base query inside it reuses the validated x), none for
+    # the base gap, and five to set up (the start, the ridge center
+    # twice, the ridge minimum and the core's start)
     base = nesterov_convex(5, 10.0, 20)
     oracle = SyntheticNoiseOracle(base, NoiseSpec(alpha=0.1, mode="sampled_unbiased", seed=3))
     calls.clear()
     with pytest.raises(drivers.ConvergenceFailureError):
         drivers._ridge_route("re_agm", base, oracle, 1.0, np.ones(20), 0.05, 0.2, 5, 1e-9)
     assert oracle.queries == 5
-    assert len(calls) == 2 * 5 + 5
+    assert len(calls) == 5 + 5

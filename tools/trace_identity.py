@@ -24,6 +24,8 @@ a sha256 over everything the case can observe.
   n = 2000 an objective that overflows mid-block in a later block.
 - The five driver routes on two seeds, and the ridge routes'
   ``ConvergenceFailureError`` traces under a 5-step budget.
+- gd and re_agm run on a ridge's base problem with the ridge oracle at
+  n = 2000 (``edge:ridge_base:``), with and without a monitor.
 - The chains' tridiagonal solve: ``x_star`` and ``f_star`` at n = 1, 2
   and 5000, shifted minimizers of a 1x1 system, and the ``L = inf``
   construction error.
@@ -351,7 +353,7 @@ def solver_cases(cases: Cases) -> None:
 
     def fd_overflow_query():
         with np.errstate(over="ignore", invalid="ignore"):
-            return O.FiniteDifferenceOracle(tiny, h=huge_h).gradient_estimate(np.full(2, 1e300))
+            return O.FiniteDifferenceOracle(tiny, h=huge_h).estimate_with_exact(np.full(2, 1e300))[0]
 
     cases.run("edge:fd_overflowing_shift_run", fd_overflow_run)
     cases.run("edge:fd_overflowing_shift_query", fd_overflow_query)
@@ -363,6 +365,7 @@ def driver_cases(cases: Cases) -> None:
     from ngl import drivers as D
     from ngl import oracles as O
     from ngl import problems as P
+    from ngl import solvers as S
 
     def sampled(p, alpha=0.0, delta=0.0, seed=0):
         return cases.watch(O.SyntheticNoiseOracle(p, O.NoiseSpec(alpha, delta, "sampled_unbiased", seed)))
@@ -393,6 +396,23 @@ def driver_cases(cases: Cases) -> None:
                 solver, q, sampled(q, 0.1, 0.0, seed), gap0 / 8.0))
             cases.run(f"drv:{seed}:restart_floor:{solver}", lambda solver=solver: D.restart_to_convex(
                 solver, q, sampled(q, 0.0, floor_delta, seed), gap0 / 100.0))
+
+    # edge: gd and re_agm on a ridge's base with the ridge oracle, over several
+    # evaluation blocks; the unqueried rows' gradient norms are the ridge's
+    wide = P.nesterov_convex(1000, 10.0, 2000)
+    reg = D.regularize(wide, np.zeros(2000), 0.05)
+    for rname in ("gd", "re_agm"):
+        for mname in ("nomon", "rec"):
+            def ridge_base(rname=rname, mname=mname):
+                oracle = cases.watch(D.RegularizedOracle(reg, sampled(wide, 0.1, 0.0, 3), 1.0))
+                monitor, x0 = Recorder() if mname == "rec" else None, np.ones(2000)
+                if rname == "gd":
+                    trace = S.gd_run(wide, oracle, S.GDConfig(40, 0.2, reg.L), x0=x0, monitor=monitor)
+                else:
+                    cfg = S.ReAgmConfig(40, reg.mu, reg.L, 0.2)
+                    trace = S.re_agm_run(wide, oracle, cfg, x0=x0, monitor=monitor)
+                return trace, oracle.queries, monitor.views if monitor else None
+            cases.run(f"edge:ridge_base:{rname}:{mname}", ridge_base, f"ridge_base:{rname}")
 
 
 def helper_cases(cases: Cases) -> None:
