@@ -12,7 +12,7 @@ float epsilon still decay correctly at large N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,19 +29,6 @@ __all__ = [
     "iteration_budget",
     "stopping_level",
 ]
-
-THEOREM_IDS = (
-    "GD_PL",
-    "GD_MINGRAD",
-    "REAGM",
-    "GD_REG",
-    "REAGM_REG",
-    "ADAPT_BOTH",
-    "ADAPT_ALPHA",
-    "STOP_GENERIC",
-    "REAGM_STOP",
-)
-
 
 class EnvelopeDomainError(ValueError):
     """The constants violate a hypothesis of the requested guarantee."""
@@ -153,13 +140,14 @@ def _gamma_star(mu: float, L: float, alpha: float) -> float:
     return re_agm_calculate_parameters(mu, L, alpha).gamma_star
 
 
-def _geometric(start: float, rate: float, floor: float) -> Callable:
+def _geometric(tid: str, c: EnvelopeConstants, floor: float, rate: float,
+               start: float) -> Envelope:
     decay = math.log1p(-rate)
 
     def _eval(n):
         return start * np.exp(n * decay) + floor
 
-    return _eval
+    return Envelope(tid, c, floor, rate, start, _eval)
 
 
 def _build_gd_pl(c: EnvelopeConstants) -> Envelope:
@@ -170,7 +158,7 @@ def _build_gd_pl(c: EnvelopeConstants) -> Envelope:
     a = c.alpha
     rate = (1.0 - a) ** 3 / (1.0 + a) * c.mu / (8.0 * c.L)
     floor = 1.5 * (1.0 + a) / (1.0 - a) ** 3 * c.delta**2 / c.mu
-    return Envelope(tid, c, floor, rate, c.f0_gap, _geometric(c.f0_gap, rate, floor))
+    return _geometric(tid, c, floor, rate, c.f0_gap)
 
 
 def _build_gd_mingrad(c: EnvelopeConstants) -> Envelope:
@@ -196,10 +184,11 @@ def _build_reagm(c: EnvelopeConstants) -> Envelope:
     rate = (c.mu / c.L) ** (1.0 - g) / 300.0
     start = c.f0_gap + c.mu * c.R**2 / 4.0
     floor = (2.0 * (c.L / c.mu) ** g + 5.0) * c.delta**2 / c.mu
-    return Envelope(tid, c, floor, rate, start, _geometric(start, rate, floor))
+    return _geometric(tid, c, floor, rate, start)
 
 
-def _check_reg_common(tid: str, c: EnvelopeConstants) -> None:
+def _ridge_constants(tid: str, c: EnvelopeConstants) -> EnvelopeConstants:
+    """Check the ridge routes' hypotheses; return the ridge problem's constants."""
     if not c.mu > 0.0:
         _fail(tid, f"ridge modulus mu must be positive, got {c.mu}")
     if c.delta != 0.0:
@@ -207,39 +196,29 @@ def _check_reg_common(tid: str, c: EnvelopeConstants) -> None:
                     f"model (delta = 0), got delta={c.delta}")
     if not c.R > 0.0:
         _fail(tid, f"a positive starting radius R is required, got {c.R}")
+    return replace(c, L=c.L + c.mu, alpha=2.0 * c.alpha, delta=c.alpha * c.mu * c.R)
 
 
 def _build_gd_reg(c: EnvelopeConstants) -> Envelope:
     tid = "GD_REG"
-    _check_reg_common(tid, c)
+    ridge = _ridge_constants(tid, c)
     if c.alpha >= 0.5:
         _fail(tid, "plain-descent regularization requires alpha < 1/2, "
                    f"got {c.alpha}")
-    # the ridge doubles the relative level and adds an absolute one
-    a2 = 2.0 * c.alpha
-    Lr = c.L + c.mu
-    d2 = c.alpha * c.mu * c.R
-    rate = (1.0 - a2) ** 3 / (1.0 + a2) * c.mu / (8.0 * Lr)
-    floor = (1.5 * (1.0 + a2) / (1.0 - a2) ** 3 * d2**2 / c.mu
-             + 0.5 * c.mu * c.R**2)
-    return Envelope(tid, c, floor, rate, c.f0_gap, _geometric(c.f0_gap, rate, floor))
+    # GD_PL on the ridge problem, plus the ridge's own offset at the base minimizer
+    base = _build_gd_pl(ridge)
+    return _geometric(tid, c, base.floor + 0.5 * c.mu * c.R**2, base.rate, base.start)
 
 
 def _build_reagm_reg(c: EnvelopeConstants) -> Envelope:
     tid = "REAGM_REG"
-    _check_reg_common(tid, c)
+    ridge = _ridge_constants(tid, c)
     if c.alpha > 1.0 / 6.0:
         _fail(tid, "accelerated regularization needs alpha <= 1/6 so the "
                    f"doubled level stays within its domain, got {c.alpha}")
-    a2 = 2.0 * c.alpha
-    Lr = c.L + c.mu
-    d2 = c.alpha * c.mu * c.R
-    g = _gamma_star(c.mu, Lr, a2)
-    rate = (c.mu / Lr) ** (1.0 - g) / 300.0
-    start = c.f0_gap + c.mu * c.R**2 / 4.0
-    floor = ((2.0 * (Lr / c.mu) ** g + 5.0) * d2**2 / c.mu
-             + 0.5 * c.mu * c.R**2)
-    return Envelope(tid, c, floor, rate, start, _geometric(start, rate, floor))
+    # REAGM on the ridge problem, plus the ridge's own offset at the base minimizer
+    base = _build_reagm(ridge)
+    return _geometric(tid, c, base.floor + 0.5 * c.mu * c.R**2, base.rate, base.start)
 
 
 def _build_adapt_both(c: EnvelopeConstants) -> Envelope:
@@ -257,7 +236,7 @@ def _build_adapt_both(c: EnvelopeConstants) -> Envelope:
         _fail(tid, f"degenerate constants, contraction rate {rate} >= 1")
     floor = (200.0 / (1.0 - a) ** 2
              * max((1.0 - a) ** -2, (c.L / L0) ** 2) * c.delta**2 / c.mu)
-    return Envelope(tid, c, floor, rate, c.f0_gap, _geometric(c.f0_gap, rate, floor))
+    return _geometric(tid, c, floor, rate, c.f0_gap)
 
 
 def _build_adapt_alpha(c: EnvelopeConstants) -> Envelope:
@@ -271,7 +250,7 @@ def _build_adapt_alpha(c: EnvelopeConstants) -> Envelope:
     a = c.alpha
     rate = (1.0 - a) ** 3 * c.mu / (128.0 * c.L)
     floor = 100.0 / (1.0 - a) ** 3 * c.delta**2 / c.mu
-    return Envelope(tid, c, floor, rate, c.f0_gap, _geometric(c.f0_gap, rate, floor))
+    return _geometric(tid, c, floor, rate, c.f0_gap)
 
 
 def _build_stop_generic(c: EnvelopeConstants) -> Envelope:
@@ -307,11 +286,9 @@ def _build_reagm_stop(c: EnvelopeConstants) -> Envelope:
     K = float(c.K)
     _stop_beta(tid, c.mu, c.L, K)
     level = stopping_level(c.mu, c.alpha, c.delta, K)
-    alpha_hat = c.alpha + 1.0 / K
-    g = _gamma_star(c.mu, c.L, alpha_hat)
-    rate = (c.mu / c.L) ** (1.0 - g) / 300.0
-    start = c.f0_gap + c.mu * c.R**2 / 4.0
-    return Envelope(tid, c, level, rate, start, _geometric(start, rate, level))
+    # REAGM at the inflated level alpha + 1/K, down to the stopping level
+    base = _build_reagm(replace(c, alpha=c.alpha + 1.0 / K))
+    return _geometric(tid, c, level, base.rate, base.start)
 
 
 _BUILDERS = {
@@ -325,6 +302,7 @@ _BUILDERS = {
     "STOP_GENERIC": _build_stop_generic,
     "REAGM_STOP": _build_reagm_stop,
 }
+THEOREM_IDS = tuple(_BUILDERS)
 
 
 def envelope(theorem_id: str, constants: EnvelopeConstants) -> Envelope:
@@ -400,12 +378,7 @@ def _budget_reagm_stop(c: EnvelopeConstants) -> int:
                    "the rule never triggers and no budget exists")
     K = float(c.K)
     beta = _stop_beta(tid, c.mu, c.L, K)
-    if c.alpha == 0.0:
-        gamma0 = 0.5
-    else:
-        gamma0 = min(0.5, math.log(6.0 * c.alpha) / math.log(c.mu / (2.0 * c.L)))
-        if gamma0 < 0.0:
-            _fail(tid, f"alpha={c.alpha} is too large for these moduli")
+    gamma0 = _gamma_star(c.mu, c.L, 2.0 * c.alpha)
     k_eff = (1.0 + c.alpha) * K + 1.0
     arg = ((1.0 - c.alpha) ** 2 / (k_eff**2 + 1.0)
            * c.L * c.R**2 * c.mu / c.delta**2)

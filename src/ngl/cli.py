@@ -32,6 +32,7 @@ byte-identical trace.csv; summary.json differs only in wall_time_s.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -75,6 +76,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATION = 2
 EXIT_GUARD = 3
+
+# `ngl bounds` constants: EnvelopeConstants' fields, required where they have no default
+_CONSTANTS = {f.name: f.default is dataclasses.MISSING for f in dataclasses.fields(EnvelopeConstants)}
+# the columns comparison.csv takes from each run's record
+_COMPARED = ("final_f_gap", "iterations", "terminal", "floor", "iters_to_10x_floor")
 
 
 def _load(path: str) -> dict:
@@ -310,19 +316,14 @@ def cmd_sweep(args) -> int:
     records.sort(key=lambda r: r["index"])
 
     out_root.mkdir(parents=True, exist_ok=True)
-    header = (["run"] + varied
-              + ["final_f_gap", "iterations", "terminal", "floor",
-                 "iters_to_10x_floor"])
-    lines = [",".join(header)]
+    lines = [",".join(["run", *varied, *_COMPARED])]
     for record, run_raw in zip(records, run_dicts):
         row = [format(record["index"], "d")]
         for key in varied:
             v = run_raw[key]
             row.append(str(v) if isinstance(v, (str, bool))
                        else _format_float(v))
-        for key in ("final_f_gap", "iterations", "terminal", "floor",
-                    "iters_to_10x_floor"):
-            row.append(_comparison_value(record, key))
+        row += [_comparison_value(record, key) for key in _COMPARED]
         lines.append(",".join(row))
     (out_root / "comparison.csv").write_text("\n".join(lines) + "\n",
                                              encoding="utf-8")
@@ -350,20 +351,18 @@ def cmd_verify(args) -> int:
 
 
 def _parse_constants(pairs):
-    known = {"mu", "L", "alpha", "delta", "f0_gap", "R", "L0", "K"}
-    required = {"mu", "L", "alpha", "delta", "f0_gap", "R"}
     values = {}
     for pair in pairs:
         key, sep, raw = pair.partition("=")
-        if not sep or key not in known:
+        if not sep or key not in _CONSTANTS:
             raise ConfigError(f"expected key=value with key in "
-                              f"{sorted(known)}, got {pair!r}")
+                              f"{sorted(_CONSTANTS)}, got {pair!r}")
         try:
             value = float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}")
         values[key] = _typed(key, value, float)
-    missing = sorted(required - set(values))
+    missing = sorted(k for k, required in _CONSTANTS.items() if required and k not in values)
     if missing:
         raise ConfigError(f"missing constant(s): {', '.join(missing)}")
     return EnvelopeConstants(**values)
@@ -419,8 +418,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="print an envelope table")
     p_bounds.add_argument("theorem", choices=list(THEOREM_IDS))
     p_bounds.add_argument("constants", nargs="*",
-                          help="key=value pairs: mu L alpha delta f0_gap R "
-                               "[L0] [K]")
+                          help="key=value pairs: " + " ".join(
+                              k if required else f"[{k}]" for k, required in _CONSTANTS.items()))
     p_bounds.add_argument("--N", type=int, default=10_000,
                           help="largest iteration in the table")
     p_bounds.add_argument("--points", type=int, default=15,

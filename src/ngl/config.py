@@ -55,8 +55,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Optional
+import dataclasses
 
 import numpy as np
 
@@ -115,38 +114,6 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"{path}: top level must be a JSON object of "
                           f"dotted keys, got {type(data).__name__}")
     return data
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One validated experiment: problem, oracle, solver, driver, output."""
-
-    family: str
-    n: int
-    k: Optional[int]
-    mu: float
-    L: float
-    mode: str
-    alpha: float
-    delta: float
-    seed: int
-    top_k: Optional[int]
-    grid_m: Optional[int]
-    fd_h: Optional[float]
-    fd_value_noise: float
-    precision_bits: Optional[int]
-    domain_radius: float
-    solver: str
-    steps: int
-    alpha_param: Optional[float]
-    L0: Optional[float]
-    adapt_L: bool
-    driver: str
-    epsilon: Optional[float]
-    beta: float
-    tau: float
-    K: Optional[float]
-    out_dir: str
 
 
 _TYPE_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
@@ -239,6 +206,14 @@ _KEYS = (
     ("output.dir", "out_dir", str, None, None, _EVERY, True,
      ("be a non-empty path", lambda v, got: v != "")),
 )
+
+
+# a field per _KEYS row, None where an unset key does not apply; the
+# module is named for pickling (ngl sweep --jobs 2)
+ExperimentConfig = dataclasses.make_dataclass(
+    "ExperimentConfig", [row[1:3] for row in _KEYS], frozen=True,
+    namespace={"__module__": __name__,
+               "__doc__": "One validated experiment: problem, oracle, solver, driver, output."})
 
 
 def parse_config(raw: dict) -> ExperimentConfig:

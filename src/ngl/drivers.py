@@ -15,7 +15,7 @@ peeking at the problem's analytic minimizer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional
 
 import numpy as np
@@ -25,6 +25,8 @@ from .numkit import as_vector
 from .oracles import GradientOracle
 from .problems import ObjectiveProblem
 from .solvers import (
+    _X_COLUMNS,
+    _Y_COLUMNS,
     TERMINAL_STOPPING_RULE,
     GDConfig,
     ReAgmConfig,
@@ -102,15 +104,6 @@ class RegularizedProblem(ObjectiveProblem):
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
         return self.base._gradient(x) + self.mu_reg * d
-
-    def shifted_minimizer(self, ridge: float, center) -> np.ndarray:
-        if ridge == 0.0:
-            return self.x_star.copy()
-        # two ridges merge into one around their weighted center
-        total = self.mu_reg + ridge
-        c2 = as_vector(center, self.dim)
-        merged = (self.mu_reg * self.center + ridge * c2) / total
-        return self.base.shifted_minimizer(total, merged)
 
 
 class RegularizedOracle(GradientOracle):
@@ -422,35 +415,15 @@ def _invert_envelope(env, target: float) -> int:
 
 
 def _concat_traces(traces: List[RunTrace]) -> RunTrace:
-    if len(traces) == 1:
-        return traces[0]
-
-    def cat(name):
-        head = getattr(traces[0], name)
-        return np.concatenate([head] + [getattr(t, name)[1:] for t in traces[1:]])
-
-    def cat_y(name):
-        parts = [getattr(t, name) for t in traces]
-        if any(p is None for p in parts):
-            return None
-        return np.concatenate(parts)
-
-    f_gap = cat("f_gap")
-    last = traces[-1]
-    return RunTrace(
-        k=np.arange(len(f_gap)),
-        f_gap=f_gap,
-        grad_norm=cat("grad_norm"),
-        noisy_grad_norm=cat("noisy_grad_norm"),
-        terminal=last.terminal,
-        x_final=last.x_final,
-        final_f_gap=last.final_f_gap,
-        declared_alpha=last.declared_alpha,
-        declared_delta=last.declared_delta,
-        y_f_gap=cat_y("y_f_gap"),
-        y_grad_norm=cat_y("y_grad_norm"),
-        y_noisy_grad_norm=cat_y("y_noisy_grad_norm"),
-    )
+    """The stages' rows spliced into the last stage's trace and renumbered;
+    a later stage's row 0 repeats the row before it and is dropped."""
+    cols = {name: np.concatenate([getattr(traces[0], name)]
+                                 + [getattr(t, name)[1:] for t in traces[1:]])
+            for name in _X_COLUMNS[1:]}
+    if traces[-1].y_f_gap is not None:
+        cols.update((name, np.concatenate([getattr(t, name) for t in traces]))
+                    for name in _Y_COLUMNS)
+    return replace(traces[-1], k=np.arange(len(cols["f_gap"])), **cols)
 
 
 def restart_to_convex(solver: str, problem: ObjectiveProblem,
@@ -469,8 +442,6 @@ def restart_to_convex(solver: str, problem: ObjectiveProblem,
         raise ValueError(f"unknown solver {solver!r}; expected 'gd' or 're_agm'")
     if not problem.mu > 0.0:
         raise ValueError("restart stages need a strongly convex problem")
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise ValueError(f"target accuracy must be positive, got {epsilon}")
 
     alpha = oracle.declared_alpha
     delta = oracle.declared_delta

@@ -106,8 +106,8 @@ class GradientOracle:
                  certify: bool = False):
         if not 0.0 <= declared_alpha < 1.0:
             raise ValueError(f"declared_alpha must be in [0, 1), got {declared_alpha}")
-        if declared_delta < 0.0:
-            raise ValueError(f"declared_delta must be >= 0, got {declared_delta}")
+        if not 0.0 <= declared_delta < math.inf:
+            raise ValueError(f"declared_delta must be finite and >= 0, got {declared_delta}")
         self.problem = problem
         self.declared_alpha = float(declared_alpha)
         self.declared_delta = float(declared_delta)
@@ -242,10 +242,10 @@ def finite_difference_gradient(problem: ObjectiveProblem, x, h: float, value_noi
     sqrt(n) * (L*h/2 + 2*value_noise/h).
     """
     x = as_vector(x, problem.dim)
-    if h <= 0.0:
+    if not h > 0.0:
         raise ValueError(f"h must be > 0, got {h}")
-    if value_noise < 0.0:
-        raise ValueError(f"value_noise must be >= 0, got {value_noise}")
+    if not 0.0 <= value_noise < math.inf:
+        raise ValueError(f"value_noise must be finite and >= 0, got {value_noise}")
     query_index = _check_query_index(query_index)
     stream = _QueryStream(seed) if value_noise > 0.0 else None
     # the public value: a shifted point that overflows raises ValueError
@@ -277,10 +277,10 @@ class FiniteDifferenceOracle(GradientOracle):
 
     def __init__(self, problem: ObjectiveProblem, h: float, value_noise: float = 0.0,
                  seed: int = 0, certify: bool = False):
-        if h <= 0.0:
+        if not h > 0.0:
             raise ValueError(f"h must be > 0, got {h}")
-        if value_noise < 0.0:
-            raise ValueError(f"value_noise must be >= 0, got {value_noise}")
+        if not 0.0 <= value_noise < math.inf:
+            raise ValueError(f"value_noise must be finite and >= 0, got {value_noise}")
         delta = math.sqrt(problem.dim) * (problem.L * h / 2.0 + 2.0 * value_noise / h)
         super().__init__(problem, 0.0, delta, certify)
         self.h = float(h)
@@ -343,7 +343,7 @@ class FloatingPointQuadraticOracle(GradientOracle):
                  certify: bool = False):
         if not hasattr(problem, "A") or not hasattr(problem, "b"):
             raise ValueError("reduced-precision oracle needs an explicit quadratic problem")
-        if domain_radius <= 0.0:
+        if not domain_radius > 0.0:
             raise ValueError("domain_radius must be > 0")
         n = problem.dim
         eps = spec.eps

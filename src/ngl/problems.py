@@ -5,9 +5,9 @@ its strongly convex variant, and explicit quadratics ``1/2 x'Ax + b'x``.
 Each problem carries (mu, L, x_star, f_star); minimizers are analytic or
 come from a direct solve, never from an iterative run.  Every family can
 also produce the exact minimizer of a proximally shifted copy
-``f + ridge/2 ||x - center||^2``, which the accuracy drivers rely on for
-ground truth.  The chain families get both from one symmetric
-tridiagonal solve, ``_solve_spd_tridiagonal``: LAPACK's ``dptsv``
+``f + ridge/2 ||x - center||^2``, which is the ``x_star`` of a ridge
+problem (``drivers.RegularizedProblem``).  The chain families get both
+from one symmetric tridiagonal solve, ``_solve_spd_tridiagonal``: LAPACK's ``dptsv``
 (``dpttrf`` then ``dptts2``) written out in Python floats, which gives
 scipy's ``solveh_banded`` bits with numpy as the only import.
 

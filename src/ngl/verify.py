@@ -102,10 +102,9 @@ def compressor_levels(problem, compressors: Sequence[Tuple[str, Any]], queries: 
     for oracle in oracles:
         for _ in range(queries):
             est, exact = oracle.estimate_with_exact(spread * rng.standard_normal(problem.dim))
-            err = float(np.linalg.norm(est - exact))
-            allowed = (oracle.declared_alpha * float(np.linalg.norm(exact))
-                       + oracle.declared_delta)
-            worst = min(worst, allowed - err)
+            report = certification_report(est, exact, oracle.declared_alpha,
+                                          oracle.declared_delta)
+            worst = min(worst, report["composite"])
     return Outcome(worst >= -_SLACK, f"minimum slack {worst:.3e}", oracles)
 
 

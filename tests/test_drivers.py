@@ -103,17 +103,6 @@ class TestRegularizedProblem:
         with pytest.raises(ValueError, match="positive"):
             regularize(base, np.zeros(12), 0.0)
 
-    def test_nested_shifted_minimizer(self):
-        base = nesterov_convex(4, 10.0, 12)
-        c1 = np.zeros(12)
-        c2 = np.ones(12)
-        reg = regularize(base, c1, 0.5)
-        got = reg.shifted_minimizer(0.25, c2)
-        # same point from a single merged ridge on the base problem
-        merged_center = (0.5 * c1 + 0.25 * c2) / 0.75
-        want = base.shifted_minimizer(0.75, merged_center)
-        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
-
     def test_ridge_solution_stays_within_base_radius(self):
         # long exact descent on the ridge problem cross-checks the
         # analytic minimizer, then the contraction property

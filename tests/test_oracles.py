@@ -21,6 +21,7 @@ from ngl.oracles import (
     CompressedGradientOracle,
     FiniteDifferenceOracle,
     FloatingPointQuadraticOracle,
+    GradientOracle,
     NoiseSpec,
     SyntheticNoiseOracle,
     _fp_quadratic,
@@ -317,6 +318,25 @@ class TestFiniteDifference:
             FiniteDifferenceOracle(p, h=-1.0)
         with pytest.raises(ValueError):
             FiniteDifferenceOracle(p, h=1.0, value_noise=-1e-3)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_levels_are_rejected(bad):
+    # a NaN level would certify any error: err > nan is False
+    p = quadratic(np.eye(2), np.zeros(2))
+    builds = [
+        lambda: GradientOracle(p, 0.0, bad, certify=True),
+        lambda: GradientOracle(p, bad, 0.0),
+        lambda: FiniteDifferenceOracle(p, h=bad),
+        lambda: FiniteDifferenceOracle(p, h=1e-3, value_noise=bad),
+        lambda: FloatingPointQuadraticOracle(p, PrecisionSpec(20), domain_radius=bad),
+        lambda: finite_difference_gradient(p, np.zeros(2), h=1e-3, value_noise=bad),
+        # an infinite h is caught by the problem, at a non-finite point
+        lambda: finite_difference_gradient(p, np.zeros(2), h=bad),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestFloatingPointGradient:

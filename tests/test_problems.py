@@ -34,6 +34,9 @@ def sample_problems():
     ]
 
 
+STRONGLY_CONVEX = [i for i, p in enumerate(sample_problems()) if p.mu > 0.0]
+
+
 class TestPinnedValues:
     def test_chained_convex_small(self):
         p = nesterov_convex(k=1, L=4.0, n=2)
@@ -163,12 +166,10 @@ class TestCertificates:
             )
             assert lhs - rhs >= -1e-9 * max(1.0, abs(lhs))
 
-    @pytest.mark.parametrize("idx", range(7))
+    @pytest.mark.parametrize("idx", STRONGLY_CONVEX)
     def test_gradient_domination_of_gap(self, idx):
         # ||grad f||^2 >= 2 mu (f - f*) for strongly convex instances
         p = sample_problems()[idx]
-        if p.mu == 0.0:
-            pytest.skip("needs mu > 0")
         rng = np.random.default_rng(400 + idx)
         for _ in range(200):
             x = rng.standard_normal(p.dim) * rng.uniform(0.1, 10.0)
