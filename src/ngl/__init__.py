@@ -27,7 +27,6 @@ from .drivers import (
     StageFailureError,
     StoppingRule,
     combined_reg_stop,
-    regularize,
     restart_to_convex,
     run_with_stopping,
     solve_convex_gd,
@@ -41,7 +40,6 @@ from .oracles import (
     NoiseSpec,
     SyntheticNoiseOracle,
     certification_report,
-    finite_difference_gradient,
 )
 from .problems import (
     ObjectiveProblem,
@@ -73,7 +71,6 @@ __all__ = [
     "GradientOracle", "NoiseSpec", "SyntheticNoiseOracle",
     "CompressedGradientOracle", "FiniteDifferenceOracle",
     "FloatingPointQuadraticOracle", "certification_report",
-    "finite_difference_gradient",
     # solvers
     "GDConfig", "ReAgmConfig", "AdaptiveGDConfig", "RunTrace",
     "gd_run", "re_agm_run", "adaptive_gd_run", "gd_step_size",
@@ -83,7 +80,7 @@ __all__ = [
     "envelope", "iteration_budget", "stopping_level",
     # drivers
     "RegularizedProblem", "RegularizedOracle", "StoppingRule",
-    "RestartResult", "regularize", "run_with_stopping", "solve_convex_gd",
+    "RestartResult", "run_with_stopping", "solve_convex_gd",
     "solve_convex_re_agm", "combined_reg_stop", "restart_to_convex",
     "ConvergenceFailureError", "StageFailureError",
 ]

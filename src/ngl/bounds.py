@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -128,16 +128,35 @@ def _check_common(tid: str, c: EnvelopeConstants) -> None:
         _fail(tid, f"starting radius R must be >= 0, got {c.R}")
 
 
-def _require_strongly_convex(tid: str, mu: float, L: float) -> None:
-    if not mu > 0.0:
-        _fail(tid, f"strong convexity modulus mu must be positive, got {mu}")
-    if mu > L:
-        _fail(tid, f"mu must not exceed L, got mu={mu} > L={L}")
+class _Theorem(NamedTuple):
+    """A guarantee's hypotheses on (mu, L, alpha, K) and the builder of its curve."""
+
+    strongly_convex: bool  # 0 < mu <= L
+    alpha_cap: float
+    cap_label: str
+    cap_inclusive: bool  # alpha may equal the cap
+    needs_K: bool
+    build: Callable
 
 
-def _gamma_star(mu: float, L: float, alpha: float) -> float:
-    # also re-validates the parameter bracket for these constants
-    return re_agm_calculate_parameters(mu, L, alpha).gamma_star
+def _check_domain(tid: str, c: EnvelopeConstants) -> None:
+    t = _THEOREMS[tid]
+    if t.strongly_convex:
+        if not c.mu > 0.0:
+            _fail(tid, f"strong convexity modulus mu must be positive, got {c.mu}")
+        if c.mu > c.L:
+            _fail(tid, f"mu must not exceed L, got mu={c.mu} > L={c.L}")
+    if not (c.alpha <= t.alpha_cap if t.cap_inclusive else c.alpha < t.alpha_cap):
+        op = "<=" if t.cap_inclusive else "<"
+        _fail(tid, f"relative noise level alpha must be {op} {t.cap_label}, got {c.alpha}")
+    if t.needs_K and c.K is None:
+        _fail(tid, "a stopping multiplier K is required")
+
+
+def _build(tid: str, c: EnvelopeConstants) -> Envelope:
+    """The guarantee's curve once its hypotheses hold."""
+    _check_domain(tid, c)
+    return _THEOREMS[tid].build(tid, c)
 
 
 def _geometric(tid: str, c: EnvelopeConstants, floor: float, rate: float,
@@ -150,21 +169,14 @@ def _geometric(tid: str, c: EnvelopeConstants, floor: float, rate: float,
     return Envelope(tid, c, floor, rate, start, _eval)
 
 
-def _build_gd_pl(c: EnvelopeConstants) -> Envelope:
-    tid = "GD_PL"
-    _require_strongly_convex(tid, c.mu, c.L)
-    if c.alpha >= 1.0:
-        _fail(tid, f"relative noise level alpha must be < 1, got {c.alpha}")
+def _build_gd_pl(tid: str, c: EnvelopeConstants) -> Envelope:
     a = c.alpha
     rate = (1.0 - a) ** 3 / (1.0 + a) * c.mu / (8.0 * c.L)
     floor = 1.5 * (1.0 + a) / (1.0 - a) ** 3 * c.delta**2 / c.mu
     return _geometric(tid, c, floor, rate, c.f0_gap)
 
 
-def _build_gd_mingrad(c: EnvelopeConstants) -> Envelope:
-    tid = "GD_MINGRAD"
-    if c.alpha >= 1.0:
-        _fail(tid, f"relative noise level alpha must be < 1, got {c.alpha}")
+def _build_gd_mingrad(tid: str, c: EnvelopeConstants) -> Envelope:
     a = c.alpha
     coef = (1.0 + a) / (1.0 - a) ** 3 * 16.0 * c.L * c.f0_gap
     floor = 3.0 / ((1.0 - a) ** 3 * (1.0 + a)) * c.delta**2
@@ -175,20 +187,17 @@ def _build_gd_mingrad(c: EnvelopeConstants) -> Envelope:
     return Envelope(tid, c, floor, None, None, _eval)
 
 
-def _build_reagm(c: EnvelopeConstants) -> Envelope:
-    tid = "REAGM"
-    _require_strongly_convex(tid, c.mu, c.L)
-    if c.alpha > 1.0 / 3.0:
-        _fail(tid, f"the accelerated method requires alpha <= 1/3, got {c.alpha}")
-    g = _gamma_star(c.mu, c.L, c.alpha)
+def _build_reagm(tid: str, c: EnvelopeConstants) -> Envelope:
+    g = re_agm_calculate_parameters(c.mu, c.L, c.alpha).gamma_star
     rate = (c.mu / c.L) ** (1.0 - g) / 300.0
     start = c.f0_gap + c.mu * c.R**2 / 4.0
     floor = (2.0 * (c.L / c.mu) ** g + 5.0) * c.delta**2 / c.mu
     return _geometric(tid, c, floor, rate, start)
 
 
-def _ridge_constants(tid: str, c: EnvelopeConstants) -> EnvelopeConstants:
-    """Check the ridge routes' hypotheses; return the ridge problem's constants."""
+def _build_ridge(tid: str, c: EnvelopeConstants) -> Envelope:
+    """GD_REG and REAGM_REG: the base guarantee (GD_PL or REAGM) on the ridge
+    problem, plus the ridge's own offset at the base minimizer."""
     if not c.mu > 0.0:
         _fail(tid, f"ridge modulus mu must be positive, got {c.mu}")
     if c.delta != 0.0:
@@ -196,36 +205,12 @@ def _ridge_constants(tid: str, c: EnvelopeConstants) -> EnvelopeConstants:
                     f"model (delta = 0), got delta={c.delta}")
     if not c.R > 0.0:
         _fail(tid, f"a positive starting radius R is required, got {c.R}")
-    return replace(c, L=c.L + c.mu, alpha=2.0 * c.alpha, delta=c.alpha * c.mu * c.R)
-
-
-def _build_gd_reg(c: EnvelopeConstants) -> Envelope:
-    tid = "GD_REG"
-    ridge = _ridge_constants(tid, c)
-    if c.alpha >= 0.5:
-        _fail(tid, "plain-descent regularization requires alpha < 1/2, "
-                   f"got {c.alpha}")
-    # GD_PL on the ridge problem, plus the ridge's own offset at the base minimizer
-    base = _build_gd_pl(ridge)
+    ridge = replace(c, L=c.L + c.mu, alpha=2.0 * c.alpha, delta=c.alpha * c.mu * c.R)
+    base = _build("GD_PL" if tid == "GD_REG" else "REAGM", ridge)
     return _geometric(tid, c, base.floor + 0.5 * c.mu * c.R**2, base.rate, base.start)
 
 
-def _build_reagm_reg(c: EnvelopeConstants) -> Envelope:
-    tid = "REAGM_REG"
-    ridge = _ridge_constants(tid, c)
-    if c.alpha > 1.0 / 6.0:
-        _fail(tid, "accelerated regularization needs alpha <= 1/6 so the "
-                   f"doubled level stays within its domain, got {c.alpha}")
-    # REAGM on the ridge problem, plus the ridge's own offset at the base minimizer
-    base = _build_reagm(ridge)
-    return _geometric(tid, c, base.floor + 0.5 * c.mu * c.R**2, base.rate, base.start)
-
-
-def _build_adapt_both(c: EnvelopeConstants) -> Envelope:
-    tid = "ADAPT_BOTH"
-    _require_strongly_convex(tid, c.mu, c.L)
-    if c.alpha >= 1.0:
-        _fail(tid, f"relative noise level alpha must be < 1, got {c.alpha}")
+def _build_adapt_both(tid: str, c: EnvelopeConstants) -> Envelope:
     L0 = c.L if c.L0 is None else float(c.L0)
     if not (L0 > 0.0 and math.isfinite(L0)):
         _fail(tid, f"initial smoothness guess L0 must be positive, got {L0}")
@@ -239,11 +224,7 @@ def _build_adapt_both(c: EnvelopeConstants) -> Envelope:
     return _geometric(tid, c, floor, rate, c.f0_gap)
 
 
-def _build_adapt_alpha(c: EnvelopeConstants) -> Envelope:
-    tid = "ADAPT_ALPHA"
-    _require_strongly_convex(tid, c.mu, c.L)
-    if c.alpha >= 1.0:
-        _fail(tid, f"relative noise level alpha must be < 1, got {c.alpha}")
+def _build_adapt_alpha(tid: str, c: EnvelopeConstants) -> Envelope:
     if c.L0 is not None and c.L0 != c.L:
         _fail(tid, "the level-only adaptive guarantee fixes the initial "
                    f"smoothness guess at L, got L0={c.L0}")
@@ -253,10 +234,7 @@ def _build_adapt_alpha(c: EnvelopeConstants) -> Envelope:
     return _geometric(tid, c, floor, rate, c.f0_gap)
 
 
-def _build_stop_generic(c: EnvelopeConstants) -> Envelope:
-    tid = "STOP_GENERIC"
-    if c.K is None:
-        _fail(tid, "a stopping multiplier K is required")
+def _build_stop_generic(tid: str, c: EnvelopeConstants) -> Envelope:
     level = stopping_level(c.mu, c.alpha, c.delta, c.K)
 
     def _eval(n):
@@ -276,33 +254,29 @@ def _stop_beta(tid: str, mu: float, L: float, K: float) -> float:
     return beta
 
 
-def _build_reagm_stop(c: EnvelopeConstants) -> Envelope:
-    tid = "REAGM_STOP"
-    _require_strongly_convex(tid, c.mu, c.L)
-    if c.alpha > 1.0 / 6.0:
-        _fail(tid, f"the stopping envelope requires alpha <= 1/6, got {c.alpha}")
-    if c.K is None:
-        _fail(tid, "a stopping multiplier K is required")
+def _build_reagm_stop(tid: str, c: EnvelopeConstants) -> Envelope:
     K = float(c.K)
     _stop_beta(tid, c.mu, c.L, K)
     level = stopping_level(c.mu, c.alpha, c.delta, K)
     # REAGM at the inflated level alpha + 1/K, down to the stopping level
-    base = _build_reagm(replace(c, alpha=c.alpha + 1.0 / K))
+    base = _build("REAGM", replace(c, alpha=c.alpha + 1.0 / K))
     return _geometric(tid, c, level, base.rate, base.start)
 
 
-_BUILDERS = {
-    "GD_PL": _build_gd_pl,
-    "GD_MINGRAD": _build_gd_mingrad,
-    "REAGM": _build_reagm,
-    "GD_REG": _build_gd_reg,
-    "REAGM_REG": _build_reagm_reg,
-    "ADAPT_BOTH": _build_adapt_both,
-    "ADAPT_ALPHA": _build_adapt_alpha,
-    "STOP_GENERIC": _build_stop_generic,
-    "REAGM_STOP": _build_reagm_stop,
+# One row per guarantee.  For the ridge routes mu is the added ridge, whose
+# own checks live in _build_ridge; STOP_GENERIC's mu > 0 is stopping_level's.
+_THEOREMS = {
+    "GD_PL": _Theorem(True, 1.0, "1", False, False, _build_gd_pl),
+    "GD_MINGRAD": _Theorem(False, 1.0, "1", False, False, _build_gd_mingrad),
+    "REAGM": _Theorem(True, 1.0 / 3.0, "1/3", True, False, _build_reagm),
+    "GD_REG": _Theorem(False, 0.5, "1/2", False, False, _build_ridge),
+    "REAGM_REG": _Theorem(False, 1.0 / 6.0, "1/6", True, False, _build_ridge),
+    "ADAPT_BOTH": _Theorem(True, 1.0, "1", False, False, _build_adapt_both),
+    "ADAPT_ALPHA": _Theorem(True, 1.0, "1", False, False, _build_adapt_alpha),
+    "STOP_GENERIC": _Theorem(False, 1.0, "1", False, True, _build_stop_generic),
+    "REAGM_STOP": _Theorem(True, 1.0 / 6.0, "1/6", True, True, _build_reagm_stop),
 }
-THEOREM_IDS = tuple(_BUILDERS)
+THEOREM_IDS = tuple(_THEOREMS)
 
 
 def envelope(theorem_id: str, constants: EnvelopeConstants) -> Envelope:
@@ -311,11 +285,11 @@ def envelope(theorem_id: str, constants: EnvelopeConstants) -> Envelope:
     Raises EnvelopeDomainError naming the violated hypothesis when the
     constants fall outside the guarantee's domain.
     """
-    if theorem_id not in _BUILDERS:
+    if theorem_id not in _THEOREMS:
         raise ValueError(f"unknown theorem id {theorem_id!r}; "
                          f"expected one of {THEOREM_IDS}")
     _check_common(theorem_id, constants)
-    return _BUILDERS[theorem_id](constants)
+    return _build(theorem_id, constants)
 
 
 def stopping_level(mu: float, alpha: float, delta: float, K: float) -> float:
@@ -340,9 +314,6 @@ def stopping_level(mu: float, alpha: float, delta: float, K: float) -> float:
 
 
 def _budget_gd_reg(c: EnvelopeConstants, epsilon: float) -> int:
-    tid = "GD_REG"
-    if c.alpha >= 0.5:
-        _fail(tid, f"plain-descent regularization requires alpha < 1/2, got {c.alpha}")
     a = c.alpha
     scale = c.L * c.R**2
     raw = (12.0 * (1.0 + a) ** 2 / (1.0 - a) ** 6
@@ -368,17 +339,12 @@ def _budget_reagm_reg(c: EnvelopeConstants, epsilon: float, beta: float) -> int:
 
 def _budget_reagm_stop(c: EnvelopeConstants) -> int:
     tid = "REAGM_STOP"
-    _require_strongly_convex(tid, c.mu, c.L)
-    if c.alpha > 1.0 / 6.0:
-        _fail(tid, f"the stopping budget requires alpha <= 1/6, got {c.alpha}")
-    if c.K is None:
-        _fail(tid, "a stopping multiplier K is required")
     if not c.delta > 0.0:
         _fail(tid, "a positive absolute noise level is required; with delta = 0 "
                    "the rule never triggers and no budget exists")
     K = float(c.K)
     beta = _stop_beta(tid, c.mu, c.L, K)
-    gamma0 = _gamma_star(c.mu, c.L, 2.0 * c.alpha)
+    gamma0 = re_agm_calculate_parameters(c.mu, c.L, 2.0 * c.alpha).gamma_star
     k_eff = (1.0 + c.alpha) * K + 1.0
     arg = ((1.0 - c.alpha) ** 2 / (k_eff**2 + 1.0)
            * c.L * c.R**2 * c.mu / c.delta**2)
@@ -400,10 +366,13 @@ def iteration_budget(theorem_id: str, constants: EnvelopeConstants,
     set by the noise level rather than epsilon (epsilon is ignored).
     """
     _check_common(theorem_id, constants)
+    if theorem_id not in ("GD_REG", "REAGM_REG", "REAGM_STOP"):
+        raise ValueError(f"no iteration budget is defined for {theorem_id!r}")
+    if theorem_id != "REAGM_REG":
+        # REAGM_REG's budget caps alpha by the accuracy, not by its envelope's 1/6
+        _check_domain(theorem_id, constants)
     if theorem_id == "REAGM_STOP":
         return _budget_reagm_stop(constants)
-    if theorem_id not in ("GD_REG", "REAGM_REG"):
-        raise ValueError(f"no iteration budget is defined for {theorem_id!r}")
     if epsilon is None or not (math.isfinite(epsilon) and epsilon > 0.0):
         _fail(theorem_id, f"a positive target accuracy is required, got {epsilon}")
     scale = constants.L * constants.R**2

@@ -20,7 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bounds import EnvelopeConstants, envelope, iteration_budget, stopping_level
+from .bounds import EnvelopeConstants, envelope, iteration_budget
 from .numkit import as_vector
 from .oracles import GradientOracle
 from .problems import ObjectiveProblem
@@ -38,7 +38,6 @@ from .solvers import (
 __all__ = [
     "RegularizedProblem",
     "RegularizedOracle",
-    "regularize",
     "StoppingRule",
     "run_with_stopping",
     "solve_convex_gd",
@@ -142,11 +141,6 @@ class RegularizedOracle(GradientOracle):
         return est + self.problem.mu_reg * (x - self.problem.center)
 
 
-def regularize(base: ObjectiveProblem, center, mu_reg: float) -> RegularizedProblem:
-    """Wrap base with a ridge of modulus mu_reg around center."""
-    return RegularizedProblem(base, center, mu_reg)
-
-
 @dataclass(frozen=True)
 class StoppingRule:
     """Stop once the noisy gradient norm drops to ((1+alpha)K + 1)*delta."""
@@ -169,10 +163,6 @@ class StoppingRule:
                 f"{1.0 / (1.0 - alpha)}")
         return ((1.0 + alpha) * self.K + 1.0) * self.delta
 
-    def level(self, mu: float, alpha: float) -> float:
-        """Gap guaranteed at a rule-triggered exit."""
-        return stopping_level(mu, alpha, self.delta, self.K)
-
 
 def run_with_stopping(solver: str, problem: ObjectiveProblem,
                       oracle: GradientOracle, rule: StoppingRule,
@@ -185,9 +175,10 @@ def run_with_stopping(solver: str, problem: ObjectiveProblem,
     outcome when rule.delta = 0 and the threshold is never reachable).
 
     The threshold is read where the method queries: the x rows of gd,
-    the y points of re_agm, which then ends at that y.  rule.level
-    bounds the gap at any point whose noisy norm meets the threshold, so
-    it holds wherever the rule fires.
+    the y points of re_agm, which then ends at that y.
+    ``stopping_level(mu, alpha, rule.delta, rule.K)`` bounds the gap at
+    any point whose noisy norm meets the threshold, so it holds wherever
+    the rule fires.
     """
     if not problem.mu > 0.0:
         raise ValueError("the stopping rule needs a strongly convex problem")
@@ -255,7 +246,7 @@ def _ridge_route(solver: str, base: ObjectiveProblem, oracle: GradientOracle,
     threshold; the final base gap is checked against epsilon.
     """
     center = np.zeros(base.dim) if x0 is None else as_vector(x0, base.dim)
-    reg_oracle = RegularizedOracle(regularize(base, center, mu), oracle, R)
+    reg_oracle = RegularizedOracle(RegularizedProblem(base, center, mu), oracle, R)
     trace = _run_solver(solver, base, reg_oracle, budget, alpha, center,
                         _halt_rule(epsilon, threshold))
     if trace.final_f_gap > epsilon:

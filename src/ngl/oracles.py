@@ -48,15 +48,6 @@ class NoiseSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def _check_query_index(query_index) -> int:
-    """A Philox counter word: an integer in [0, 2**64), bools excluded."""
-    if isinstance(query_index, bool) or not isinstance(query_index, (int, np.integer)):
-        raise ValueError(f"query_index must be an integer, got {query_index!r}")
-    if not 0 <= int(query_index) < 2**64:
-        raise ValueError(f"query_index must be in [0, 2**64), got {query_index}")
-    return int(query_index)
-
-
 class _QueryStream:
     """Independent stream per query: Philox counter block = query index.
 
@@ -233,36 +224,22 @@ class CompressedGradientOracle(GradientOracle):
         return _grid(exact, self.param)
 
 
-def finite_difference_gradient(problem: ObjectiveProblem, x, h: float, value_noise: float = 0.0,
-                               seed: int = 0, query_index: int = 0) -> np.ndarray:
-    """Forward differences of (optionally perturbed) values along the basis.
-
-    Each of the n+1 evaluations is shifted by an independent uniform draw
-    in [-value_noise, value_noise]. Worst-case error:
-    sqrt(n) * (L*h/2 + 2*value_noise/h).
-    """
-    x = as_vector(x, problem.dim)
-    if not h > 0.0:
-        raise ValueError(f"h must be > 0, got {h}")
-    if not 0.0 <= value_noise < math.inf:
-        raise ValueError(f"value_noise must be finite and >= 0, got {value_noise}")
-    query_index = _check_query_index(query_index)
-    stream = _QueryStream(seed) if value_noise > 0.0 else None
-    # the public value: a shifted point that overflows raises ValueError
-    return _forward_differences(problem.value, x, h, value_noise, stream, query_index)
-
-
 def _forward_differences(value, x: np.ndarray, h: float, value_noise: float,
                          stream: _QueryStream | None, query_index: int) -> np.ndarray:
-    """finite_difference_gradient of ``value`` at a validated x; no stream: no value noise."""
+    """Forward differences of ``value`` at a validated x along the basis.
+
+    With a stream, each of the n+1 evaluations is shifted by an
+    independent uniform draw in [-value_noise, value_noise] from query
+    ``query_index``; without one, no value noise.  Worst-case error:
+    sqrt(n) * (L*h/2 + 2*value_noise/h).
+    """
     n = x.shape[0]
     if stream is not None:
         shifts = stream.at(query_index).uniform(-value_noise, value_noise, size=n + 1)
     else:
         shifts = np.zeros(n + 1)
     g = np.empty(n)
-    # an overflow is caught downstream: the public value rejects the
-    # non-finite point, and the trusted one makes g non-finite
+    # a shifted point that overflows makes g non-finite, for the caller to catch
     with np.errstate(over="ignore"):
         f0 = value(x) + shifts[0]
         for j in range(n):

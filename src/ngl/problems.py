@@ -72,8 +72,8 @@ class ObjectiveProblem:
             raise ValueError(f"dim must be >= 1, got {dim}")
         if not 0.0 <= mu <= L:
             raise ValueError(f"need 0 <= mu <= L, got mu={mu}, L={L}")
-        if L <= 0.0:
-            raise ValueError(f"L must be > 0, got {L}")
+        if not 0.0 < L < np.inf:
+            raise ValueError(f"L must be positive and finite, got {L}")
         self.name = name
         self.dim = int(dim)
         self.mu = float(mu)

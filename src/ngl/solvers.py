@@ -90,10 +90,7 @@ class GDConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _check_steps(self.steps))
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise ValueError(f"L must be positive and finite, got {self.L}")
+        gd_step_size(self.alpha, self.L)  # validates alpha and L
 
     @property
     def step_size(self) -> float:
@@ -111,8 +108,7 @@ class ReAgmConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _check_steps(self.steps))
-        # same domain checks as re_agm_calculate_parameters, applied eagerly
-        _check_re_agm_domain(self.mu, self.L, self.alpha)
+        re_agm_calculate_parameters(self.mu, self.L, self.alpha)  # validates mu, L and alpha
 
     def parameters(self) -> "ReAgmParameters":
         return re_agm_calculate_parameters(self.mu, self.L, self.alpha)
@@ -145,18 +141,9 @@ def gd_step_size(alpha: float, L: float) -> float:
     """Step size ((1-alpha)/(1+alpha))^{3/2} / (4L)."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if L <= 0.0:
-        raise ValueError(f"L must be > 0, got {L}")
+    if not (L > 0.0 and math.isfinite(L)):
+        raise ValueError(f"L must be positive and finite, got {L}")
     return ((1.0 - alpha) / (1.0 + alpha)) ** 1.5 / (4.0 * L)
-
-
-def _check_re_agm_domain(mu, L, alpha) -> None:
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise ValueError(f"mu must be > 0 (strongly convex only), got {mu}")
-    if not (L >= mu and math.isfinite(L)):
-        raise ValueError(f"need L >= mu > 0, got mu={mu}, L={L}")
-    if not 0.0 <= alpha <= 1.0 / 3.0:
-        raise ValueError(f"alpha must be in [0, 1/3], got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -184,7 +171,12 @@ def re_agm_calculate_parameters(mu: float, L: float, alpha: float) -> ReAgmParam
     between 1/2 (alpha = 0) and 0 (alpha = 1/3); the momentum weight
     omega shrinks with it.
     """
-    _check_re_agm_domain(mu, L, alpha)
+    if not (mu > 0.0 and math.isfinite(mu)):
+        raise ValueError(f"mu must be > 0 (strongly convex only), got {mu}")
+    if not (L >= mu and math.isfinite(L)):
+        raise ValueError(f"need L >= mu > 0, got mu={mu}, L={L}")
+    if not 0.0 <= alpha <= 1.0 / 3.0:
+        raise ValueError(f"alpha must be in [0, 1/3], got {alpha}")
     ratio = mu / (2.0 * L)
     if alpha == 0.0:
         gamma_star = 0.5

@@ -17,7 +17,7 @@ from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import EnvelopeConstants, envelope, start_constants
+from .bounds import EnvelopeConstants, envelope, start_constants, stopping_level
 from .drivers import (
     StoppingRule,
     plan_convex_gd,
@@ -30,11 +30,11 @@ from .drivers import (
 from .numkit import PrecisionSpec
 from .oracles import (
     CompressedGradientOracle,
+    FiniteDifferenceOracle,
     NoiseSpec,
     SyntheticNoiseOracle,
     _fp_quadratic,
     certification_report,
-    finite_difference_gradient,
 )
 from .problems import nesterov_convex, nesterov_strongly_convex, quadratic
 from .solvers import (
@@ -186,7 +186,7 @@ def stopping_rule_level(solver: str, problem, delta: float, K: float, seed: int,
     trace = run_with_stopping(solver, problem, oracle, rule, alpha_hat=1.0 / K, N_cap=N_cap)
     if trace.terminal != "stopping_rule":
         return Outcome(False, f"rule never fired in {trace.iterations} steps")
-    level = rule.level(problem.mu, 0.0)
+    level = stopping_level(problem.mu, 0.0, delta, K)
     ok = trace.final_f_gap <= level * (1.0 + 1e-9)
     return Outcome(ok, f"exit gap {trace.final_f_gap:.3e} vs level {level:.3e} "
                        f"after {trace.iterations} steps", (trace, level))
@@ -218,10 +218,12 @@ def finite_difference_error(n: int, h: float, points: int,
     """Forward differences on the identity quadratic err by sqrt(n)h/2 within 1e-12:
     at dyadic points every value is exact, leaving the curvature term alone."""
     p = quadratic(np.eye(n), np.zeros(n))
+    oracle = FiniteDifferenceOracle(p, h)
     worst = 0.0
     for _ in range(points):
         x = rng.integers(-32, 33, size=n) / 16.0
-        err = float(np.linalg.norm(finite_difference_gradient(p, x, h) - p.gradient(x)))
+        # the reference is the problem's gradient, not the oracle's own report
+        err = float(np.linalg.norm(oracle.estimate_with_exact(x)[0] - p.gradient(x)))
         worst = max(worst, abs(err - math.sqrt(n) * h / 2.0))
     return Outcome(worst <= _SLACK, f"max deviation from sqrt(n)h/2: {worst:.3e}")
 

@@ -1,6 +1,7 @@
 """Envelope curves, noise floors, iteration budgets, stopping levels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -270,6 +271,45 @@ class TestIterationBudgets:
     def test_no_budget_for_plain_envelopes(self):
         with pytest.raises(ValueError, match="GD_PL"):
             iteration_budget("GD_PL", consts(), epsilon=0.1)
+
+
+# Each guarantee's hypotheses as the paper states them: the alpha cap,
+# whether alpha may equal it, whether mu > 0 is required (the ridge
+# modulus for GD_REG and REAGM_REG), whether K is required.
+HYPOTHESES = {
+    "GD_PL": (1.0, False, True, False),
+    "GD_MINGRAD": (1.0, False, False, False),
+    "REAGM": (1.0 / 3.0, True, True, False),
+    "GD_REG": (0.5, False, True, False),
+    "REAGM_REG": (1.0 / 6.0, True, True, False),
+    "ADAPT_BOTH": (1.0, False, True, False),
+    "ADAPT_ALPHA": (1.0, False, True, False),
+    "STOP_GENERIC": (1.0, False, True, True),
+    "REAGM_STOP": (1.0 / 6.0, True, True, True),
+}
+
+
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_each_hypothesis_is_checked(tid):
+    cap, inclusive, needs_mu, needs_K = HYPOTHESES[tid]
+    # K = 1e17 exceeds 1/(1-alpha) just below alpha = 1
+    c = consts(mu=1.0, L=100.0, K={"STOP_GENERIC": 1e17, "REAGM_STOP": 10.0}.get(tid))
+    envelope(tid, replace(c, alpha=math.nextafter(cap, 0.0)))
+    if inclusive:
+        envelope(tid, replace(c, alpha=cap))
+    else:
+        with pytest.raises(EnvelopeDomainError, match="alpha"):
+            envelope(tid, replace(c, alpha=cap))
+    with pytest.raises(EnvelopeDomainError, match="alpha"):
+        envelope(tid, replace(c, alpha=math.nextafter(cap, 2.0)))
+    if needs_mu:
+        with pytest.raises(EnvelopeDomainError, match="mu|modulus"):
+            envelope(tid, replace(c, mu=0.0))
+    else:
+        envelope(tid, replace(c, mu=0.0))
+    if needs_K:
+        with pytest.raises(EnvelopeDomainError, match="K"):
+            envelope(tid, replace(c, K=None))
 
 
 MONOTONE_CASES = [

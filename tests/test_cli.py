@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -627,3 +628,9 @@ class TestConsoleScript:
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+    @pytest.mark.parametrize("module", ["ngl", "ngl.bounds", "ngl.drivers", "ngl.config"])
+    def test_every_exported_name_resolves(self, module):
+        # the benchmark tracer looks up each name in drivers.__all__
+        mod = importlib.import_module(module)
+        assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

@@ -17,7 +17,6 @@ from ngl.drivers import (
     plan_convex_gd,
     plan_convex_re_agm,
     plan_restart_stages,
-    regularize,
     restart_to_convex,
     run_with_stopping,
     solve_convex_gd,
@@ -68,7 +67,7 @@ class TestRegularizedProblem:
     def test_value_identity(self):
         base = nesterov_convex(4, 10.0, 12)
         center = np.linspace(-1, 1, 12)
-        reg = regularize(base, center, 0.7)
+        reg = RegularizedProblem(base, center, 0.7)
         rng = np.random.default_rng(0)
         for _ in range(20):
             x = rng.standard_normal(12)
@@ -79,12 +78,12 @@ class TestRegularizedProblem:
     def test_zero_penalty_at_center(self):
         base = nesterov_convex(4, 10.0, 12)
         center = np.ones(12)
-        reg = regularize(base, center, 3.0)
+        reg = RegularizedProblem(base, center, 3.0)
         assert reg.value(center) == pytest.approx(base.value(center), rel=1e-15)
 
     def test_unit_quadratic_example(self):
         base = quadratic(np.eye(3), np.zeros(3))
-        reg = regularize(base, np.zeros(3), 1.0)
+        reg = RegularizedProblem(base, np.zeros(3), 1.0)
         assert reg.L == 2.0
         assert reg.mu == 2.0
         x = np.array([1.0, 2.0, 3.0])
@@ -93,7 +92,7 @@ class TestRegularizedProblem:
     def test_minimizer_is_stationary(self):
         base = nesterov_convex(6, 50.0, 20)
         center = np.full(20, 0.3)
-        reg = regularize(base, center, 0.9)
+        reg = RegularizedProblem(base, center, 0.9)
         g = reg.gradient(reg.x_star)
         assert float(np.linalg.norm(g)) <= 1e-9
         assert reg.gap(reg.x_star) == 0.0
@@ -101,7 +100,7 @@ class TestRegularizedProblem:
     def test_ridge_must_be_positive(self):
         base = nesterov_convex(4, 10.0, 12)
         with pytest.raises(ValueError, match="positive"):
-            regularize(base, np.zeros(12), 0.0)
+            RegularizedProblem(base, np.zeros(12), 0.0)
 
     def test_ridge_solution_stays_within_base_radius(self):
         # long exact descent on the ridge problem cross-checks the
@@ -111,7 +110,7 @@ class TestRegularizedProblem:
         R2 = float(base.x_star @ base.x_star)
         eps = base.L * R2 / 100.0
         mu, _ = plan_convex_gd(base.L, math.sqrt(R2), 0.0, eps)
-        reg = regularize(base, center, mu)
+        reg = RegularizedProblem(base, center, mu)
         cfg = GDConfig(steps=20000, alpha=0.0, L=reg.L)
         trace = gd_run(reg, exact_oracle(reg), cfg, x0=center)
         assert float(np.linalg.norm(trace.x_final - reg.x_star)) <= 1e-8
@@ -123,7 +122,7 @@ class TestRegularizedOracle:
     def test_certified_composite_level(self):
         base = nesterov_convex(10, 100.0, 50)
         center = np.zeros(50)
-        reg = regularize(base, center, 0.5)
+        reg = RegularizedProblem(base, center, 0.5)
         R = float(np.linalg.norm(base.x_star - center))
         base_oracle = sampled_oracle(base, alpha=0.2, seed=1)
         oracle = RegularizedOracle(reg, base_oracle, R)
@@ -139,7 +138,7 @@ class TestRegularizedOracle:
 
     def test_adversarial_base_noise_stays_certified(self):
         base = nesterov_convex(10, 100.0, 50)
-        reg = regularize(base, np.zeros(50), 0.5)
+        reg = RegularizedProblem(base, np.zeros(50), 0.5)
         R = float(np.linalg.norm(base.x_star))
         spec = NoiseSpec(alpha=0.3, delta=0.0, mode="adversarial_opposing",
                          seed=0)
@@ -152,7 +151,7 @@ class TestRegularizedOracle:
     def test_estimate_maps_through_the_ridge(self):
         base = nesterov_convex(4, 10.0, 12)
         center = np.full(12, 0.1)
-        reg = regularize(base, center, 0.8)
+        reg = RegularizedProblem(base, center, 0.8)
         base_oracle = sampled_oracle(base, alpha=0.1, seed=4)
         twin = sampled_oracle(base, alpha=0.1, seed=4)
         oracle = RegularizedOracle(reg, base_oracle, 5.0)
@@ -163,14 +162,14 @@ class TestRegularizedOracle:
 
     def test_rejects_large_base_level(self):
         base = nesterov_convex(4, 10.0, 12)
-        reg = regularize(base, np.zeros(12), 0.5)
+        reg = RegularizedProblem(base, np.zeros(12), 0.5)
         with pytest.raises(ValueError, match="1/2"):
             RegularizedOracle(reg, sampled_oracle(base, alpha=0.5, seed=0), 1.0)
 
     def test_rejects_mismatched_base(self):
         base = nesterov_convex(4, 10.0, 12)
         other = nesterov_convex(4, 10.0, 12)
-        reg = regularize(base, np.zeros(12), 0.5)
+        reg = RegularizedProblem(base, np.zeros(12), 0.5)
         with pytest.raises(ValueError, match="base"):
             RegularizedOracle(reg, sampled_oracle(other, seed=0), 1.0)
 
@@ -181,10 +180,6 @@ class TestStoppingRule:
         assert rule.threshold(0.0) == pytest.approx(11e-3, rel=1e-15)
         assert rule.threshold(0.25) == pytest.approx((1.25 * 10 + 1) * 1e-3,
                                                      rel=1e-15)
-
-    def test_level_matches_bounds_module(self):
-        rule = StoppingRule(K=10.0, delta=1e-3)
-        assert rule.level(2.0, 0.1) == stopping_level(2.0, 0.1, 1e-3, 10.0)
 
     def test_multiplier_validation(self):
         with pytest.raises(ValueError, match="K"):

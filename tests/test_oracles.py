@@ -6,7 +6,6 @@ row-vectorised reduced-precision gradient, and its full-precision row
 sums against exact rational sums."""
 
 import math
-import re
 import warnings
 from fractions import Fraction
 
@@ -24,12 +23,13 @@ from ngl.oracles import (
     GradientOracle,
     NoiseSpec,
     SyntheticNoiseOracle,
+    _forward_differences,
     _fp_quadratic,
     _grid,
+    _QueryStream,
     _sign,
     _top_k,
     certification_report,
-    finite_difference_gradient,
 )
 from ngl.problems import nesterov_strongly_convex, quadratic
 from ngl.solvers import DivergedError, GDConfig, gd_run
@@ -260,12 +260,12 @@ class TestFiniteDifference:
         # dyadic data keeps every evaluation exact: the error is h/2 exactly
         x = np.array([0.25, -0.5, 1.0, 0.0])
         h = 2.0**-10
-        g = finite_difference_gradient(p, x, h)
-        err = g - p.gradient(x)
+        oracle = FiniteDifferenceOracle(p, h)
+        err = oracle.estimate_with_exact(x)[0] - p.gradient(x)
         assert np.array_equal(err, np.full(4, h / 2.0))
         # generic point: within 1e-12 of the closed form
         x = np.array([0.3, -1.2, 4.0, 0.0])
-        err = finite_difference_gradient(p, x, h) - p.gradient(x)
+        err = oracle.estimate_with_exact(x)[0] - p.gradient(x)
         assert np.allclose(err, h / 2.0, rtol=0, atol=1e-12)
         assert abs(float(np.linalg.norm(err)) - math.sqrt(4) * h / 2.0) <= 1e-12
 
@@ -278,7 +278,7 @@ class TestFiniteDifference:
             def value(self, x):
                 return float(self.slope @ x)
 
-        g = finite_difference_gradient(Linear(), np.array([0.5, 1.0, -2.0]), h=0.5)
+        g = _forward_differences(Linear().value, np.array([0.5, 1.0, -2.0]), 0.5, 0.0, None, 0)
         assert np.array_equal(g, [2.0, -0.5, 0.25])
 
     def test_optimal_step_bound(self):
@@ -299,8 +299,6 @@ class TestFiniteDifference:
         p = quadratic(1e-300 * np.eye(2), np.zeros(2))
         x, h = np.full(2, 1e300), float(np.finfo(np.float64).max)
         assert math.isfinite(p.value(x))
-        with pytest.raises(ValueError, match="non-finite"):
-            finite_difference_gradient(p, x, h)
         oracle = FiniteDifferenceOracle(p, h=h)
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(oracle.estimate_with_exact(x)[0]).all()
@@ -313,7 +311,7 @@ class TestFiniteDifference:
     def test_h_validation(self):
         p = quadratic(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
-            finite_difference_gradient(p, np.zeros(2), h=0.0)
+            FiniteDifferenceOracle(p, h=0.0)
         with pytest.raises(ValueError):
             FiniteDifferenceOracle(p, h=-1.0)
         with pytest.raises(ValueError):
@@ -330,9 +328,6 @@ def test_non_finite_levels_are_rejected(bad):
         lambda: FiniteDifferenceOracle(p, h=bad),
         lambda: FiniteDifferenceOracle(p, h=1e-3, value_noise=bad),
         lambda: FloatingPointQuadraticOracle(p, PrecisionSpec(20), domain_radius=bad),
-        lambda: finite_difference_gradient(p, np.zeros(2), h=1e-3, value_noise=bad),
-        # an infinite h is caught by the problem, at a non-finite point
-        lambda: finite_difference_gradient(p, np.zeros(2), h=bad),
     ]
     for build in builds:
         with pytest.raises(ValueError):
@@ -462,15 +457,8 @@ class TestStreamIdentity:
             x = rng.standard_normal(5)
             want = expected(x, o.queries)
             assert np.array_equal(o.estimate_with_exact(x)[0], want)
-            got = finite_difference_gradient(p, x, h, noise, seed=seed, query_index=q)
+            got = _forward_differences(p.value, x, h, noise, _QueryStream(seed), q)
             assert np.array_equal(got, expected(x, q))
-
-    @pytest.mark.parametrize("bad", [-1, 2**64, True, 1.0, np.float64(2.0), "3"])
-    def test_query_index_is_checked_at_the_public_entry_points(self, bad):
-        p = nesterov_strongly_convex(mu=1.0, L=10.0, n=5)
-        message = "query_index must be .*got " + re.escape(repr(bad))
-        with pytest.raises(ValueError, match=message):
-            finite_difference_gradient(p, np.ones(5), 1e-4, 1e-8, seed=5, query_index=bad)
 
 
 @pytest.mark.parametrize("make", [

@@ -4,7 +4,7 @@ finite-difference gradient consistency, minimizer correctness."""
 import numpy as np
 import pytest
 
-from ngl.drivers import regularize
+from ngl.drivers import RegularizedProblem
 from ngl.problems import (_solve_spd_tridiagonal, nesterov_convex, nesterov_strongly_convex,
                           quadratic)
 
@@ -58,6 +58,9 @@ class TestPinnedValues:
             nesterov_convex(k=0, L=1.0, n=3)
         with pytest.raises(ValueError):
             nesterov_convex(k=4, L=1.0, n=3)
+        # an infinite L would build a problem whose f_star is nan
+        with pytest.raises(ValueError, match="^L must be positive and finite, got inf$"):
+            nesterov_convex(k=3, L=np.inf, n=5)
 
     def test_strongly_convex_solve(self):
         p = nesterov_strongly_convex(mu=1.0, L=100.0, n=100)
@@ -73,6 +76,8 @@ class TestPinnedValues:
             nesterov_strongly_convex(mu=2.0, L=1.0, n=4)
         with pytest.raises(ValueError):
             nesterov_strongly_convex(mu=1.0, L=1.0, n=4)
+        with pytest.raises(ValueError, match="^L must be positive and finite, got inf$"):
+            nesterov_strongly_convex(mu=1.0, L=np.inf, n=4)
 
     def test_quadratic_identity(self):
         p = quadratic(np.eye(2), np.zeros(2))
@@ -107,7 +112,7 @@ class TestPinnedValues:
         lambda: nesterov_convex(k=3, L=4.0, n=4),
         lambda: nesterov_strongly_convex(mu=1.0, L=10.0, n=4),
         lambda: quadratic(np.diag([1.0, 2.0, 3.0, 4.0]), np.ones(4)),
-        lambda: regularize(nesterov_convex(k=3, L=4.0, n=4), np.ones(4), 0.5),
+        lambda: RegularizedProblem(nesterov_convex(k=3, L=4.0, n=4), np.ones(4), 0.5),
     ], ids=["chained_convex", "chained_strongly_convex", "quadratic", "regularized"])
     def test_public_methods_validate_input(self, make):
         p = make()
@@ -234,7 +239,7 @@ class TestRowKernels:
             strongly,
             nesterov_convex(k=max(1, n // 2), L=20.0, n=n),  # the default row loop
             quadratic(M @ M.T / n + np.eye(n), rng.standard_normal(n)),
-            regularize(strongly, rng.standard_normal(n), 0.3),  # the default row loop
+            RegularizedProblem(strongly, rng.standard_normal(n), 0.3),  # the default row loop
         ]
         for p in families:
             values, gradients = p._values(X), p._gradients(X)
@@ -336,9 +341,6 @@ class TestTridiagonalSolve:
                 got = raised(lambda: _solve_spd_tridiagonal(*args))
                 assert got == raised(lambda: solveh_banded(band(args[0], args[1]), args[2]))
                 assert got == (ValueError, "array must not contain infs or NaNs")
-        # L = inf makes the chain's band infinite
-        assert raised(lambda: nesterov_strongly_convex(1.0, np.inf, 4)) == (
-            ValueError, "array must not contain infs or NaNs")
 
     def test_failed_pivot_names_its_leading_minor_as_scipy_does(self, solveh_banded):
         n = 6

@@ -105,6 +105,12 @@ class TestConfigs:
         assert math.isclose(h, 8.838834764831845e-4, rel_tol=1e-12)
         assert GDConfig(steps=1, alpha=0.0, L=1.0).step_size == 0.25
 
+    @pytest.mark.parametrize("L", [math.inf, math.nan, 0.0])
+    def test_step_size_needs_a_positive_finite_L(self, L):
+        # an infinite L would give a 0.0 step
+        with pytest.raises(ValueError, match="^L must be positive and finite, got"):
+            gd_step_size(0.1, L)
+
     def test_re_agm_config_domain(self):
         ReAgmConfig(steps=1, mu=1.0, L=100.0, alpha=1.0 / 3.0)
         with pytest.raises(ValueError):
@@ -615,7 +621,7 @@ class TestRecordingRule:
     def test_base_run_with_a_ridge_oracle(self, name):
         # 2**14 // 2000 = 8 rows per block: the unmonitored run spans several
         base = nesterov_convex(1000, 10.0, 2000)
-        reg = drivers.regularize(base, np.zeros(2000), 0.05)
+        reg = drivers.RegularizedProblem(base, np.zeros(2000), 0.05)
 
         def run(monitor):
             base_oracle = SyntheticNoiseOracle(base, NoiseSpec(0.1, 0.0, "sampled_unbiased", 3))

@@ -30,8 +30,7 @@ a sha256 over everything the case can observe.
   and 5000, shifted minimizers of a 1x1 system, and the ``L = inf``
   construction error.
 - Helpers: problem values and gradients, raw noise draws
-  (``_components``), finite differences, the reduced-precision and
-  compressor kernels, rounding, validation, certification reports.
+  (``_components``), the reduced-precision and compressor kernels, rounding, validation, certification reports.
 - ``parse_config``: the config's fields or the error's message, for
   every run of every ``configs/*.json`` and for each single-fault config
   in ``tests/config_faults.py`` (read from this tool's checkout).
@@ -357,8 +356,6 @@ def solver_cases(cases: Cases) -> None:
 
     cases.run("edge:fd_overflowing_shift_run", fd_overflow_run)
     cases.run("edge:fd_overflowing_shift_query", fd_overflow_query)
-    cases.run("fd_overflowing_shift_public", lambda: O.finite_difference_gradient(
-        tiny, np.full(2, 1e300), huge_h))
 
 
 def driver_cases(cases: Cases) -> None:
@@ -400,7 +397,7 @@ def driver_cases(cases: Cases) -> None:
     # edge: gd and re_agm on a ridge's base with the ridge oracle, over several
     # evaluation blocks; the unqueried rows' gradient norms are the ridge's
     wide = P.nesterov_convex(1000, 10.0, 2000)
-    reg = D.regularize(wide, np.zeros(2000), 0.05)
+    reg = D.RegularizedProblem(wide, np.zeros(2000), 0.05)
     for rname in ("gd", "re_agm"):
         for mname in ("nomon", "rec"):
             def ridge_base(rname=rname, mname=mname):
@@ -449,10 +446,6 @@ def helper_cases(cases: Cases) -> None:
     g1 = p.gradient(np.ones(6))
     for q in (0, 1, 7, 2**33 + 5, 2**63 + 1, 2**64 - 1):
         cases.run(f"components:{q}", lambda q=q: o._components(g1, q))
-    for noise in (0.0, 1e-7):
-        for q in (0, 5):
-            cases.run(f"fd_gradient:{noise}:{q}", lambda noise=noise, q=q: O.finite_difference_gradient(
-                p, np.arange(6.0), 1e-4, noise, seed=3, query_index=q))
     A = M @ M.T
     b = rng.standard_normal(6)
     for bits in (5, 20, 52):
