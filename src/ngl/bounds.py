@@ -27,6 +27,8 @@ __all__ = [
     "EnvelopeDomainError",
     "envelope",
     "iteration_budget",
+    "ridge_level",
+    "stop_multiplier",
     "stopping_level",
 ]
 
@@ -205,7 +207,8 @@ def _build_ridge(tid: str, c: EnvelopeConstants) -> Envelope:
                     f"model (delta = 0), got delta={c.delta}")
     if not c.R > 0.0:
         _fail(tid, f"a positive starting radius R is required, got {c.R}")
-    ridge = replace(c, L=c.L + c.mu, alpha=2.0 * c.alpha, delta=c.alpha * c.mu * c.R)
+    alpha, delta = ridge_level(c.alpha, c.delta, c.mu, c.R)
+    ridge = replace(c, L=c.L + c.mu, alpha=alpha, delta=delta)
     base = _build("GD_PL" if tid == "GD_REG" else "REAGM", ridge)
     return _geometric(tid, c, base.floor + 0.5 * c.mu * c.R**2, base.rate, base.start)
 
@@ -292,6 +295,25 @@ def envelope(theorem_id: str, constants: EnvelopeConstants) -> Envelope:
     return _build(theorem_id, constants)
 
 
+def ridge_level(alpha: float, delta: float, mu: float, R: float) -> tuple[float, float]:
+    """The level (2*alpha, alpha*mu*R + delta) that a base estimate at level
+    (alpha, delta) plus a ridge of modulus mu meets against the ridge gradient;
+    R bounds the distance from the ridge's center to the base minimizer."""
+    return 2.0 * alpha, alpha * mu * R + delta
+
+
+def stop_multiplier(alpha: float, K: float) -> float:
+    """(1+alpha)K + 1: the stopping rule fires once the noisy gradient norm is
+    at most this many times delta.  Requires alpha in [0, 1) and K > 1/(1-alpha)."""
+    if not 0.0 <= alpha < 1.0:
+        raise EnvelopeDomainError(
+            f"relative noise level alpha must be in [0, 1), got {alpha}")
+    if not (math.isfinite(K) and K > 1.0 / (1.0 - alpha)):
+        raise EnvelopeDomainError(
+            f"stopping multiplier K must exceed 1/(1-alpha), got K={K}")
+    return (1.0 + alpha) * K + 1.0
+
+
 def stopping_level(mu: float, alpha: float, delta: float, K: float) -> float:
     """Guaranteed gap when stopping on noisy-gradient norm <= ((1+alpha)K+1)*delta.
 
@@ -300,17 +322,18 @@ def stopping_level(mu: float, alpha: float, delta: float, K: float) -> float:
     if not (mu > 0.0 and math.isfinite(mu)):
         raise EnvelopeDomainError(
             f"stopping level needs a positive strong convexity modulus, got {mu}")
-    if not 0.0 <= alpha < 1.0:
-        raise EnvelopeDomainError(
-            f"relative noise level alpha must be in [0, 1), got {alpha}")
+    k_eff = stop_multiplier(alpha, K)
     if delta < 0.0:
         raise EnvelopeDomainError(
             f"absolute noise level delta must be >= 0, got {delta}")
-    if not (math.isfinite(K) and K > 1.0 / (1.0 - alpha)):
-        raise EnvelopeDomainError(
-            f"stopping multiplier K must exceed 1/(1-alpha), got K={K}")
-    k_eff = (1.0 + alpha) * K + 1.0
     return (k_eff**2 + 1.0) * delta**2 / ((1.0 - alpha) ** 2 * mu)
+
+
+def _whole_steps(tid: str, raw: float, scale: float) -> int:
+    """ceil(raw), once the budget raw is finite; scale is L*R^2."""
+    if not math.isfinite(raw):
+        _fail(tid, f"the iteration budget leaves floating range at L*R^2 = {scale}")
+    return int(math.ceil(raw))
 
 
 def _budget_gd_reg(c: EnvelopeConstants, epsilon: float) -> int:
@@ -318,7 +341,7 @@ def _budget_gd_reg(c: EnvelopeConstants, epsilon: float) -> int:
     scale = c.L * c.R**2
     raw = (12.0 * (1.0 + a) ** 2 / (1.0 - a) ** 6
            * (scale / epsilon) * math.log(2.0 * scale / epsilon))
-    return int(math.ceil(raw)) + 1
+    return _whole_steps("GD_REG", raw, scale) + 1
 
 
 def _budget_reagm_reg(c: EnvelopeConstants, epsilon: float, beta: float) -> int:
@@ -334,7 +357,7 @@ def _budget_reagm_reg(c: EnvelopeConstants, epsilon: float, beta: float) -> int:
                    f"cap {cap} for this accuracy and exponent")
     raw = (150.0 * (12.0 * scale / epsilon) ** (1.0 - beta)
            * math.log(4.0 * scale / epsilon))
-    return int(math.ceil(raw)) + 1
+    return _whole_steps(tid, raw, scale) + 1
 
 
 def _budget_reagm_stop(c: EnvelopeConstants) -> int:
@@ -345,14 +368,14 @@ def _budget_reagm_stop(c: EnvelopeConstants) -> int:
     K = float(c.K)
     beta = _stop_beta(tid, c.mu, c.L, K)
     gamma0 = re_agm_calculate_parameters(c.mu, c.L, 2.0 * c.alpha).gamma_star
-    k_eff = (1.0 + c.alpha) * K + 1.0
+    k_eff = stop_multiplier(c.alpha, K)
     arg = ((1.0 - c.alpha) ** 2 / (k_eff**2 + 1.0)
            * c.L * c.R**2 * c.mu / c.delta**2)
     if not arg > 1.0:
         _fail(tid, "the stopping level is not below the initial scale L*R^2; "
                    "nothing to budget")
     raw = 300.0 * (c.L / c.mu) ** (1.0 - min(gamma0, beta)) * math.log(arg)
-    return int(math.ceil(raw))
+    return _whole_steps(tid, raw, c.L * c.R**2)
 
 
 def iteration_budget(theorem_id: str, constants: EnvelopeConstants,

@@ -5,7 +5,9 @@ regularization makes a convex problem strongly convex and transfers the
 guarantee back within a controlled offset; the gradient-norm stopping
 rule treats absolute noise as relative noise for as long as the
 estimate stays informative, stopping once it no longer is; restarts
-chain strongly convex stages that halve the gap geometrically.
+chain strongly convex stages that halve the gap geometrically.  The
+ridge's level and the rule's multiplier come from ``bounds.ridge_level``
+and ``bounds.stop_multiplier``.
 
 All radii R are user inputs bounding ||start - minimizer||: the
 guarantees assume R is known, so the drivers require it rather than
@@ -20,7 +22,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bounds import EnvelopeConstants, envelope, iteration_budget
+from .bounds import (EnvelopeConstants, EnvelopeDomainError, _whole_steps, envelope,
+                     iteration_budget, ridge_level, stop_multiplier)
 from .numkit import as_vector
 from .oracles import GradientOracle
 from .problems import ObjectiveProblem
@@ -78,8 +81,10 @@ class RegularizedProblem(ObjectiveProblem):
     """base objective plus a ridge (mu_reg/2)*||x - center||^2.
 
     Strong convexity grows to base.mu + mu_reg and smoothness to
-    base.L + mu_reg; the minimizer comes from the base problem's exact
-    ridge solve, so gap() stays exact.
+    base.L + mu_reg.  It is the ridge oracle's gradient model, not a
+    runner's problem: a ridge route runs on the base problem, so the
+    ridge minimizer is never computed and x_star, f_star and gap() are
+    undefined.
     """
 
     def __init__(self, base: ObjectiveProblem, center, mu_reg: float):
@@ -90,8 +95,6 @@ class RegularizedProblem(ObjectiveProblem):
         self.base = base
         self.center = as_vector(center, base.dim).copy()
         self.mu_reg = float(mu_reg)
-        self.x_star = base.shifted_minimizer(self.mu_reg, self.center)
-        self.f_star = self.value(self.x_star)
 
     value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
     gradient = ObjectiveProblem.gradient
@@ -106,32 +109,27 @@ class RegularizedProblem(ObjectiveProblem):
 
 
 class RegularizedOracle(GradientOracle):
-    """Noisy oracle for a RegularizedProblem reusing the base oracle's noise.
+    """Noisy oracle for the ridge of modulus mu_reg around center on the base
+    oracle's problem, reusing the base oracle's noise.
 
-    Each estimate is base_estimate(x) + mu_reg*(x - center); the
-    composite level certifiable against the ridge gradient becomes
-    (2*alpha, alpha*mu_reg*R + delta) where (alpha, delta) is the base
-    oracle's declared level and R bounds ||center - base minimizer||.
-    Certification is on by default because the doubled level is a
-    derived claim worth checking on every query.
+    Each estimate is base_estimate(x) + mu_reg*(x - center), and its
+    problem is the ``RegularizedProblem`` it estimates the gradient of.
+    The declared level is ``ridge_level`` of the base oracle's (alpha,
+    delta), where R bounds ||center - base minimizer||.  Every query is
+    certified, because the doubled level is a derived claim.
     """
 
-    def __init__(self, problem: RegularizedProblem, base_oracle: GradientOracle,
-                 R: float, certify: bool = True):
-        if not isinstance(problem, RegularizedProblem):
-            raise TypeError("RegularizedOracle needs a RegularizedProblem")
-        if base_oracle.problem is not problem.base:
-            raise ValueError("base oracle must query the ridge problem's base")
+    def __init__(self, base_oracle: GradientOracle, center, mu_reg: float, R: float):
+        problem = RegularizedProblem(base_oracle.problem, center, mu_reg)
         if not (R > 0.0 and math.isfinite(R)):
             raise ValueError(f"radius R must be positive, got {R}")
         a = base_oracle.declared_alpha
-        if 2.0 * a >= 1.0:
+        alpha, delta = ridge_level(a, base_oracle.declared_delta, problem.mu_reg, R)
+        if alpha >= 1.0:
             raise ValueError(
                 f"base relative level {a} is too large; the ridge oracle can "
                 "only be certified for alpha < 1/2")
-        super().__init__(problem, 2.0 * a,
-                         a * problem.mu_reg * R + base_oracle.declared_delta,
-                         certify=certify)
+        super().__init__(problem, alpha, delta, certify=True)
         self.base_oracle = base_oracle
         self.R = float(R)
 
@@ -155,13 +153,7 @@ class StoppingRule:
             raise ValueError(f"absolute level delta must be >= 0, got {self.delta}")
 
     def threshold(self, alpha: float) -> float:
-        if not 0.0 <= alpha < 1.0:
-            raise ValueError(f"relative level alpha must be in [0, 1), got {alpha}")
-        if not self.K > 1.0 / (1.0 - alpha):
-            raise ValueError(
-                f"stopping multiplier K={self.K} must exceed 1/(1-alpha)="
-                f"{1.0 / (1.0 - alpha)}")
-        return ((1.0 + alpha) * self.K + 1.0) * self.delta
+        return stop_multiplier(alpha, self.K) * self.delta
 
 
 def run_with_stopping(solver: str, problem: ObjectiveProblem,
@@ -238,15 +230,15 @@ def _ridge_route(solver: str, base: ObjectiveProblem, oracle: GradientOracle,
                  epsilon: float, threshold: Optional[float] = None) -> RunTrace:
     """The ridge routes' shared body.
 
-    Adds a ridge of modulus mu around the start point, certifies the
-    ridge oracle and runs the solver with it on the base problem at
+    Adds a ridge of modulus mu around the start point through the
+    certified ridge oracle and runs the solver with it on the base problem at
     level alpha for the budget: it steps on the ridge objective and
     records base gaps (and ridge gradient norms).  It halts once the
     base gap reaches epsilon, or once the noisy gradient norm reaches
     threshold; the final base gap is checked against epsilon.
     """
     center = np.zeros(base.dim) if x0 is None else as_vector(x0, base.dim)
-    reg_oracle = RegularizedOracle(RegularizedProblem(base, center, mu), oracle, R)
+    reg_oracle = RegularizedOracle(oracle, center, mu, R)
     trace = _run_solver(solver, base, reg_oracle, budget, alpha, center,
                         _halt_rule(epsilon, threshold))
     if trace.final_f_gap > epsilon:
@@ -277,8 +269,8 @@ def solve_convex_gd(base: ObjectiveProblem, oracle: GradientOracle,
     _check_convex_inputs("solve_convex_gd", base, oracle, epsilon, R)
     alpha = oracle.declared_alpha
     mu, budget = plan_convex_gd(base.L, R, alpha, epsilon)
-    return _ridge_route("gd", base, oracle, R, x0, mu, 2.0 * alpha, budget,
-                        epsilon)
+    return _ridge_route("gd", base, oracle, R, x0, mu,
+                        ridge_level(alpha, 0.0, mu, R)[0], budget, epsilon)
 
 
 def plan_convex_re_agm(L: float, R: float, alpha: float, epsilon: float,
@@ -288,7 +280,7 @@ def plan_convex_re_agm(L: float, R: float, alpha: float, epsilon: float,
     budget = iteration_budget("REAGM_REG", c, epsilon, beta=beta)
     mu = epsilon / (6.0 * R**2)
     # the ridge doubles the level; the solver's parameter domain caps it
-    alpha_param = min(2.0 * alpha, 1.0 / 3.0)
+    alpha_param = min(ridge_level(alpha, 0.0, mu, R)[0], 1.0 / 3.0)
     return mu, alpha_param, budget
 
 
@@ -328,11 +320,12 @@ def plan_combined(L: float, R: float, alpha: float, epsilon: float,
                          "required by the combined route")
     mu = epsilon / (120.0 * R**2)
     K = 1.0 / alpha
+    ridge_alpha, ridge_delta = ridge_level(alpha, 0.0, mu, R)
     # min() absorbs float roundoff when alpha sits exactly at the cap
-    alpha_hat = min(2.0 * alpha + 1.0 / K, 1.0 / 3.0)
-    threshold = ((1.0 + 2.0 * alpha) * K + 1.0) * alpha * mu * R
-    budget = int(math.ceil(72000.0 * (scale / epsilon) ** (1.0 - tau)
-                           * math.log(480.0 * scale / epsilon)))
+    alpha_hat = min(ridge_alpha + 1.0 / K, 1.0 / 3.0)
+    threshold = StoppingRule(K, ridge_delta).threshold(ridge_alpha)
+    budget = _whole_steps("combined", 72000.0 * (scale / epsilon) ** (1.0 - tau)
+                          * math.log(480.0 * scale / epsilon), scale)
     return mu, K, alpha_hat, threshold, budget
 
 
@@ -402,7 +395,13 @@ def _invert_envelope(env, target: float) -> int:
         raise ValueError("target is at or below the envelope floor")
     if env.start <= head:
         return 0
-    return int(math.ceil(math.log(head / env.start) / math.log1p(-env.rate)))
+    decay = math.log1p(-env.rate)  # 0 when the rate underflows
+    steps = math.log(head / env.start) / decay if decay < 0.0 else math.inf
+    if not math.isfinite(steps):
+        raise EnvelopeDomainError(
+            f"{env.theorem_id}: contraction rate {env.rate} at L={env.constants.L} "
+            "leaves floating range; no finite stage budget exists")
+    return int(math.ceil(steps))
 
 
 def _concat_traces(traces: List[RunTrace]) -> RunTrace:

@@ -322,22 +322,21 @@ class FloatingPointQuadraticOracle(GradientOracle):
             raise ValueError("reduced-precision oracle needs an explicit quadratic problem")
         if not domain_radius > 0.0:
             raise ValueError("domain_radius must be > 0")
-        n = problem.dim
-        eps = spec.eps
+        self.precision = spec
         # |x_j| <= ||x||_2 <= radius, so |b_i| + sum_j |A_ij||x_j| is bounded rowwise
         per_row = np.abs(problem.b) + domain_radius * np.abs(problem.A).sum(axis=1)
-        delta = self.ERROR_CONSTANT * (eps + n * eps**2) * float(np.linalg.norm(per_row))
-        super().__init__(problem, 0.0, delta, certify=certify)
-        self.precision = spec
+        super().__init__(problem, 0.0, self._error_bound(per_row), certify=certify)
         self.domain_radius = float(domain_radius)
+
+    def _error_bound(self, per_row: np.ndarray) -> float:
+        """C*(eps + n*eps^2)*||per_row||, the l2 bound from per-row envelopes."""
+        eps = self.precision.eps
+        return self.ERROR_CONSTANT * (eps + per_row.shape[0] * eps**2) * float(np.linalg.norm(per_row))
 
     def row_error_bound(self, x) -> float:
         """l2 bound from the per-row envelope at this x."""
         x = as_vector(x, self.problem.dim)
-        n = self.problem.dim
-        eps = self.precision.eps
-        per_row = np.abs(self.problem.b) + np.abs(self.problem.A) @ np.abs(x)
-        return self.ERROR_CONSTANT * (eps + n * eps**2) * float(np.linalg.norm(per_row))
+        return self._error_bound(np.abs(self.problem.b) + np.abs(self.problem.A) @ np.abs(x))
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
         # A and b were validated when the problem was built, x by the query

@@ -3,13 +3,11 @@
 Three families, all quadratic: the chained "worst-case" convex function,
 its strongly convex variant, and explicit quadratics ``1/2 x'Ax + b'x``.
 Each problem carries (mu, L, x_star, f_star); minimizers are analytic or
-come from a direct solve, never from an iterative run.  Every family can
-also produce the exact minimizer of a proximally shifted copy
-``f + ridge/2 ||x - center||^2``, which is the ``x_star`` of a ridge
-problem (``drivers.RegularizedProblem``).  The chain families get both
-from one symmetric tridiagonal solve, ``_solve_spd_tridiagonal``: LAPACK's ``dptsv``
-(``dpttrf`` then ``dptts2``) written out in Python floats, which gives
-scipy's ``solveh_banded`` bits with numpy as the only import.
+come from a direct solve, never from an iterative run.  The strongly
+convex chain's minimizer is one symmetric tridiagonal solve,
+``_solve_spd_tridiagonal``: LAPACK's ``dptsv`` (``dpttrf`` then ``dptts2``)
+written out in Python floats, which gives scipy's ``solveh_banded`` bits
+with numpy as the only import.
 
 The public ``value`` and ``gradient`` validate their input (a finite 1-D
 vector of the problem's dimension) and raise ValueError otherwise.  The
@@ -109,10 +107,6 @@ class ObjectiveProblem:
         """value(x) - f_star."""
         return self.value(x) - self.f_star
 
-    def shifted_minimizer(self, ridge: float, center) -> np.ndarray:
-        """Exact minimizer of f(x) + (ridge/2)*||x - center||^2, ridge > 0."""
-        raise NotImplementedError
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name}, n={self.dim}, mu={self.mu}, L={self.L})"
 
@@ -158,20 +152,6 @@ class ChainedConvex(ObjectiveProblem):
         g[0] -= self.L / 4.0
         return g
 
-    def shifted_minimizer(self, ridge: float, center) -> np.ndarray:
-        if ridge <= 0.0:
-            raise ValueError("ridge must be > 0")
-        center = as_vector(center, self.dim)
-        c = self.L / 4.0
-        k = self.k
-        rhs = ridge * center[:k].copy()
-        rhs[0] += c
-        out = np.empty(self.dim)
-        out[:k] = _solve_spd_tridiagonal(np.full(k, 2.0 * c + ridge), np.full(k - 1, -c), rhs)
-        # flat directions feel only the ridge pull
-        out[k:] = center[k:]
-        return out
-
 
 class ChainedStronglyConvex(ObjectiveProblem):
     """Chained quadratic plus an l2 term; mu-strongly convex and L-smooth.
@@ -185,8 +165,12 @@ class ChainedStronglyConvex(ObjectiveProblem):
             raise ValueError(f"need 0 < mu < L, got mu={mu}, L={L}")
         super().__init__(f"chained_strongly_convex(mu={mu},L={L},n={n})", n, mu, L)
         # Hessian = c * B + mu * I with B the chain matrix (B_nn = 1)
-        self._c = mu * (self.L / self.mu - 1.0) / 4.0
-        self.x_star = self.shifted_minimizer(0.0, None)
+        c = self._c = mu * (self.L / self.mu - 1.0) / 4.0
+        d = np.full(n, 2.0 * c + self.mu)
+        d[-1] = c + self.mu
+        rhs = np.zeros(n)
+        rhs[0] = c
+        self.x_star = _solve_spd_tridiagonal(d, np.full(n - 1, -c), rhs)
         self.f_star = self.value(self.x_star)
 
     value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
@@ -220,18 +204,6 @@ class ChainedStronglyConvex(ObjectiveProblem):
     def _gradients(self, X: np.ndarray) -> np.ndarray:
         # the 1-D kernel on X.T's axis 0; elementwise ops keep rows contiguous
         return self._gradient(X.T).T
-
-    def shifted_minimizer(self, ridge: float, center) -> np.ndarray:
-        if ridge < 0.0 or (ridge == 0.0 and center is not None):
-            raise ValueError("ridge must be > 0 for an off-origin shift")
-        n, c = self.dim, self._c
-        d = np.full(n, 2.0 * c + self.mu + ridge)
-        d[-1] = c + self.mu + ridge
-        rhs = np.zeros(n)
-        rhs[0] = c
-        if center is not None:
-            rhs += ridge * as_vector(center, n)
-        return _solve_spd_tridiagonal(d, np.full(n - 1, -c), rhs)
 
 
 class Quadratic(ObjectiveProblem):
@@ -282,12 +254,6 @@ class Quadratic(ObjectiveProblem):
 
     def _gradients(self, X: np.ndarray) -> np.ndarray:
         return np.matmul(self.A, X[:, :, None])[:, :, 0] + self.b
-
-    def shifted_minimizer(self, ridge: float, center) -> np.ndarray:
-        if ridge <= 0.0:
-            raise ValueError("ridge must be > 0")
-        center = as_vector(center, self.dim)
-        return np.linalg.solve(self.A + ridge * np.eye(self.dim), ridge * center - self.b)
 
 
 def nesterov_convex(k: int, L: float, n: int) -> ObjectiveProblem:

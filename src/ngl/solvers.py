@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -87,14 +87,12 @@ class GDConfig:
     steps: int
     alpha: float
     L: float
+    step_size: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _check_steps(self.steps))
-        gd_step_size(self.alpha, self.L)  # validates alpha and L
-
-    @property
-    def step_size(self) -> float:
-        return gd_step_size(self.alpha, self.L)
+        # validates alpha and L
+        object.__setattr__(self, "step_size", gd_step_size(self.alpha, self.L))
 
 
 @dataclass(frozen=True)
@@ -105,13 +103,13 @@ class ReAgmConfig:
     mu: float
     L: float
     alpha: float
+    parameters: ReAgmParameters = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _check_steps(self.steps))
-        re_agm_calculate_parameters(self.mu, self.L, self.alpha)  # validates mu, L and alpha
-
-    def parameters(self) -> "ReAgmParameters":
-        return re_agm_calculate_parameters(self.mu, self.L, self.alpha)
+        # validates mu, L and alpha
+        object.__setattr__(self, "parameters",
+                           re_agm_calculate_parameters(self.mu, self.L, self.alpha))
 
 
 @dataclass(frozen=True)
@@ -177,6 +175,11 @@ def re_agm_calculate_parameters(mu: float, L: float, alpha: float) -> ReAgmParam
         raise ValueError(f"need L >= mu > 0, got mu={mu}, L={L}")
     if not 0.0 <= alpha <= 1.0 / 3.0:
         raise ValueError(f"alpha must be in [0, 1/3], got {alpha}")
+    L_hat = 8.0 * (1.0 + alpha) * L / (1.0 - alpha) ** 3
+    q = mu / (2.0 * L_hat)
+    if not q > 0.0:
+        raise ValueError(f"q = mu/(2*L_hat) = {q} leaves floating range at "
+                         f"L_hat = 8(1+alpha)L/(1-alpha)^3 = {L_hat}")
     ratio = mu / (2.0 * L)
     if alpha == 0.0:
         gamma_star = 0.5
@@ -186,8 +189,6 @@ def re_agm_calculate_parameters(mu: float, L: float, alpha: float) -> ReAgmParam
     pw = ratio**gamma_star
     s = (1.0 + 0.25 * pw) * (1.0 + alpha) ** 2 + 2.0 * alpha**2
     m = (1.0 - 0.25 * pw) * (1.0 - alpha) ** 2 - 2.0 * alpha**2
-    L_hat = 8.0 * (1.0 + alpha) * L / (1.0 - alpha) ** 3
-    q = mu / (2.0 * L_hat)
     h = gd_step_size(alpha, L)
     # largest root of m*w^2 + (s-m)*w - q = 0; s > m > 0 here, so the
     # conjugate form below avoids cancellation when s - m >> q
@@ -526,7 +527,7 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
     norm, and a monitor halt at y makes that y the terminal point (see
     RunTrace).
     """
-    params = cfg.parameters()
+    params = cfg.parameters
     omega, h = params.omega, params.h
     # the step's scalar factors, the same Python floats at every step
     y_div, u_keep, u_grad = 1.0 + omega, 1.0 - omega, 2.0 * omega / cfg.mu

@@ -268,6 +268,17 @@ class TestIterationBudgets:
         with pytest.raises(EnvelopeDomainError, match="beta"):
             iteration_budget("REAGM_REG", consts(alpha=0.1), epsilon=0.1)
 
+    @pytest.mark.parametrize("tid,kw", [("GD_REG", {"epsilon": 1.0}),
+                                        ("REAGM_REG", {"epsilon": 1.0, "beta": 0.0}),
+                                        ("REAGM_STOP", {})],
+                             ids=["GD_REG", "REAGM_REG", "REAGM_STOP"])
+    def test_overflowing_constants_are_rejected(self, tid, kw):
+        # at L = 1e308 a budget or the accelerated parameters leave floating
+        # range; the budget names it instead of raising OverflowError
+        c = consts(L=1e308, delta=1e-3 if tid == "REAGM_STOP" else 0.0, K=7.0)
+        with pytest.raises(ValueError, match="leaves floating range"):
+            iteration_budget(tid, c, **kw)
+
     def test_no_budget_for_plain_envelopes(self):
         with pytest.raises(ValueError, match="GD_PL"):
             iteration_budget("GD_PL", consts(), epsilon=0.1)

@@ -263,6 +263,27 @@ class TestRunCommand:
         assert cli.main(["run", str(path)]) == 3
         assert "hypothesis guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides", [
+        {"problem.family": "nesterov_convex", "problem.k": 8, "problem.n": 8,
+         "problem.mu": None, "oracle.alpha": 0.0, "oracle.delta": 0.0,
+         "driver.name": "regularize", "driver.epsilon": 1.0, "solver.N": None},
+        {"problem.family": "nesterov_convex", "problem.k": 8, "problem.n": 8,
+         "problem.mu": None, "oracle.alpha": 0.01, "oracle.delta": 0.0,
+         "driver.name": "combined", "driver.epsilon": 1.0, "solver.N": None},
+        {"problem.n": 8, "oracle.alpha": 0.0, "oracle.delta": 0.0,
+         "driver.name": "restart", "driver.epsilon": 1.0, "solver.N": None},
+        {"oracle.mode": "none", "oracle.alpha": None, "oracle.delta": None,
+         "solver.name": "re_agm"},
+    ], ids=["regularize", "combined", "restart", "re_agm"])
+    def test_overflowing_constant_exits_three(self, tmp_path, capsys, overrides):
+        # at L = 1e308 a budget, a rate or the accelerated parameters leave
+        # floating range: one guard line, no traceback
+        path = write_config(tmp_path, **{"problem.L": 1e308, **overrides})
+        assert cli.main(["run", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("hypothesis guard: ") and err.count("\n") == 1
+        assert "leaves floating range" in err
+
     def test_runtime_failure_exit_two(self, tmp_path, monkeypatch, capsys):
         path = write_config(tmp_path)
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ngl.bounds import EnvelopeDomainError, stopping_level
+from ngl.bounds import EnvelopeConstants, EnvelopeDomainError, envelope, ridge_level, stopping_level
 from ngl.drivers import (
     ConvergenceFailureError,
     RegularizedOracle,
@@ -89,43 +89,35 @@ class TestRegularizedProblem:
         x = np.array([1.0, 2.0, 3.0])
         assert reg.value(x) == pytest.approx(14.0, rel=1e-15)
 
-    def test_minimizer_is_stationary(self):
-        base = nesterov_convex(6, 50.0, 20)
-        center = np.full(20, 0.3)
-        reg = RegularizedProblem(base, center, 0.9)
-        g = reg.gradient(reg.x_star)
-        assert float(np.linalg.norm(g)) <= 1e-9
-        assert reg.gap(reg.x_star) == 0.0
-
     def test_ridge_must_be_positive(self):
         base = nesterov_convex(4, 10.0, 12)
         with pytest.raises(ValueError, match="positive"):
             RegularizedProblem(base, np.zeros(12), 0.0)
 
     def test_ridge_solution_stays_within_base_radius(self):
-        # long exact descent on the ridge problem cross-checks the
-        # analytic minimizer, then the contraction property
+        # long exact descent with the ridge oracle on the base problem reaches
+        # the ridge minimizer, which lies within R of the center: the
+        # contraction behind the alpha*mu*R term of the ridge level
         base = nesterov_convex(10, 100.0, 50)
         center = np.zeros(50)
-        R2 = float(base.x_star @ base.x_star)
-        eps = base.L * R2 / 100.0
-        mu, _ = plan_convex_gd(base.L, math.sqrt(R2), 0.0, eps)
-        reg = RegularizedProblem(base, center, mu)
-        cfg = GDConfig(steps=20000, alpha=0.0, L=reg.L)
-        trace = gd_run(reg, exact_oracle(reg), cfg, x0=center)
-        assert float(np.linalg.norm(trace.x_final - reg.x_star)) <= 1e-8
-        r_reg = float(np.linalg.norm(trace.x_final - center))
-        assert r_reg <= math.sqrt(R2) + 1e-8
+        R = float(np.linalg.norm(base.x_star - center))
+        eps = base.L * R**2 / 100.0
+        mu, _ = plan_convex_gd(base.L, R, 0.0, eps)
+        oracle = RegularizedOracle(exact_oracle(base), center, mu, R)
+        cfg = GDConfig(steps=20000, alpha=0.0, L=oracle.problem.L)
+        trace = gd_run(base, oracle, cfg, x0=center)
+        ridge_gradient = oracle.problem.gradient(trace.x_final)
+        assert float(np.linalg.norm(ridge_gradient)) <= 1e-8 * oracle.problem.L
+        assert float(np.linalg.norm(trace.x_final - center)) <= R
 
 
 class TestRegularizedOracle:
     def test_certified_composite_level(self):
         base = nesterov_convex(10, 100.0, 50)
         center = np.zeros(50)
-        reg = RegularizedProblem(base, center, 0.5)
         R = float(np.linalg.norm(base.x_star - center))
         base_oracle = sampled_oracle(base, alpha=0.2, seed=1)
-        oracle = RegularizedOracle(reg, base_oracle, R)
+        oracle = RegularizedOracle(base_oracle, center, 0.5, R)
         assert oracle.declared_alpha == 0.4
         assert oracle.declared_delta == pytest.approx(0.2 * 0.5 * R, rel=1e-15)
         rng = np.random.default_rng(7)
@@ -138,11 +130,10 @@ class TestRegularizedOracle:
 
     def test_adversarial_base_noise_stays_certified(self):
         base = nesterov_convex(10, 100.0, 50)
-        reg = RegularizedProblem(base, np.zeros(50), 0.5)
         R = float(np.linalg.norm(base.x_star))
         spec = NoiseSpec(alpha=0.3, delta=0.0, mode="adversarial_opposing",
                          seed=0)
-        oracle = RegularizedOracle(reg, SyntheticNoiseOracle(base, spec), R)
+        oracle = RegularizedOracle(SyntheticNoiseOracle(base, spec), np.zeros(50), 0.5, R)
         rng = np.random.default_rng(3)
         for _ in range(200):
             oracle.estimate_with_exact(2.0 * rng.standard_normal(50))[0]
@@ -151,10 +142,10 @@ class TestRegularizedOracle:
     def test_estimate_maps_through_the_ridge(self):
         base = nesterov_convex(4, 10.0, 12)
         center = np.full(12, 0.1)
-        reg = RegularizedProblem(base, center, 0.8)
         base_oracle = sampled_oracle(base, alpha=0.1, seed=4)
         twin = sampled_oracle(base, alpha=0.1, seed=4)
-        oracle = RegularizedOracle(reg, base_oracle, 5.0)
+        oracle = RegularizedOracle(base_oracle, center, 0.8, 5.0)
+        assert oracle.problem.base is base and oracle.problem.mu_reg == 0.8
         x = np.linspace(0, 1, 12)
         est = oracle.estimate_with_exact(x)[0]
         want = twin.estimate_with_exact(x)[0] + 0.8 * (x - center)
@@ -162,16 +153,26 @@ class TestRegularizedOracle:
 
     def test_rejects_large_base_level(self):
         base = nesterov_convex(4, 10.0, 12)
-        reg = RegularizedProblem(base, np.zeros(12), 0.5)
         with pytest.raises(ValueError, match="1/2"):
-            RegularizedOracle(reg, sampled_oracle(base, alpha=0.5, seed=0), 1.0)
+            RegularizedOracle(sampled_oracle(base, alpha=0.5, seed=0), np.zeros(12), 0.5, 1.0)
 
-    def test_rejects_mismatched_base(self):
-        base = nesterov_convex(4, 10.0, 12)
-        other = nesterov_convex(4, 10.0, 12)
-        reg = RegularizedProblem(base, np.zeros(12), 0.5)
-        with pytest.raises(ValueError, match="base"):
-            RegularizedOracle(reg, sampled_oracle(other, seed=0), 1.0)
+    @pytest.mark.parametrize("tid,base_tid,alpha", [("GD_REG", "GD_PL", 0.3),
+                                                    ("REAGM_REG", "REAGM", 1.0 / 6.0)],
+                             ids=["GD_REG", "REAGM_REG"])
+    def test_declares_the_level_of_the_ridge_envelopes(self, tid, base_tid, alpha):
+        # the ridge envelope is the base guarantee at ridge_level's constants,
+        # bit for bit, and the ridge oracle declares exactly that level
+        base = nesterov_convex(10, 100.0, 50)
+        R = float(np.linalg.norm(base.x_star))
+        mu, f0_gap = 0.25, base.gap(np.zeros(50))
+        oracle = RegularizedOracle(sampled_oracle(base, alpha=alpha, seed=1), np.zeros(50), mu, R)
+        level = ridge_level(alpha, 0.0, mu, R)
+        assert (oracle.declared_alpha, oracle.declared_delta) == level
+        ridge = envelope(tid, EnvelopeConstants(mu, base.L, alpha, 0.0, f0_gap, R))
+        at_level = envelope(base_tid, EnvelopeConstants(
+            oracle.problem.mu, oracle.problem.L, *level, f0_gap, R))
+        assert (ridge.rate, ridge.start) == (at_level.rate, at_level.start)
+        assert ridge.floor == at_level.floor + 0.5 * mu * R**2
 
 
 class TestStoppingRule:

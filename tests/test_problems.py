@@ -197,25 +197,6 @@ class TestCertificates:
                 assert gap >= p.mu / 2.0 * dist2 - 1e-9 * max(1.0, gap)
 
 
-class TestShiftedMinimizer:
-    @pytest.mark.parametrize("idx", range(7))
-    def test_shifted_stationarity(self, idx):
-        p = sample_problems()[idx]
-        rng = np.random.default_rng(600 + idx)
-        for _ in range(10):
-            ridge = float(10.0 ** rng.uniform(-4, 2))
-            center = rng.standard_normal(p.dim)
-            z = p.shifted_minimizer(ridge, center)
-            resid = p.gradient(z) + ridge * (z - center)
-            scale = max(1.0, p.L * float(np.linalg.norm(z)), ridge)
-            assert float(np.linalg.norm(resid)) <= 1e-8 * scale
-
-    def test_ridge_validation(self):
-        p = nesterov_convex(k=2, L=1.0, n=4)
-        with pytest.raises(ValueError):
-            p.shifted_minimizer(0.0, np.zeros(4))
-
-
 class TestRowKernels:
     """``_values`` and ``_gradients`` give row i of a 2-D X the bits of
     ``_value`` and ``_gradient`` at X[i]: the stepping core evaluates its
@@ -274,8 +255,9 @@ def raised(fn):
 
 class TestTridiagonalSolve:
     """``_solve_spd_tridiagonal`` is LAPACK's dptsv step for step: its x has
-    the bits of ``scipy.linalg.solveh_banded`` on every band the chain
-    families build, and its errors have scipy's type and message."""
+    the bits of ``scipy.linalg.solveh_banded`` on the strongly convex
+    chain's band, on ridge-shifted chain bands, and on random SPD bands,
+    and its errors have scipy's type and message."""
 
     @pytest.mark.parametrize("n", [2, 3, 16, 100, 5000])
     def test_strongly_convex_band_matches_scipy(self, solveh_banded, n):
@@ -285,33 +267,30 @@ class TestTridiagonalSolve:
             c = p._c
             for ridge, center in ((0.0, None), (0.3, rng.standard_normal(n)),
                                   (1e-4, 10.0 * rng.standard_normal(n))):
-                # the band and right-hand side the problem solved with scipy
-                ab = np.zeros((2, n))
-                ab[0, 1:] = -c
-                ab[1, :] = 2.0 * c + p.mu + ridge
-                ab[1, -1] = c + p.mu + ridge
+                # the chain's band and right-hand side, shifted by a ridge
+                d = np.full(n, 2.0 * c + p.mu + ridge)
+                d[-1] = c + p.mu + ridge
+                e = np.full(n - 1, -c)
                 rhs = np.zeros(n)
                 rhs[0] = c
                 if center is not None:
                     rhs += ridge * center
-                want = solveh_banded(ab, rhs).tobytes()
-                assert p.shifted_minimizer(ridge, center).tobytes() == want, (mu, L, ridge)
+                want = solveh_banded(band(d, e), rhs).tobytes()
+                assert _solve_spd_tridiagonal(d, e, rhs).tobytes() == want, (mu, L, ridge)
                 if center is None:
                     assert p.x_star.tobytes() == want, (mu, L)
 
     @pytest.mark.parametrize("k", [2, 3, 16, 100])
     def test_convex_head_band_matches_scipy(self, solveh_banded, k):
+        # the convex chain's head band, shifted by a ridge
         rng = np.random.default_rng(k)
-        p = nesterov_convex(k=k, L=7.5, n=k + 3)
-        c = p.L / 4.0
+        c = 7.5 / 4.0
         for ridge in (1e-4, 0.3, 20.0):
-            center = rng.standard_normal(p.dim)
-            rhs = ridge * center[:k].copy()
+            d, e = np.full(k, 2.0 * c + ridge), np.full(k - 1, -c)
+            rhs = ridge * rng.standard_normal(k)
             rhs[0] += c
-            want = solveh_banded(band(np.full(k, 2.0 * c + ridge), np.full(k - 1, -c)), rhs)
-            got = p.shifted_minimizer(ridge, center)
-            assert got[:k].tobytes() == want.tobytes(), ridge
-            assert got[k:].tobytes() == center[k:].tobytes()
+            want = solveh_banded(band(d, e), rhs)
+            assert _solve_spd_tridiagonal(d, e, rhs).tobytes() == want.tobytes(), ridge
 
     def test_random_spd_systems_match_scipy(self, solveh_banded):
         rng = np.random.default_rng(2024)

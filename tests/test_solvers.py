@@ -132,6 +132,22 @@ class TestConfigs:
         cfg = AdaptiveGDConfig(steps=1, L0=1.0)
         assert cfg.delta == 0.0 and cfg.adapt_L is False
 
+    def test_constants_are_computed_once(self, monkeypatch):
+        # a config keeps the constants it validated, and its run reads them
+        calls = {"re_agm_calculate_parameters": 0, "gd_step_size": 0}
+        for name in calls:
+            def counting(*args, real=getattr(solvers, name), name=name):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(solvers, name, counting)
+        p = nesterov_strongly_convex(1.0, 100.0, 8)
+        oracle = SyntheticNoiseOracle(p, NoiseSpec(mode="none"))
+        re_agm_run(p, oracle, ReAgmConfig(steps=3, mu=1.0, L=100.0, alpha=0.1))
+        assert calls["re_agm_calculate_parameters"] == 1
+        calls["gd_step_size"] = 0
+        gd_run(p, oracle, GDConfig(steps=3, alpha=0.1, L=100.0))
+        assert calls["gd_step_size"] == 1
+
 
 class TestReAgmParameters:
     def test_worked_example_third(self):
@@ -625,7 +641,7 @@ class TestRecordingRule:
 
         def run(monitor):
             base_oracle = SyntheticNoiseOracle(base, NoiseSpec(0.1, 0.0, "sampled_unbiased", 3))
-            oracle = drivers.RegularizedOracle(reg, base_oracle, 1.0)
+            oracle = drivers.RegularizedOracle(base_oracle, np.zeros(2000), 0.05, 1.0)
             if name == "gd":
                 cfg = GDConfig(steps=40, alpha=0.2, L=reg.L)
                 return gd_run(base, oracle, cfg, x0=np.ones(2000), monitor=monitor)
@@ -777,12 +793,12 @@ def test_each_iterate_is_validated_once(monkeypatch):
 
     # a 5-step accelerated ridge route: one call per query (the ridge
     # query; the base query inside it reuses the validated x), none for
-    # the base gap, and five to set up (the start, the ridge center
-    # twice, the ridge minimum and the core's start)
+    # the base gap, and three to set up (the start, the ridge center and
+    # the core's start)
     base = nesterov_convex(5, 10.0, 20)
     oracle = SyntheticNoiseOracle(base, NoiseSpec(alpha=0.1, mode="sampled_unbiased", seed=3))
     calls.clear()
     with pytest.raises(drivers.ConvergenceFailureError):
         drivers._ridge_route("re_agm", base, oracle, 1.0, np.ones(20), 0.05, 0.2, 5, 1e-9)
     assert oracle.queries == 5
-    assert len(calls) == 5 + 5
+    assert len(calls) == 5 + 3

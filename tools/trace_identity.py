@@ -27,8 +27,10 @@ a sha256 over everything the case can observe.
 - gd and re_agm run on a ridge's base problem with the ridge oracle at
   n = 2000 (``edge:ridge_base:``), with and without a monitor.
 - The chains' tridiagonal solve: ``x_star`` and ``f_star`` at n = 1, 2
-  and 5000, shifted minimizers of a 1x1 system, and the ``L = inf``
-  construction error.
+  and 5000, and the ``L = inf`` construction error.
+- Guards (``guard:``): the error of each budget, plan, parameter
+  computation and route whose constants leave floating range at
+  ``L = 1e308``.
 - Helpers: problem values and gradients, raw noise draws
   (``_components``), the reduced-precision and compressor kernels, rounding, validation, certification reports.
 - ``parse_config``: the config's fields or the error's message, for
@@ -397,12 +399,11 @@ def driver_cases(cases: Cases) -> None:
     # edge: gd and re_agm on a ridge's base with the ridge oracle, over several
     # evaluation blocks; the unqueried rows' gradient norms are the ridge's
     wide = P.nesterov_convex(1000, 10.0, 2000)
-    reg = D.RegularizedProblem(wide, np.zeros(2000), 0.05)
     for rname in ("gd", "re_agm"):
         for mname in ("nomon", "rec"):
             def ridge_base(rname=rname, mname=mname):
-                oracle = cases.watch(D.RegularizedOracle(reg, sampled(wide, 0.1, 0.0, 3), 1.0))
-                monitor, x0 = Recorder() if mname == "rec" else None, np.ones(2000)
+                oracle = cases.watch(D.RegularizedOracle(sampled(wide, 0.1, 0.0, 3), np.zeros(2000), 0.05, 1.0))
+                reg, monitor, x0 = oracle.problem, Recorder() if mname == "rec" else None, np.ones(2000)
                 if rname == "gd":
                     trace = S.gd_run(wide, oracle, S.GDConfig(40, 0.2, reg.L), x0=x0, monitor=monitor)
                 else:
@@ -410,6 +411,24 @@ def driver_cases(cases: Cases) -> None:
                     trace = S.re_agm_run(wide, oracle, cfg, x0=x0, monitor=monitor)
                 return trace, oracle.queries, monitor.views if monitor else None
             cases.run(f"edge:ridge_base:{rname}:{mname}", ridge_base, f"ridge_base:{rname}")
+
+    # constants that leave floating range at L = 1e308
+    from ngl import bounds as B
+
+    huge = B.EnvelopeConstants(mu=1.0, L=1e308, alpha=0.0, delta=1e-3, f0_gap=1.0, R=1.0, K=7.0)
+    for tid, kw in (("GD_REG", {"epsilon": 1.0}), ("REAGM_REG", {"epsilon": 1.0, "beta": 0.0}),
+                    ("REAGM_STOP", {})):
+        cases.run(f"guard:budget:{tid}", lambda tid=tid, kw=kw: B.iteration_budget(
+            tid, dataclasses.replace(huge, delta=1e-3 if tid == "REAGM_STOP" else 0.0), **kw))
+    cases.run("guard:plan_combined", lambda: D.plan_combined(1e308, 2.0, 0.01, 1.0, 0.0))
+    for alpha in (0.0, 0.1):
+        cases.run(f"guard:re_agm_parameters:{alpha}", lambda alpha=alpha: S.re_agm_calculate_parameters(
+            1.0, 1e308, alpha))
+    cvx, scvx = P.nesterov_convex(8, 1e308, 8), P.nesterov_strongly_convex(1.0, 1e308, 8)
+    cases.run("guard:convex_gd", lambda: D.solve_convex_gd(cvx, sampled(cvx), 1.0, 2.0))
+    for solver in ("gd", "re_agm"):
+        cases.run(f"guard:restart:{solver}", lambda solver=solver: D.restart_to_convex(
+            solver, scvx, sampled(scvx), 1.0))
 
 
 def helper_cases(cases: Cases) -> None:
@@ -425,8 +444,7 @@ def helper_cases(cases: Cases) -> None:
     for name, p in probs.items():
         xs = [rng.standard_normal(6) for _ in range(3)]
         cases.run(f"problem:{name}", lambda p=p, xs=xs: (
-            p.x_star, p.f_star, p.mu, p.L, [(p.value(x), p.gradient(x), p.gap(x)) for x in xs],
-            p.shifted_minimizer(0.7, xs[0])))
+            p.x_star, p.f_star, p.mu, p.L, [(p.value(x), p.gradient(x), p.gap(x)) for x in xs]))
         for bad in (np.full(6, np.nan), np.ones(5), np.ones((2, 3))):
             cases.run(f"problem:{name}:bad:{'x'.join(map(str, bad.shape))}:{bad.flat[0]}", lambda p=p, bad=bad: p.value(bad))
     # the chains' tridiagonal solve: the scalar case, a 2x2, long chains, a failed construction
@@ -436,10 +454,6 @@ def helper_cases(cases: Cases) -> None:
 
     for mu, L, n in ((0.5, 20.0, 1), (0.5, 20.0, 2), (0.5, 20.0, 5000), (1e7, 1e8, 5000)):
         cases.run(f"chain_solve:{mu}:{L}:{n}", lambda mu=mu, L=L, n=n: chain_minimum(mu, L, n))
-    cases.run("chain_solve:shifted:1", lambda: P.nesterov_strongly_convex(0.5, 20.0, 1).shifted_minimizer(
-        0.7, np.array([-0.3])))
-    cases.run("chain_solve:shifted:convex_k1", lambda: P.nesterov_convex(1, 20.0, 3).shifted_minimizer(
-        0.7, np.array([-0.3, 0.2, 5.0])))
     cases.run("chain_solve:L_inf", lambda: P.nesterov_strongly_convex(1.0, math.inf, 4))
     p = probs["scvx"]
     o = O.SyntheticNoiseOracle(p, O.NoiseSpec(0.3, 0.2, "sampled_unbiased", 11))
