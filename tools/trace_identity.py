@@ -1,11 +1,15 @@
 """Digest every observable output of ngl, to show that a change keeps them bit-identical.
 
-    python tools/trace_identity.py [--root CHECKOUT] [--no-cli]
+    python tools/trace_identity.py [--root CHECKOUT] [--no-cli] [--write]
 
 Imports ``ngl`` from ``CHECKOUT/src`` (default: the checkout holding
 this file) and prints one line per case, sorted: the case name, its
 outcome (``ok`` or the exception's type) and the first 16 hex digits of
-a sha256 over everything the case can observe.
+a sha256 over everything the case can observe.  ``--write`` rewrites
+``CHECKOUT/tests/identity_listing.txt`` with the ``--no-cli`` cases
+under a header naming the Python version, the numpy version and the
+CPU features numpy dispatches to, the three things the digests depend
+on besides the code; a tier-1 test compares the listing case by case.
 
 - A solver case digests every ``RunTrace`` field, ``oracle.queries``,
   every ``IterateView`` its monitor saw, the exception it raised (type,
@@ -538,11 +542,57 @@ def cli_cases(root: Path, cases: Cases) -> None:
                 cases.lines.append(f"cli:{config.stem}:{path.relative_to(tmp).as_posix()} file {d.hex()}")
 
 
+LISTING = Path("tests") / "identity_listing.txt"
+
+
+def host_header() -> list:
+    """The listing's header lines: what the digests depend on besides the code."""
+    import platform
+
+    from numpy._core import _multiarray_umath as umath
+
+    features = umath.__cpu_features__
+    dispatched = [name for name in umath.__cpu_dispatch__ if features.get(name)]
+    return [f"# python {platform.python_version()}",
+            f"# numpy {np.__version__}",
+            f"# numpy cpu baseline {' '.join(umath.__cpu_baseline__)}; "
+            f"dispatch {' '.join(dispatched)}"]
+
+
+def read_listing(path: Path):
+    """(header lines, {case name: "outcome digest"}) of a written listing."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    cases = dict(line.split(" ", 1) for line in lines if line and not line.startswith("#"))
+    return header, cases
+
+
+def run_cases(root: Path, cli: bool) -> Cases:
+    """Every case, with the ``ngl run``/``ngl sweep`` artifacts when ``cli``."""
+    cases = Cases()
+    solver_cases(cases)
+    driver_cases(cases)
+    helper_cases(cases)
+    config_cases(root, cases)
+    verify_cases(cases)
+    if cli:
+        cli_cases(root, cases)
+    return cases
+
+
+def monitor_pairs(cases: Cases):
+    """(pairs, pairs that end alike, pairs identical apart from the views)."""
+    pairs = [ends for ends in cases.pairs.values() if len(ends) == 2]
+    return len(pairs), sum(a[:2] == b[:2] for a, b in pairs), sum(a == b for a, b in pairs)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
                         help="checkout whose src/ngl and configs are digested")
     parser.add_argument("--no-cli", action="store_true", help="skip the ngl run/sweep artifacts")
+    parser.add_argument("--write", action="store_true",
+                        help=f"write the --no-cli listing to CHECKOUT/{LISTING.as_posix()}")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
@@ -550,26 +600,19 @@ def main(argv=None) -> int:
 
     if Path(ngl.__file__).resolve().parent != root / "src" / "ngl":
         raise SystemExit(f"imported ngl from {ngl.__file__}, not from {root / 'src'}")
-    cases = Cases()
-    solver_cases(cases)
-    driver_cases(cases)
-    helper_cases(cases)
-    config_cases(root, cases)
-    verify_cases(cases)
-    if not args.no_cli:
-        cli_cases(root, cases)
+    cases = run_cases(root, cli=not (args.no_cli or args.write))
     lines = sorted(cases.lines)
-    for line in lines:
-        print(line)
+    if args.write:
+        (root / LISTING).write_text("\n".join(host_header() + lines) + "\n", encoding="utf-8")
+    else:
+        for line in lines:
+            print(line)
     kept = [line for line in lines if not line.startswith("edge:")]
     edge = [line for line in lines if line.startswith("edge:")]
     for label, group in (("digest", kept), ("edge digest", edge)):
         joined = "\n".join(group).encode()
         print(f"{label} ({len(group)} cases) {hashlib.sha256(joined).hexdigest()[:16]}")
-    pairs = [ends for ends in cases.pairs.values() if len(ends) == 2]
-    alike = sum(a[:2] == b[:2] for a, b in pairs)
-    same = sum(a == b for a, b in pairs)
-    print(f"monitor pairs ({len(pairs)}): {alike} end alike, {same} identical")
+    print("monitor pairs ({}): {} end alike, {} identical".format(*monitor_pairs(cases)))
     return 0
 
 
