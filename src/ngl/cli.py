@@ -120,7 +120,7 @@ def _run_experiment(cfg: ExperimentConfig):
             trace = adaptive_gd_run(problem, oracle, run_cfg, x0=x0)
         else:
             trace = _run_solver(cfg.solver, problem, oracle, cfg.steps,
-                                _solver_alpha(cfg, oracle), x0, None)
+                                _solver_alpha(cfg, oracle), x0)
     elif cfg.driver == "regularize":
         if cfg.solver == "gd":
             trace = solve_convex_gd(problem, oracle, cfg.epsilon, radius, x0=x0)
@@ -376,7 +376,7 @@ def cmd_bounds(args) -> int:
         return EXIT_CONFIG
     try:
         env = envelope(args.theorem, constants)
-    except EnvelopeDomainError as exc:
+    except ValueError as exc:  # EnvelopeDomainError, or a solver parameter guard
         print(f"hypothesis guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     # row 0, then log-spaced rows up to N; N = 0 asks for row 0 alone

@@ -9,6 +9,13 @@ chain strongly convex stages that halve the gap geometrically.  The
 ridge's level and the rule's multiplier come from ``bounds.ridge_level``
 and ``bounds.stop_multiplier``.
 
+Every route stops through the solver config's declared stop, which the
+stepping core checks itself: the stopping rule's threshold, the ridge
+routes' target on the base gap (and the combined route's threshold),
+and each restart stage's half-gap target.  A gap target is checked
+before the point is queried, so a route that halts on its gap ends at
+an unqueried point (a NaN noisy norm) and spends no query on it.
+
 All radii R are user inputs bounding ||start - minimizer||: the
 guarantees assume R is known, so the drivers require it rather than
 peeking at the problem's analytic minimizer.
@@ -30,7 +37,6 @@ from .problems import ObjectiveProblem
 from .solvers import (
     _X_COLUMNS,
     _Y_COLUMNS,
-    TERMINAL_STOPPING_RULE,
     GDConfig,
     ReAgmConfig,
     RunTrace,
@@ -166,46 +172,32 @@ def run_with_stopping(solver: str, problem: ObjectiveProblem,
     "stopping_rule" on a trigger, "steps_exhausted" at N_cap (the normal
     outcome when rule.delta = 0 and the threshold is never reachable).
 
-    The threshold is read where the method queries: the x rows of gd,
-    the y points of re_agm, which then ends at that y.
-    ``stopping_level(mu, alpha, rule.delta, rule.K)`` bounds the gap at
-    any point whose noisy norm meets the threshold, so it holds wherever
-    the rule fires.
+    The threshold is the config's declared stop, read right after each
+    query: the x rows of gd, the y points of re_agm, which then ends at
+    that y.  ``stopping_level(mu, alpha, rule.delta, rule.K)`` bounds the
+    gap at any point whose noisy norm meets the threshold, so it holds
+    wherever the rule fires.
     """
     if not problem.mu > 0.0:
         raise ValueError("the stopping rule needs a strongly convex problem")
     threshold = rule.threshold(oracle.declared_alpha)
-    return _run_solver(solver, problem, oracle, N_cap, alpha_hat, x0,
-                       _halt_rule(threshold=threshold))
+    return _run_solver(solver, problem, oracle, N_cap, alpha_hat, x0, threshold=threshold)
 
 
 def _run_solver(solver: str, problem: ObjectiveProblem, oracle: GradientOracle,
-                steps: int, alpha: float, x0, monitor) -> RunTrace:
+                steps: int, alpha: float, x0, gap_target: Optional[float] = None,
+                threshold: Optional[float] = None) -> RunTrace:
     """gd or re_agm on problem at relative level alpha, tuned to the (mu, L)
-    of the problem the oracle estimates (a ridge route's ridge problem)."""
+    of the problem the oracle estimates (a ridge route's ridge problem),
+    with the declared stop (gap_target, threshold); None never stops."""
     tuned = oracle.problem
+    stop = {"gap_target": gap_target, "threshold": threshold}
     if solver == "gd":
-        cfg = GDConfig(steps=steps, alpha=alpha, L=tuned.L)
-        return gd_run(problem, oracle, cfg, x0=x0, monitor=monitor)
+        return gd_run(problem, oracle, GDConfig(steps, alpha, tuned.L, **stop), x0=x0)
     if solver == "re_agm":
-        cfg = ReAgmConfig(steps=steps, mu=tuned.mu, L=tuned.L, alpha=alpha)
-        return re_agm_run(problem, oracle, cfg, x0=x0, monitor=monitor)
+        return re_agm_run(problem, oracle, ReAgmConfig(steps, tuned.mu, tuned.L, alpha, **stop),
+                          x0=x0)
     raise ValueError(f"unknown solver {solver!r}; expected 'gd' or 're_agm'")
-
-
-def _halt_rule(gap_target: Optional[float] = None,
-               threshold: Optional[float] = None):
-    """Monitor that stops once the recorded gap <= gap_target or once the
-    noisy gradient norm <= threshold; either may be None (never stops on it)."""
-
-    def monitor(vw):
-        if gap_target is not None and vw.f_gap <= gap_target:
-            return TERMINAL_STOPPING_RULE
-        if threshold is not None and vw.noisy_grad_norm <= threshold:
-            return TERMINAL_STOPPING_RULE
-        return None
-
-    return monitor
 
 
 def _check_convex_inputs(op: str, base: ObjectiveProblem,
@@ -233,14 +225,14 @@ def _ridge_route(solver: str, base: ObjectiveProblem, oracle: GradientOracle,
     Adds a ridge of modulus mu around the start point through the
     certified ridge oracle and runs the solver with it on the base problem at
     level alpha for the budget: it steps on the ridge objective and
-    records base gaps (and ridge gradient norms).  It halts once the
-    base gap reaches epsilon, or once the noisy gradient norm reaches
-    threshold; the final base gap is checked against epsilon.
+    records base gaps (and ridge gradient norms).  Its declared stop
+    halts once the base gap reaches epsilon, before that point is
+    queried, or once the noisy gradient norm reaches threshold; the
+    final base gap is checked against epsilon.
     """
     center = np.zeros(base.dim) if x0 is None else as_vector(x0, base.dim)
     reg_oracle = RegularizedOracle(oracle, center, mu, R)
-    trace = _run_solver(solver, base, reg_oracle, budget, alpha, center,
-                        _halt_rule(epsilon, threshold))
+    trace = _run_solver(solver, base, reg_oracle, budget, alpha, center, epsilon, threshold)
     if trace.final_f_gap > epsilon:
         raise ConvergenceFailureError(
             f"{solver} ridge route missed target {epsilon:.3e}: base gap "
@@ -263,8 +255,9 @@ def solve_convex_gd(base: ObjectiveProblem, oracle: GradientOracle,
 
     Adds the recipe ridge around the start point, runs plain descent at
     the doubled relative level for the route's full budget (stopping as
-    soon as the measured base gap reaches epsilon), and returns a trace
-    whose gap columns are measured on the base objective.
+    soon as the measured base gap reaches epsilon, at an unqueried
+    point), and returns a trace whose gap columns are measured on the
+    base objective.
     """
     _check_convex_inputs("solve_convex_gd", base, oracle, epsilon, R)
     alpha = oracle.declared_alpha
@@ -293,7 +286,8 @@ def solve_convex_re_agm(base: ObjectiveProblem, oracle: GradientOracle,
     scales as (L R^2 / eps)^(1-beta).  At the boundary alpha = 1/3 the
     ridge-doubled level exceeds the accelerated parameter domain; the
     solver then runs at its edge level 1/3, which is the route's own
-    prescription.
+    prescription.  The run stops, unqueried, at the first x row or y
+    point whose base gap reaches epsilon.
     """
     _check_convex_inputs("solve_convex_re_agm", base, oracle, epsilon, R)
     alpha = oracle.declared_alpha
@@ -338,8 +332,8 @@ def combined_reg_stop(base: ObjectiveProblem, oracle: GradientOracle,
     (2*alpha, alpha*mu*R); the rule reads that absolute part as relative
     with multiplier K = 1/alpha, so the solver runs at level
     2*alpha + 1/K and stops once the noisy gradient norm falls to
-    ((1+2*alpha)K + 1)*alpha*mu*R, or earlier if the measured base gap
-    reaches epsilon.
+    ((1+2*alpha)K + 1)*alpha*mu*R, or earlier, at an unqueried point, if
+    the measured base gap reaches epsilon.
     """
     _check_convex_inputs("combined_reg_stop", base, oracle, epsilon, R)
     alpha = oracle.declared_alpha
@@ -422,8 +416,10 @@ def restart_to_convex(solver: str, problem: ObjectiveProblem,
     """Drive the gap below epsilon by geometric halving stages.
 
     Each stage budgets the inner solver by inverting its envelope at the
-    current gap bound, runs until the measured gap reaches half of it,
-    and seeds the next stage with the terminal point.  Chaining the
+    current gap bound, runs until the measured gap reaches half of it
+    (a declared gap target, so the stage's last point is not queried and
+    the stages query once per iteration), and seeds the next stage with
+    the terminal point.  Chaining the
     linear-rate stages this way is what converts a strongly convex rate
     into a convex-case complexity, hence the name.  Stages stop early
     (floor_reached) once the next target dips under the noise floor.
@@ -453,8 +449,7 @@ def restart_to_convex(solver: str, problem: ObjectiveProblem,
             floor_reached = True
             break
         budget = _invert_envelope(env, target)
-        trace = _run_solver(solver, problem, oracle, budget, alpha, x,
-                            _halt_rule(gap_target=target))
+        trace = _run_solver(solver, problem, oracle, budget, alpha, x, gap_target=target)
         if trace.final_f_gap > target:
             raise StageFailureError(
                 f"stage {stage} missed target {target:.3e}: gap "
@@ -469,6 +464,6 @@ def restart_to_convex(solver: str, problem: ObjectiveProblem,
 
     if not traces:
         # no stage ran: report the start point as a zero-step trace
-        return RestartResult(_run_solver("gd", problem, oracle, 0, alpha, x, None),
+        return RestartResult(_run_solver("gd", problem, oracle, 0, alpha, x),
                              reports, floor_reached)
     return RestartResult(_concat_traces(traces), reports, floor_reached)

@@ -224,12 +224,14 @@ class CompressedGradientOracle(GradientOracle):
         return _grid(exact, self.param)
 
 
-def _forward_differences(value, x: np.ndarray, h: float, value_noise: float,
+def _forward_differences(values, x: np.ndarray, h: float, value_noise: float,
                          stream: _QueryStream | None, query_index: int) -> np.ndarray:
-    """Forward differences of ``value`` at a validated x along the basis.
+    """Forward differences at a validated x along the basis.
 
-    With a stream, each of the n+1 evaluations is shifted by an
-    independent uniform draw in [-value_noise, value_noise] from query
+    ``values`` is a row kernel (``ObjectiveProblem._values``): one call
+    evaluates x and its n shifted points, row j+1 being x with x_j + h
+    in entry j.  With a stream, each of the n+1 evaluations is shifted by
+    an independent uniform draw in [-value_noise, value_noise] from query
     ``query_index``; without one, no value noise.  Worst-case error:
     sqrt(n) * (L*h/2 + 2*value_noise/h).
     """
@@ -238,15 +240,14 @@ def _forward_differences(value, x: np.ndarray, h: float, value_noise: float,
         shifts = stream.at(query_index).uniform(-value_noise, value_noise, size=n + 1)
     else:
         shifts = np.zeros(n + 1)
-    g = np.empty(n)
+    X = np.tile(x, (n + 1, 1))
+    j = np.arange(n)
     # a shifted point that overflows makes g non-finite, for the caller to catch
     with np.errstate(over="ignore"):
-        f0 = value(x) + shifts[0]
-        for j in range(n):
-            step = x.copy()
-            step[j] += h
-            g[j] = (value(step) + shifts[j + 1] - f0) / h
-    return g
+        X[j + 1, j] = x + h
+        v = values(X)
+        f0 = v[0] + shifts[0]
+        return (v[1:] + shifts[1:] - f0) / h
 
 
 class FiniteDifferenceOracle(GradientOracle):
@@ -269,7 +270,7 @@ class FiniteDifferenceOracle(GradientOracle):
         # the trusted kernel: a shifted point that overflows gives a
         # non-finite estimate, which a runner ends in DivergedError
         return _forward_differences(
-            self.problem._value, x, self.h, self.value_noise, self._stream, self.queries
+            self.problem._values, x, self.h, self.value_noise, self._stream, self.queries
         )
 
 

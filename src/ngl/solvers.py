@@ -14,8 +14,14 @@ Three runners share one trace format:
 Trace convention: row 0 is the starting point before any step; row k is
 the iterate after k accepted steps.  All runners accept an optional
 ``monitor`` callback that inspects each iterate, passed as an
-``IterateView`` (an immutable NamedTuple), and may end the run early
-(used for stopping rules and envelope violation detection).
+``IterateView`` (an immutable NamedTuple), and may end the run early.
+``GDConfig`` and ``ReAgmConfig`` may also declare a stop, which the core
+checks itself: ``gap_target`` ends the run at the first point whose gap
+is at most the target, ``threshold`` at the first queried point whose
+noisy gradient norm is at most the threshold.  Either ends the run at
+that point (an accelerated run's y point included) with terminal
+"stopping_rule"; the drivers' stopping, ridge and restart routes stop
+this way.
 
 Recording rule: ``f_gap`` columns are gaps of the problem passed to the
 runner; every ``grad_norm`` is the norm of ``oracle.problem``'s gradient.
@@ -31,16 +37,25 @@ the x rows, y rows and adaptive columns, the monitor call and the final
 finiteness check, and evaluates it with the problem's trusted kernels;
 every oracle query still goes through
 ``GradientOracle.estimate_with_exact``, the one ``as_vector`` of a gd
-step.  Its query rule: a point is queried only when the method steps
-from its estimate.  The monitor sees every recorded point, with a NaN
-noisy norm where nothing was queried, so watching a run never changes it.
+step.
+
+Its query rule: a point is queried only when the method steps from its
+estimate, and a gap target is checked before the query, so a point
+whose gap meets the target ends the run unqueried.  A threshold is
+checked right after the query, so it reads the point's noisy norm and
+needs no f(x).  The monitor sees every recorded point, with a NaN noisy
+norm where nothing was queried, so watching a run never changes it.
+
 Its evaluation rule: a point gets at once only what the method needs
-(the x check, the query, the estimate guard, a queried point's norms);
-f(x) and the other gradient norms wait for a block of ``2**14 // dim``
-rows, which row kernels evaluate with the same bits.  A monitor or the
-adaptive predicate reads rows live: a block of one.  Failures settle
-earlier rows first, so errors and traces are unchanged; only an
-unmonitored run whose objective overflows may query up to a block more.
+(the x check, the query, the estimate guard, a queried point's norms,
+and f(x) when a gap target reads it); the rest of f(x) and the other
+gradient norms wait for a block of ``2**14 // dim`` rows, which row
+kernels evaluate with the same bits.  A monitor or the adaptive
+predicate reads rows live: a block of one.  A declared stop keeps the
+block: when it fires, the core records the block up to that point and
+ends the run there.  Failures settle earlier rows first, so errors and
+traces are unchanged; only a block-evaluated run whose objective
+overflows may query up to a block more.
 """
 
 from __future__ import annotations
@@ -80,33 +95,55 @@ def _check_steps(steps) -> int:
     return int(steps)
 
 
+def _check_stop(cfg) -> None:
+    """A declared stop is None or a finite number: a NaN target never fires."""
+    for name in ("gap_target", "threshold"):
+        value = getattr(cfg, name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{name} must be finite or None, got {value}")
+
+
 @dataclass(frozen=True)
 class GDConfig:
-    """Fixed-step descent: N steps at the level-alpha step size."""
+    """Fixed-step descent: N steps at the level-alpha step size.
+
+    ``gap_target`` and ``threshold`` declare a stop (see the module
+    docstring); None never stops on it.
+    """
 
     steps: int
     alpha: float
     L: float
+    gap_target: Optional[float] = None
+    threshold: Optional[float] = None
     step_size: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _check_steps(self.steps))
+        _check_stop(self)
         # validates alpha and L
         object.__setattr__(self, "step_size", gd_step_size(self.alpha, self.L))
 
 
 @dataclass(frozen=True)
 class ReAgmConfig:
-    """Accelerated method config; requires strong convexity (mu > 0)."""
+    """Accelerated method config; requires strong convexity (mu > 0).
+
+    ``gap_target`` and ``threshold`` declare a stop, as in ``GDConfig``;
+    the threshold reads the queried y points.
+    """
 
     steps: int
     mu: float
     L: float
     alpha: float
+    gap_target: Optional[float] = None
+    threshold: Optional[float] = None
     parameters: ReAgmParameters = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "steps", _check_steps(self.steps))
+        _check_stop(self)
         # validates mu, L and alpha
         object.__setattr__(self, "parameters",
                            re_agm_calculate_parameters(self.mu, self.L, self.alpha))
@@ -241,9 +278,9 @@ class RunTrace:
     step; NaN on the final row).  Accelerated runs fill the ``y_*``
     arrays with one row per extrapolation point evaluated.
 
-    ``x_final``/``final_f_gap`` give the terminal point, which for a
-    monitor-halted accelerated run can be an extrapolation point rather
-    than the last main-sequence row.
+    ``x_final``/``final_f_gap`` give the terminal point, which for an
+    accelerated run halted by a monitor or a declared stop can be an
+    extrapolation point rather than the last main-sequence row.
     """
 
     k: np.ndarray
@@ -298,7 +335,7 @@ class InnerLoopStallError(RuntimeError):
 
 
 class _Halt(Exception):
-    """A monitor ended the run; carries the finished trace."""
+    """A monitor or a declared stop ended the run; carries the finished trace."""
 
     def __init__(self, trace: RunTrace):
         super().__init__(trace.terminal)
@@ -334,20 +371,26 @@ class _Core:
     ``record`` checks and appends each row in order, so an overflowing f
     is found up to a block of queries late.  ``block`` is 1 (the eager
     order) under a monitor, in adaptive runs, and when dim > 2**14.
+    A declared stop (``gap_target``, ``threshold``) keeps the block; a
+    gap target makes f(x) eager (``settle`` before the query).
     f(x), its finiteness and the gap floor are the run's problem's; the
     gradient norms are those of the problem the oracle estimates.
     """
 
     def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
                  monitor: Optional[Monitor], adaptive: bool = False,
-                 accelerated: bool = False):
+                 accelerated: bool = False, gap_target: Optional[float] = None,
+                 threshold: Optional[float] = None):
         self.problem = problem
         self.oracle = oracle
         self.monitor = monitor
         self.adaptive = adaptive
         self.accelerated = accelerated
+        self.gap_target = gap_target
+        self.threshold = threshold
         self.block = 1 if monitor is not None or adaptive else max(1, 2**14 // problem.dim)
-        self.pending = []  # (kind, k, x, grad_norm or None, noisy_norm) per row
+        self.eager_f = self.block == 1 or gap_target is not None
+        self.pending = []  # (kind, k, x, f_val, grad_norm or None, noisy_norm) per row
         # relative, like the package's other 1e-9 tolerances: the computed
         # f(x) - f_star carries rounding error on the scale of |f_star|
         self.floor = _GAP_FLOOR * max(1.0, abs(problem.f_star))
@@ -390,8 +433,12 @@ class _Core:
         # each update rule builds float64 vectors of the problem's dimension
         if np.count_nonzero(np.isfinite(x)) != x.size:
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
-        if self.block == 1:  # the eager order: f(x) is checked before the query
+        halt = False
+        if self.eager_f:  # f(x) is checked before the query
             f_val = self.settle(k, x, f_val)
+            # a gap target ends the run here, before a query
+            halt = self.gap_target is not None and f_val - self.problem.f_star <= self.gap_target
+            query = query and not halt
         grad_norm, est, noisy_norm = None, None, math.nan
         if query:
             try:
@@ -409,15 +456,19 @@ class _Core:
                 raise self.abort(DivergedError, f"non-finite gradient estimate at step {k}")
             grad_norm = math.sqrt(exact.dot(exact))
             noisy_norm = math.sqrt(est_sq)
+            halt = self.threshold is not None and noisy_norm <= self.threshold
         if self.block > 1:
-            self.pending.append((kind, k, x, grad_norm, noisy_norm))
-            if len(self.pending) == self.block:
+            self.pending.append((kind, k, x, f_val, grad_norm, noisy_norm))
+            if halt or len(self.pending) == self.block:
                 self.flush()
         else:
             if grad_norm is None:
                 exact = self.estimated._gradient(x)
                 grad_norm = math.sqrt(exact.dot(exact))
             self.record(kind, k, x, f_val, grad_norm, noisy_norm)
+        if halt:
+            gap = self.cols["f_gap" if kind == "x" else "y_f_gap"][-1]
+            raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, gap))
         return _Point(k, x, f_val, est, noisy_norm)
 
     def settle(self, k: int, x: np.ndarray, f_val: Optional[float]) -> float:
@@ -435,12 +486,12 @@ class _Core:
             return
         self.pending = []
         X = np.array([row[2] for row in pending])
-        values = self.problem._values(X).tolist()
-        unqueried = [i for i, row in enumerate(pending) if row[3] is None]
+        values = [row[3] for row in pending] if self.eager_f else self.problem._values(X).tolist()
+        unqueried = [i for i, row in enumerate(pending) if row[4] is None]
         if unqueried:
             G = self.estimated._gradients(X[unqueried])
             norms = iter(np.sqrt(row_dots(G, G)).tolist())
-        for (kind, k, x, grad_norm, noisy_norm), f_val in zip(pending, values):
+        for (kind, k, x, _, grad_norm, noisy_norm), f_val in zip(pending, values):
             if not math.isfinite(f_val):
                 raise self.abort(DivergedError, f"non-finite objective value at step {k}")
             self.record(kind, k, x, f_val, next(norms) if grad_norm is None else grad_norm, noisy_norm)
@@ -510,7 +561,8 @@ def gd_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: GDConfig,
             stacklevel=2,
         )
     h = cfg.step_size
-    return _Core(problem, oracle, monitor).run(cfg.steps, x0, lambda pt: (pt.x - h * pt.est, None))
+    core = _Core(problem, oracle, monitor, gap_target=cfg.gap_target, threshold=cfg.threshold)
+    return core.run(cfg.steps, x0, lambda pt: (pt.x - h * pt.est, None))
 
 
 def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConfig,
@@ -524,14 +576,15 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
     y_* arrays record every extrapolation point.
 
     The x rows are never queried; a monitor sees them with a NaN noisy
-    norm, and a monitor halt at y makes that y the terminal point (see
-    RunTrace).
+    norm, and a halt at y (by a monitor or a declared stop) makes that y
+    the terminal point (see RunTrace).
     """
     params = cfg.parameters
     omega, h = params.omega, params.h
     # the step's scalar factors, the same Python floats at every step
     y_div, u_keep, u_grad = 1.0 + omega, 1.0 - omega, 2.0 * omega / cfg.mu
-    core = _Core(problem, oracle, monitor, accelerated=True)
+    core = _Core(problem, oracle, monitor, accelerated=True,
+                 gap_target=cfg.gap_target, threshold=cfg.threshold)
     u = None
 
     def step(pt: _Point) -> np.ndarray:

@@ -537,6 +537,17 @@ class TestBoundsCommand:
         assert code == 3
         assert "hypothesis guard" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("theorem", ["REAGM", "REAGM_STOP"])
+    def test_parameters_leaving_floating_range_exit_three(self, capsys, theorem):
+        # L_hat = 8L overflows, so the accelerated parameters' q underflows to 0
+        code = cli.main(["bounds", theorem, "mu=1", "L=1e308", "alpha=0", "delta=0",
+                         "f0_gap=1", "R=1", "K=10"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hypothesis guard: q = mu/(2*L_hat) = 0.0 leaves floating range")
+        assert captured.err.count("\n") == 1
+
     def test_missing_constant_exit_one(self, capsys):
         code = cli.main(["bounds", "GD_PL", "mu=1", "L=100"])
         assert code == 1

@@ -444,6 +444,17 @@ class TestRestart:
         assert exc.value.achieved > exc.value.target
         assert exc.value.trace is not None
 
+    @pytest.mark.parametrize("solver, stages", [("gd", 15), ("re_agm", 13)])
+    def test_one_query_per_iteration(self, solver, stages):
+        # each stage ends at the first point meeting its target, unqueried,
+        # so no stage spends a query on its last point
+        p = nesterov_strongly_convex(1.0, 100.0, 100)
+        oracle = sampled_oracle(p, alpha=0.1, delta=0.01, seed=0)
+        result = restart_to_convex(solver, p, oracle, 1e-4)
+        assert len(result.stages) == stages and result.floor_reached
+        assert oracle.queries == result.trace.iterations == sum(s.iterations for s in result.stages)
+        assert oracle.queries == (1369 if solver == "gd" else 1088)
+
     def test_input_validation(self):
         p = nesterov_strongly_convex(1.0, 10.0, 8)
         convex = nesterov_convex(4, 10.0, 12)
@@ -453,6 +464,34 @@ class TestRestart:
             restart_to_convex("gd", convex, exact_oracle(convex), 0.1)
         with pytest.raises(ValueError, match="positive"):
             restart_to_convex("gd", p, exact_oracle(p), 0.0)
+
+
+def test_routes_stop_through_the_config(monkeypatch):
+    # every route hands the core a declared stop, never a monitor callback
+    import ngl.drivers as drivers
+
+    calls = []
+    for name in ("gd_run", "re_agm_run"):
+        def runner(problem, oracle, cfg, x0=None, monitor=None, real=getattr(drivers, name)):
+            calls.append((cfg.gap_target, cfg.threshold, monitor))
+            return real(problem, oracle, cfg, x0=x0, monitor=monitor)
+        monkeypatch.setattr(drivers, name, runner)
+    base = nesterov_convex(5, 10.0, 20)
+    R = float(np.linalg.norm(base.x_star))
+    eps = base.L * R**2 / 20.0
+    p = nesterov_strongly_convex(1.0, 10.0, 8)
+    rule = StoppingRule(K=10.0, delta=1e-3)
+    run_with_stopping("re_agm", p, sampled_oracle(p, delta=1e-3, seed=1), rule, 0.1, 500)
+    solve_convex_gd(base, exact_oracle(base), eps, R)
+    solve_convex_re_agm(base, exact_oracle(base), eps, 0.5, R)
+    combined_reg_stop(base, sampled_oracle(base, alpha=0.05, seed=21), eps, 0.0, R)
+    restart_to_convex("gd", p, exact_oracle(p), p.gap(np.zeros(8)) / 8.0)
+    assert calls[:4] == [(None, rule.threshold(0.0), None), (eps, None, None), (eps, None, None),
+                         (eps, plan_combined(base.L, R, 0.05, eps, 0.0)[3], None)]
+    targets = [p.gap(np.zeros(8)) / 2 ** i for i in (1, 2, 3)]
+    assert [call[2] for call in calls[4:]] == [None] * 3
+    assert [call[1] for call in calls[4:]] == [None] * 3
+    assert [call[0] for call in calls[4:]] == pytest.approx(targets, rel=1e-15)
 
 
 class TestFailureSurface:

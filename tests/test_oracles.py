@@ -275,10 +275,10 @@ class TestFiniteDifference:
             dim = 3
             slope = np.array([2.0, -0.5, 0.25])
 
-            def value(self, x):
-                return float(self.slope @ x)
+            def _values(self, X):
+                return X @ self.slope
 
-        g = _forward_differences(Linear().value, np.array([0.5, 1.0, -2.0]), 0.5, 0.0, None, 0)
+        g = _forward_differences(Linear()._values, np.array([0.5, 1.0, -2.0]), 0.5, 0.0, None, 0)
         assert np.array_equal(g, [2.0, -0.5, 0.25])
 
     def test_optimal_step_bound(self):
@@ -457,7 +457,7 @@ class TestStreamIdentity:
             x = rng.standard_normal(5)
             want = expected(x, o.queries)
             assert np.array_equal(o.estimate_with_exact(x)[0], want)
-            got = _forward_differences(p.value, x, h, noise, _QueryStream(seed), q)
+            got = _forward_differences(p._values, x, h, noise, _QueryStream(seed), q)
             assert np.array_equal(got, expected(x, q))
 
 

@@ -124,6 +124,16 @@ class TestConfigs:
         with pytest.raises(ValueError):
             ReAgmConfig(steps=-3, mu=1.0, L=100.0, alpha=0.1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["gap_target", "threshold"])
+    def test_declared_stop_must_be_finite(self, name, value):
+        # a NaN target would never fire, and an infinite one fires at row 0
+        message = f"^{name} must be finite or None, got"
+        with pytest.raises(ValueError, match=message):
+            GDConfig(steps=1, alpha=0.0, L=1.0, **{name: value})
+        with pytest.raises(ValueError, match=message):
+            ReAgmConfig(steps=1, mu=1.0, L=100.0, alpha=0.1, **{name: value})
+
     def test_adaptive_config_validation(self):
         with pytest.raises(ValueError):
             AdaptiveGDConfig(steps=1, L0=0.0)
@@ -667,6 +677,82 @@ class TestRecordingRule:
             assert norms[i] == math.sqrt(g.dot(g))
         assert counts["x"] == len(watched.f_gap) == 41
         assert counts["y"] == (40 if name == "re_agm" else 0)
+
+
+def assert_same_trace(want, got):
+    for field in dataclasses.fields(want):
+        a, b = getattr(want, field.name), getattr(got, field.name)
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, b, equal_nan=True), field.name
+        else:
+            assert a == b, field.name
+
+
+class TestDeclaredStop:
+    """A config's gap_target and threshold end the run inside the core: the
+    threshold right after a query, the gap target before it."""
+
+    @staticmethod
+    def run(name, steps, monitor=None, **stop):
+        # n = 2000: 2**14 // n = 8 rows per block, so a declared stop fires mid-block
+        prob = nesterov_strongly_convex(1.0, 50.0, 2000)
+        oracle = SyntheticNoiseOracle(prob, NoiseSpec(0.0, 0.5, "sampled_unbiased", seed=5))
+        if name == "gd":
+            trace = gd_run(prob, oracle, GDConfig(steps, 0.0, prob.L, **stop),
+                           x0=np.ones(2000), monitor=monitor)
+        else:
+            trace = re_agm_run(prob, oracle, ReAgmConfig(steps, 1.0, prob.L, 0.0, **stop),
+                               x0=np.ones(2000), monitor=monitor)
+        return trace, oracle.queries
+
+    @pytest.mark.parametrize("name", ["gd", "re_agm"])
+    def test_threshold_stop_is_the_monitor_stop(self, name):
+        # the least noisy norm of the first 21 queries: the stop fires there
+        full, _ = self.run(name, 60)
+        noisy = full.noisy_grad_norm if name == "gd" else full.y_noisy_grad_norm
+        first = int(np.argmin(noisy[:21]))
+        threshold = float(noisy[first])
+        # the point's place among the recorded points (x0, y0, x1, ... for
+        # re_agm) is not the last of a block of 8: the stop cuts a block short
+        assert (first if name == "gd" else 2 * first + 1) % 8 != 7
+
+        def monitor(view):
+            return "stopping_rule" if view.noisy_grad_norm <= threshold else None
+
+        watched, watched_queries = self.run(name, 60, monitor=monitor)
+        declared, declared_queries = self.run(name, 60, threshold=threshold)
+        assert declared.terminal == "stopping_rule" and declared.iterations < 60
+        assert_same_trace(watched, declared)
+        assert declared_queries == watched_queries
+
+    @pytest.mark.parametrize("name", ["gd", "re_agm"])
+    def test_gap_halted_point_is_never_queried(self, name):
+        # the target is the gap of the first point below every earlier one,
+        # a y point for re_agm: the stop ends the run there, unqueried
+        views = CountingMonitor()
+        full, _ = self.run(name, 60, monitor=views)
+        kind = "x" if name == "gd" else "y"
+        for i, view in enumerate(views.views):
+            if view.kind == kind and view.k > 10 and view.f_gap < min(v.f_gap for v in views.views[:i]):
+                halt = view
+                break
+        else:
+            pytest.fail(f"no {kind} point below every earlier gap")
+        trace, queries = self.run(name, 60, gap_target=halt.f_gap)
+        assert trace.terminal == "stopping_rule"
+        assert trace.final_f_gap == halt.f_gap and np.array_equal(trace.x_final, halt.x)
+        assert trace.iterations == halt.k
+        if name == "gd":
+            noisy, full_noisy = trace.noisy_grad_norm, full.noisy_grad_norm
+        else:
+            noisy, full_noisy = trace.y_noisy_grad_norm, full.y_noisy_grad_norm
+            assert np.array_equal(trace.y_f_gap, full.y_f_gap[:halt.k + 1])
+        # every earlier point as in the unstopped run; the halting point unqueried
+        assert math.isnan(noisy[-1]) and np.isfinite(full_noisy[halt.k])
+        assert np.array_equal(noisy[:-1], full_noisy[:halt.k])
+        assert np.array_equal(trace.f_gap, full.f_gap[:halt.k + 1])
+        assert np.array_equal(trace.grad_norm, full.grad_norm[:halt.k + 1])
+        assert queries == halt.k
 
 
 class NonFiniteAtQuery(GradientOracle):
