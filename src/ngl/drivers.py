@@ -419,9 +419,9 @@ def restart_to_convex(solver: str, problem: ObjectiveProblem,
     current gap bound, runs until the measured gap reaches half of it
     (a declared gap target, so the stage's last point is not queried and
     the stages query once per iteration), and seeds the next stage with
-    the terminal point.  Chaining the
-    linear-rate stages this way is what converts a strongly convex rate
-    into a convex-case complexity, hence the name.  Stages stop early
+    the terminal point.  Chaining the linear-rate stages this way is what
+    converts a strongly convex rate into a convex-case complexity, hence
+    the name.  Stages stop early
     (floor_reached) once the next target dips under the noise floor.
     """
     if solver not in ("gd", "re_agm"):
