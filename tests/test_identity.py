@@ -9,6 +9,7 @@ header differs, the test skips and names the mismatch.
 """
 
 import importlib.util
+import types
 from pathlib import Path
 
 import pytest
@@ -23,13 +24,20 @@ def _tool():
     return module
 
 
+def _mismatch(header, host):
+    """How the listing's header differs from this host's, or None."""
+    if header == host:
+        return None
+    lines = [f"{want!r} here {got!r}" for want, got in zip(header, host) if want != got]
+    return "; ".join(lines or [f"{header} vs {host}"])
+
+
 def test_every_case_keeps_its_recorded_digest():
     tool = _tool()
     header, recorded = tool.read_listing(ROOT / tool.LISTING)
-    host = tool.host_header()
-    if header != host:
-        mismatch = [f"{want!r} here {got!r}" for want, got in zip(header, host) if want != got]
-        pytest.skip("listing recorded on another host: " + "; ".join(mismatch or [f"{header} vs {host}"]))
+    mismatch = _mismatch(header, tool.host_header())
+    if mismatch:
+        pytest.skip("listing recorded on another host: " + mismatch)
     cases = tool.run_cases(ROOT, cli=False)
     got = dict(line.split(" ", 1) for line in cases.lines)
     moved = [f"{name}: recorded {recorded.get(name, '(absent)')}, now {got.get(name, '(absent)')}"
@@ -38,3 +46,24 @@ def test_every_case_keeps_its_recorded_digest():
     # a monitor only observes: each unmonitored run equals its watched twin
     pairs, alike, same = tool.monitor_pairs(cases)
     assert pairs == alike == same
+
+
+def test_header_before_numpy_2(monkeypatch):
+    # numpy 1.x keeps the ufunc module under numpy.core: the header still
+    # builds there, and its numpy line is the mismatch the listing skips on
+    tool = _tool()
+    old = types.SimpleNamespace(__cpu_features__={"AVX2": True, "AVX512F": False},
+                                __cpu_baseline__=["SSE", "SSE2"], __cpu_dispatch__=["AVX2", "AVX512F"])
+
+    def import_module(name):
+        if name == "numpy._core._multiarray_umath":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+        assert name == "numpy.core._multiarray_umath"
+        return old
+
+    monkeypatch.setattr(tool, "importlib", types.SimpleNamespace(import_module=import_module))
+    monkeypatch.setattr(tool.np, "__version__", "1.26.4")
+    host = tool.host_header()
+    assert host[1:] == ["# numpy 1.26.4", "# numpy cpu baseline SSE SSE2; dispatch AVX2"]
+    header, _ = tool.read_listing(ROOT / tool.LISTING)
+    assert "here '# numpy 1.26.4'" in _mismatch(header, host)

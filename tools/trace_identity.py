@@ -63,6 +63,7 @@ import argparse
 import contextlib
 import dataclasses
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -545,12 +546,20 @@ def cli_cases(root: Path, cases: Cases) -> None:
 LISTING = Path("tests") / "identity_listing.txt"
 
 
+def _numpy_umath():
+    """numpy's ufunc extension module: under ``numpy._core`` from numpy 2.0,
+    under ``numpy.core`` before."""
+    try:
+        return importlib.import_module("numpy._core._multiarray_umath")
+    except ImportError:
+        return importlib.import_module("numpy.core._multiarray_umath")
+
+
 def host_header() -> list:
     """The listing's header lines: what the digests depend on besides the code."""
     import platform
 
-    from numpy._core import _multiarray_umath as umath
-
+    umath = _numpy_umath()
     features = umath.__cpu_features__
     dispatched = [name for name in umath.__cpu_dispatch__ if features.get(name)]
     return [f"# python {platform.python_version()}",
