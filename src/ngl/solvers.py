@@ -47,15 +47,14 @@ needs no f(x).  The monitor sees every recorded point, with a NaN noisy
 norm where nothing was queried, so watching a run never changes it.
 
 Its evaluation rule: a point gets at once only what the method needs
-(the x check, the query, the estimate guard, a queried point's norms,
-and f(x) when a gap target reads it); the rest of f(x) and the other
-gradient norms wait for a block of ``2**14 // dim`` rows, which row
-kernels evaluate with the same bits.  A monitor or the adaptive
-predicate reads rows live: a block of one.  A declared stop keeps the
-block: when it fires, the core records the block up to that point and
-ends the run there.  Failures settle earlier rows first, so errors and
-traces are unchanged; only a block-evaluated run whose objective
-overflows may query up to a block more.
+(the x check, the query, the estimate guard, a queried point's norms);
+f(x) and the other gradient norms wait for a block of ``2**14 // dim``
+rows, which row kernels evaluate with the same bits.  A monitor, the
+adaptive predicate or a gap target reads rows live: a block of one.  A
+threshold keeps the block: when it fires, the core records the block up
+to that point and ends the run there.  Failures settle earlier rows
+first, so errors and traces are unchanged; only a block-evaluated run
+whose objective overflows may query up to a block more.
 """
 
 from __future__ import annotations
@@ -370,9 +369,9 @@ class _Core:
     rest pending; ``flush`` evaluates a block with the row kernels, then
     ``record`` checks and appends each row in order, so an overflowing f
     is found up to a block of queries late.  ``block`` is 1 (the eager
-    order) under a monitor, in adaptive runs, and when dim > 2**14.
-    A declared stop (``gap_target``, ``threshold``) keeps the block; a
-    gap target makes f(x) eager (``settle`` before the query).
+    order) under a monitor, in adaptive runs, with a gap target (its
+    check reads f(x) before the query) and when dim > 2**14.  A threshold
+    keeps the block: it reads the noisy norm, known right after the query.
     f(x), its finiteness and the gap floor are the run's problem's; the
     gradient norms are those of the problem the oracle estimates.
     """
@@ -388,9 +387,9 @@ class _Core:
         self.accelerated = accelerated
         self.gap_target = gap_target
         self.threshold = threshold
-        self.block = 1 if monitor is not None or adaptive else max(1, 2**14 // problem.dim)
-        self.eager_f = self.block == 1 or gap_target is not None
-        self.pending = []  # (kind, k, x, f_val, grad_norm or None, noisy_norm) per row
+        eager = monitor is not None or adaptive or gap_target is not None
+        self.block = 1 if eager else max(1, 2**14 // problem.dim)
+        self.pending = []  # (kind, k, x, grad_norm or None, noisy_norm) per row
         # relative, like the package's other 1e-9 tolerances: the computed
         # f(x) - f_star carries rounding error on the scale of |f_star|
         self.floor = _GAP_FLOOR * max(1.0, abs(problem.f_star))
@@ -434,7 +433,7 @@ class _Core:
         if np.count_nonzero(np.isfinite(x)) != x.size:
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
         halt = False
-        if self.eager_f:  # f(x) is checked before the query
+        if self.block == 1:  # the eager order: f(x) is checked before the query
             f_val = self.settle(k, x, f_val)
             # a gap target ends the run here, before a query
             halt = self.gap_target is not None and f_val - self.problem.f_star <= self.gap_target
@@ -458,7 +457,7 @@ class _Core:
             noisy_norm = math.sqrt(est_sq)
             halt = self.threshold is not None and noisy_norm <= self.threshold
         if self.block > 1:
-            self.pending.append((kind, k, x, f_val, grad_norm, noisy_norm))
+            self.pending.append((kind, k, x, grad_norm, noisy_norm))
             if halt or len(self.pending) == self.block:
                 self.flush()
         else:
@@ -486,12 +485,12 @@ class _Core:
             return
         self.pending = []
         X = np.array([row[2] for row in pending])
-        values = [row[3] for row in pending] if self.eager_f else self.problem._values(X).tolist()
-        unqueried = [i for i, row in enumerate(pending) if row[4] is None]
+        values = self.problem._values(X).tolist()
+        unqueried = [i for i, row in enumerate(pending) if row[3] is None]
         if unqueried:
             G = self.estimated._gradients(X[unqueried])
             norms = iter(np.sqrt(row_dots(G, G)).tolist())
-        for (kind, k, x, _, grad_norm, noisy_norm), f_val in zip(pending, values):
+        for (kind, k, x, grad_norm, noisy_norm), f_val in zip(pending, values):
             if not math.isfinite(f_val):
                 raise self.abort(DivergedError, f"non-finite objective value at step {k}")
             self.record(kind, k, x, f_val, next(norms) if grad_norm is None else grad_norm, noisy_norm)
