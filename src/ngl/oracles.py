@@ -228,10 +228,12 @@ def _forward_differences(values, x: np.ndarray, h: float, value_noise: float,
                          stream: _QueryStream | None, query_index: int) -> np.ndarray:
     """Forward differences at a validated x along the basis.
 
-    ``values`` is a row kernel (``ObjectiveProblem._values``): one call
+    ``values`` is a row kernel (``ObjectiveProblem._values``): it
     evaluates x and its n shifted points, row j+1 being x with x_j + h
-    in entry j.  With a stream, each of the n+1 evaluations is shifted by
-    an independent uniform draw in [-value_noise, value_noise] from query
+    in entry j, in chunks of ``2**14 // n`` rows (the stepping core's
+    block rule), so a chunk holds at most max(2**14, n) floats.  With a
+    stream, each of the n+1 evaluations is shifted by an independent
+    uniform draw in [-value_noise, value_noise] from query
     ``query_index``; without one, no value noise.  Worst-case error:
     sqrt(n) * (L*h/2 + 2*value_noise/h).
     """
@@ -240,12 +242,16 @@ def _forward_differences(values, x: np.ndarray, h: float, value_noise: float,
         shifts = stream.at(query_index).uniform(-value_noise, value_noise, size=n + 1)
     else:
         shifts = np.zeros(n + 1)
-    X = np.tile(x, (n + 1, 1))
-    j = np.arange(n)
+    rows = max(1, 2**14 // n)
+    v = np.empty(n + 1)
     # a shifted point that overflows makes g non-finite, for the caller to catch
     with np.errstate(over="ignore"):
-        X[j + 1, j] = x + h
-        v = values(X)
+        for start in range(0, n + 1, rows):
+            stop = min(start + rows, n + 1)
+            X = np.tile(x, (stop - start, 1))
+            i = np.arange(max(start, 1), stop)  # row i shifts entry i - 1
+            X[i - start, i - 1] = x[i - 1] + h
+            v[start:stop] = values(X)
         f0 = v[0] + shifts[0]
         return (v[1:] + shifts[1:] - f0) / h
 

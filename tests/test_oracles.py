@@ -31,7 +31,7 @@ from ngl.oracles import (
     _top_k,
     certification_report,
 )
-from ngl.problems import nesterov_strongly_convex, quadratic
+from ngl.problems import nesterov_convex, nesterov_strongly_convex, quadratic
 from ngl.solvers import DivergedError, GDConfig, gd_run
 from ngl.verify import neumaier_row_sums
 
@@ -280,6 +280,36 @@ class TestFiniteDifference:
 
         g = _forward_differences(Linear()._values, np.array([0.5, 1.0, -2.0]), 0.5, 0.0, None, 0)
         assert np.array_equal(g, [2.0, -0.5, 0.25])
+
+    @pytest.mark.parametrize("family", ["convex", "strongly_convex", "quadratic"])
+    def test_chunks_keep_the_per_point_bits(self, family):
+        # n = 200: the kernel sees chunks of 2**14 // n = 81 rows (81, 81, 39),
+        # and each estimate equals n+1 separate evaluations bit for bit
+        n = 200
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((n, n))
+        p = {"convex": lambda: nesterov_convex(10, 50.0, n),
+             "strongly_convex": lambda: nesterov_strongly_convex(1.0, 50.0, n),
+             "quadratic": lambda: quadratic(M @ M.T / n + np.eye(n), rng.standard_normal(n))}[family]()
+        chunks = []
+
+        def values(X):
+            chunks.append(X.shape)
+            return p._values(X)
+
+        for q in range(4):
+            x = rng.standard_normal(n) * 10.0 ** (q - 2)
+            h = 10.0 ** -(q + 3)
+            stream = _QueryStream(q) if q % 2 else None
+            shifts = stream.at(q).uniform(-1e-9, 1e-9, size=n + 1) if stream else np.zeros(n + 1)
+            f0 = p.value(x) + shifts[0]
+            want = np.empty(n)
+            for j in range(n):
+                step = x.copy()
+                step[j] += h
+                want[j] = (p.value(step) + shifts[j + 1] - f0) / h
+            assert np.array_equal(_forward_differences(values, x, h, 1e-9, stream, q), want)
+        assert chunks == [(81, n), (81, n), (39, n)] * 4
 
     def test_optimal_step_bound(self):
         p = nesterov_strongly_convex(mu=1.0, L=10.0, n=6)
