@@ -189,8 +189,16 @@ def _build_gd_mingrad(tid: str, c: EnvelopeConstants) -> Envelope:
     return Envelope(tid, c, floor, None, None, _eval)
 
 
+def _gamma_star(tid: str, mu: float, L: float, alpha: float) -> float:
+    """The accelerated method's gamma*; a parameter guard is a domain error."""
+    try:
+        return re_agm_calculate_parameters(mu, L, alpha).gamma_star
+    except ValueError as exc:  # e.g. q = mu/(2*L_hat) leaving floating range
+        raise EnvelopeDomainError(f"{tid}: {exc}") from exc
+
+
 def _build_reagm(tid: str, c: EnvelopeConstants) -> Envelope:
-    g = re_agm_calculate_parameters(c.mu, c.L, c.alpha).gamma_star
+    g = _gamma_star(tid, c.mu, c.L, c.alpha)
     rate = (c.mu / c.L) ** (1.0 - g) / 300.0
     start = c.f0_gap + c.mu * c.R**2 / 4.0
     floor = (2.0 * (c.L / c.mu) ** g + 5.0) * c.delta**2 / c.mu
@@ -367,7 +375,7 @@ def _budget_reagm_stop(c: EnvelopeConstants) -> int:
                    "the rule never triggers and no budget exists")
     K = float(c.K)
     beta = _stop_beta(tid, c.mu, c.L, K)
-    gamma0 = re_agm_calculate_parameters(c.mu, c.L, 2.0 * c.alpha).gamma_star
+    gamma0 = _gamma_star(tid, c.mu, c.L, 2.0 * c.alpha)
     k_eff = stop_multiplier(c.alpha, K)
     arg = ((1.0 - c.alpha) ** 2 / (k_eff**2 + 1.0)
            * c.L * c.R**2 * c.mu / c.delta**2)

@@ -376,7 +376,7 @@ def cmd_bounds(args) -> int:
         return EXIT_CONFIG
     try:
         env = envelope(args.theorem, constants)
-    except ValueError as exc:  # EnvelopeDomainError, or a solver parameter guard
+    except EnvelopeDomainError as exc:
         print(f"hypothesis guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     # row 0, then log-spaced rows up to N; N = 0 asks for row 0 alone

@@ -274,10 +274,19 @@ class TestIterationBudgets:
                              ids=["GD_REG", "REAGM_REG", "REAGM_STOP"])
     def test_overflowing_constants_are_rejected(self, tid, kw):
         # at L = 1e308 a budget or the accelerated parameters leave floating
-        # range; the budget names it instead of raising OverflowError
+        # range; the budget names it as a domain error instead of raising
+        # OverflowError or the parameters' plain ValueError
         c = consts(L=1e308, delta=1e-3 if tid == "REAGM_STOP" else 0.0, K=7.0)
-        with pytest.raises(ValueError, match="leaves floating range"):
+        with pytest.raises(EnvelopeDomainError, match="leaves floating range"):
             iteration_budget(tid, c, **kw)
+
+    @pytest.mark.parametrize("tid", ["REAGM", "REAGM_REG", "REAGM_STOP"])
+    def test_accelerated_envelopes_name_overflowing_parameters(self, tid):
+        # L_hat = 8L overflows, so q = mu/(2*L_hat) is 0: each accelerated
+        # guarantee reports it through REAGM's curve, as a domain error
+        c = consts(L=1e308, delta=0.0, K=7.0)
+        with pytest.raises(EnvelopeDomainError, match=r"^REAGM: q = mu/\(2\*L_hat\) = 0.0 leaves"):
+            envelope(tid, c)
 
     def test_no_budget_for_plain_envelopes(self):
         with pytest.raises(ValueError, match="GD_PL"):

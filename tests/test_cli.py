@@ -539,13 +539,15 @@ class TestBoundsCommand:
 
     @pytest.mark.parametrize("theorem", ["REAGM", "REAGM_STOP"])
     def test_parameters_leaving_floating_range_exit_three(self, capsys, theorem):
-        # L_hat = 8L overflows, so the accelerated parameters' q underflows to 0
+        # L_hat = 8L overflows, so the accelerated parameters' q underflows to 0;
+        # REAGM_STOP builds on REAGM at its inflated level, so REAGM's guard names it
         code = cli.main(["bounds", theorem, "mu=1", "L=1e308", "alpha=0", "delta=0",
                          "f0_gap=1", "R=1", "K=10"])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("hypothesis guard: q = mu/(2*L_hat) = 0.0 leaves floating range")
+        assert captured.err.startswith(
+            "hypothesis guard: REAGM: q = mu/(2*L_hat) = 0.0 leaves floating range")
         assert captured.err.count("\n") == 1
 
     def test_missing_constant_exit_one(self, capsys):
