@@ -177,6 +177,12 @@ def run_with_stopping(solver: str, problem: ObjectiveProblem,
     that y.  ``stopping_level(mu, alpha, rule.delta, rule.K)`` bounds the
     gap at any point whose noisy norm meets the threshold, so it holds
     wherever the rule fires.
+
+    A threshold keeps the core's block evaluation, so an objective that
+    overflows while the iterate stays finite is found when its block is
+    evaluated: the run may make up to ``2**14 // dim`` more queries
+    before DivergedError than under a monitor, and ``oracle.queries``
+    counts them.
     """
     if not problem.mu > 0.0:
         raise ValueError("the stopping rule needs a strongly convex problem")

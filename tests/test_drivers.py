@@ -24,7 +24,7 @@ from ngl.drivers import (
 )
 from ngl.oracles import GradientOracle, NoiseSpec, SyntheticNoiseOracle
 from ngl.problems import nesterov_convex, nesterov_strongly_convex, quadratic
-from ngl.solvers import GDConfig, gd_run
+from ngl.solvers import DivergedError, GDConfig, gd_run
 
 
 def exact_oracle(problem):
@@ -241,6 +241,27 @@ class TestRunWithStopping:
                                   N_cap=100, x0=p.x_star)
         assert trace.terminal == "stopping_rule"
         assert trace.iterations == 0
+
+    @pytest.mark.parametrize("solver, queries", [("gd", 16), ("re_agm", 16)])
+    def test_overflow_is_found_a_block_late(self, solver, queries):
+        # the threshold keeps block evaluation (2**14 // 2000 = 8 rows), so
+        # the objective overflowing at row 13, while x stays finite, is
+        # found when that row's block is evaluated: after 13 queries under
+        # a monitor, after the block's last query here
+        class HugeAtQuery12(ScalingOracle):
+            def _estimate(self, x, exact):
+                est = exact.copy()
+                if self.queries == 12:
+                    est[0] = 1e200
+                return est
+
+        p = nesterov_strongly_convex(1.0, 50.0, 2000)
+        oracle = HugeAtQuery12(p, 1.0)
+        rule = StoppingRule(K=10.0, delta=1e-12)
+        with pytest.raises(DivergedError, match="^non-finite objective value at step 13$") as exc:
+            run_with_stopping(solver, p, oracle, rule, 0.1, 40, x0=np.ones(2000))
+        assert list(exc.value.trace.k) == list(range(13))
+        assert oracle.queries == queries
 
     def test_rejects_convex_problem_and_bad_solver(self):
         p = nesterov_convex(4, 10.0, 12)
