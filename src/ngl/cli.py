@@ -25,8 +25,10 @@ summary.json keys: final_f_gap (objective gap at the terminal point),
 iterations (accepted steps), inner_loop_total (extra backtracking
 trials, 0 unless adaptive), envelope_violations (rows exceeding the
 bound column, 0 for any conforming run), terminal (reason the run
-ended), wall_time_s (seconds).  Identical config and seed give a
-byte-identical trace.csv; summary.json differs only in wall_time_s.
+ended), noise_stream (the version of the noise stream the oracle drew
+from, ``oracles.NOISE_STREAM``), wall_time_s (seconds).  Identical
+config and seed give a byte-identical trace.csv under one noise stream;
+summary.json differs only in wall_time_s.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .drivers import (
     solve_convex_gd,
     solve_convex_re_agm,
 )
+from .oracles import NOISE_STREAM
 from .solvers import (
     AdaptiveGDConfig,
     DivergedError,
@@ -239,6 +242,7 @@ def _execute_core(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "inner_loop_total": int(trace.total_inner_loops),
         "envelope_violations": violations,
         "terminal": trace.terminal,
+        "noise_stream": NOISE_STREAM,
         "wall_time_s": wall,
     }
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bounds import (EnvelopeConstants, EnvelopeDomainError, _whole_steps, envelope,
                      iteration_budget, ridge_level, stop_multiplier)
-from .numkit import as_vector
+from .numkit import as_vector, row_dots
 from .oracles import GradientOracle
 from .problems import ObjectiveProblem
 from .solvers import (
@@ -112,6 +112,13 @@ class RegularizedProblem(ObjectiveProblem):
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
         return self.base._gradient(x) + self.mu_reg * d
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        D = X - self.center
+        return self.base._values(X) + 0.5 * self.mu_reg * row_dots(D, D)
+
+    def _gradients(self, X: np.ndarray) -> np.ndarray:
+        return self.base._gradients(X) + self.mu_reg * (X - self.center)
 
 
 class RegularizedOracle(GradientOracle):

@@ -7,27 +7,37 @@ adversarial synthetic noise, deterministic compression (top-k, sign,
 grid), forward finite differences of noisy values, and reduced-precision
 arithmetic for explicit quadratics.
 
-Randomness is counter-based (Philox keyed by seed, counter = query
-index), so any run is bit-reproducible from (seed, query index) and
-queries never share stream state.  Each oracle builds one Philox bit
-generator and resets its whole state to counter [0, 0, 0, q] before
-query q, so its draws equal those of a fresh ``Philox(key=seed,
-counter=[0, 0, 0, q])`` in any query order, without paying for a new
-generator per query.
+Noise stream ``NOISE_STREAM`` (2): every noisy oracle reads sequential
+Philox streams keyed by its seed, and its q-th query takes the q-th
+fixed-size slice of each, so a run's noise depends only on (seed, query
+index).  A sampled oracle draws directions from ``Philox(key=seed)`` and
+radii from that generator's ``jumped()`` twin, which never overlaps it.
+Query q takes, for each ball of positive declared level (relative, then
+absolute), the next n normals and the next double ``u``; the ball is
+``(u ** (1/n) / ||normals||) * normals`` scaled by its radius, the zero
+vector when the normals are.  A relative ball at a zero gradient still
+takes its draws.  A finite-difference oracle with value noise takes the
+next n+1 ``uniform(-v, v)`` draws of one such generator.  The draws are
+made a block of queries at a time, at most ``max(_BLOCK_FLOATS, one
+query)`` floats, and numpy's block draws equal its one-at-a-time draws
+bit for bit, so the block size is not part of the stream.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .numkit import PrecisionSpec, as_vector, round_to_precision
+from .numkit import PrecisionSpec, as_vector, round_to_precision, row_dots
 from .problems import ObjectiveProblem
 
 MODES = ("sampled_unbiased", "adversarial_opposing", "none")
 CERT_SLACK = 1e-12
+NOISE_STREAM = 2  # the noise stream's version, written into summary.json
+_BLOCK_FLOATS = 2**14  # a refill's size (the stepping core's block rule); not part of the stream
 
 
 @dataclass(frozen=True)
@@ -48,42 +58,49 @@ class NoiseSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-class _QueryStream:
-    """Independent stream per query: Philox counter block = query index.
+def _generator(seed: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(key=int(seed) & (2**64 - 1)))
 
-    One bit generator serves every query; ``at(q)`` sets its full state
-    (counter [0, 0, 0, q], empty output buffer, no cached 32-bit half),
-    which is the state of a fresh ``Philox(key, counter=[0, 0, 0, q])``.
+
+class _Blocks:
+    """Per-query draws of shape ``shape``, made a block of queries at a time.
+
+    ``draw(size)`` returns the next ``size[0]`` queries' draws as one array
+    of shape ``size``; ``next()`` hands out one query's row.
     """
 
-    def __init__(self, seed: int):
-        self._bitgen = np.random.Philox(key=int(seed) & (2**64 - 1))
-        self._rng = np.random.Generator(self._bitgen)
-        self._counter = [0, 0, 0, 0]
-        # a fresh generator's state, holding lists, which the setter reads fastest
-        state = self._bitgen.state
-        state["state"] = {"counter": self._counter, "key": state["state"]["key"].tolist()}
-        state["buffer"] = state["buffer"].tolist()
-        self._state = state
+    def __init__(self, draw, shape: tuple):
+        self._draw = draw
+        self._size = (max(1, _BLOCK_FLOATS // math.prod(shape)), *shape)
+        self._rows = ()
+        self._next = 0
 
-    def at(self, query_index: int) -> np.random.Generator:
-        self._counter[3] = query_index
-        self._bitgen.state = self._state
-        return self._rng
+    def next(self) -> np.ndarray:
+        if self._next == len(self._rows):
+            self._rows = self._draw(self._size)
+            self._next = 0
+        row = self._rows[self._next]
+        self._next += 1
+        return row
 
 
-def _uniform_ball(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
-    if radius <= 0.0:
-        return np.zeros(n)
-    direction = rng.standard_normal(n)
-    # np.linalg.norm's own formula for a real 1-D vector, minus its overhead
-    norm = math.sqrt(direction.dot(direction))
-    if norm == 0.0:
-        return np.zeros(n)
-    # random() is the double uniform() scales by 1.0 and shifts by 0.0,
-    # bit for bit, without uniform()'s argument handling
-    r = radius * rng.random() ** (1.0 / n)
-    return (r / norm) * direction
+def _draw_balls(directions: np.random.Generator, radii: np.random.Generator,
+                radius: np.ndarray, size: tuple) -> np.ndarray:
+    """Draws uniform in the balls of radii ``radius``: size (m, balls, n), in stream order.
+
+    Each is ``radius * ((u ** (1/n) / ||d||) * d)`` for the next n
+    normals d and the next double u; the zero vector when d is.
+    """
+    n = size[-1]
+    D = directions.standard_normal(size).reshape(-1, n)
+    norms = np.sqrt(row_dots(D, D))
+    # a Python float's ** is C pow, whose bits numpy's array power need not match
+    e = 1.0 / n
+    r = np.array([u ** e for u in radii.random(D.shape[0]).tolist()])
+    D *= np.divide(r, norms, out=np.zeros_like(r), where=norms > 0.0)[:, None]
+    D = D.reshape(size)
+    D *= radius[:, None]
+    return D
 
 
 class GradientOracle:
@@ -141,27 +158,34 @@ class SyntheticNoiseOracle(GradientOracle):
             alpha, delta = 0.0, 0.0
         super().__init__(problem, alpha, delta, certify)
         self.spec = spec
-        self._stream = _QueryStream(spec.seed) if spec.mode == "sampled_unbiased" else None
-
-    def _components(self, exact: np.ndarray, query_index: int):
-        """(relative part, absolute part) of query ``query_index``'s noise at ``exact``."""
-        n = exact.shape[0]
-        gnorm = math.sqrt(exact.dot(exact))
-        mode = self.spec.mode
-        if mode == "none" or (self.declared_alpha == 0.0 and self.declared_delta == 0.0):
-            return np.zeros(n), np.zeros(n)
-        if mode == "adversarial_opposing":
-            rel = -self.declared_alpha * exact
-            absolute = np.zeros(n) if gnorm == 0.0 else -self.declared_delta / gnorm * exact
-            return rel, absolute
-        rng = self._stream.at(query_index)
-        rel = _uniform_ball(rng, n, self.declared_alpha * gnorm)
-        absolute = _uniform_ball(rng, n, self.declared_delta)
-        return rel, absolute
+        # the relative ball is drawn at radius 1 and scaled by alpha*||g|| per query
+        radius = np.array([1.0] * (alpha > 0.0) + [delta] * (delta > 0.0))
+        self._balls = None
+        if spec.mode == "sampled_unbiased" and radius.size:
+            directions = _generator(spec.seed)
+            radii = np.random.Generator(directions.bit_generator.jumped())
+            draw = partial(_draw_balls, directions, radii, radius)
+            self._balls = _Blocks(draw, (radius.size, problem.dim))
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
-        rel, absolute = self._components(exact, self.queries)
-        return exact + rel + absolute
+        alpha, delta = self.declared_alpha, self.declared_delta
+        if self._balls is not None:
+            rows = self._balls.next()  # the relative ball first, the absolute one last
+            if alpha == 0.0:
+                return exact + rows[0]
+            # exact + rel + abs, added in place
+            est = (alpha * math.sqrt(exact.dot(exact))) * rows[0]
+            est += exact
+            if delta > 0.0:
+                est += rows[1]
+            return est
+        if self.spec.mode != "adversarial_opposing" or (alpha == 0.0 and delta == 0.0):
+            return exact + 0.0  # the bits of adding two zero vectors
+        gnorm = math.sqrt(exact.dot(exact))
+        rel = -alpha * exact
+        if gnorm == 0.0:
+            return exact + rel + 0.0
+        return exact + rel + (-delta / gnorm) * exact
 
 
 def _top_k(g: np.ndarray, k: int) -> np.ndarray:
@@ -224,23 +248,20 @@ class CompressedGradientOracle(GradientOracle):
         return _grid(exact, self.param)
 
 
-def _forward_differences(values, x: np.ndarray, h: float, value_noise: float,
-                         stream: _QueryStream | None, query_index: int) -> np.ndarray:
+def _forward_differences(values, x: np.ndarray, h: float, shifts: np.ndarray | None) -> np.ndarray:
     """Forward differences at a validated x along the basis.
 
     ``values`` is a row kernel (``ObjectiveProblem._values``): it
     evaluates x and its n shifted points, row j+1 being x with x_j + h
     in entry j, in chunks of ``2**14 // n`` rows (the stepping core's
-    block rule), so a chunk holds at most max(2**14, n) floats.  With a
-    stream, each of the n+1 evaluations is shifted by an independent
-    uniform draw in [-value_noise, value_noise] from query
-    ``query_index``; without one, no value noise.  Worst-case error:
-    sqrt(n) * (L*h/2 + 2*value_noise/h).
+    block rule), so a chunk holds at most max(2**14, n) floats.  Value
+    j (x itself first) is shifted by ``shifts[j]``, the value noise; with
+    no shifts, by 0.0.  With shifts drawn from [-value_noise,
+    value_noise], the worst-case error is sqrt(n) * (L*h/2 +
+    2*value_noise/h).
     """
     n = x.shape[0]
-    if stream is not None:
-        shifts = stream.at(query_index).uniform(-value_noise, value_noise, size=n + 1)
-    else:
+    if shifts is None:
         shifts = np.zeros(n + 1)
     rows = max(1, 2**14 // n)
     v = np.empty(n + 1)
@@ -270,14 +291,16 @@ class FiniteDifferenceOracle(GradientOracle):
         self.h = float(h)
         self.value_noise = float(value_noise)
         self.seed = int(seed)
-        self._stream = _QueryStream(seed) if value_noise > 0.0 else None
+        self._shifts = None
+        if value_noise > 0.0:
+            draw = partial(_generator(seed).uniform, -self.value_noise, self.value_noise)
+            self._shifts = _Blocks(draw, (problem.dim + 1,))
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
         # the trusted kernel: a shifted point that overflows gives a
         # non-finite estimate, which a runner ends in DivergedError
-        return _forward_differences(
-            self.problem._values, x, self.h, self.value_noise, self._stream, self.queries
-        )
+        shifts = None if self._shifts is None else self._shifts.next()
+        return _forward_differences(self.problem._values, x, self.h, shifts)
 
 
 def _fp_quadratic(A: np.ndarray, b: np.ndarray, x: np.ndarray, spec: PrecisionSpec) -> np.ndarray:

@@ -59,10 +59,11 @@ class ObjectiveProblem:
     Attributes: dim, mu (strong-convexity modulus, 0 for merely convex),
     L (smoothness), x_star (a minimizer), f_star (minimum value), name.
 
-    A subclass implements the kernels ``_value`` and ``_gradient``, and
-    binds ``value`` and ``gradient`` to these validating wrappers in its
-    own class body, so that tools reading a class's own attributes (the
-    benchmark's tracer) find both.
+    A subclass implements the kernels ``_value`` and ``_gradient`` and
+    their row forms ``_values`` and ``_gradients``, and binds ``value``
+    and ``gradient`` to these validating wrappers in its own class body,
+    so that tools reading a class's own attributes (the benchmark's
+    tracer) find both.
     """
 
     def __init__(self, name: str, dim: int, mu: float, L: float):
@@ -97,11 +98,11 @@ class ObjectiveProblem:
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         """f at each row of X; row i is ``_value(X[i])`` bit for bit."""
-        return np.array([self._value(x) for x in X])
+        raise NotImplementedError
 
     def _gradients(self, X: np.ndarray) -> np.ndarray:
         """grad f at each row of X; row i is ``_gradient(X[i])`` bit for bit."""
-        return np.array([self._gradient(x) for x in X])
+        raise NotImplementedError
 
     def gap(self, x) -> float:
         """value(x) - f_star."""
@@ -151,6 +152,26 @@ class ChainedConvex(ObjectiveProblem):
         g[: self.k] = self.L / 4.0 * Ah
         g[0] -= self.L / 4.0
         return g
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        H = X[:, : self.k]
+        # h[0] ** 2 on a scalar is C pow, which can differ from the array square
+        chain = np.array([a ** 2 for a in H[:, 0]]) + np.array([b ** 2 for b in H[:, -1]])
+        if self.k > 1:
+            D = H[:, 1:] - H[:, :-1]
+            chain += row_dots(D, D)
+        return self.L / 8.0 * chain - self.L / 4.0 * H[:, 0]
+
+    def _gradients(self, X: np.ndarray) -> np.ndarray:
+        # the 1-D kernel along axis 1
+        H = X[:, : self.k]
+        G = np.zeros(X.shape)
+        AH = 2.0 * H
+        AH[:, :-1] -= H[:, 1:]
+        AH[:, 1:] -= H[:, :-1]
+        G[:, : self.k] = self.L / 4.0 * AH
+        G[:, 0] -= self.L / 4.0
+        return G
 
 
 class ChainedStronglyConvex(ObjectiveProblem):

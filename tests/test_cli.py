@@ -18,6 +18,7 @@ import ngl.cli as cli
 import ngl.config as config
 from config_faults import FAULTS, fault_config
 from ngl.config import ConfigError, expand_sweep, parse_config
+from ngl.oracles import NOISE_STREAM
 from ngl.solvers import DivergedError, RunTrace
 
 
@@ -168,7 +169,8 @@ class TestRunCommand:
         summary = read_summary(tmp_path / "out")
         assert set(summary) == {"final_f_gap", "iterations",
                                 "inner_loop_total", "envelope_violations",
-                                "terminal", "wall_time_s"}
+                                "terminal", "noise_stream", "wall_time_s"}
+        assert summary["noise_stream"] == NOISE_STREAM == 2
         assert summary["iterations"] == 400
         assert summary["inner_loop_total"] == 0
         assert summary["envelope_violations"] == 0
@@ -391,6 +393,13 @@ class TestSweepCommand:
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(base))
         return path
+
+    def test_every_run_names_the_noise_stream(self, tmp_path):
+        # sampled and adversarial runs alike: the stream a rerun must match
+        path = self.sweep_config(tmp_path)
+        assert cli.main(["sweep", str(path)]) == 0
+        for i in range(4):
+            assert read_summary(tmp_path / "sweep" / f"run_{i:03d}")["noise_stream"] == NOISE_STREAM
 
     def test_cross_product_layout(self, tmp_path):
         path = self.sweep_config(tmp_path)

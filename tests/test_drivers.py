@@ -474,7 +474,7 @@ class TestRestart:
         result = restart_to_convex(solver, p, oracle, 1e-4)
         assert len(result.stages) == stages and result.floor_reached
         assert oracle.queries == result.trace.iterations == sum(s.iterations for s in result.stages)
-        assert oracle.queries == (1369 if solver == "gd" else 1088)
+        assert oracle.queries == (1367 if solver == "gd" else 1087)
 
     def test_input_validation(self):
         p = nesterov_strongly_convex(1.0, 10.0, 8)

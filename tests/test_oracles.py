@@ -1,7 +1,8 @@
 """Oracle tests: composite-bound certification, sandwich inequalities,
-alignment bound, decomposition, unbiasedness, compressor tie rules,
-finite-difference closed forms, reduced-precision error envelopes,
-counter-based stream identity, the scalar reference for the
+alignment bound, decomposition, unbiasedness, the ball radius law,
+compressor tie rules, finite-difference closed forms, reduced-precision
+error envelopes, the noise stream against a one-query-at-a-time
+reference, the scalar reference for the
 row-vectorised reduced-precision gradient, and its full-precision row
 sums against exact rational sums."""
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import ngl.oracles
 from ngl.numkit import PrecisionSpec, round_to_precision
 from ngl.oracles import (
     CompressedGradientOracle,
@@ -26,7 +28,7 @@ from ngl.oracles import (
     _forward_differences,
     _fp_quadratic,
     _grid,
-    _QueryStream,
+    _generator,
     _sign,
     _top_k,
     certification_report,
@@ -149,16 +151,17 @@ def test_alignment_bound_relative_only():
 
 
 def test_decomposition_components():
+    # each estimate is g + rel + abs, parts rebuilt from fresh generators
     p = nesterov_strongly_convex(mu=1.0, L=50.0, n=10)
     o = SyntheticNoiseOracle(p, NoiseSpec(0.6, 1.5, "sampled_unbiased", seed=21))
+    draws = _ReferenceBalls(21, 10)
     rng = np.random.default_rng(80)
-    for q in range(300):
+    for _ in range(300):
         x = rng.standard_normal(10) * rng.uniform(0.1, 5.0)
         g = p.gradient(x)
-        rel, absolute = o._components(g, q)
-        assert float(np.linalg.norm(rel)) <= 0.6 * float(np.linalg.norm(g)) + 1e-15
-        assert float(np.linalg.norm(absolute)) <= 1.5 + 1e-15
-        # query q draws exactly these parts
+        rel, absolute = draws.ball(0.6 * float(np.linalg.norm(g))), draws.ball(1.5)
+        assert float(np.linalg.norm(rel)) <= 0.6 * float(np.linalg.norm(g)) * (1.0 + 1e-15)
+        assert float(np.linalg.norm(absolute)) <= 1.5 * (1.0 + 1e-15)
         assert np.array_equal(o.estimate_with_exact(x)[0], g + rel + absolute)
 
 
@@ -170,11 +173,31 @@ def test_unbiasedness_mean_within_four_standard_errors():
     draws = 100_000
     errs = np.empty((draws, 3))
     for q in range(draws):
-        rel, absolute = o._components(g, q)
-        errs[q] = (g + rel + absolute) - g
+        errs[q] = o._estimate(x, g) - g
     mean = errs.mean(axis=0)
     se = errs.std(axis=0, ddof=1) / math.sqrt(draws)
     assert np.all(np.abs(mean) <= 4.0 * se), f"bias {mean} vs SE {se}"
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+@pytest.mark.parametrize("ball", ["relative", "absolute"])
+def test_radius_law(n, ball):
+    # P(r <= t) = (t/R)^n: (r/R)^n is uniform on [0, 1], by a KS statistic
+    # under its 0.1% critical value 1.95/sqrt(N)
+    p = quadratic(np.eye(n), np.zeros(n))  # the gradient is x itself
+    if ball == "relative":
+        x = np.linspace(1.0, 2.0, n)
+        spec, R = NoiseSpec(0.7, 0.0, "sampled_unbiased", seed=n), 0.7 * float(np.linalg.norm(x))
+    else:
+        x = np.zeros(n)  # the estimate is the absolute ball itself
+        spec, R = NoiseSpec(0.0, 2.5, "sampled_unbiased", seed=n), 2.5
+    o = SyntheticNoiseOracle(p, spec)
+    N = 20_000
+    u = np.sort([(float(np.linalg.norm(o._estimate(x, x) - x)) / R) ** n for _ in range(N)])
+    assert u[-1] <= 1.0 + 1e-12
+    i = np.arange(1, N + 1)
+    ks = max(float(np.max(i / N - u)), float(np.max(u - (i - 1) / N)))
+    assert ks <= 1.95 / math.sqrt(N), ks
 
 
 class TestTopK:
@@ -278,7 +301,7 @@ class TestFiniteDifference:
             def _values(self, X):
                 return X @ self.slope
 
-        g = _forward_differences(Linear()._values, np.array([0.5, 1.0, -2.0]), 0.5, 0.0, None, 0)
+        g = _forward_differences(Linear()._values, np.array([0.5, 1.0, -2.0]), 0.5, None)
         assert np.array_equal(g, [2.0, -0.5, 0.25])
 
     @pytest.mark.parametrize("family", ["convex", "strongly_convex", "quadratic"])
@@ -300,15 +323,15 @@ class TestFiniteDifference:
         for q in range(4):
             x = rng.standard_normal(n) * 10.0 ** (q - 2)
             h = 10.0 ** -(q + 3)
-            stream = _QueryStream(q) if q % 2 else None
-            shifts = stream.at(q).uniform(-1e-9, 1e-9, size=n + 1) if stream else np.zeros(n + 1)
-            f0 = p.value(x) + shifts[0]
+            shifts = _generator(q).uniform(-1e-9, 1e-9, size=n + 1) if q % 2 else None
+            added = np.zeros(n + 1) if shifts is None else shifts
+            f0 = p.value(x) + added[0]
             want = np.empty(n)
             for j in range(n):
                 step = x.copy()
                 step[j] += h
-                want[j] = (p.value(step) + shifts[j + 1] - f0) / h
-            assert np.array_equal(_forward_differences(values, x, h, 1e-9, stream, q), want)
+                want[j] = (p.value(step) + added[j + 1] - f0) / h
+            assert np.array_equal(_forward_differences(values, x, h, shifts), want)
         assert chunks == [(81, n), (81, n), (39, n)] * 4
 
     def test_optimal_step_bound(self):
@@ -420,75 +443,83 @@ class TestFloatingPointGradient:
         assert got == Fraction(9, 2)
 
 
-def _fresh_rng(seed, q):
-    # a uint64 array, since a list holding q >= 2**63 would pass through float64
-    counter = np.array([0, 0, 0, q], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
+class _ReferenceBalls:
+    """Noise stream 2's balls, one draw at a time from fresh generators."""
+
+    def __init__(self, seed, n):
+        bitgen = np.random.Philox(key=seed)
+        self.directions = np.random.Generator(bitgen)
+        self.radii = np.random.Generator(bitgen.jumped())
+        self.n = n
+
+    def ball(self, radius):
+        """The next ball of this radius: n normals and one double."""
+        d = self.directions.standard_normal(self.n)
+        u = self.radii.random()
+        norm = math.sqrt(d.dot(d))
+        if norm == 0.0:
+            return np.zeros(self.n)
+        return radius * ((u ** (1.0 / self.n) / norm) * d)
 
 
-def _ball_reference(rng, n, radius):
-    if radius <= 0.0:
-        return np.zeros(n)
-    direction = rng.standard_normal(n)
-    norm = float(np.linalg.norm(direction))
-    return (radius * rng.uniform() ** (1.0 / n) / norm) * direction
+def _queries(per_block):
+    """Query count crossing the first refill, and more than a dozen."""
+    return max(12, per_block + 3)
 
 
-# out of order, repeated, and past 2**32
-STREAM_QUERIES = (7, 0, 2**33 + 5, 3, 0, 2**40 + 1, 1, 2**64 - 1, np.int64(9))
+BLOCKS = (1, 3, ngl.oracles._BLOCK_FLOATS)
 
 
 class TestStreamIdentity:
-    """Every draw equals that of a fresh Philox(key=seed, counter=[0,0,0,q])."""
+    """Query q's noise is the q-th draw of sequential generators keyed by
+    the seed, whatever block size the oracle draws in."""
 
-    def test_synthetic_noise(self):
-        # n = 6: a query usually draws 14 64-bit words, leaving part of a
-        # 4-word Philox block unused, so a buffer carried into the next
-        # query would change its draws
-        p = nesterov_strongly_convex(mu=1.0, L=50.0, n=6)
-        seed, alpha, delta = 123, 0.4, 0.3
-        o = SyntheticNoiseOracle(p, NoiseSpec(alpha, delta, "sampled_unbiased", seed=seed))
-        rng = np.random.default_rng(3)
+    def test_synthetic_noise(self, monkeypatch):
+        seed = 123
+        for block in BLOCKS:
+            monkeypatch.setattr(ngl.oracles, "_BLOCK_FLOATS", block)
+            for n in (1, 6, 100):
+                p = quadratic(np.eye(n), np.zeros(n))  # the gradient is x itself
+                for alpha, delta in ((0.4, 0.3), (0.4, 0.0), (0.0, 0.3)):
+                    o = SyntheticNoiseOracle(p, NoiseSpec(alpha, delta, "sampled_unbiased", seed=seed))
+                    # a zero-level ball draws nothing
+                    balls = (alpha > 0.0) + (delta > 0.0)
+                    ref = _ReferenceBalls(seed, n)
+                    rng = np.random.default_rng(n)
+                    for q in range(_queries(max(1, block // (balls * n)))):
+                        # every fifth point has a zero gradient, whose relative ball still draws
+                        x = np.zeros(n) if q % 5 == 2 else rng.standard_normal(n)
+                        want = x
+                        if alpha > 0.0:
+                            want = want + ref.ball(alpha * math.sqrt(x.dot(x)))
+                        if delta > 0.0:
+                            want = want + ref.ball(delta)
+                        got = o.estimate_with_exact(x)[0]
+                        assert got.tobytes() == want.tobytes(), (block, n, alpha, delta, q)
 
-        def expected(x, q):
-            g = p.gradient(x)
-            fresh = _fresh_rng(seed, q)
-            rel = _ball_reference(fresh, 6, alpha * float(np.linalg.norm(g)))
-            absolute = _ball_reference(fresh, 6, delta)
-            return g + rel + absolute, rel, absolute
-
-        for q in STREAM_QUERIES:
-            x = rng.standard_normal(6)
-            want = expected(x, o.queries)
-            assert np.array_equal(o.estimate_with_exact(x)[0], want[0])
-            g = p.gradient(x)
-            rel, absolute = o._components(g, q)
-            for a, b in zip((g + rel + absolute, rel, absolute), expected(x, q)):
-                assert np.array_equal(a, b)
-        assert o.queries == len(STREAM_QUERIES)
-
-    def test_finite_difference(self):
-        p = nesterov_strongly_convex(mu=1.0, L=10.0, n=5)
+    def test_finite_difference(self, monkeypatch):
         seed, h, noise = 17, 1e-4, 1e-7
-        o = FiniteDifferenceOracle(p, h=h, value_noise=noise, seed=seed)
-        rng = np.random.default_rng(4)
+        for block in BLOCKS:
+            monkeypatch.setattr(ngl.oracles, "_BLOCK_FLOATS", block)
+            for n in (1, 6, 100):
+                p = nesterov_strongly_convex(mu=1.0, L=10.0, n=n)
+                o = FiniteDifferenceOracle(p, h=h, value_noise=noise, seed=seed)
+                shifts = np.random.Generator(np.random.Philox(key=seed))
+                rng = np.random.default_rng(n)
+                for q in range(_queries(max(1, block // (n + 1)))):
+                    x = rng.standard_normal(n)
+                    want = _forward_differences(p._values, x, h, shifts.uniform(-noise, noise, size=n + 1))
+                    assert np.array_equal(o.estimate_with_exact(x)[0], want), (block, n, q)
 
-        def expected(x, q):
-            shifts = _fresh_rng(seed, q).uniform(-noise, noise, size=6)
-            f0 = p.value(x) + shifts[0]
-            g = np.empty(5)
-            for j in range(5):
-                step = x.copy()
-                step[j] += h
-                g[j] = (p.value(step) + shifts[j + 1] - f0) / h
-            return g
-
-        for q in STREAM_QUERIES:
-            x = rng.standard_normal(5)
-            want = expected(x, o.queries)
-            assert np.array_equal(o.estimate_with_exact(x)[0], want)
-            got = _forward_differences(p._values, x, h, noise, _QueryStream(seed), q)
-            assert np.array_equal(got, expected(x, q))
+    def test_zero_gradient_query_advances_the_stream(self):
+        p = quadratic(np.eye(3), np.zeros(3))
+        spec = NoiseSpec(0.5, 0.0, "sampled_unbiased", seed=9)
+        a, b = SyntheticNoiseOracle(p, spec), SyntheticNoiseOracle(p, spec)
+        x = np.array([1.0, -2.0, 0.5])
+        # a relative ball at a zero gradient is the zero vector, and takes its draws
+        assert not np.any(a.estimate_with_exact(np.zeros(3))[0])
+        b.estimate_with_exact(x)
+        assert np.array_equal(a.estimate_with_exact(x)[0], b.estimate_with_exact(x)[0])
 
 
 @pytest.mark.parametrize("make", [
@@ -496,21 +527,29 @@ class TestStreamIdentity:
     lambda p: FiniteDifferenceOracle(p, h=1e-4, value_noise=1e-8, seed=5),
 ], ids=["synthetic", "finite_difference"])
 def test_one_bit_generator_per_oracle(monkeypatch, make):
+    # the oracle keys one Philox by its seed (a sampled oracle's radius
+    # generator is its jumped twin); refills draw and build nothing new
     built = []
-    philox = np.random.Philox
+    philox, generator = np.random.Philox, np.random.Generator
 
-    def counting_philox(*args, **kwargs):
-        built.append(1)
-        return philox(*args, **kwargs)
+    def counting(cls):
+        def build(*args, **kwargs):
+            built.append(cls.__name__)
+            return cls(*args, **kwargs)
+        return build
 
-    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    monkeypatch.setattr(np.random, "Philox", counting(philox))
+    monkeypatch.setattr(np.random, "Generator", counting(generator))
+    monkeypatch.setattr(ngl.oracles, "_BLOCK_FLOATS", 16)
     p = nesterov_strongly_convex(mu=1.0, L=10.0, n=4)
     oracle = make(p)
+    assert built.count("Philox") == 1
+    before = len(built)
     x = np.ones(4)
     for _ in range(200):
         oracle.estimate_with_exact(x)[0]
     assert oracle.queries == 200
-    assert len(built) <= 1
+    assert len(built) == before
 
 
 def _compensated_sum_at_precision(values, spec):

@@ -208,19 +208,23 @@ class TestRowKernels:
         # first entries whose scalar square (C pow) differs from x * x in
         # the last bit: a kernel squaring the column X[:, 0] at once fails
         # (a Python float's ** is C pow too); small other entries keep the
-        # first square's last bit visible in f
+        # first square's last bit visible in f.  The other rows end in such
+        # entries, for the convex chain's square of its last entry.
         odd = [c for c in rng.standard_normal(200_000).tolist() if c ** 2 != c * c]
         assert len(odd) >= 50
         X = 1e-3 * rng.standard_normal((2 * len(odd), n))
         X[: len(odd), 0] = odd
+        X[len(odd):, -1] = odd
         assert np.any(X[:, 0] ** 2 != np.array([x0 ** 2 for x0 in X[:, 0]]))
         M = rng.standard_normal((n, n))
         strongly = nesterov_strongly_convex(mu=0.5, L=40.0, n=n)
         families = [
             strongly,
-            nesterov_convex(k=max(1, n // 2), L=20.0, n=n),  # the default row loop
+            nesterov_convex(k=max(1, n // 2), L=20.0, n=n),
+            nesterov_convex(k=n, L=20.0, n=n),  # a chain over every entry
             quadratic(M @ M.T / n + np.eye(n), rng.standard_normal(n)),
-            RegularizedProblem(strongly, rng.standard_normal(n), 0.3),  # the default row loop
+            RegularizedProblem(strongly, rng.standard_normal(n), 0.3),
+            RegularizedProblem(nesterov_convex(k=1, L=20.0, n=n), rng.standard_normal(n), 0.3),
         ]
         for p in families:
             values, gradients = p._values(X), p._gradients(X)

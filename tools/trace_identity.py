@@ -35,8 +35,10 @@ on besides the code; a tier-1 test compares the listing case by case.
 - Guards (``guard:``): the error of each budget, plan, parameter
   computation and route whose constants leave floating range at
   ``L = 1e308``.
-- Helpers: problem values and gradients, raw noise draws
-  (``_components``), the reduced-precision and compressor kernels, rounding, validation, certification reports.
+- Helpers: problem values and gradients, the sampled noise of queries
+  0-7 and of the first query past a refill (``noise:``), the
+  reduced-precision and compressor kernels, rounding, validation,
+  certification reports.
 - ``parse_config``: the config's fields or the error's message, for
   every run of every ``configs/*.json`` and for each single-fault config
   in ``tests/config_faults.py`` (read from this tool's checkout).
@@ -461,10 +463,14 @@ def helper_cases(cases: Cases) -> None:
         cases.run(f"chain_solve:{mu}:{L}:{n}", lambda mu=mu, L=L, n=n: chain_minimum(mu, L, n))
     cases.run("chain_solve:L_inf", lambda: P.nesterov_strongly_convex(1.0, math.inf, 4))
     p = probs["scvx"]
+    # the noise stream: queries 0-7 and the first query past a refill
+    # (2**14 // 12 = 1365 queries per block of two balls at n = 6)
     o = O.SyntheticNoiseOracle(p, O.NoiseSpec(0.3, 0.2, "sampled_unbiased", 11))
-    g1 = p.gradient(np.ones(6))
-    for q in (0, 1, 7, 2**33 + 5, 2**63 + 1, 2**64 - 1):
-        cases.run(f"components:{q}", lambda q=q: o._components(g1, q))
+    x1 = np.ones(6)
+    for q in (*range(8), 1365):
+        while o.queries < q:
+            o.estimate_with_exact(x1)
+        cases.run(f"noise:{q}", lambda: o.estimate_with_exact(x1))
     A = M @ M.T
     b = rng.standard_normal(6)
     for bits in (5, 20, 52):
