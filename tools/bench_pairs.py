@@ -40,8 +40,12 @@ def quartiles(values: list) -> dict:
 
 
 def host() -> dict:
-    cpu = next((line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines()
-                if line.startswith("model name")), platform.processor())
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:  # not Linux
+        lines = []
+    cpu = next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")),
+               platform.processor())
     return {"cpu": cpu, "python": platform.python_version(), "numpy": np.__version__,
             "machine": platform.machine(), "system": platform.system()}
 
