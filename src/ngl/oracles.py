@@ -180,7 +180,7 @@ class SyntheticNoiseOracle(GradientOracle):
                 est += rows[1]
             return est
         if self.spec.mode != "adversarial_opposing" or (alpha == 0.0 and delta == 0.0):
-            return exact + 0.0  # the bits of adding two zero vectors
+            return exact + 0.0  # a zero noise vector's bits: -0.0 becomes 0.0
         gnorm = math.sqrt(exact.dot(exact))
         rel = -alpha * exact
         if gnorm == 0.0:
