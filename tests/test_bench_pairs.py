@@ -1,9 +1,13 @@
 """``tools/bench_pairs.py``: the run order alternates, and pairs are won by
-each metric's direction in BENCHMARK.json."""
+each metric's direction in BENCHMARK.json, over every workload it lists,
+and an edited checkout names no commit."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -20,28 +24,48 @@ def test_alternating_pairs_are_summarised(tmp_path, monkeypatch):
     parent, change = tmp_path / "parent", tmp_path / "change"
     for root in (parent, change):
         root.mkdir()
-    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
-        {"name": "ref_wall_s", "better": "lower"}, {"name": "ref_steps_per_s", "better": "higher"}]}))
+    (change / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 7, "workloads": [{"name": "w"}, {"name": "v"}],
+        "end_to_end": [{"name": "ref_wall_s", "better": "lower"},
+                       {"name": "ref_steps_per_s", "better": "higher"}]}))
     calls = []
-    # the change is faster in pairs 0-2 and slower in pair 3
+    # in each workload the change is faster in pairs 0-2 and slower in pair 3
     walls = {"parent": [1.0, 1.0, 1.0, 1.0], "change": [0.75, 0.875, 0.5, 1.25]}
 
     def run_once(root, workload, seed, seconds):
+        assert (seed, seconds) == (3, 7.0)
         side = root.name
-        wall = walls[side][sum(1 for s in calls if s == side)]
-        calls.append(side)
+        wall = walls[side][sum(1 for w, s in calls if (w, s) == (workload, side))]
+        calls.append((workload, side))
         return {"correct": True, "attempted": 12, "failed": 0,
                 "metrics": {"ref_wall_s": {"value": wall}, "ref_steps_per_s": {"value": 1.0 / wall}}}
 
     monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "commit", lambda root: root.name[0])
     out = tmp_path / "BENCH.json"
-    assert tool.main([str(parent), str(change), "--workload", "w", "--pairs", "4", "--seed", "3",
-                      "--out", str(out), "--commits", "a", "b"]) == 0
-    assert calls == ["parent", "change", "change", "parent"] * 2
+    assert tool.main([str(parent), str(change), str(out), "--pairs", "4", "--seed", "3"]) == 0
+    order = ["parent", "change", "change", "parent"] * 2
+    assert calls == [("w", s) for s in order] + [("v", s) for s in order]
     record = json.loads(out.read_text())
-    assert record["commits"] == {"parent": "a", "change": "b"}
-    entry = record["workloads"]["w"]
-    assert entry["seed"] == 3 and len(entry["runs"]["change"]) == 4
-    for name in ("ref_wall_s", "ref_steps_per_s"):
-        assert (entry["metrics"][name]["pairs_won"], entry["metrics"][name]["pairs_lost"]) == (3, 1)
-    assert entry["metrics"]["ref_wall_s"]["change"]["median"] == 0.8125
+    assert record["commits"] == {"parent": "p", "change": "c"}
+    assert list(record["workloads"]) == ["w", "v"]
+    for entry in record["workloads"].values():
+        assert entry["seed"] == 3 and len(entry["runs"]["change"]) == 4
+        for name in ("ref_wall_s", "ref_steps_per_s"):
+            assert (entry["metrics"][name]["pairs_won"], entry["metrics"][name]["pairs_lost"]) == (3, 1)
+        assert entry["metrics"]["ref_wall_s"]["change"]["median"] == 0.8125
+
+
+def test_a_checkout_with_edits_is_refused(tmp_path):
+    tool = _tool()
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run([*git, "init", "-q"], check=True)
+    (tmp_path / "f").write_text("a")
+    subprocess.run([*git, "add", "f"], check=True)
+    subprocess.run([*git, "commit", "-qm", "f"], check=True)
+    head = subprocess.run([*git, "rev-parse", "HEAD"], capture_output=True, text=True,
+                          check=True).stdout.strip()
+    assert tool.commit(tmp_path) == head
+    (tmp_path / "f").write_text("b")
+    with pytest.raises(SystemExit):
+        tool.commit(tmp_path)

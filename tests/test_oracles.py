@@ -160,8 +160,8 @@ def test_decomposition_components():
         x = rng.standard_normal(10) * rng.uniform(0.1, 5.0)
         g = p.gradient(x)
         rel, absolute = draws.ball(0.6 * float(np.linalg.norm(g))), draws.ball(1.5)
-        assert float(np.linalg.norm(rel)) <= 0.6 * float(np.linalg.norm(g)) * (1.0 + 1e-15)
-        assert float(np.linalg.norm(absolute)) <= 1.5 * (1.0 + 1e-15)
+        assert float(np.linalg.norm(rel)) <= 0.6 * float(np.linalg.norm(g)) + 1e-15
+        assert float(np.linalg.norm(absolute)) <= 1.5 + 1e-15
         assert np.array_equal(o.estimate_with_exact(x)[0], g + rel + absolute)
 
 

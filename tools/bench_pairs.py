@@ -1,17 +1,16 @@
 """Alternating parent/change pairs of the benchmark, summarised into a BENCH file.
 
-    python tools/bench_pairs.py PARENT CHANGE --workload W --pairs P --seed S \
-        [--seconds T] [--out BENCH_N.json] [--commits PARENT_ID CHANGE_ID]
+    python tools/bench_pairs.py PARENT CHANGE OUT --pairs P --seed S
 
-PARENT and CHANGE are two checkouts.  Each pair runs ``python3
-benchmarks/run.py --workload W --seed S --seconds T --trace 0`` once in
-each checkout, the parent first in even pairs and the change first in
-odd ones, and reads the JSON object each run prints last.  The
-workload's entry in ``--out`` (other workloads' entries are kept) holds
-every run's end-to-end metrics, each metric's median and quartiles per
-side, and the pairs the change won by the direction BENCHMARK.json
-gives the metric (ties count for neither side), with the seed, the
-commits and the host.
+PARENT and CHANGE are two clean git checkouts.  For every workload that
+CHANGE's BENCHMARK.json lists, each pair runs ``python3 benchmarks/run.py
+--workload W --seed S --seconds T --trace 0`` once in each checkout, T
+being BENCHMARK.json's ``run_seconds``, the parent first in even pairs
+and the change first in odd ones, and reads the JSON object each run
+prints last.  OUT holds, per workload, every run's end-to-end metrics,
+each metric's median and quartiles per side, and the pairs the change
+won by the direction BENCHMARK.json gives the metric (ties count for
+neither side), with the seed, each checkout's HEAD commit and the host.
 """
 
 from __future__ import annotations
@@ -34,6 +33,16 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
+def commit(root: Path) -> str:
+    """The checkout's HEAD; a checkout whose tracked files differ from it is refused."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(root), *args], capture_output=True, text=True,
+                              check=True).stdout.strip()
+    if git("status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit(f"{root}: tracked files differ from HEAD, so no commit names the run")
+    return git("rev-parse", "HEAD")
+
+
 def quartiles(values: list) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"q1": q1, "median": median, "q3": q3}
@@ -50,46 +59,46 @@ def host() -> dict:
             "machine": platform.machine(), "system": platform.system()}
 
 
+def pairs(parent: Path, change: Path, workload: str, count: int, seed: int, seconds: float,
+          better: dict) -> dict:
+    runs = {"parent": [], "change": []}
+    for i in range(count):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            result = run_once(parent if side == "parent" else change, workload, seed, seconds)
+            values = {name: m["value"] for name, m in result["metrics"].items()}
+            runs[side].append({k: result[k] for k in ("correct", "attempted", "failed")} | values)
+            print(f"{workload} pair {i} {side}: {json.dumps(values)}", file=sys.stderr)
+
+    metrics = {}
+    for name, direction in better.items():
+        p = [r[name] for r in runs["parent"]]
+        c = [r[name] for r in runs["change"]]
+        won = sum(ci < pi if direction == "lower" else ci > pi for pi, ci in zip(p, c))
+        lost = sum(ci > pi if direction == "lower" else ci < pi for pi, ci in zip(p, c))
+        metrics[name] = {"better": direction, "parent": quartiles(p), "change": quartiles(c),
+                         "pairs_won": won, "pairs_lost": lost}
+    return {"seed": seed, "seconds": seconds, "pairs": count,
+            "order": "parent first in even pairs, change first in odd pairs",
+            "metrics": metrics, "runs": runs}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("out", type=Path)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
-    parser.add_argument("--commits", nargs=2, metavar=("PARENT_ID", "CHANGE_ID"))
     args = parser.parse_args(argv)
 
-    better = {m["name"]: m["better"] for m in json.loads(
-        (args.change / "BENCHMARK.json").read_text())["end_to_end"]}
-    runs = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(getattr(args, side), args.workload, args.seed, args.seconds)
-            values = {name: m["value"] for name, m in result["metrics"].items()}
-            runs[side].append({k: result[k] for k in ("correct", "attempted", "failed")} | values)
-            print(f"pair {i} {side}: {json.dumps(values)}", file=sys.stderr)
-
-    metrics = {}
-    for name, direction in better.items():
-        parent = [r[name] for r in runs["parent"]]
-        change = [r[name] for r in runs["change"]]
-        won = sum(c < p if direction == "lower" else c > p for p, c in zip(parent, change))
-        lost = sum(c > p if direction == "lower" else c < p for p, c in zip(parent, change))
-        metrics[name] = {"better": direction, "parent": quartiles(parent),
-                         "change": quartiles(change), "pairs_won": won, "pairs_lost": lost}
-
-    record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record.setdefault("host", host())
-    if args.commits:
-        record["commits"] = dict(zip(("parent", "change"), args.commits))
-    record.setdefault("workloads", {})[args.workload] = {
-        "seed": args.seed, "seconds": args.seconds, "pairs": args.pairs,
-        "order": "parent first in even pairs, change first in odd pairs",
-        "metrics": metrics, "runs": runs}
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    record = {"host": host(),
+              "commits": {"parent": commit(args.parent), "change": commit(args.change)},
+              "workloads": {w["name"]: pairs(args.parent, args.change, w["name"], args.pairs,
+                                             args.seed, float(bench["run_seconds"]), better)
+                            for w in bench["workloads"]}}
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
