@@ -8,7 +8,8 @@ Subcommands:
   verify             run the built-in invariant suite, print a pass table
   bounds <theorem> <key=value...>  print an envelope table for constants
 
-Exit codes: 0 success, 1 malformed config or input, 2 a guarantee was
+Exit codes: 0 success, 1 malformed config or input (or artifacts that
+cannot be written: one "output error" line), 2 a guarantee was
 violated at run time (an envelope row, a diverged iterate, a driver
 missing its certified target, a failed verify check), 3 a mathematical
 hypothesis guard rejected the configuration (for example alpha > 1/3
@@ -234,8 +235,6 @@ def _execute_core(cfg: ExperimentConfig, out_dir: Path) -> dict:
             if hits.size:
                 record["iters_to_10x_floor"] = int(trace.k[hits[0]])
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_trace_csv(out_dir / "trace.csv", trace, bound)
     summary = {
         "final_f_gap": float(trace.final_f_gap),
         "iterations": int(trace.iterations),
@@ -245,9 +244,16 @@ def _execute_core(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "noise_stream": NOISE_STREAM,
         "wall_time_s": wall,
     }
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        _write_trace_csv(out_dir / "trace.csv", trace, bound)
+        with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2)
+            fh.write("\n")
+    except OSError as exc:
+        record["code"] = EXIT_CONFIG
+        record["error"] = f"output error: {exc}"
+        return record
 
     record.update(summary)
     record.pop("wall_time_s", None)
@@ -319,7 +325,6 @@ def cmd_sweep(args) -> int:
         records = [_sweep_task(t) for t in tasks]
     records.sort(key=lambda r: r["index"])
 
-    out_root.mkdir(parents=True, exist_ok=True)
     lines = [",".join(["run", *varied, *_COMPARED])]
     for record, run_raw in zip(records, run_dicts):
         row = [format(record["index"], "d")]
@@ -329,8 +334,6 @@ def cmd_sweep(args) -> int:
                        else _format_float(v))
         row += [_comparison_value(record, key) for key in _COMPARED]
         lines.append(",".join(row))
-    (out_root / "comparison.csv").write_text("\n".join(lines) + "\n",
-                                             encoding="utf-8")
 
     worst = EXIT_OK
     for record in records:
@@ -338,6 +341,13 @@ def cmd_sweep(args) -> int:
             print(f"run {record['index']}: {record['error']}",
                   file=sys.stderr)
         worst = max(worst, record["code"])
+    try:
+        out_root.mkdir(parents=True, exist_ok=True)
+        (out_root / "comparison.csv").write_text("\n".join(lines) + "\n",
+                                                 encoding="utf-8")
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return max(worst, EXIT_CONFIG)
     print(f"{out_root}: {len(records)} runs, comparison.csv written")
     return worst
 
@@ -439,6 +449,10 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     if args.command == "bounds" and (args.points < 1 or args.N < 0):
         print("--points must be >= 1 and --N >= 0", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.command == "bounds" and args.N > 2**53:
+        # past 2**53 the log-spaced grid's floats no longer hold every integer
+        print(f"--N must be <= 2**53, got {args.N}", file=sys.stderr)
         return EXIT_CONFIG
     return args.fn(args)
 

@@ -258,6 +258,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if driver != "none" and solver == "adaptive_gd":
         raise ConfigError("driver.name: drivers dispatch gd or re_agm only, "
                           "not adaptive_gd")
+    if driver == "combined" and "solver.name" in raw and solver != "re_agm":
+        raise ConfigError(f"solver.name: driver.name combined runs re_agm only, "
+                          f"got {solver!r}")
     if driver in ("regularize", "combined") and mu != 0.0:
         raise ConfigError(f"driver.name: {driver} needs a convex base "
                           f"(mu = 0), got mu={mu}")

@@ -185,11 +185,12 @@ def run_with_stopping(solver: str, problem: ObjectiveProblem,
     gap at any point whose noisy norm meets the threshold, so it holds
     wherever the rule fires.
 
-    A threshold keeps the core's block evaluation, so an objective that
-    overflows while the iterate stays finite is found when its block is
-    evaluated: the run may make up to ``2**14 // dim`` more queries
-    before DivergedError than under a monitor, and ``oracle.queries``
-    counts them.
+    A threshold reads only the noisy norm, so f(x) waits for the core's
+    block of ``numkit.block_rows(dim)`` rows: an objective that overflows
+    while the iterate stays finite is found when its block is evaluated,
+    after up to a block more queries than under a monitor (or with a gap
+    target, which reads f(x) at the point), and ``oracle.queries`` counts
+    them.
     """
     if not problem.mu > 0.0:
         raise ValueError("the stopping rule needs a strongly convex problem")

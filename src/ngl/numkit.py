@@ -18,6 +18,9 @@ import numpy as np
 
 FLOAT64_SIGNIFICAND_BITS = 52
 _TOP_BINADE = 2.0**1023  # frexp exponent 1024: the binade whose rounding can overflow
+# the floats one block of rows holds (128 KiB): the stepping core's rows,
+# the noise draws' queries and the difference quotients' shifted points
+BLOCK_FLOATS = 2**14
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,11 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     if np.count_nonzero(np.isfinite(v)) != v.size:
         raise ValueError("vector contains non-finite entries")
     return v
+
+
+def block_rows(width: int) -> int:
+    """Rows of ``width`` floats in one block: ``BLOCK_FLOATS // width``, at least one."""
+    return max(1, BLOCK_FLOATS // width)
 
 
 def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

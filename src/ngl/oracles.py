@@ -18,9 +18,9 @@ absolute), the next n normals and the next double ``u``; the ball is
 vector when the normals are.  A relative ball at a zero gradient still
 takes its draws.  A finite-difference oracle with value noise takes the
 next n+1 ``uniform(-v, v)`` draws of one such generator.  The draws are
-made a block of queries at a time, at most ``max(_BLOCK_FLOATS, one
-query)`` floats, and numpy's block draws equal its one-at-a-time draws
-bit for bit, so the block size is not part of the stream.
+made a block of queries at a time, at most ``max(numkit.BLOCK_FLOATS,
+one query)`` floats, and numpy's block draws equal its one-at-a-time
+draws bit for bit, so the block size is not part of the stream.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ from functools import partial
 
 import numpy as np
 
-from .numkit import PrecisionSpec, as_vector, round_to_precision, row_dots
+from .numkit import PrecisionSpec, as_vector, block_rows, round_to_precision, row_dots
 from .problems import ObjectiveProblem
 
 MODES = ("sampled_unbiased", "adversarial_opposing", "none")
 CERT_SLACK = 1e-12
 NOISE_STREAM = 2  # the noise stream's version, written into summary.json
-_BLOCK_FLOATS = 2**14  # a refill's size (the stepping core's block rule); not part of the stream
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class _Blocks:
 
     def __init__(self, draw, shape: tuple):
         self._draw = draw
-        self._size = (max(1, _BLOCK_FLOATS // math.prod(shape)), *shape)
+        self._size = (block_rows(math.prod(shape)), *shape)
         self._rows = ()
         self._next = 0
 
@@ -253,17 +252,16 @@ def _forward_differences(values, x: np.ndarray, h: float, shifts: np.ndarray | N
 
     ``values`` is a row kernel (``ObjectiveProblem._values``): it
     evaluates x and its n shifted points, row j+1 being x with x_j + h
-    in entry j, in chunks of ``2**14 // n`` rows (the stepping core's
-    block rule), so a chunk holds at most max(2**14, n) floats.  Value
-    j (x itself first) is shifted by ``shifts[j]``, the value noise; with
-    no shifts, by 0.0.  With shifts drawn from [-value_noise,
-    value_noise], the worst-case error is sqrt(n) * (L*h/2 +
-    2*value_noise/h).
+    in entry j, in chunks of ``numkit.block_rows(n)`` rows, so a chunk
+    holds at most max(``numkit.BLOCK_FLOATS``, n) floats.  Value j (x
+    itself first) is shifted by ``shifts[j]``, the value noise; with no
+    shifts, by 0.0.  With shifts drawn from [-value_noise, value_noise],
+    the worst-case error is sqrt(n) * (L*h/2 + 2*value_noise/h).
     """
     n = x.shape[0]
     if shifts is None:
         shifts = np.zeros(n + 1)
-    rows = max(1, 2**14 // n)
+    rows = block_rows(n)
     v = np.empty(n + 1)
     # a shifted point that overflows makes g non-finite, for the caller to catch
     with np.errstate(over="ignore"):

@@ -143,9 +143,11 @@ class ChainedConvex(ObjectiveProblem):
         return self.L / 8.0 * float(chain) - self.L / 4.0 * float(h[0])
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
+        # tridiag(-1, 2, -1) applied to the active head, along axis 0.
+        # Order F lays out _gradients' X.T so that its rows stay contiguous:
+        # row_dots on strided rows need not give the 1-D dot's bits
         h = x[: self.k]
-        g = np.zeros(self.dim)
-        # tridiag(-1, 2, -1) applied to the active head
+        g = np.zeros(x.shape, order="F")
         Ah = 2.0 * h
         Ah[:-1] -= h[1:]
         Ah[1:] -= h[:-1]
@@ -163,15 +165,8 @@ class ChainedConvex(ObjectiveProblem):
         return self.L / 8.0 * chain - self.L / 4.0 * H[:, 0]
 
     def _gradients(self, X: np.ndarray) -> np.ndarray:
-        # the 1-D kernel along axis 1
-        H = X[:, : self.k]
-        G = np.zeros(X.shape)
-        AH = 2.0 * H
-        AH[:, :-1] -= H[:, 1:]
-        AH[:, 1:] -= H[:, :-1]
-        G[:, : self.k] = self.L / 4.0 * AH
-        G[:, 0] -= self.L / 4.0
-        return G
+        # the 1-D kernel on X.T's axis 0
+        return self._gradient(X.T).T
 
 
 class ChainedStronglyConvex(ObjectiveProblem):

@@ -46,15 +46,19 @@ checked right after the query, so it reads the point's noisy norm and
 needs no f(x).  The monitor sees every recorded point, with a NaN noisy
 norm where nothing was queried, so watching a run never changes it.
 
-Its evaluation rule: a point gets at once only what the method needs
-(the x check, the query, the estimate guard, a queried point's norms);
-f(x) and the other gradient norms wait for a block of ``2**14 // dim``
-rows, which row kernels evaluate with the same bits.  A monitor, the
-adaptive predicate or a gap target reads rows live: a block of one.  A
-threshold keeps the block: when it fires, the core records the block up
-to that point and ends the run there.  Failures settle earlier rows
-first, so errors and traces are unchanged; only a block-evaluated run
-whose objective overflows may query up to a block more.
+Its evaluation rule: every point pends with what the method needed at
+once (the x check, the query, the estimate guard, a queried point's
+norms), and a block of ``numkit.block_rows(dim)`` pending rows is
+flushed: the row kernels evaluate what the rows lack, f(x) and an
+unqueried point's gradient norm, with the same bits, and the rows are
+recorded in order.  f(x) is read at the point, before the query, only
+where a gap target checks it or the row is recorded at once: under a
+monitor or the adaptive predicate, which read each row as it comes, and
+at dim > 8192, the block is one row.  A threshold reads only the noisy
+norm: when it fires, the core records the block up to that point and
+ends the run there.  Failures settle earlier rows first, so errors and
+traces are unchanged; only a run that defers f(x) and whose objective
+overflows may query up to a block more.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .numkit import as_vector, row_dots
+from .numkit import as_vector, block_rows, row_dots
 from .oracles import GradientOracle
 from .problems import ObjectiveProblem
 
@@ -365,15 +369,15 @@ class _Core:
     keeps the inner_loops/alpha_hat/L_hat columns, which ``trials`` sets
     for the step leaving the latest row; ``accelerated`` keeps the y
     columns, which the update rule fills by visiting its extrapolation
-    points.  ``visit`` does what the method needs to go on and leaves the
-    rest pending; ``flush`` evaluates a block with the row kernels, then
-    ``record`` checks and appends each row in order, so an overflowing f
-    is found up to a block of queries late.  ``block`` is 1 (the eager
-    order) under a monitor, in adaptive runs, with a gap target (its
-    check reads f(x) before the query) and when dim > 2**14.  A threshold
-    keeps the block: it reads the noisy norm, known right after the query.
-    f(x), its finiteness and the gap floor are the run's problem's; the
-    gradient norms are those of the problem the oracle estimates.
+    points.  ``visit`` does what the method needs to go on and pends the
+    row; ``flush`` evaluates what a block of pending rows lacks with the
+    row kernels, then ``record`` checks and appends each row in order, so
+    a deferred overflowing f is found up to a block of queries late.
+    ``block`` is 1 under a monitor, in adaptive runs and when dim > 8192
+    (``block_rows``); ``at_point`` settles f(x) in ``visit``, before the
+    query, where the block is 1 or a gap target reads it.  f(x), its
+    finiteness and the gap floor are the run's problem's; the gradient
+    norms are those of the problem the oracle estimates.
     """
 
     def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
@@ -387,9 +391,9 @@ class _Core:
         self.accelerated = accelerated
         self.gap_target = gap_target
         self.threshold = threshold
-        eager = monitor is not None or adaptive or gap_target is not None
-        self.block = 1 if eager else max(1, 2**14 // problem.dim)
-        self.pending = []  # (kind, k, x, grad_norm or None, noisy_norm) per row
+        self.block = 1 if monitor is not None or adaptive else block_rows(problem.dim)
+        self.at_point = self.block == 1 or gap_target is not None
+        self.pending = []  # (kind, k, x, f or None, grad_norm or None, noisy_norm) per row
         # relative, like the package's other 1e-9 tolerances: the computed
         # f(x) - f_star carries rounding error on the scale of |f_star|
         self.floor = _GAP_FLOOR * max(1.0, abs(problem.f_star))
@@ -427,13 +431,13 @@ class _Core:
 
     def visit(self, kind: str, k: int, x: np.ndarray, query: bool,
               f_val: Optional[float] = None) -> _Point:
-        """Check and query an "x" row or "y" point (``f_val``: f(x) if known); record it or pend it."""
+        """Check and query an "x" row or "y" point (``f_val``: f(x) if known), and pend it."""
         # the one validation of x: the start went through as_vector and
         # each update rule builds float64 vectors of the problem's dimension
         if np.count_nonzero(np.isfinite(x)) != x.size:
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
         halt = False
-        if self.block == 1:  # the eager order: f(x) is checked before the query
+        if self.at_point:  # f(x) is checked before the query
             f_val = self.settle(k, x, f_val)
             # a gap target ends the run here, before a query
             halt = self.gap_target is not None and f_val - self.problem.f_star <= self.gap_target
@@ -456,15 +460,9 @@ class _Core:
             grad_norm = math.sqrt(exact.dot(exact))
             noisy_norm = math.sqrt(est_sq)
             halt = self.threshold is not None and noisy_norm <= self.threshold
-        if self.block > 1:
-            self.pending.append((kind, k, x, grad_norm, noisy_norm))
-            if halt or len(self.pending) == self.block:
-                self.flush()
-        else:
-            if grad_norm is None:
-                exact = self.estimated._gradient(x)
-                grad_norm = math.sqrt(exact.dot(exact))
-            self.record(kind, k, x, f_val, grad_norm, noisy_norm)
+        self.pending.append((kind, k, x, f_val, grad_norm, noisy_norm))
+        if halt or len(self.pending) == self.block:
+            self.flush()
         if halt:
             gap = self.cols["f_gap" if kind == "x" else "y_f_gap"][-1]
             raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, gap))
@@ -479,20 +477,23 @@ class _Core:
         return f_val
 
     def flush(self) -> None:
-        """Evaluate the pending block with the row kernels, then record its rows in order."""
+        """Evaluate what the pending rows lack with the row kernels, then record them in order."""
         pending = self.pending
         if not pending:
             return
         self.pending = []
-        X = np.array([row[2] for row in pending])
-        values = self.problem._values(X).tolist()
-        unqueried = [i for i, row in enumerate(pending) if row[3] is None]
+        unvalued = [row[2] for row in pending if row[3] is None]
+        if unvalued:
+            values = iter(self.problem._values(np.array(unvalued)).tolist())
+        unqueried = [row[2] for row in pending if row[4] is None]
         if unqueried:
-            G = self.estimated._gradients(X[unqueried])
+            G = self.estimated._gradients(np.array(unqueried))
             norms = iter(np.sqrt(row_dots(G, G)).tolist())
-        for (kind, k, x, grad_norm, noisy_norm), f_val in zip(pending, values):
-            if not math.isfinite(f_val):
-                raise self.abort(DivergedError, f"non-finite objective value at step {k}")
+        for kind, k, x, f_val, grad_norm, noisy_norm in pending:
+            if f_val is None:
+                f_val = next(values)
+                if not math.isfinite(f_val):
+                    raise self.abort(DivergedError, f"non-finite objective value at step {k}")
             self.record(kind, k, x, f_val, next(norms) if grad_norm is None else grad_norm, noisy_norm)
 
     def record(self, kind, k, x, f_val, grad_norm, noisy_norm) -> None:

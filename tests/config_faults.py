@@ -240,6 +240,9 @@ FAULTS = [
     ("cross:driver_adaptive", {"driver.name": "stopping", "driver.K": 2.0,
                                "solver.name": "adaptive_gd"},
      "driver.name: drivers dispatch gd or re_agm only, not adaptive_gd"),
+    ("cross:combined_solver", {**CONVEX, "driver.name": "combined", "driver.epsilon": 0.1,
+                               "solver.name": "gd"},
+     "solver.name: driver.name combined runs re_agm only, got 'gd'"),
     ("cross:convex_driver_mu", {"driver.name": "combined", "driver.epsilon": 0.1},
      "driver.name: combined needs a convex base (mu = 0), got mu=1.0"),
     ("cross:strongly_convex_driver_mu", {**CONVEX, "driver.name": "stopping",

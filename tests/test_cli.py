@@ -245,6 +245,15 @@ class TestRunCommand:
         assert cli.main(["run", str(path)]) == 1
         assert "output.dir" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["a_file", "under_a_file"])
+    def test_unwritable_output_dir_exits_one(self, tmp_path, capsys, where):
+        (tmp_path / "taken").write_text("")
+        out = tmp_path / "taken" if where == "a_file" else tmp_path / "taken" / "out"
+        path = write_config(tmp_path, **{"output.dir": str(out), "solver.N": 20})
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+
     def test_huge_int_for_a_float_key_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path, **{"problem.L": 10**400})
         assert cli.main(["run", str(path)]) == 1
@@ -271,7 +280,8 @@ class TestRunCommand:
          "driver.name": "regularize", "driver.epsilon": 1.0, "solver.N": None},
         {"problem.family": "nesterov_convex", "problem.k": 8, "problem.n": 8,
          "problem.mu": None, "oracle.alpha": 0.01, "oracle.delta": 0.0,
-         "driver.name": "combined", "driver.epsilon": 1.0, "solver.N": None},
+         "driver.name": "combined", "driver.epsilon": 1.0, "solver.N": None,
+         "solver.name": None},
         {"problem.n": 8, "oracle.alpha": 0.0, "oracle.delta": 0.0,
          "driver.name": "restart", "driver.epsilon": 1.0, "solver.N": None},
         {"oracle.mode": "none", "oracle.alpha": None, "oracle.delta": None,
@@ -460,6 +470,29 @@ class TestSweepCommand:
         assert rows[1]["terminal"] == ""
         assert rows[1]["final_f_gap"] == "nan"
 
+    def test_unwritable_output_dir_exits_one(self, tmp_path, capsys):
+        # every run records its own output error, then comparison.csv fails too
+        (tmp_path / "taken").write_text("")
+        path = self.sweep_config(tmp_path, **{"output.dir": str(tmp_path / "taken"),
+                                              "solver.N": 20})
+        assert cli.main(["sweep", str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 5 and captured.out == ""
+        for i, line in enumerate(lines[:4]):
+            assert line.startswith(f"run {i}: output error: ")
+        assert lines[4].startswith("output error: ")
+
+    def test_unwritable_comparison_exits_one(self, tmp_path, capsys):
+        # the runs write their artifacts; only comparison.csv cannot be written
+        (tmp_path / "sweep" / "comparison.csv").mkdir(parents=True)
+        path = self.sweep_config(tmp_path, **{"solver.N": 20})
+        assert cli.main(["sweep", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert (tmp_path / "sweep" / "run_003" / "trace.csv").exists()
+
     def test_empty_axis_exit_one(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path, **{"oracle.alpha": []})
         assert cli.main(["sweep", str(path)]) == 1
@@ -591,6 +624,22 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "--points must be >= 1 and --N >= 0\n"
+
+    @pytest.mark.parametrize("N", [2**53 + 1, 10**19, 10**20])
+    def test_huge_N_exits_one(self, capsys, N):
+        # past 2**53 the grid's floats skip integers; past int64 they overflow
+        code = cli.main(["bounds", "GD_PL", "mu=1", "L=100", "alpha=0.1",
+                         "delta=0", "f0_gap=10", "R=1", "--N", str(N)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--N must be <= 2**53, got {N}\n"
+
+    def test_largest_N_passes(self, capsys):
+        code = cli.main(["bounds", "GD_PL", "mu=1", "L=100", "alpha=0.1",
+                         "delta=0", "f0_gap=10", "R=1", "--N", str(2**53), "--points", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"{2**53},")
 
     def test_smallest_table_arguments_pass(self, capsys):
         code = cli.main(["bounds", "GD_PL", "mu=1", "L=100", "alpha=0.1",

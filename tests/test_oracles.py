@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import ngl.oracles
+import ngl.numkit
 from ngl.numkit import PrecisionSpec, round_to_precision
 from ngl.oracles import (
     CompressedGradientOracle,
@@ -467,7 +467,7 @@ def _queries(per_block):
     return max(12, per_block + 3)
 
 
-BLOCKS = (1, 3, ngl.oracles._BLOCK_FLOATS)
+BLOCKS = (1, 3, ngl.numkit.BLOCK_FLOATS)
 
 
 class TestStreamIdentity:
@@ -477,7 +477,7 @@ class TestStreamIdentity:
     def test_synthetic_noise(self, monkeypatch):
         seed = 123
         for block in BLOCKS:
-            monkeypatch.setattr(ngl.oracles, "_BLOCK_FLOATS", block)
+            monkeypatch.setattr(ngl.numkit, "BLOCK_FLOATS", block)
             for n in (1, 6, 100):
                 p = quadratic(np.eye(n), np.zeros(n))  # the gradient is x itself
                 for alpha, delta in ((0.4, 0.3), (0.4, 0.0), (0.0, 0.3)):
@@ -500,7 +500,7 @@ class TestStreamIdentity:
     def test_finite_difference(self, monkeypatch):
         seed, h, noise = 17, 1e-4, 1e-7
         for block in BLOCKS:
-            monkeypatch.setattr(ngl.oracles, "_BLOCK_FLOATS", block)
+            monkeypatch.setattr(ngl.numkit, "BLOCK_FLOATS", block)
             for n in (1, 6, 100):
                 p = nesterov_strongly_convex(mu=1.0, L=10.0, n=n)
                 o = FiniteDifferenceOracle(p, h=h, value_noise=noise, seed=seed)
@@ -540,7 +540,7 @@ def test_one_bit_generator_per_oracle(monkeypatch, make):
 
     monkeypatch.setattr(np.random, "Philox", counting(philox))
     monkeypatch.setattr(np.random, "Generator", counting(generator))
-    monkeypatch.setattr(ngl.oracles, "_BLOCK_FLOATS", 16)
+    monkeypatch.setattr(ngl.numkit, "BLOCK_FLOATS", 16)
     p = nesterov_strongly_convex(mu=1.0, L=10.0, n=4)
     oracle = make(p)
     assert built.count("Philox") == 1

@@ -1,10 +1,13 @@
 """Benchmark objective tests: pinned values, certificate inequalities,
 finite-difference gradient consistency, minimizer correctness."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ngl.drivers import RegularizedProblem
+from ngl.numkit import row_dots
 from ngl.problems import (_solve_spd_tridiagonal, nesterov_convex, nesterov_strongly_convex,
                           quadratic)
 
@@ -234,6 +237,11 @@ class TestRowKernels:
             assert values.shape == (len(X),) and gradients.shape == X.shape
             assert values.tobytes() == want_values.tobytes(), p
             assert gradients.tobytes() == want_gradients.tobytes(), p
+            # the core takes the rows' norms with row_dots, whose bits are
+            # the 1-D dot's only on contiguous rows
+            norms = np.sqrt(row_dots(gradients, gradients))
+            want_norms = np.array([math.sqrt(g.dot(g)) for g in want_gradients])
+            assert norms.tobytes() == want_norms.tobytes(), p
 
 
 @pytest.fixture

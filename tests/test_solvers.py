@@ -705,6 +705,14 @@ class TestDeclaredStop:
                                x0=np.ones(2000), monitor=monitor)
         return trace, oracle.queries
 
+    def test_gap_target_keeps_the_block(self):
+        # the target reads f(x) at each point, before the query; the
+        # gradient norms of unqueried rows still wait for the block
+        prob = nesterov_strongly_convex(1.0, 50.0, 2000)
+        core = solvers._Core(prob, None, None, gap_target=1e-3)
+        assert core.block == 8 and core.at_point
+        assert not solvers._Core(prob, None, None, threshold=1e-3).at_point
+
     @pytest.mark.parametrize("name", ["gd", "re_agm"])
     def test_threshold_stop_is_the_monitor_stop(self, name):
         # the least noisy norm of the first 21 queries: the stop fires there
@@ -784,36 +792,48 @@ class TestDeferredRows:
                 est[1] = np.nan
             return est
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("then_nan", [False, True], ids=["flushed", "guard_later_in_block"])
-    @pytest.mark.parametrize("name", ["gd", "re_agm"])
-    def test_divergence_mid_block_matches_the_monitored_twin(self, name, then_nan):
-        # a huge estimate at query 12 sends the next point where f(x)
-        # overflows while x stays finite: row 13, in the second block of 8.
-        # With a NaN estimate at query 14 too, the estimate guard fails at
-        # a later point of the same block, and row 13 must still win
+    @classmethod
+    def twin_queries(cls, name, then_nan, **stop):
+        """The unmonitored run's queries, once it raised its monitored twin's error and trace.
+
+        A huge estimate at query 12 sends the next point where f(x)
+        overflows while x stays finite: row 13, in the second block of 8.
+        With a NaN estimate at query 14 too, the estimate guard fails at
+        a later point of the same block, and row 13 must still win.
+        """
         prob = nesterov_strongly_convex(1.0, 50.0, 2000)
-        run, cfg = {"gd": (gd_run, GDConfig(steps=40, alpha=0.0, L=50.0)),
-                    "re_agm": (re_agm_run, ReAgmConfig(steps=40, mu=1.0, L=50.0, alpha=0.0))}[name]
+        run, cfg = {"gd": (gd_run, GDConfig(steps=40, alpha=0.0, L=50.0, **stop)),
+                    "re_agm": (re_agm_run, ReAgmConfig(steps=40, mu=1.0, L=50.0, alpha=0.0,
+                                                       **stop))}[name]
         raised = []
         for monitor in (None, CountingMonitor()):
-            oracle = (self.ThenNaN if then_nan else NonFiniteAtQuery)(prob, 12, 1e200)
+            oracle = (cls.ThenNaN if then_nan else NonFiniteAtQuery)(prob, 12, 1e200)
             with pytest.raises(DivergedError) as exc:
                 run(prob, oracle, cfg, x0=np.ones(2000), monitor=monitor)
             raised.append((str(exc.value), exc.value.trace, oracle.queries))
         (message, trace, queries), (watched_message, watched_trace, watched_queries) = raised
         assert message == watched_message == "non-finite objective value at step 13"
-        for field in dataclasses.fields(trace):
-            a, b = getattr(trace, field.name), getattr(watched_trace, field.name)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b, equal_nan=True), field.name
-            else:
-                assert a == b, field.name
+        assert_same_trace(trace, watched_trace)
         assert list(trace.k) == list(range(13))
+        assert watched_queries == 13
+        return queries
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("then_nan", [False, True], ids=["flushed", "guard_later_in_block"])
+    @pytest.mark.parametrize("name", ["gd", "re_agm"])
+    def test_divergence_mid_block_matches_the_monitored_twin(self, name, then_nan):
+        queries = self.twin_queries(name, then_nan)
         # the documented difference: the unmonitored run queried on to the
         # end of the block before it evaluated row 13
-        assert watched_queries == 13
         assert 13 < queries <= 13 + 8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("then_nan", [False, True], ids=["flushed", "guard_later_in_block"])
+    @pytest.mark.parametrize("name", ["gd", "re_agm"])
+    def test_gap_target_run_queries_as_its_monitored_twin(self, name, then_nan):
+        # a gap target that never fires: the run keeps its block of 8, but
+        # settles f(x) at each point, before the query, as a monitored run does
+        assert self.twin_queries(name, then_nan, gap_target=-1.0) == 13
 
 
 class TestEstimateGuard:
