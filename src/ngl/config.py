@@ -56,6 +56,7 @@ import itertools
 import json
 import math
 import dataclasses
+import sys
 
 import numpy as np
 
@@ -103,7 +104,7 @@ def load_config_file(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         data = json.loads(text)
@@ -178,7 +179,8 @@ _KEYS = (
     ("oracle.k", "top_k", int, None, {"oracle.mode": ("top_k",)},
      "oracle.mode top_k", True, _UP_TO_N),
     ("oracle.m", "grid_m", int, None, {"oracle.mode": ("grid",)},
-     "oracle.mode grid", True, _AT_LEAST_ONE),
+     "oracle.mode grid", True,
+     (f"be in [1, {sys.float_info.max!r}]", lambda v, got: 1 <= v <= sys.float_info.max)),
     ("oracle.h", "fd_h", float, None, *_FD, True, _POSITIVE),
     ("oracle.value_noise", "fd_value_noise", float, 0.0, *_FD, False, _NONNEGATIVE),
     ("oracle.precision_bits", "precision_bits", int, None, *_RP, True,

@@ -126,7 +126,9 @@ class RegularizedOracle(GradientOracle):
     oracle's problem, reusing the base oracle's noise.
 
     Each estimate is base_estimate(x) + mu_reg*(x - center), and its
-    problem is the ``RegularizedProblem`` it estimates the gradient of.
+    problem is the ``RegularizedProblem`` it estimates the gradient of;
+    the ridge's exact gradient adds the same term to the base query's
+    exact gradient, so a query evaluates the base gradient once.
     The declared level is ``ridge_level`` of the base oracle's (alpha,
     delta), where R bounds ||center - base minimizer||.  Every query is
     certified, because the doubled level is a derived claim.
@@ -146,10 +148,12 @@ class RegularizedOracle(GradientOracle):
         self.base_oracle = base_oracle
         self.R = float(R)
 
-    def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
-        # x is validated by this query; the base query still counts and certifies
-        est = self.base_oracle._query(x)[0]
-        return est + self.problem.mu_reg * (x - self.problem.center)
+    def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # x is validated by this query; the base query still counts and
+        # certifies, and its exact gradient is the base half of the ridge's
+        est, exact = self.base_oracle._query(x)
+        ridge = self.problem.mu_reg * (x - self.problem.center)
+        return est + ridge, exact + ridge
 
 
 @dataclass(frozen=True)
@@ -188,9 +192,8 @@ def run_with_stopping(solver: str, problem: ObjectiveProblem,
     A threshold reads only the noisy norm, so f(x) waits for the core's
     block of ``numkit.block_rows(dim)`` rows: an objective that overflows
     while the iterate stays finite is found when its block is evaluated,
-    after up to a block more queries than under a monitor (or with a gap
-    target, which reads f(x) at the point), and ``oracle.queries`` counts
-    them.
+    after up to a block more queries than with a gap target (which reads
+    f(x) at the point), and ``oracle.queries`` counts them.
     """
     if not problem.mu > 0.0:
         raise ValueError("the stopping rule needs a strongly convex problem")

@@ -26,6 +26,7 @@ draws bit for bit, so the block size is not part of the stream.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -132,10 +133,15 @@ class GradientOracle:
         """
         return self._query(as_vector(x, self.problem.dim))
 
+    def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(estimate, exact gradient) at a validated x; an oracle built on
+        another oracle's query overrides it to take both from that query."""
+        exact = self.problem._gradient(x)
+        return self._estimate(x, exact), exact
+
     def _query(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One query at an already validated 1-D float64 x of dimension dim."""
-        exact = self.problem._gradient(x)
-        est = self._estimate(x, exact)
+        est, exact = self._evaluate(x)
         self.queries += 1
         if self.certify:
             diff = est - exact
@@ -228,8 +234,10 @@ class CompressedGradientOracle(GradientOracle):
         elif kind == "sign":
             alpha, delta = math.sqrt(1.0 - 1.0 / n), 0.0
         elif kind == "grid":
-            if param is None or param < 1:
-                raise ValueError("grid sparsification needs m >= 1")
+            # an m past the float range cannot scale a float gradient
+            if param is None or not 1 <= param <= sys.float_info.max:
+                raise ValueError(f"grid sparsification needs m in [1, {sys.float_info.max!r}], "
+                                 f"got {param}")
             alpha, delta = 0.0, math.sqrt(n) / (2.0 * param)
         else:
             raise ValueError(f"unknown compressor kind {kind!r}")
@@ -351,9 +359,15 @@ class FloatingPointQuadraticOracle(GradientOracle):
         if not domain_radius > 0.0:
             raise ValueError("domain_radius must be > 0")
         self.precision = spec
-        # |x_j| <= ||x||_2 <= radius, so |b_i| + sum_j |A_ij||x_j| is bounded rowwise
-        per_row = np.abs(problem.b) + domain_radius * np.abs(problem.A).sum(axis=1)
-        super().__init__(problem, 0.0, self._error_bound(per_row), certify=certify)
+        # |x_j| <= ||x||_2 <= radius, so |b_i| + sum_j |A_ij||x_j| is bounded
+        # rowwise; a bound that overflows is rejected here, not warned about
+        with np.errstate(over="ignore"):
+            per_row = np.abs(problem.b) + domain_radius * np.abs(problem.A).sum(axis=1)
+            delta = self._error_bound(per_row)
+        if not math.isfinite(delta):
+            raise ValueError(f"domain_radius = {domain_radius} leaves floating range: "
+                             f"the declared level is {delta}")
+        super().__init__(problem, 0.0, delta, certify=certify)
         self.domain_radius = float(domain_radius)
 
     def _error_bound(self, per_row: np.ndarray) -> float:

@@ -13,15 +13,16 @@ Three runners share one trace format:
 
 Trace convention: row 0 is the starting point before any step; row k is
 the iterate after k accepted steps.  All runners accept an optional
-``monitor`` callback that inspects each iterate, passed as an
-``IterateView`` (an immutable NamedTuple), and may end the run early.
-``GDConfig`` and ``ReAgmConfig`` may also declare a stop, which the core
-checks itself: ``gap_target`` ends the run at the first point whose gap
-is at most the target, ``threshold`` at the first queried point whose
-noisy gradient norm is at most the threshold.  Either ends the run at
-that point (an accelerated run's y point included) with terminal
-"stopping_rule"; the drivers' stopping, ridge and restart routes stop
-this way.
+``monitor`` callback, an observer: it is shown each recorded point, in
+order, as an ``IterateView`` (an immutable NamedTuple), and must return
+None (any other value raises ``ValueError``).  A declared stop is the
+one way to end a run early: ``GDConfig`` and ``ReAgmConfig`` may declare
+one, which the core checks itself.  ``gap_target`` ends the run at the
+first point whose gap is at most the target, ``threshold`` at the first
+queried point whose noisy gradient norm is at most the threshold.
+Either ends the run at that point (an accelerated run's y point
+included) with terminal "stopping_rule"; the drivers' stopping, ridge
+and restart routes stop this way.
 
 Recording rule: ``f_gap`` columns are gaps of the problem passed to the
 runner; every ``grad_norm`` is the norm of ``oracle.problem``'s gradient.
@@ -44,7 +45,7 @@ estimate, and a gap target is checked before the query, so a point
 whose gap meets the target ends the run unqueried.  A threshold is
 checked right after the query, so it reads the point's noisy norm and
 needs no f(x).  The monitor sees every recorded point, with a NaN noisy
-norm where nothing was queried, so watching a run never changes it.
+norm where nothing was queried.
 
 Its evaluation rule: every point pends with what the method needed at
 once (the x check, the query, the estimate guard, a queried point's
@@ -52,13 +53,16 @@ norms), and a block of ``numkit.block_rows(dim)`` pending rows is
 flushed: the row kernels evaluate what the rows lack, f(x) and an
 unqueried point's gradient norm, with the same bits, and the rows are
 recorded in order.  f(x) is read at the point, before the query, only
-where a gap target checks it or the row is recorded at once: under a
-monitor or the adaptive predicate, which read each row as it comes, and
-at dim > 8192, the block is one row.  A threshold reads only the noisy
-norm: when it fires, the core records the block up to that point and
-ends the run there.  Failures settle earlier rows first, so errors and
-traces are unchanged; only a run that defers f(x) and whose objective
-overflows may query up to a block more.
+where a gap target checks it or the block is one row: in adaptive runs,
+whose predicate reads each row as it comes, and at dim > 8192.  A
+threshold reads only the noisy norm: when it fires, the core records
+the block up to that point and ends the run there.  Failures settle
+earlier rows first, so errors and traces do not depend on the block;
+only a run that defers f(x) and whose objective overflows may query up
+to a block more.  The monitor is called as each row is recorded, so it
+sees a block's rows after the block's queries; it picks no block and
+makes no query, so a watched run is the unwatched run, row for row,
+query for query and error for error.
 """
 
 from __future__ import annotations
@@ -76,12 +80,6 @@ from .problems import ObjectiveProblem
 
 TERMINAL_STEPS_EXHAUSTED = "steps_exhausted"
 TERMINAL_STOPPING_RULE = "stopping_rule"
-TERMINAL_ENVELOPE_VIOLATION = "envelope_violation"
-TERMINAL_REASONS = (
-    TERMINAL_STEPS_EXHAUSTED,
-    TERMINAL_STOPPING_RULE,
-    TERMINAL_ENVELOPE_VIOLATION,
-)
 # only attached to traces carried by errors, never returned normally
 _TERMINAL_DIVERGED = "diverged"
 _TERMINAL_STALLED = "inner_loop_stall"
@@ -251,9 +249,11 @@ class IterateView(NamedTuple):
 
     ``kind`` is "x" for main-sequence iterates and "y" for the
     accelerated method's extrapolation points.  The monitor sees every
-    recorded point in order; ``noisy_grad_norm`` is NaN where no oracle
-    query was made.  An immutable named tuple: the core builds one per
-    point, and a tuple costs a third of a frozen dataclass to build.
+    recorded point in order and returns None: it observes, and a
+    declared stop ends a run.  ``noisy_grad_norm`` is NaN where no
+    oracle query was made.  An immutable named tuple: the core builds
+    one per point, and a tuple costs a third of a frozen dataclass to
+    build.
     """
 
     kind: str
@@ -264,7 +264,7 @@ class IterateView(NamedTuple):
     noisy_grad_norm: float
 
 
-Monitor = Callable[[IterateView], Optional[str]]
+Monitor = Callable[[IterateView], None]
 
 
 @dataclass
@@ -282,8 +282,8 @@ class RunTrace:
     arrays with one row per extrapolation point evaluated.
 
     ``x_final``/``final_f_gap`` give the terminal point, which for an
-    accelerated run halted by a monitor or a declared stop can be an
-    extrapolation point rather than the last main-sequence row.
+    accelerated run halted by a declared stop can be an extrapolation
+    point rather than the last main-sequence row.
     """
 
     k: np.ndarray
@@ -338,7 +338,7 @@ class InnerLoopStallError(RuntimeError):
 
 
 class _Halt(Exception):
-    """A monitor or a declared stop ended the run; carries the finished trace."""
+    """A declared stop ended the run; carries the finished trace."""
 
     def __init__(self, trace: RunTrace):
         super().__init__(trace.terminal)
@@ -362,7 +362,7 @@ _INT_COLUMNS = ("k", "inner_loops")
 
 
 class _Core:
-    """The stepping core: one run's loop, guards, trace rows and monitor.
+    """The stepping core: one run's loop, guards, stops, trace rows and monitor.
 
     A runner supplies only its update rule, ``step(point) -> (next x, its
     f or None)``, and ``run`` visits rows 0..steps around it.  ``adaptive``
@@ -373,9 +373,10 @@ class _Core:
     row; ``flush`` evaluates what a block of pending rows lacks with the
     row kernels, then ``record`` checks and appends each row in order, so
     a deferred overflowing f is found up to a block of queries late.
-    ``block`` is 1 under a monitor, in adaptive runs and when dim > 8192
-    (``block_rows``); ``at_point`` settles f(x) in ``visit``, before the
-    query, where the block is 1 or a gap target reads it.  f(x), its
+    ``block`` is 1 in adaptive runs and when dim > 8192 (``block_rows``);
+    ``at_point`` settles f(x) in ``visit``, before the query, where the
+    block is 1 or a gap target reads it.  ``record`` shows each row to
+    the monitor, which only observes: it sets neither.  f(x), its
     finiteness and the gap floor are the run's problem's; the gradient
     norms are those of the problem the oracle estimates.
     """
@@ -391,7 +392,7 @@ class _Core:
         self.accelerated = accelerated
         self.gap_target = gap_target
         self.threshold = threshold
-        self.block = 1 if monitor is not None or adaptive else block_rows(problem.dim)
+        self.block = 1 if adaptive else block_rows(problem.dim)
         self.at_point = self.block == 1 or gap_target is not None
         self.pending = []  # (kind, k, x, f or None, grad_norm or None, noisy_norm) per row
         # relative, like the package's other 1e-9 tolerances: the computed
@@ -513,10 +514,10 @@ class _Core:
         add_gap(gap)
         add_grad(grad_norm)
         add_noisy(noisy_norm)
-        if self.monitor is not None:
-            reason = self.monitor(IterateView(kind, k, x, gap, grad_norm, noisy_norm))
-            if reason is not None:
-                raise _Halt(self.build(reason, x, gap))
+        if self.monitor is not None and self.monitor(
+                IterateView(kind, k, x, gap, grad_norm, noisy_norm)) is not None:
+            raise ValueError("a monitor only observes and must return None; "
+                             "end a run with the config's gap_target or threshold")
 
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
         """Set the adaptive columns of the latest row to the step leaving it."""
@@ -532,8 +533,6 @@ class _Core:
         return error(message, self.build(terminal, self.last_x, gap))
 
     def build(self, terminal: str, x_final: np.ndarray, final_f_gap: float) -> RunTrace:
-        if terminal not in TERMINAL_REASONS + (_TERMINAL_DIVERGED, _TERMINAL_STALLED):
-            raise ValueError(f"unknown terminal reason {terminal!r}")
         arrays = {name: np.asarray(col, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
                   for name, col in self.cols.items()}
         return RunTrace(
@@ -576,8 +575,8 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
     y_* arrays record every extrapolation point.
 
     The x rows are never queried; a monitor sees them with a NaN noisy
-    norm, and a halt at y (by a monitor or a declared stop) makes that y
-    the terminal point (see RunTrace).
+    norm, and a declared stop at y makes that y the terminal point (see
+    RunTrace).
     """
     params = cfg.parameters
     omega, h = params.omega, params.h

@@ -114,7 +114,9 @@ FAULTS = [
     ("oracle.m:missing", {"oracle.mode": "grid"},
      "oracle.m: required for oracle.mode grid"),
     ("oracle.m:range", {"oracle.mode": "grid", "oracle.m": 0},
-     "oracle.m: must be >= 1, got 0"),
+     "oracle.m: must be in [1, 1.7976931348623157e+308], got 0"),
+    ("oracle.m:huge_int", {"oracle.mode": "grid", "oracle.m": 10**309},
+     "oracle.m: must be in [1, 1.7976931348623157e+308], got 1" + "0" * 309),
     ("oracle.h:type", {"oracle.mode": "finite_difference", "oracle.h": None},
      "oracle.h: expected a number, got None"),
     ("oracle.h:inapplicable", {"oracle.h": 1e-6},

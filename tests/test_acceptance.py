@@ -33,16 +33,13 @@ def steps_to_target(solver, problem, alpha, seed, target, cap=4_000_000):
     """
     oracle = oracle_for(problem, alpha=alpha, mode="sampled_unbiased",
                         seed=seed)
-
-    def monitor(vw):
-        return "stopping_rule" if vw.f_gap <= target else None
-
     if solver == "gd":
-        cfg = GDConfig(steps=cap, alpha=alpha, L=problem.L)
-        trace = gd_run(problem, oracle, cfg, monitor=monitor)
+        cfg = GDConfig(steps=cap, alpha=alpha, L=problem.L, gap_target=target)
+        trace = gd_run(problem, oracle, cfg)
     else:
-        cfg = ReAgmConfig(steps=cap, mu=problem.mu, L=problem.L, alpha=alpha)
-        trace = re_agm_run(problem, oracle, cfg, monitor=monitor)
+        cfg = ReAgmConfig(steps=cap, mu=problem.mu, L=problem.L, alpha=alpha,
+                          gap_target=target)
+        trace = re_agm_run(problem, oracle, cfg)
     assert trace.terminal == "stopping_rule", (solver, alpha, trace.terminal)
     return trace.iterations
 

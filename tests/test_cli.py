@@ -46,6 +46,12 @@ def write_config(tmp_path, name="config.json", **overrides):
     return path
 
 
+# overrides of write_config's and sweep_config's sampled oracle
+GRID = {"oracle.mode": "grid", "oracle.alpha": None, "oracle.delta": None}
+REDUCED_PRECISION = {"problem.family": "quadratic", "oracle.mode": "reduced_precision",
+                     "oracle.alpha": None, "oracle.delta": None, "oracle.precision_bits": 10}
+
+
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
@@ -260,6 +266,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "problem.L: must be finite, got 1000" in err
         assert "Traceback" not in err
+
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"output.dir": "caf\xe9"}'.encode("latin-1"))
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ") and err.count("\n") == 1
+
+    def test_grid_resolution_beyond_float_range_exits_one(self, tmp_path, capsys):
+        path = write_config(tmp_path, **GRID, **{"oracle.m": 10**309})
+        assert cli.main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: oracle.m: must be in [1, 1.7976931348623157e+308], "
+                              "got 1000") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_domain_radius_beyond_float_range_exits_three(self, tmp_path, capsys):
+        path = write_config(tmp_path, **REDUCED_PRECISION, **{"oracle.domain_radius": 1e308})
+        assert cli.main(["run", str(path)]) == 3
+        assert capsys.readouterr().err == ("hypothesis guard: domain_radius = 1e+308 leaves "
+                                           "floating range: the declared level is inf\n")
 
     def test_malformed_json_names_line(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -492,6 +519,32 @@ class TestSweepCommand:
         assert captured.err.startswith("output error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
         assert (tmp_path / "sweep" / "run_003" / "trace.csv").exists()
+
+    def test_config_that_is_not_utf8_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"output.dir": "caf\xe9"}'.encode("latin-1"))
+        assert cli.main(["sweep", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}: ") and err.count("\n") == 1
+
+    def test_grid_resolution_beyond_float_range_stops_before_any_run(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path, **{**GRID, "oracle.alpha": 0.0, "oracle.delta": 0.0,
+                                              "oracle.m": [4, 10**309]})
+        assert cli.main(["sweep", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: run 1: oracle.m: must be in [1, ") and err.count("\n") == 1
+        assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_domain_radius_beyond_float_range_exits_three_but_runs_rest(self, tmp_path, capsys):
+        path = self.sweep_config(tmp_path, **{**REDUCED_PRECISION, "oracle.alpha": 0.0,
+                                              "oracle.delta": 0.0, "solver.N": 20,
+                                              "oracle.domain_radius": [1.0, 1e308]})
+        assert cli.main(["sweep", str(path)]) == 3
+        assert capsys.readouterr().err == ("run 1: hypothesis guard: domain_radius = 1e+308 leaves "
+                                           "floating range: the declared level is inf\n")
+        rows = read_rows(tmp_path / "sweep" / "comparison.csv")
+        assert rows[0]["terminal"] == "steps_exhausted" and rows[1]["terminal"] == ""
 
     def test_empty_axis_exit_one(self, tmp_path, capsys):
         path = self.sweep_config(tmp_path, **{"oracle.alpha": []})

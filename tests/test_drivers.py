@@ -151,6 +151,25 @@ class TestRegularizedOracle:
         want = twin.estimate_with_exact(x)[0] + 0.8 * (x - center)
         np.testing.assert_array_equal(est, want)
 
+    def test_one_query_evaluates_the_base_gradient_once(self, monkeypatch):
+        base = nesterov_convex(4, 10.0, 12)
+        center = np.full(12, 0.1)
+        oracle = RegularizedOracle(sampled_oracle(base, alpha=0.1, seed=4), center, 0.8, 5.0)
+        calls = []
+        gradient = base._gradient
+
+        def counting_gradient(x):
+            calls.append(1)
+            return gradient(x)
+
+        monkeypatch.setattr(base, "_gradient", counting_gradient)
+        x = np.linspace(0, 1, 12)
+        est, exact = oracle.estimate_with_exact(x)
+        assert len(calls) == 1
+        # the exact half is the ridge problem's own gradient, bit for bit
+        np.testing.assert_array_equal(exact, oracle.problem._gradient(x))
+        assert oracle.queries == oracle.base_oracle.queries == 1
+
     def test_rejects_large_base_level(self):
         base = nesterov_convex(4, 10.0, 12)
         with pytest.raises(ValueError, match="1/2"):
@@ -246,8 +265,8 @@ class TestRunWithStopping:
     def test_overflow_is_found_a_block_late(self, solver, queries):
         # the threshold keeps block evaluation (2**14 // 2000 = 8 rows), so
         # the objective overflowing at row 13, while x stays finite, is
-        # found when that row's block is evaluated: after 13 queries under
-        # a monitor, after the block's last query here
+        # found when that row's block is evaluated: after 13 queries with
+        # a gap target, after the block's last query here
         class HugeAtQuery12(ScalingOracle):
             def _estimate(self, x, exact):
                 est = exact.copy()

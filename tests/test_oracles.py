@@ -267,8 +267,11 @@ class TestGridSparsify:
         assert _grid(np.array([0.25]), 2)[0] == 0.0
 
     def test_m_validation(self):
-        with pytest.raises(ValueError):
-            CompressedGradientOracle(quadratic(np.eye(2), np.zeros(2)), "grid", 0)
+        p = quadratic(np.eye(2), np.zeros(2))
+        for bad in (0, 10**309):
+            with pytest.raises(ValueError, match=r"needs m in \[1, 1.7976931348623157e\+308\]"):
+                CompressedGradientOracle(p, "grid", bad)
+        assert CompressedGradientOracle(p, "grid", 10**300).declared_delta > 0.0
 
     @given(g=finite_vectors, m=st.integers(1, 1000))
     @settings(max_examples=200)

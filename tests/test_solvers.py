@@ -255,6 +255,8 @@ class TestGDRun:
         assert np.all(np.isfinite(trace.f_gap))
 
     def test_monitor_stops_early(self):
+        # a monitor cannot end a run any more: asking to raises, and the
+        # declared threshold gives the early stop it used to
         prob = half_sphere_quadratic()
         seen = []
 
@@ -262,24 +264,42 @@ class TestGDRun:
             seen.append(view.kind)
             return "stopping_rule" if view.grad_norm <= 0.3 else None
 
-        cfg = GDConfig(steps=100, alpha=0.0, L=1.0)
-        trace = gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0], monitor=monitor)
-        assert trace.terminal == "stopping_rule"
+        with pytest.raises(ValueError, match="must return None.*gap_target or threshold"):
+            gd_run(prob, exact_oracle(prob), GDConfig(steps=100, alpha=0.0, L=1.0),
+                   x0=[1.0, 0.0], monitor=monitor)
         # |grad| = 0.75^k falls below 0.3 at k = 5
+        assert seen == ["x"] * 6
+        seen.clear()
+        cfg = GDConfig(steps=100, alpha=0.0, L=1.0, threshold=0.3)
+        trace = gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0],
+                       monitor=lambda view: seen.append(view.kind))
+        assert trace.terminal == "stopping_rule"
         assert trace.iterations == 5
         assert len(trace) == 6
         assert trace.final_f_gap == trace.f_gap[-1]
-        assert set(seen) == {"x"}
-        # the halting row is queried before the monitor sees it: it is not the last
+        assert seen == ["x"] * 6
+        # the halting row is queried before the threshold is read: it is not the last
         assert not np.any(np.isnan(trace.noisy_grad_norm))
 
     def test_monitor_envelope_reason_passes_through(self):
+        # no terminal reason a monitor returns reaches the trace: the run
+        # raises at the row the monitor answered, and no trace carries it
         prob = half_sphere_quadratic()
         cfg = GDConfig(steps=3, alpha=0.0, L=1.0)
+        seen = []
+
+        def monitor(view):
+            seen.append(view.k)
+            return "envelope_violation" if view.k == 2 else None
+
+        with pytest.raises(ValueError, match="must return None") as exc:
+            gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0], monitor=monitor)
+        assert seen == [0, 1, 2]
+        assert not hasattr(exc.value, "trace")
         trace = gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0],
-                       monitor=lambda v: "envelope_violation" if v.k == 2 else None)
-        assert trace.terminal == "envelope_violation"
-        assert trace.iterations == 2
+                       monitor=lambda view: None)
+        assert trace.terminal == "steps_exhausted"
+        assert trace.iterations == 3
 
     def test_gap_never_negative_beyond_tolerance(self):
         prob = nesterov_strongly_convex(1.0, 100.0, 30)
@@ -366,19 +386,6 @@ class TestReAgmRun:
         assert trace.final_f_gap <= 1e-6 * trace.f_gap[0]
         assert len(trace) == 2001
         assert len(trace.y_f_gap) == 2000
-
-    def test_monitor_can_stop_at_extrapolation_point(self):
-        prob = nesterov_strongly_convex(1.0, 100.0, 10)
-        cfg = ReAgmConfig(steps=50, mu=1.0, L=100.0, alpha=0.0)
-
-        def monitor(view):
-            return "stopping_rule" if (view.kind == "y" and view.k == 3) else None
-
-        trace = re_agm_run(prob, exact_oracle(prob), cfg, x0=np.ones(10), monitor=monitor)
-        assert trace.terminal == "stopping_rule"
-        assert trace.iterations == 3
-        assert len(trace.y_f_gap) == 4
-        assert trace.final_f_gap == trace.y_f_gap[3]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_guard(self):
@@ -537,31 +544,22 @@ class TestAdaptiveRun:
         assert trace.terminal == "steps_exhausted"
         assert trace.iterations == 200
 
-    def test_monitor_stop(self):
-        prob = half_sphere_quadratic()
-        cfg = AdaptiveGDConfig(steps=100, L0=1.0)
-        trace = adaptive_gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0],
-                                monitor=lambda v: "stopping_rule" if v.f_gap < 0.05 else None)
-        assert trace.terminal == "stopping_rule"
-        assert trace.final_f_gap < 0.05
-        assert trace.iterations < 100
-
 
 class CountingMonitor:
-    """Never halts; keeps every view it is shown."""
+    """Keeps every view it is shown."""
 
     def __init__(self):
         self.views = []
 
     def __call__(self, view):
         self.views.append(view)
-        return None
 
 
 class TestMonitorRule:
     """The core's rule: a point is queried only when the method steps from
     its estimate.  The monitor sees every recorded point, and a NaN noisy
-    norm exactly where nothing was queried, so it never changes the run."""
+    norm exactly where nothing was queried; it only observes, so it never
+    changes the run."""
 
     RUNNERS = {
         "gd": (gd_run, GDConfig(steps=30, alpha=0.25, L=100.0)),
@@ -599,9 +597,9 @@ class TestMonitorRule:
     @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
     def test_watching_a_run_never_changes_it(self, name, oracle_name):
         run, cfg = self.RUNNERS[name]
-        # unmonitored runs evaluate rows in blocks of 2**14 // n = 8 here, so
-        # gd's 31 rows span 4 blocks and re_agm's 61 points 8; a monitored
-        # run evaluates each point as it comes
+        # runs evaluate rows in blocks of 2**14 // n = 8 here, so gd's 31
+        # rows span 4 blocks and re_agm's 61 points 8; the monitor is shown
+        # each block's rows as they are recorded
         prob = nesterov_strongly_convex(1.0, 100.0, 2000)
         assert solvers._Core(prob, None, None).block == 8
         alone, watched = self.ORACLES[oracle_name](prob), self.ORACLES[oracle_name](prob)
@@ -627,6 +625,21 @@ class TestMonitorRule:
         for s_point, r_point in zip(seen, recorded):
             assert s_point[:2] == r_point[:2]
             assert np.array_equal(s_point[2:], r_point[2:], equal_nan=True)
+
+    @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
+    def test_a_monitor_that_returns_a_value_raises(self, name):
+        # a monitor cannot end a run: the config's declared stop does that
+        run, cfg = self.RUNNERS[name]
+        prob = nesterov_strongly_convex(1.0, 100.0, 20)
+        seen = []
+
+        def monitor(view):
+            seen.append(view.k)
+            return "stopping_rule" if view.k == 3 else None
+
+        with pytest.raises(ValueError, match="must return None.*gap_target or threshold"):
+            run(prob, self.ORACLES["sampled"](prob), cfg, x0=np.ones(20), monitor=monitor)
+        assert seen[-1] == 3
 
     @pytest.mark.parametrize("name", ["gd", "adaptive_gd"])
     def test_unmonitored_final_row_is_unqueried(self, name):
@@ -714,24 +727,29 @@ class TestDeclaredStop:
         assert not solvers._Core(prob, None, None, threshold=1e-3).at_point
 
     @pytest.mark.parametrize("name", ["gd", "re_agm"])
-    def test_threshold_stop_is_the_monitor_stop(self, name):
+    def test_threshold_stop_cuts_the_unstopped_run(self, name):
         # the least noisy norm of the first 21 queries: the stop fires there
-        full, _ = self.run(name, 60)
+        views = CountingMonitor()
+        full, _ = self.run(name, 60, monitor=views)
+        kind = "x" if name == "gd" else "y"
         noisy = full.noisy_grad_norm if name == "gd" else full.y_noisy_grad_norm
         first = int(np.argmin(noisy[:21]))
         threshold = float(noisy[first])
         # the point's place among the recorded points (x0, y0, x1, ... for
         # re_agm) is not the last of a block of 8: the stop cuts a block short
         assert (first if name == "gd" else 2 * first + 1) % 8 != 7
-
-        def monitor(view):
-            return "stopping_rule" if view.noisy_grad_norm <= threshold else None
-
-        watched, watched_queries = self.run(name, 60, monitor=monitor)
-        declared, declared_queries = self.run(name, 60, threshold=threshold)
-        assert declared.terminal == "stopping_rule" and declared.iterations < 60
-        assert_same_trace(watched, declared)
-        assert declared_queries == watched_queries
+        trace, queries = self.run(name, 60, threshold=threshold)
+        assert trace.terminal == "stopping_rule" and trace.iterations == first
+        # the unstopped run up to that point, x rows and y points alike,
+        # and that point is the terminal one
+        halt = [view for view in views.views if view.kind == kind][first]
+        assert trace.final_f_gap == halt.f_gap and np.array_equal(trace.x_final, halt.x)
+        for field in dataclasses.fields(full):
+            column = getattr(full, field.name)
+            if isinstance(column, np.ndarray) and field.name != "x_final":
+                assert np.array_equal(getattr(trace, field.name), column[:first + 1],
+                                      equal_nan=True), field.name
+        assert queries == first + 1
 
     @pytest.mark.parametrize("name", ["gd", "re_agm"])
     def test_gap_halted_point_is_never_queried(self, name):
@@ -779,9 +797,9 @@ class NonFiniteAtQuery(GradientOracle):
 
 
 class TestDeferredRows:
-    """Unmonitored runs evaluate f(x) and unqueried gradient norms per block
-    of rows; a failure in a block still raises the error of the first bad
-    row, with the trace before it, as a monitored run does."""
+    """Runs evaluate f(x) and unqueried gradient norms per block of rows; a
+    failure in a block still raises the error of the first bad row, with
+    the trace before it, as a run with a block of one row does."""
 
     class ThenNaN(NonFiniteAtQuery):
         """NonFiniteAtQuery whose query 14 also carries a NaN entry."""
@@ -793,10 +811,13 @@ class TestDeferredRows:
             return est
 
     @classmethod
-    def twin_queries(cls, name, then_nan, **stop):
-        """The unmonitored run's queries, once it raised its monitored twin's error and trace.
+    def twin_queries(cls, monkeypatch, name, then_nan, **stop):
+        """The run's queries, once it raised its eager twin's error and trace.
 
-        A huge estimate at query 12 sends the next point where f(x)
+        The eager twin is the same run with a block of one row
+        (``numkit.BLOCK_FLOATS`` = 1), which settles f(x) before each
+        query.  A watched run is the run itself, queries included.  A
+        huge estimate at query 12 sends the next point where f(x)
         overflows while x stays finite: row 13, in the second block of 8.
         With a NaN estimate at query 14 too, the estimate guard fails at
         a later point of the same block, and row 13 must still win.
@@ -806,34 +827,38 @@ class TestDeferredRows:
                     "re_agm": (re_agm_run, ReAgmConfig(steps=40, mu=1.0, L=50.0, alpha=0.0,
                                                        **stop))}[name]
         raised = []
-        for monitor in (None, CountingMonitor()):
+        for monitor, block_floats in ((None, numkit.BLOCK_FLOATS),
+                                      (CountingMonitor(), numkit.BLOCK_FLOATS), (None, 1)):
+            monkeypatch.setattr(numkit, "BLOCK_FLOATS", block_floats)
             oracle = (cls.ThenNaN if then_nan else NonFiniteAtQuery)(prob, 12, 1e200)
             with pytest.raises(DivergedError) as exc:
                 run(prob, oracle, cfg, x0=np.ones(2000), monitor=monitor)
             raised.append((str(exc.value), exc.value.trace, oracle.queries))
-        (message, trace, queries), (watched_message, watched_trace, watched_queries) = raised
-        assert message == watched_message == "non-finite objective value at step 13"
-        assert_same_trace(trace, watched_trace)
+        (message, trace, queries), watched, (eager_message, eager_trace, eager_queries) = raised
+        assert message == watched[0] == eager_message == "non-finite objective value at step 13"
+        assert_same_trace(trace, watched[1])
+        assert_same_trace(trace, eager_trace)
+        assert watched[2] == queries
         assert list(trace.k) == list(range(13))
-        assert watched_queries == 13
+        assert eager_queries == 13
         return queries
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("then_nan", [False, True], ids=["flushed", "guard_later_in_block"])
     @pytest.mark.parametrize("name", ["gd", "re_agm"])
-    def test_divergence_mid_block_matches_the_monitored_twin(self, name, then_nan):
-        queries = self.twin_queries(name, then_nan)
-        # the documented difference: the unmonitored run queried on to the
-        # end of the block before it evaluated row 13
+    def test_divergence_mid_block_matches_the_monitored_twin(self, monkeypatch, name, then_nan):
+        queries = self.twin_queries(monkeypatch, name, then_nan)
+        # the documented difference: the run queried on to the end of the
+        # block before it evaluated row 13, watched or not
         assert 13 < queries <= 13 + 8
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("then_nan", [False, True], ids=["flushed", "guard_later_in_block"])
     @pytest.mark.parametrize("name", ["gd", "re_agm"])
-    def test_gap_target_run_queries_as_its_monitored_twin(self, name, then_nan):
+    def test_gap_target_run_queries_as_its_monitored_twin(self, monkeypatch, name, then_nan):
         # a gap target that never fires: the run keeps its block of 8, but
-        # settles f(x) at each point, before the query, as a monitored run does
-        assert self.twin_queries(name, then_nan, gap_target=-1.0) == 13
+        # settles f(x) at each point, before the query, as its eager twin does
+        assert self.twin_queries(monkeypatch, name, then_nan, gap_target=-1.0) == 13
 
 
 class TestEstimateGuard:
@@ -848,18 +873,19 @@ class TestEstimateGuard:
         assert list(trace.k) == [0, 1, 2]
         assert np.all(np.isfinite(trace.noisy_grad_norm))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_estimate_with_overflowing_norm_passes(self):
         # the estimate check reads est.dot(est); entries of 1e200 overflow
         # that sum but are finite, so the point is recorded, as before.
-        # Row 0 of one step is queried; the monitor ends the run there,
-        # before a step along that estimate overflows the objective
+        # Row 0 of one step is queried; the step along that estimate
+        # overflows the objective at row 1, whose error carries row 0
         prob = nesterov_strongly_convex(1.0, 100.0, 10)
         oracle = NonFiniteAtQuery(prob, 0, 1e200)
-        with np.errstate(over="ignore"):
-            trace = gd_run(prob, oracle, GDConfig(steps=1, alpha=0.0, L=100.0),
-                           x0=np.ones(10), monitor=lambda v: "stopping_rule")
+        with pytest.raises(DivergedError, match="^non-finite objective value at step 1$") as exc:
+            gd_run(prob, oracle, GDConfig(steps=1, alpha=0.0, L=100.0), x0=np.ones(10))
+        trace = exc.value.trace
         assert oracle.queries == 1
-        assert trace.terminal == "stopping_rule"
+        assert list(trace.k) == [0]
         assert trace.noisy_grad_norm[0] == math.inf
         assert math.isfinite(trace.grad_norm[0])
 

@@ -17,8 +17,9 @@ on besides the code; a tier-1 test compares the listing case by case.
   it) and the warnings it raised.
 - Cases cover gd, re_agm and adaptive_gd (``adapt_L`` off and on) at 0
   and 40 steps; no monitor (``nomon``), a recording monitor (``rec``)
-  that sees every recorded point and never halts, a gap-halting monitor
-  and (re_agm) a y-halting monitor; synthetic noise in every mode with
+  that sees every recorded point, and (gd, re_agm) a recording monitor
+  on a run that declares a gap target (``gaptarget``, 0.3 of the start
+  gap); synthetic noise in every mode with
   certification off and on, finite differences with and without value
   noise, the three compressors and reduced precision; three problems.
   At n = 2000 (8 rows per evaluation block), gd and re_agm with sampled
@@ -54,9 +55,9 @@ expected to alter behaviour on purpose (the verify summation row is
 one); the last two lines give one digest over the other cases and one
 over the edge cases.  A last line compares each ``nomon`` run with its
 ``rec`` twin: how many pairs end alike (same outcome and terminal) and
-how many are identical apart from the views (same trace, and same
-queries or error).  A monitor only observes, so every pair should be
-identical.
+how many are identical apart from the views (same trace and same
+queries, and the same error if one was raised).  A monitor only
+observes, so every pair should be identical.
 """
 
 from __future__ import annotations
@@ -131,17 +132,13 @@ def view_record(view) -> tuple:
 
 
 class Recorder:
-    """Monitor that keeps every view and halts when ``halt(view)`` is true."""
+    """Monitor that keeps every view."""
 
-    def __init__(self, halt=None):
+    def __init__(self):
         self.views = []
-        self.halt = halt
 
     def __call__(self, view):
         self.views.append(view_record(view))
-        if self.halt is not None and self.halt(view):
-            return "stopping_rule"
-        return None
 
 
 class Cases:
@@ -177,9 +174,10 @@ class Cases:
                 for attr in ("trace", "stage", "target", "achieved"):
                     if hasattr(exc, attr):
                         d.add((attr, getattr(exc, attr)))
-                d.add(("queries", [oracle.queries for oracle in self.watched]))
+                queries = [oracle.queries for oracle in self.watched]
+                d.add(("queries", queries))
                 trace = getattr(exc, "trace", None)
-                ran = (str(exc), trace)
+                ran = (str(exc), trace, queries)
         d.add(sorted({(w.category.__name__, str(w.message)) for w in caught}))
         self.lines.append(f"{name} {outcome} {d.hex()}")
         if pair is not None:
@@ -218,25 +216,19 @@ def solver_cases(cases: Cases) -> None:
         "fp30": lambda p: O.FloatingPointQuadraticOracle(p, PrecisionSpec(30), 10.0),
     }
 
-    def run_solver(rname, p, oracle, steps, monitor):
+    def run_solver(rname, p, oracle, steps, monitor, gap_target=None):
         """One runner from the start np.ones at the oracle's own levels."""
         a, x0 = oracle.declared_alpha, np.ones(p.dim)
         if rname == "gd":
-            return S.gd_run(p, oracle, S.GDConfig(steps, a, p.L), x0=x0, monitor=monitor)
+            return S.gd_run(p, oracle, S.GDConfig(steps, a, p.L, gap_target), x0=x0, monitor=monitor)
         if rname == "re_agm":
-            cfg = S.ReAgmConfig(steps, p.mu, p.L, min(a, 1.0 / 3.0))
+            cfg = S.ReAgmConfig(steps, p.mu, p.L, min(a, 1.0 / 3.0), gap_target)
             return S.re_agm_run(p, oracle, cfg, x0=x0, monitor=monitor)
         cfg = S.AdaptiveGDConfig(steps, p.L / 4.0, oracle.declared_delta, adapt_L=rname == "adaptive_L")
         return S.adaptive_gd_run(p, oracle, cfg, x0=x0, monitor=monitor)
 
     for pname, p in problems.items():
         gap0 = p.gap(np.ones(p.dim))
-        monitors = {
-            "nomon": lambda: None,
-            "rec": Recorder,
-            "gaphalt": lambda: Recorder(lambda v: v.f_gap <= 0.3 * gap0),
-            "yhalt": lambda: Recorder(lambda v: v.kind == "y" and v.k == 7),
-        }
         # the accelerated runner needs mu > 0
         rnames = ("gd", "adaptive", "adaptive_L") + (("re_agm",) if p.mu > 0.0 else ())
         for oname, make in oracles.items():
@@ -244,13 +236,14 @@ def solver_cases(cases: Cases) -> None:
                 continue
             for steps in (0, 40):
                 for rname in rnames:
-                    for mname, make_monitor in monitors.items():
-                        if mname == "yhalt" and rname != "re_agm":
-                            continue
+                    # only gd and re_agm declare a stop
+                    for mname in ("nomon", "rec") + (("gaptarget",) if rname in ("gd", "re_agm") else ()):
 
                         def case():
-                            oracle, monitor = cases.watch(make(p)), make_monitor()
-                            trace = run_solver(rname, p, oracle, steps, monitor)
+                            oracle = cases.watch(make(p))
+                            monitor = None if mname == "nomon" else Recorder()
+                            target = 0.3 * gap0 if mname == "gaptarget" else None
+                            trace = run_solver(rname, p, oracle, steps, monitor, target)
                             return trace, oracle.queries, monitor.views if monitor else None
 
                         pair = f"{pname}:{oname}:{rname}:{steps}" if mname in ("nomon", "rec") else None
