@@ -45,6 +45,13 @@ on besides the code; a tier-1 test compares the listing case by case.
   in ``tests/config_faults.py`` (read from this tool's checkout).
 - ``ngl verify``: its exit code and, per printed row, the row name, its
   status and its detail text; the seconds column is dropped.
+- ``ngl run`` in process (``cli_run:``), one small config per route:
+  gd, re_agm and adaptive_gd (``solver.tau`` off and on) on a strongly
+  convex chain, gd with ``solver.alpha_param`` above and below the
+  declared level, gd on a convex chain, every driver route with each
+  solver it takes, and re_agm above alpha = 1/3 (exit 3); each digests
+  the exit code, stderr, the ``trace.csv`` bytes and ``summary.json``
+  without ``wall_time_s``.
 - Unless ``--no-cli``: ``ngl run`` on every ``configs/*.json`` without a
   list-valued key and ``ngl sweep --jobs 2`` on the others, run in a
   temporary directory; every artifact is digested, ``summary.json``
@@ -516,6 +523,59 @@ def verify_cases(cases: Cases) -> None:
         cases.lines.append(f"{edge}verify:{name} {status} {d.hex()}")
 
 
+_SCVX = {"problem.family": "nesterov_strongly_convex", "problem.mu": 1.0, "problem.L": 50.0,
+         "problem.n": 20, "oracle.mode": "sampled_unbiased", "oracle.alpha": 0.1,
+         "oracle.delta": 0.01, "oracle.seed": 5}
+_CVX = {"problem.family": "nesterov_convex", "problem.k": 10, "problem.L": 10.0, "problem.n": 20,
+        "oracle.mode": "sampled_unbiased", "oracle.alpha": 0.05, "oracle.seed": 5}
+_STOP = {**_SCVX, "oracle.alpha": 0.0, "oracle.delta": 0.05, "driver.name": "stopping",
+         "driver.K": 4.0, "solver.N": 400}
+# one config per ngl run route
+CLI_ROUTES = {
+    "gd": {**_SCVX, "solver.N": 200},
+    "re_agm": {**_SCVX, "solver.name": "re_agm", "solver.N": 200},
+    "adaptive": {**_SCVX, "solver.name": "adaptive_gd", "solver.N": 200},
+    "adaptive_L": {**_SCVX, "solver.name": "adaptive_gd", "solver.tau": True, "solver.L0": 12.5,
+                   "solver.N": 200},
+    "gd_alpha_above": {**_SCVX, "solver.alpha_param": 0.3, "solver.N": 200},
+    "gd_alpha_below": {**_SCVX, "solver.alpha_param": 0.05, "solver.N": 200},
+    "gd_convex": {**_CVX, "solver.N": 200},
+    "guard_re_agm": {**_SCVX, "oracle.alpha": 0.4, "solver.name": "re_agm", "solver.N": 200},
+    "regularize_gd": {**_CVX, "driver.name": "regularize", "driver.epsilon": 0.5},
+    "regularize_re_agm": {**_CVX, "oracle.alpha": 0.005, "solver.name": "re_agm",
+                          "driver.name": "regularize", "driver.epsilon": 0.5},
+    "stopping_gd": _STOP,
+    "stopping_re_agm": {**_STOP, "solver.name": "re_agm"},
+    "restart_gd": {**_SCVX, "driver.name": "restart", "driver.epsilon": 0.05},
+    "restart_re_agm": {**_SCVX, "solver.name": "re_agm", "driver.name": "restart", "driver.epsilon": 0.05},
+    "combined": {**_CVX, "driver.name": "combined", "driver.epsilon": 0.5},
+}
+
+
+def cli_run_cases(cases: Cases) -> None:
+    """``ngl run`` in process on each of ``CLI_ROUTES``, in a temporary directory."""
+    from ngl import cli
+
+    def case(raw):
+        with tempfile.TemporaryDirectory() as tmp:
+            out, config = Path(tmp) / "out", Path(tmp) / "config.json"
+            config.write_text(json.dumps({**raw, "output.dir": str(out)}))
+            err, seed = io.StringIO(), os.environ.pop("NGL_SEED", None)
+            try:
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["run", str(config)])
+            finally:
+                if seed is not None:
+                    os.environ["NGL_SEED"] = seed
+            trace = (out / "trace.csv").read_bytes() if (out / "trace.csv").exists() else None
+            summary = json.loads((out / "summary.json").read_text()) if trace is not None else {}
+            summary.pop("wall_time_s", None)
+            return code, err.getvalue(), trace, summary
+
+    for name, raw in CLI_ROUTES.items():
+        cases.run(f"cli_run:{name}", lambda raw=raw: case(raw))
+
+
 def cli_cases(root: Path, cases: Cases) -> None:
     env = {k: v for k, v in os.environ.items() if k != "NGL_SEED"}
     env["PYTHONPATH"] = str(root / "src")
@@ -583,6 +643,7 @@ def run_cases(root: Path, cli: bool) -> Cases:
     helper_cases(cases)
     config_cases(root, cases)
     verify_cases(cases)
+    cli_run_cases(cases)
     if cli:
         cli_cases(root, cases)
     return cases
