@@ -21,15 +21,22 @@ inner_loops; floats are rendered with 17 significant digits so offline
 re-verification reproduces the in-process comparison bit for bit.
 Fields with no defined value on a row (an unqueried noisy norm, a run
 with no printed bound, a non-adaptive solver's inner loops) are "nan".
+Only plain runs (driver.name none) print a bound: GD_PL for gd and
+REAGM for re_agm on a strongly convex problem, at solver.alpha_param
+when it is at or above the oracle's declared level (none below it);
+ADAPT_ALPHA for adaptive_gd, or ADAPT_BOTH with solver.tau; none
+where the start's constants fall outside the theorem's domain.  Driver
+runs, and gd on a merely convex problem, print none.
 
 summary.json keys: final_f_gap (objective gap at the terminal point),
 iterations (accepted steps), inner_loop_total (extra backtracking
 trials, 0 unless adaptive), envelope_violations (rows exceeding the
 bound column, 0 for any conforming run), terminal (reason the run
 ended), noise_stream (the version of the noise stream the oracle drew
-from, ``oracles.NOISE_STREAM``), wall_time_s (seconds).  Identical
-config and seed give a byte-identical trace.csv under one noise stream;
-summary.json differs only in wall_time_s.
+from, ``oracles.NOISE_STREAM``), wall_time_s (seconds to build and run
+the experiment, its printed bound included).  Identical config and seed
+give a byte-identical trace.csv under one noise stream; summary.json
+differs only in wall_time_s.
 """
 
 from __future__ import annotations
@@ -99,79 +106,52 @@ def _load(path: str) -> dict:
     return raw
 
 
-def _solver_alpha(cfg: ExperimentConfig, oracle) -> float:
-    if cfg.alpha_param is not None:
-        return cfg.alpha_param
-    return oracle.declared_alpha
-
-
-def _solver_L0(cfg: ExperimentConfig, problem) -> float:
-    return cfg.L0 if cfg.L0 is not None else problem.L
+def _printed_bound(tid: str, problem, alpha: float, delta: float, **extra):
+    """Theorem ``tid``'s envelope from the run's start, or None outside its domain."""
+    try:
+        return envelope(tid, start_constants(problem, alpha, delta, **extra))
+    except EnvelopeDomainError:
+        return None
 
 
 def _run_experiment(cfg: ExperimentConfig):
-    """Assemble and execute one experiment; returns (problem, oracle, trace)."""
+    """Assemble and execute one experiment; returns (trace, printed bound or None).
+
+    The branch that picks the run picks its bound.  Driver runs report
+    base-problem gaps, which no single printed curve bounds; plain gd on
+    a merely convex problem has a gradient-norm bound but no gap bound;
+    a step-size level below the declared one voids the envelope.
+    """
     problem = build_problem(cfg)
     oracle = build_oracle(cfg, problem)
     x0 = np.zeros(problem.dim)
     radius = float(np.linalg.norm(problem.x_star - x0))
+    alpha, delta = oracle.declared_alpha, oracle.declared_delta
 
-    if cfg.driver == "none":
-        if cfg.solver == "adaptive_gd":
-            run_cfg = AdaptiveGDConfig(steps=cfg.steps, L0=_solver_L0(cfg, problem),
-                                       delta=oracle.declared_delta,
-                                       adapt_L=cfg.adapt_L)
-            trace = adaptive_gd_run(problem, oracle, run_cfg, x0=x0)
-        else:
-            trace = _run_solver(cfg.solver, problem, oracle, cfg.steps,
-                                _solver_alpha(cfg, oracle), x0)
-    elif cfg.driver == "regularize":
+    if cfg.driver == "regularize":
         if cfg.solver == "gd":
-            trace = solve_convex_gd(problem, oracle, cfg.epsilon, radius, x0=x0)
-        else:
-            trace = solve_convex_re_agm(problem, oracle, cfg.epsilon, cfg.beta,
-                                        radius, x0=x0)
-    elif cfg.driver == "stopping":
-        rule = StoppingRule(K=cfg.K, delta=oracle.declared_delta)
-        alpha_hat = oracle.declared_alpha + 1.0 / cfg.K
-        trace = run_with_stopping(cfg.solver, problem, oracle, rule, alpha_hat,
-                                  cfg.steps, x0=x0)
-    elif cfg.driver == "restart":
-        result = restart_to_convex(cfg.solver, problem, oracle, cfg.epsilon,
-                                   x0=x0)
-        trace = result.trace
-    else:
-        trace = combined_reg_stop(problem, oracle, cfg.epsilon, cfg.tau,
-                                  radius, x0=x0)
-    return problem, oracle, trace
-
-
-def _trace_envelope(cfg: ExperimentConfig, problem, oracle):
-    """The printed bound governing a plain run's gap column, if one applies.
-
-    Driver runs report base-problem gaps, so no single printed curve
-    bounds them; plain gd on a merely convex problem has a gradient-norm
-    bound but no gap bound.  Running above the declared level keeps the
-    envelope valid, below it does not.
-    """
-    if cfg.driver != "none":
-        return None
-    alpha, extra = oracle.declared_alpha, {}
+            return solve_convex_gd(problem, oracle, cfg.epsilon, radius, x0=x0), None
+        return solve_convex_re_agm(problem, oracle, cfg.epsilon, cfg.beta, radius, x0=x0), None
+    if cfg.driver == "stopping":
+        rule = StoppingRule(K=cfg.K, delta=delta)
+        return run_with_stopping(cfg.solver, problem, oracle, rule, alpha + 1.0 / cfg.K,
+                                 cfg.steps, x0=x0), None
+    if cfg.driver == "restart":
+        return restart_to_convex(cfg.solver, problem, oracle, cfg.epsilon, x0=x0).trace, None
+    if cfg.driver == "combined":
+        return combined_reg_stop(problem, oracle, cfg.epsilon, cfg.tau, radius, x0=x0), None
     if cfg.solver == "adaptive_gd":
+        L0 = cfg.L0 if cfg.L0 is not None else problem.L
+        run_cfg = AdaptiveGDConfig(steps=cfg.steps, L0=L0, delta=delta, adapt_L=cfg.adapt_L)
+        trace = adaptive_gd_run(problem, oracle, run_cfg, x0=x0)
         tid = "ADAPT_BOTH" if cfg.adapt_L else "ADAPT_ALPHA"
-        extra["L0"] = _solver_L0(cfg, problem)
-    else:
-        if problem.mu <= 0.0:
-            return None
-        alpha = _solver_alpha(cfg, oracle)
-        if alpha < oracle.declared_alpha:
-            return None
-        tid = "GD_PL" if cfg.solver == "gd" else "REAGM"
-    try:
-        return envelope(tid, start_constants(problem, alpha, oracle.declared_delta,
-                                             **extra))
-    except EnvelopeDomainError:
-        return None
+        return trace, _printed_bound(tid, problem, alpha, delta, L0=L0)
+    run_alpha = alpha if cfg.alpha_param is None else cfg.alpha_param
+    trace = _run_solver(cfg.solver, problem, oracle, cfg.steps, run_alpha, x0)
+    if problem.mu <= 0.0 or run_alpha < alpha:
+        return trace, None
+    tid = "GD_PL" if cfg.solver == "gd" else "REAGM"
+    return trace, _printed_bound(tid, problem, run_alpha, delta)
 
 
 def _format_float(v: float) -> str:
@@ -200,20 +180,16 @@ def _write_trace_csv(path: Path, trace, bound) -> None:
 def _execute_core(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Run one experiment and write its artifacts.
 
-    Returns a merge-friendly record: exit code, summary fields, the
-    envelope floor and the first iteration at or below ten times it
-    (nan when there is no bound or no noise floor).
+    Returns a merge-friendly record: exit code, error, summary fields,
+    the envelope floor and the first iteration at or below ten times it.
+    A field the run never reached (no bound, no noise floor, a failed
+    run's summary) is absent, and comparison.csv reads it as nan.
     """
-    record = {
-        "code": EXIT_OK, "error": "",
-        "final_f_gap": math.nan, "iterations": math.nan,
-        "inner_loop_total": 0, "envelope_violations": 0, "terminal": "",
-        "floor": math.nan, "iters_to_10x_floor": math.nan,
-    }
+    record = {"code": EXIT_OK, "error": "", "terminal": ""}
     t0 = time.perf_counter()
     try:
-        problem, oracle, trace = _run_experiment(cfg)
-    except (EnvelopeDomainError, ValueError) as exc:
+        trace, env = _run_experiment(cfg)
+    except ValueError as exc:
         record["code"] = EXIT_GUARD
         record["error"] = f"hypothesis guard: {exc}"
         return record
@@ -223,7 +199,6 @@ def _execute_core(cfg: ExperimentConfig, out_dir: Path) -> dict:
         return record
     wall = time.perf_counter() - t0
 
-    env = _trace_envelope(cfg, problem, oracle)
     bound = None
     violations = 0
     if env is not None:
@@ -323,7 +298,6 @@ def cmd_sweep(args) -> int:
             records = list(pool.map(_sweep_task, tasks))
     else:
         records = [_sweep_task(t) for t in tasks]
-    records.sort(key=lambda r: r["index"])
 
     lines = [",".join(["run", *varied, *_COMPARED])]
     for record, run_raw in zip(records, run_dicts):

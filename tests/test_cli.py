@@ -1,5 +1,6 @@
 """Command-line harness: configs, artifacts, exit codes, sweeps."""
 
+import contextlib
 import csv
 import dataclasses
 import importlib
@@ -17,6 +18,7 @@ import pytest
 import ngl.cli as cli
 import ngl.config as config
 from config_faults import FAULTS, fault_config
+from ngl.bounds import envelope, start_constants
 from ngl.config import ConfigError, expand_sweep, parse_config
 from ngl.oracles import NOISE_STREAM
 from ngl.solvers import DivergedError, RunTrace
@@ -50,6 +52,36 @@ def write_config(tmp_path, name="config.json", **overrides):
 GRID = {"oracle.mode": "grid", "oracle.alpha": None, "oracle.delta": None}
 REDUCED_PRECISION = {"problem.family": "quadratic", "oracle.mode": "reduced_precision",
                      "oracle.alpha": None, "oracle.delta": None, "oracle.precision_bits": 10}
+
+
+# ngl run's routes as overrides of write_config's strongly convex sampled
+# gd run, each with the theorem whose envelope its bound column prints
+# (None: no bound, every row nan)
+_CONVEX = {"problem.family": "nesterov_convex", "problem.k": 10, "problem.mu": None,
+           "problem.L": 10.0, "problem.n": 20, "oracle.alpha": 0.05, "oracle.delta": None,
+           "solver.N": None}
+_STOPPING = {"oracle.alpha": 0.0, "oracle.delta": 0.05, "driver.name": "stopping", "driver.K": 4.0}
+_RESTART = {"oracle.alpha": 0.1, "oracle.delta": 0.0, "solver.N": None, "driver.name": "restart",
+            "driver.epsilon": 1.0}
+ROUTE_BOUNDS = {
+    "gd": ({}, "GD_PL"),
+    "re_agm": ({"solver.name": "re_agm"}, "REAGM"),
+    "adaptive_gd": ({"solver.name": "adaptive_gd"}, "ADAPT_ALPHA"),
+    "adaptive_gd_tau": ({"solver.name": "adaptive_gd", "solver.tau": True, "solver.L0": 12.5},
+                        "ADAPT_BOTH"),
+    "gd_alpha_above": ({"solver.alpha_param": 0.3}, "GD_PL"),
+    "gd_alpha_below": ({"solver.alpha_param": 0.1}, None),
+    "gd_convex": ({**_CONVEX, "solver.N": 200}, None),
+    "regularize_gd": ({**_CONVEX, "driver.name": "regularize", "driver.epsilon": 0.5}, None),
+    "regularize_re_agm": ({**_CONVEX, "oracle.alpha": 0.005, "solver.name": "re_agm",
+                           "driver.name": "regularize", "driver.epsilon": 0.5}, None),
+    "stopping_gd": (_STOPPING, None),
+    "stopping_re_agm": ({**_STOPPING, "solver.name": "re_agm"}, None),
+    "restart_gd": (_RESTART, None),
+    "restart_re_agm": ({**_RESTART, "solver.name": "re_agm"}, None),
+    "combined": ({**_CONVEX, "solver.name": "re_agm", "driver.name": "combined", "driver.epsilon": 0.5},
+                 None),
+}
 
 
 def read_rows(path):
@@ -335,18 +367,36 @@ class TestRunCommand:
 
     def test_envelope_violation_exit_two(self, tmp_path, monkeypatch, capsys):
         # an impossible printed bound must be detected, not papered over
-        real = cli._trace_envelope
+        real = cli._printed_bound
 
-        def zero_bound(*args):
-            return dataclasses.replace(real(*args), floor=0.0, _eval=np.zeros_like)
+        def zero_bound(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), floor=0.0, _eval=np.zeros_like)
 
         path = write_config(tmp_path)
-        monkeypatch.setattr(cli, "_trace_envelope", zero_bound)
+        monkeypatch.setattr(cli, "_printed_bound", zero_bound)
         assert cli.main(["run", str(path)]) == 2
         assert "exceed the printed bound" in capsys.readouterr().err
         # artifacts are still written for post-mortem
         summary = read_summary(tmp_path / "out")
         assert summary["envelope_violations"] == 401
+
+    @pytest.mark.parametrize("overrides, theorem", ROUTE_BOUNDS.values(), ids=ROUTE_BOUNDS.keys())
+    def test_each_route_prints_its_theorem_or_no_bound(self, tmp_path, overrides, theorem):
+        path = write_config(tmp_path, **overrides)
+        below = overrides.get("solver.alpha_param", 1.0) < 0.25
+        with pytest.warns(UserWarning, match="declared relative level") if below else contextlib.nullcontext():
+            assert cli.main(["run", str(path)]) == 0
+        bound = read_trace(tmp_path / "out")["bound"]
+        if theorem is None:
+            assert np.all(np.isnan(bound))
+            return
+        cfg = parse_config(json.loads(path.read_text()))
+        problem = config.build_problem(cfg)
+        oracle = config.build_oracle(cfg, problem)
+        alpha = oracle.declared_alpha if cfg.alpha_param is None else cfg.alpha_param
+        extra = {"L0": cfg.L0 or problem.L} if theorem.startswith("ADAPT") else {}
+        env = envelope(theorem, start_constants(problem, alpha, oracle.declared_delta, **extra))
+        np.testing.assert_array_equal(bound, env.curve(np.arange(bound.size)))
 
     def test_no_bound_on_convex_gd(self, tmp_path):
         path = write_config(tmp_path, **{
