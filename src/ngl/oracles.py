@@ -193,6 +193,9 @@ class SyntheticNoiseOracle(GradientOracle):
         return exact + rel + (-delta / gnorm) * exact
 
 
+_ON_GRID = 2.0**52  # |g*m| from which a float lies within float precision of the grid
+
+
 def _top_k(g: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries (ties: lowest index), zero the rest; 1 <= k <= len(g)."""
     if k == g.shape[0]:
@@ -211,8 +214,16 @@ def _sign(g: np.ndarray) -> np.ndarray:
 
 
 def _grid(g: np.ndarray, m: int) -> np.ndarray:
-    """Round each coordinate to the nearest s/m grid point, ties toward even s; m >= 1."""
-    return np.rint(g * m) / m  # rint ties to even
+    """Round each coordinate to the nearest s/m grid point, ties toward even s; m >= 1.
+
+    A coordinate with |g*m| >= 2**52 lies within float precision of its
+    grid point and is kept as it is, so no product g*m overflows.
+    """
+    if math.sqrt(g.dot(g)) * m < _ON_GRID:  # every |g_i|*m is below 2**52
+        return np.rint(g * m) / m  # rint ties to even
+    with np.errstate(over="ignore"):
+        scaled = g * m
+    return np.where(np.abs(scaled) < _ON_GRID, np.rint(scaled) / m, g)
 
 
 class CompressedGradientOracle(GradientOracle):
@@ -238,7 +249,8 @@ class CompressedGradientOracle(GradientOracle):
             if param is None or not 1 <= param <= sys.float_info.max:
                 raise ValueError(f"grid sparsification needs m in [1, {sys.float_info.max!r}], "
                                  f"got {param}")
-            alpha, delta = 0.0, math.sqrt(n) / (2.0 * param)
+            # not sqrt(n) / (2*m): 2*m overflows near the float maximum
+            alpha, delta = 0.0, 0.5 * math.sqrt(n) / param
         else:
             raise ValueError(f"unknown compressor kind {kind!r}")
         super().__init__(problem, alpha, delta, certify)

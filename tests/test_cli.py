@@ -314,6 +314,16 @@ class TestRunCommand:
                               "got 1000") and err.count("\n") == 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("L, m", [(10.0, 10**308), (1e9, 10**300)], ids=["L10-m1e308", "L1e9-m1e300"])
+    def test_fine_grid_resolution_runs(self, tmp_path, capsys, L, m):
+        # a resolution finer than float precision is the exact gradient, not a divergence
+        path = write_config(tmp_path, **GRID, **{"problem.family": "quadratic", "problem.L": L,
+                                                 "problem.n": 16, "oracle.m": m, "solver.N": 200})
+        assert cli.main(["run", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_summary(tmp_path / "out")["iterations"] == 200
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_radius_beyond_float_range_exits_three(self, tmp_path, capsys):
         path = write_config(tmp_path, **REDUCED_PRECISION, **{"oracle.domain_radius": 1e308})
         assert cli.main(["run", str(path)]) == 3
@@ -584,6 +594,16 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: run 1: oracle.m: must be in [1, ") and err.count("\n") == 1
         assert not (tmp_path / "sweep").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("L, m", [(10.0, 10**308), (1e9, 10**300)], ids=["L10-m1e308", "L1e9-m1e300"])
+    def test_fine_grid_resolution_runs(self, tmp_path, capsys, L, m):
+        # a resolution finer than float precision is the exact gradient, not a divergence
+        path = write_config(tmp_path, **GRID, **{"problem.family": "quadratic", "problem.L": L,
+                                                 "problem.n": 16, "oracle.m": m, "solver.N": 200})
+        assert cli.main(["run", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        assert read_summary(tmp_path / "out")["iterations"] == 200
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_domain_radius_beyond_float_range_exits_three_but_runs_rest(self, tmp_path, capsys):

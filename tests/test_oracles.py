@@ -7,6 +7,7 @@ row-vectorised reduced-precision gradient, and its full-precision row
 sums against exact rational sums."""
 
 import math
+import sys
 import warnings
 from fractions import Fraction
 
@@ -271,7 +272,31 @@ class TestGridSparsify:
         for bad in (0, 10**309):
             with pytest.raises(ValueError, match=r"needs m in \[1, 1.7976931348623157e\+308\]"):
                 CompressedGradientOracle(p, "grid", bad)
-        assert CompressedGradientOracle(p, "grid", 10**300).declared_delta > 0.0
+        # 2*m would overflow here: every accepted m still declares a positive level
+        for m in (10**300, 10**308, int(sys.float_info.max)):
+            assert CompressedGradientOracle(p, "grid", m).declared_delta == 0.5 * math.sqrt(2) / m > 0.0
+
+    def test_fine_grid_keeps_coordinates_past_float_precision(self):
+        # |g*m| >= 2**52: the coordinate is kept, and g*m (here inf) is never used
+        g = np.array([1.0, -3.0, 1.6e-300, -2.4e-300, 0.0])
+        assert np.array_equal(_grid(g, 10**300), [1.0, -3.0, 2e-300, -2e-300, 0.0])
+        assert np.array_equal(_grid(g[:2], 10**308), g[:2])
+        # the slow path rounds the other coordinates as the fast path does
+        h = np.array([0.3, 2.0**30, -0.71])
+        assert np.array_equal(_grid(h, 4096), np.rint(h * 4096) / 4096)
+        assert np.array_equal(_grid(np.append(h, 2.0**52), 4096), np.append(_grid(h, 4096), 2.0**52))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("L, m", [(10.0, 10**308), (1e9, 10**300)], ids=["L10-m1e308", "L1e9-m1e300"])
+    def test_certified_at_a_fine_resolution(self, L, m):
+        diag = np.linspace(1.0, L, 16)
+        p = quadratic(np.diag(diag), -diag)
+        oracle = CompressedGradientOracle(p, "grid", m, certify=True)
+        assert oracle.declared_delta == 2.0 / m > 0.0
+        for x in (np.zeros(16), np.ones(16), np.linspace(-3.0, 3.0, 16)):
+            est, exact = oracle.estimate_with_exact(x)
+            assert np.all(np.isfinite(est))
+            assert float(np.linalg.norm(est - exact)) <= oracle.declared_delta
 
     @given(g=finite_vectors, m=st.integers(1, 1000))
     @settings(max_examples=200)

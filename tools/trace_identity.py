@@ -49,7 +49,8 @@ on besides the code; a tier-1 test compares the listing case by case.
   gd, re_agm and adaptive_gd (``solver.tau`` off and on) on a strongly
   convex chain, gd with ``solver.alpha_param`` above and below the
   declared level, gd on a convex chain, every driver route with each
-  solver it takes, and re_agm above alpha = 1/3 (exit 3); each digests
+  solver it takes, re_agm above alpha = 1/3 (exit 3), and gd with grid
+  resolutions past float precision (``grid_fine``); each digests
   the exit code, stderr, the ``trace.csv`` bytes and ``summary.json``
   without ``wall_time_s``.
 - Unless ``--no-cli``: ``ngl run`` on every ``configs/*.json`` without a
@@ -530,6 +531,8 @@ _CVX = {"problem.family": "nesterov_convex", "problem.k": 10, "problem.L": 10.0,
         "oracle.mode": "sampled_unbiased", "oracle.alpha": 0.05, "oracle.seed": 5}
 _STOP = {**_SCVX, "oracle.alpha": 0.0, "oracle.delta": 0.05, "driver.name": "stopping",
          "driver.K": 4.0, "solver.N": 400}
+_FINE = {"problem.family": "quadratic", "problem.mu": 1.0, "problem.L": 10.0, "problem.n": 16,
+         "oracle.mode": "grid", "solver.N": 200}
 # one config per ngl run route
 CLI_ROUTES = {
     "gd": {**_SCVX, "solver.N": 200},
@@ -549,6 +552,9 @@ CLI_ROUTES = {
     "restart_gd": {**_SCVX, "driver.name": "restart", "driver.epsilon": 0.05},
     "restart_re_agm": {**_SCVX, "solver.name": "re_agm", "driver.name": "restart", "driver.epsilon": 0.05},
     "combined": {**_CVX, "driver.name": "combined", "driver.epsilon": 0.5},
+    # grid resolutions past float precision
+    "grid_fine": {**_FINE, "oracle.m": 10**308},
+    "grid_fine_L1e9": {**_FINE, "problem.L": 1e9, "oracle.m": 10**300},
 }
 
 
