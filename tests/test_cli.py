@@ -4,16 +4,21 @@ import contextlib
 import csv
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ngl.cli as cli
 import ngl.config as config
@@ -474,6 +479,107 @@ class TestRunCommand:
         cols = read_trace(tmp_path / "out")
         np.testing.assert_array_equal(cols["k"],
                                       np.arange(summary["iterations"] + 1))
+
+
+_STRONG = ("nesterov_strongly_convex", "quadratic")
+
+
+@st.composite
+def valid_configs(draw):
+    """A raw ``ngl run`` config that parse_config accepts, its budgets kept small.
+
+    Every family, oracle mode, solver and driver is drawn, wired as
+    parse_config requires.  L/mu is at most 1e2, a synthetic relative
+    level at most 0.4, and a driver's target within a factor 16 of the
+    start gap: a large condition number, a level near a route's cap or
+    a far target gives runs of millions of rows.
+    """
+    driver = draw(st.sampled_from(config.DRIVERS))
+    if driver in ("regularize", "combined"):
+        family = "nesterov_convex"
+    else:
+        family = draw(st.sampled_from(config.FAMILIES if driver == "none" else _STRONG))
+    if driver == "combined":
+        solver = "re_agm"
+    elif driver != "none":
+        solver = draw(st.sampled_from(("gd", "re_agm")))
+    else:
+        solver = draw(st.sampled_from(config.SOLVERS if family in _STRONG else ("gd", "adaptive_gd")))
+    mode = draw(st.sampled_from([m for m in config.ORACLE_MODES
+                                 if m != "reduced_precision" or family == "quadratic"]))
+    n, L = draw(st.integers(1, 12)), draw(st.floats(0.1, 1e4))
+    raw = {"problem.family": family, "problem.n": n, "problem.L": L, "oracle.mode": mode,
+           "solver.name": solver, "driver.name": driver, "oracle.seed": draw(st.integers(0, 2**32))}
+    if family == "nesterov_convex":
+        raw["problem.k"] = draw(st.integers(1, n))
+    else:
+        raw["problem.mu"] = L / draw(st.floats(1.0, 100.0))
+    if mode in ("sampled_unbiased", "adversarial_opposing"):
+        raw["oracle.alpha"] = draw(st.floats(0.0, 0.4))
+        # the ridge routes take relative noise only
+        ridge = family == "nesterov_convex" and driver != "none"
+        raw["oracle.delta"] = 0.0 if ridge else draw(st.floats(0.0, 1.0))
+    elif mode == "top_k":
+        raw["oracle.k"] = draw(st.integers(1, n))
+    elif mode == "grid":
+        raw["oracle.m"] = draw(st.integers(1, 1000) | st.sampled_from([10**300, 10**308]))
+    elif mode == "finite_difference":
+        raw["oracle.h"] = draw(st.floats(1e-8, 0.1))
+        raw["oracle.value_noise"] = draw(st.floats(0.0, 1e-6))
+    elif mode == "reduced_precision":
+        raw["oracle.precision_bits"] = draw(st.integers(1, 52))
+        raw["oracle.domain_radius"] = draw(st.floats(0.1, 100.0))
+    if driver in ("none", "stopping"):
+        raw["solver.N"] = draw(st.integers(0, 300))
+    if driver == "none" and solver != "adaptive_gd" and draw(st.booleans()):
+        raw["solver.alpha_param"] = draw(st.floats(0.0, 0.9))
+    if solver == "adaptive_gd":
+        if draw(st.booleans()):
+            raw["solver.L0"] = L * draw(st.floats(0.01, 100.0))
+        raw["solver.tau"] = draw(st.booleans())
+    if driver == "stopping":
+        raw["driver.K"] = draw(st.floats(1.5, 20.0))
+    if driver in ("regularize", "restart", "combined"):
+        try:
+            problem = config.build_problem(parse_config({**raw, "driver.epsilon": 1.0, "output.dir": "-"}))
+            gap0 = problem.gap(np.zeros(n))
+        except ValueError:  # a chain with mu = L: refused when built, exit 3
+            gap0 = 1.0
+        raw["driver.epsilon"] = gap0 * 2.0 ** draw(st.floats(-4.0, 1.0))
+    if driver == "regularize" and solver == "re_agm":
+        raw["driver.beta"] = draw(st.floats(0.0, 0.5))
+    if driver == "combined":
+        raw["driver.tau"] = draw(st.floats(0.0, 0.5))
+    return raw
+
+
+_FINE_GRID = {"problem.family": "quadratic", "problem.n": 16, "problem.mu": 1.0,
+              "oracle.mode": "grid", "solver.N": 200}
+
+
+@settings(max_examples=250, deadline=None)
+@given(raw=valid_configs())
+@example(raw={**_FINE_GRID, "problem.L": 10.0, "oracle.m": 10**308})
+@example(raw={**_FINE_GRID, "problem.L": 1e9, "oracle.m": 10**300})
+def test_run_never_raises_on_a_valid_config(raw):
+    # a valid config with a writable output directory ends in a documented
+    # exit code with at most one line on stderr; a RuntimeWarning is a fault
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        warnings.simplefilter("error", RuntimeWarning)
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps({**raw, "output.dir": str(Path(tmp) / "out")}))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["run", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION, cli.EXIT_GUARD), err.getvalue()
+    # in this regime no guarantee fails, save the adaptive method's: its
+    # acceptance test differences two values of f, which stall it once the
+    # gap is rounding noise of f_star
+    assert code != cli.EXIT_VIOLATION or raw["solver.name"] == "adaptive_gd", err.getvalue()
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
+    # the one warning a valid run may raise: a step-size level below the declared one
+    assert all("declared relative level" in str(w.message) for w in caught)
 
 
 class TestSweepCommand:
