@@ -193,9 +193,6 @@ class SyntheticNoiseOracle(GradientOracle):
         return exact + rel + (-delta / gnorm) * exact
 
 
-_ON_GRID = 2.0**52  # |g*m| from which a float lies within float precision of the grid
-
-
 def _top_k(g: np.ndarray, k: int) -> np.ndarray:
     """Keep the k largest-magnitude entries (ties: lowest index), zero the rest; 1 <= k <= len(g)."""
     if k == g.shape[0]:
@@ -211,6 +208,9 @@ def _top_k(g: np.ndarray, k: int) -> np.ndarray:
 def _sign(g: np.ndarray) -> np.ndarray:
     """Mean magnitude times the sign pattern; sign(0) = 0."""
     return float(np.mean(np.abs(g))) * np.sign(g)
+
+
+_ON_GRID = 2.0**52  # |g*m| from which a float lies within float precision of the grid
 
 
 def _grid(g: np.ndarray, m: int) -> np.ndarray:

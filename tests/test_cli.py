@@ -74,7 +74,7 @@ ROUTE_BOUNDS = {
     "adaptive_gd": ({"solver.name": "adaptive_gd"}, "ADAPT_ALPHA"),
     "adaptive_gd_tau": ({"solver.name": "adaptive_gd", "solver.tau": True, "solver.L0": 12.5},
                         "ADAPT_BOTH"),
-    "gd_alpha_above": ({"solver.alpha_param": 0.3}, "GD_PL"),
+    "gd_alpha_above": ({"solver.alpha_param": 0.4}, "GD_PL"),
     "gd_alpha_below": ({"solver.alpha_param": 0.1}, None),
     "gd_convex": ({**_CONVEX, "solver.N": 200}, None),
     "regularize_gd": ({**_CONVEX, "driver.name": "regularize", "driver.epsilon": 0.5}, None),
@@ -398,6 +398,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("overrides, theorem", ROUTE_BOUNDS.values(), ids=ROUTE_BOUNDS.keys())
     def test_each_route_prints_its_theorem_or_no_bound(self, tmp_path, overrides, theorem):
         path = write_config(tmp_path, **overrides)
+        # write_config's oracle declares alpha = 0.25
         below = overrides.get("solver.alpha_param", 1.0) < 0.25
         with pytest.warns(UserWarning, match="declared relative level") if below else contextlib.nullcontext():
             assert cli.main(["run", str(path)]) == 0
@@ -412,31 +413,6 @@ class TestRunCommand:
         extra = {"L0": cfg.L0 or problem.L} if theorem.startswith("ADAPT") else {}
         env = envelope(theorem, start_constants(problem, alpha, oracle.declared_delta, **extra))
         np.testing.assert_array_equal(bound, env.curve(np.arange(bound.size)))
-
-    def test_no_bound_on_convex_gd(self, tmp_path):
-        path = write_config(tmp_path, **{
-            "problem.family": "nesterov_convex", "problem.k": 10,
-            "problem.mu": None, "solver.N": 100})
-        assert cli.main(["run", str(path)]) == 0
-        cols = read_trace(tmp_path / "out")
-        assert np.all(np.isnan(cols["bound"]))
-
-    def test_understated_level_prints_no_bound(self, tmp_path):
-        with pytest.warns(UserWarning, match="declared relative level"):
-            path = write_config(tmp_path, **{"solver.alpha_param": 0.1,
-                                             "solver.N": 100})
-            assert cli.main(["run", str(path)]) == 0
-        cols = read_trace(tmp_path / "out")
-        assert np.all(np.isnan(cols["bound"]))
-
-    def test_overstated_level_keeps_bound(self, tmp_path):
-        path = write_config(tmp_path, **{"solver.alpha_param": 0.4,
-                                         "solver.N": 100})
-        assert cli.main(["run", str(path)]) == 0
-        cols = read_trace(tmp_path / "out")
-        assert np.all(np.isfinite(cols["bound"]))
-        tol = 1e-9 * max(1.0, cols["bound"][0])
-        assert np.all(cols["f_gap"] <= cols["bound"] + tol)
 
     def test_adaptive_inner_loops_column(self, tmp_path):
         path = write_config(tmp_path, **{
