@@ -12,6 +12,7 @@ reduced-precision oracle's kernel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,10 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if dim is not None and v.shape[0] != dim:
         raise ValueError(f"expected dimension {dim}, got {v.shape[0]}")
-    # counting costs about half of .all() on the short vectors of a step
-    if np.count_nonzero(np.isfinite(v)) != v.size:
+    # a finite sum of squares means finite entries and costs one BLAS call;
+    # only a sum that is not finite (an entry that is, or an overflow) is
+    # tested entry by entry.  vdot, unlike dot, warns of no overflow
+    if not math.isfinite(np.vdot(v, v)) and not np.isfinite(v).all():
         raise ValueError("vector contains non-finite entries")
     return v
 

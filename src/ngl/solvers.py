@@ -434,8 +434,9 @@ class _Core:
               f_val: Optional[float] = None) -> _Point:
         """Check and query an "x" row or "y" point (``f_val``: f(x) if known), and pend it."""
         # the one validation of x: the start went through as_vector and
-        # each update rule builds float64 vectors of the problem's dimension
-        if np.count_nonzero(np.isfinite(x)) != x.size:
+        # each update rule builds float64 vectors of the problem's dimension;
+        # the finiteness test is as_vector's
+        if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
         halt = False
         if self.at_point:  # f(x) is checked before the query

@@ -6,11 +6,17 @@ a one-line detail, and the runs a caller may assert more about.
 ``CHECKS`` binds the small instances `ngl verify` runs, and
 ``tests/test_acceptance.py`` calls the same gates at full scale.  All
 checks are deterministic, so a pass table is reproducible bit for bit.
+
+``run_all_checks`` deals the gates round-robin into one lane per usable
+CPU: gate i runs in lane i % P.  Lane 0 runs in the calling process and
+each other lane in a forked worker, which shares the caller's imports
+and ``CHECKS``; rows come back in ``CHECKS`` order.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
@@ -334,15 +340,47 @@ CHECKS: List[Tuple[str, Callable[[], Outcome]]] = [
 ]
 
 
+def _run_check(name: str, fn: Callable[[], Outcome]) -> CheckResult:
+    t0 = time.perf_counter()
+    try:
+        passed, detail, _ = fn()
+    except Exception as exc:  # a raising check is a failing check
+        passed, detail = False, f"{type(exc).__name__}: {exc}"
+    return CheckResult(name, passed, detail, time.perf_counter() - t0)
+
+
+def _run_lane(lane: int, lanes: int) -> List[CheckResult]:
+    """Gates lane, lane + lanes, lane + 2 * lanes, ... of ``CHECKS``, in that order."""
+    return [_run_check(name, fn) for name, fn in CHECKS[lane::lanes]]
+
+
+def _lane_count() -> int:
+    """The usable CPUs, at most one per gate; one where the platform cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, len(CHECKS)))
+
+
 def run_all_checks() -> List[CheckResult]:
-    """Run every invariant check, catching failures as FAIL rows."""
-    results = []
-    for name, fn in CHECKS:
-        t0 = time.perf_counter()
-        try:
-            passed, detail, _ = fn()
-        except Exception as exc:  # a raising check is a failing check
-            passed, detail = False, f"{type(exc).__name__}: {exc}"
-        results.append(CheckResult(name, passed,
-                                   detail, time.perf_counter() - t0))
-    return results
+    """Run every invariant check in lanes, catching failures as FAIL rows.
+
+    Rows are in ``CHECKS`` order, each with its gate's own seconds.  With
+    one lane the gates run one after another in this process.
+    """
+    lanes = _lane_count()
+    if lanes == 1:
+        return _run_lane(0, 1)
+    # imported here, as for `ngl sweep`: start-up loads no pool modules.  A
+    # forked worker starts with numpy and ngl loaded; a spawned one would
+    # import them again, which takes about as long as lane 1's gates
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("fork")) as pool:
+        others = [pool.submit(_run_lane, lane, lanes) for lane in range(1, lanes)]
+        dealt = [iter(_run_lane(0, lanes))] + [iter(future.result()) for future in others]
+    return [next(dealt[i % lanes]) for i in range(len(CHECKS))]

@@ -1,10 +1,12 @@
 """``tools/bench_pairs.py``: the run order alternates, and pairs are won by
 each metric's direction in BENCHMARK.json, over every workload it lists,
-and an edited checkout names no commit."""
+each run's median raw round wall is read from its results file, and an
+edited checkout names no commit."""
 
 import importlib.util
 import json
 import subprocess
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -37,7 +39,7 @@ def test_alternating_pairs_are_summarised(tmp_path, monkeypatch):
         side = root.name
         wall = walls[side][sum(1 for w, s in calls if (w, s) == (workload, side))]
         calls.append((workload, side))
-        return {"correct": True, "attempted": 12, "failed": 0,
+        return {"correct": True, "attempted": 12, "failed": 0, "raw_wall_s": 2.0 * wall,
                 "metrics": {"ref_wall_s": {"value": wall}, "ref_steps_per_s": {"value": 1.0 / wall}}}
 
     monkeypatch.setattr(tool, "run_once", run_once)
@@ -51,9 +53,33 @@ def test_alternating_pairs_are_summarised(tmp_path, monkeypatch):
     assert list(record["workloads"]) == ["w", "v"]
     for entry in record["workloads"].values():
         assert entry["seed"] == 3 and len(entry["runs"]["change"]) == 4
-        for name in ("ref_wall_s", "ref_steps_per_s"):
+        for name in ("ref_wall_s", "ref_steps_per_s", "raw_wall_s"):
             assert (entry["metrics"][name]["pairs_won"], entry["metrics"][name]["pairs_lost"]) == (3, 1)
         assert entry["metrics"]["ref_wall_s"]["change"]["median"] == 0.8125
+        assert entry["metrics"]["raw_wall_s"]["change"]["median"] == 1.625
+        assert entry["metrics"]["raw_wall_s"]["better"] == "lower"
+        assert [r["raw_wall_s"] for r in entry["runs"]["parent"]] == [2.0] * 4
+
+
+def test_a_run_reads_its_raw_round_wall(tmp_path):
+    # a stand-in for benchmarks/run.py: the results file it writes holds the
+    # rounds, and the last line it prints is the result
+    tool = _tool()
+    (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "run.py").write_text(textwrap.dedent("""\
+        import json, pathlib, sys
+        args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+        assert args["--trace"] == "0" and args["--seconds"] == "2.5"
+        results = pathlib.Path("benchmarks/results")
+        results.mkdir()
+        rounds = [{"wall_s": w, "ref_wall_s": 1.0} for w in (0.5, 0.25, 0.75, 2.0)]
+        name = f"{args['--workload']}-seed{args['--seed']}-trace0.json"
+        (results / name).write_text(json.dumps({"rounds": rounds}))
+        print("a progress line")
+        print(json.dumps({"correct": True, "metrics": {}}))
+    """))
+    result = tool.run_once(tmp_path, "w", 4, 2.5)
+    assert result == {"correct": True, "metrics": {}, "raw_wall_s": 0.625}
 
 
 def test_a_checkout_with_edits_is_refused(tmp_path):

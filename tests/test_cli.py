@@ -866,16 +866,37 @@ class TestBoundsCommand:
 
 
 class TestVerifyCommand:
-    def test_all_checks_pass(self, capsys):
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    def test_all_checks_pass(self, lanes, monkeypatch, capsys):
         import ngl.verify as verify
 
+        monkeypatch.setattr(verify, "_lane_count", lambda: lanes)
         assert cli.main(["verify"]) == 0
         rows = [line.split(None, 3) for line in capsys.readouterr().out.splitlines()]
-        # one row per check, in CHECKS order, then the overall line
+        # at every lane count, one row per check with the serial run's status
+        # and detail, in CHECKS order, then the overall line
         assert len(verify.CHECKS) == 14
-        assert [r[0] for r in rows] == [name for name, _ in verify.CHECKS] + ["overall"]
-        assert all(r[1] == "PASS" and len(r) == 4 for r in rows[:-1])
+        serial = [[name, "PASS", fn().detail] for name, fn in verify.CHECKS]
+        assert [[r[0], r[1], r[3]] for r in rows[:-1]] == serial
         assert rows[-1] == ["overall", "PASS"]
+
+    @pytest.mark.parametrize("cpus, lanes", [(1, 1), (2, 2), (64, 14)])
+    def test_one_lane_per_usable_cpu_at_most_one_per_check(self, cpus, lanes, monkeypatch):
+        import ngl.verify as verify
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert verify._lane_count() == lanes
+
+    def test_lane_zero_runs_in_the_caller(self, monkeypatch):
+        import ngl.verify as verify
+
+        def pid():
+            return verify.Outcome(True, str(os.getpid()))
+        monkeypatch.setattr(verify, "CHECKS", [("a", pid), ("b", pid), ("c", pid)])
+        monkeypatch.setattr(verify, "_lane_count", lambda: 2)
+        rows = verify.run_all_checks()
+        assert [r.name for r in rows] == ["a", "b", "c"]
+        assert rows[0].detail == rows[2].detail == str(os.getpid()) != rows[1].detail
 
     def test_corrupted_step_constant_fails_envelope_check(self, monkeypatch):
         # an understated step parks the iterate near f0 while the printed
@@ -891,17 +912,27 @@ class TestVerifyCommand:
         assert not passed
         assert "excess" in detail
 
-    def test_failed_check_exits_two(self, monkeypatch, capsys):
-        # a failed check is a violated guarantee, not a malformed config
+    @pytest.mark.parametrize("index, lanes, detail", [
+        (0, 1, "forced failure"), (1, 2, "RuntimeError: forced failure")],
+        ids=["returned-in-lane-0", "raised-in-lane-1"])
+    def test_failed_check_exits_two(self, index, lanes, detail, monkeypatch, capsys):
+        # a failed check is a violated guarantee, not a malformed config; a
+        # check raising in a worker's lane is a FAIL row like any other
         import ngl.verify as verify
 
-        name, _ = verify.CHECKS[0]
-        forced = (name, lambda: verify.Outcome(False, "forced failure"))
-        monkeypatch.setattr(verify, "CHECKS", [forced] + verify.CHECKS[1:])
+        def forced():
+            if index:
+                raise RuntimeError("forced failure")
+            return verify.Outcome(False, "forced failure")
+        checks = list(verify.CHECKS)
+        name = checks[index][0]
+        checks[index] = (name, forced)
+        monkeypatch.setattr(verify, "CHECKS", checks)
+        monkeypatch.setattr(verify, "_lane_count", lambda: lanes)
         assert cli.main(["verify"]) == cli.EXIT_VIOLATION == 2
-        out = capsys.readouterr().out
-        assert f"{name}" in out and "forced failure" in out
-        assert any(line.split() == ["overall", "FAIL"] for line in out.splitlines())
+        rows = [line.split(None, 3) for line in capsys.readouterr().out.splitlines()]
+        assert [rows[index][i] for i in (0, 1, 3)] == [name, "FAIL", detail]
+        assert rows[-1] == ["overall", "FAIL"]
 
 
 class TestConsoleScript:
@@ -915,12 +946,12 @@ class TestConsoleScript:
         assert (tmp_path / "out" / "trace.csv").exists()
 
     def test_start_up_imports_no_scipy_and_no_process_pool(self):
-        # numpy is the only runtime dependency, and the sweep pool's modules
-        # load only when a sweep runs in parallel
+        # numpy is the only runtime dependency, and the pool's modules load
+        # only when a sweep or ngl verify runs in parallel
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         code = ("import sys, ngl, ngl.cli; print(*sorted(m for m in sys.modules if "
-                "m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))")
+                "m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0, proc.stderr

@@ -7,10 +7,13 @@ CHANGE's BENCHMARK.json lists, each pair runs ``python3 benchmarks/run.py
 --workload W --seed S --seconds T --trace 0`` once in each checkout, T
 being BENCHMARK.json's ``run_seconds``, the parent first in even pairs
 and the change first in odd ones, and reads the JSON object each run
-prints last.  OUT holds, per workload, every run's end-to-end metrics,
-each metric's median and quartiles per side, and the pairs the change
-won by the direction BENCHMARK.json gives the metric (ties count for
-neither side), with the seed, each checkout's HEAD commit and the host.
+prints last.  Beside those end-to-end metrics each run records
+``raw_wall_s``, lower being better: the median of its rounds' wall times
+(``rounds[].wall_s`` in the results file the run writes), unlike
+``ref_wall_s`` not rescaled by the reference kernel's speed.  OUT holds, per workload, every run's metrics, each metric's median and
+quartiles per side, and the pairs the change won by the metric's
+direction (ties count for neither side), with the seed, each checkout's
+HEAD commit and the host.
 """
 
 from __future__ import annotations
@@ -27,10 +30,14 @@ import numpy as np
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The run's printed result, with ``raw_wall_s`` from the results file it wrote."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    result = json.loads(out.strip().splitlines()[-1])
+    record = root / "benchmarks" / "results" / f"{workload}-seed{seed}-trace0.json"
+    rounds = json.loads(record.read_text())["rounds"]
+    return result | {"raw_wall_s": statistics.median(r["wall_s"] for r in rounds)}
 
 
 def commit(root: Path) -> str:
@@ -67,6 +74,7 @@ def pairs(parent: Path, change: Path, workload: str, count: int, seed: int, seco
         for side in order:
             result = run_once(parent if side == "parent" else change, workload, seed, seconds)
             values = {name: m["value"] for name, m in result["metrics"].items()}
+            values["raw_wall_s"] = result["raw_wall_s"]
             runs[side].append({k: result[k] for k in ("correct", "attempted", "failed")} | values)
             print(f"{workload} pair {i} {side}: {json.dumps(values)}", file=sys.stderr)
 
@@ -93,7 +101,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]} | {"raw_wall_s": "lower"}
     record = {"host": host(),
               "commits": {"parent": commit(args.parent), "change": commit(args.change)},
               "workloads": {w["name"]: pairs(args.parent, args.change, w["name"], args.pairs,
