@@ -880,11 +880,23 @@ class TestVerifyCommand:
         assert [[r[0], r[1], r[3]] for r in rows[:-1]] == serial
         assert rows[-1] == ["overall", "PASS"]
 
-    @pytest.mark.parametrize("cpus, lanes", [(1, 1), (2, 2), (64, 14)])
-    def test_one_lane_per_usable_cpu_at_most_one_per_check(self, cpus, lanes, monkeypatch):
+    @pytest.mark.parametrize("affinity, count, fork, lanes", [
+        (1, 8, True, 1), (2, 8, True, 2), (64, 8, True, 14), (None, 3, True, 3),
+        (None, None, True, 1), (8, 8, False, 1)])
+    def test_one_lane_per_usable_cpu_at_most_one_per_check(self, affinity, count, fork, lanes,
+                                                            monkeypatch):
+        # the CPUs this process may run on, else the machine's count; one lane
+        # where the platform cannot fork.  Nothing is started here
         import ngl.verify as verify
 
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
         assert verify._lane_count() == lanes
 
     def test_lane_zero_runs_in_the_caller(self, monkeypatch):
