@@ -6,8 +6,6 @@ Subcommands:
   sweep <config>     cross-product of list-valued fields, one run per combo,
                      aggregated into comparison.csv (parallel with --jobs)
   verify             run the built-in invariant suite, print a pass table
-                     (its checks run in lanes over the usable CPUs, lane 0
-                     in this process; rows print in CHECKS order)
   bounds <theorem> <key=value...>  print an envelope table for constants
 
 Exit codes: 0 success, 1 malformed config or input (or artifacts that
@@ -402,9 +400,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="parallel worker processes (default 1)")
     p_sweep.set_defaults(fn=cmd_sweep)
 
-    p_verify = sub.add_parser(
-        "verify", help="run the built-in invariant suite, its checks in lanes over the usable "
-                       "CPUs (lane 0 in this process); rows print in CHECKS order")
+    p_verify = sub.add_parser("verify", help="run the built-in invariant suite")
     p_verify.set_defaults(fn=cmd_verify)
 
     p_bounds = sub.add_parser("bounds", help="print an envelope table")

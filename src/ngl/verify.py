@@ -8,9 +8,10 @@ a one-line detail, and the runs a caller may assert more about.
 checks are deterministic, so a pass table is reproducible bit for bit.
 
 ``run_all_checks`` deals the gates round-robin into one lane per usable
-CPU: gate i runs in lane i % P.  Lane 0 runs in the calling process and
-each other lane in a forked worker, which shares the caller's imports
-and ``CHECKS``; rows come back in ``CHECKS`` order.
+CPU, at most four: gate i runs in lane i % P, and finite-difference-error
+always in lane 0.  Lane 0 runs in the calling process and each other
+lane in a forked worker, which shares the caller's imports and
+``CHECKS``; rows come back in ``CHECKS`` order.
 """
 
 from __future__ import annotations
@@ -349,20 +350,37 @@ def _run_check(name: str, fn: Callable[[], Outcome]) -> CheckResult:
     return CheckResult(name, passed, detail, time.perf_counter() - t0)
 
 
-def _run_lane(lane: int, lanes: int) -> List[CheckResult]:
-    """Gates lane, lane + lanes, lane + 2 * lanes, ... of ``CHECKS``, in that order."""
-    return [_run_check(name, fn) for name, fn in CHECKS[lane::lanes]]
+# A worker's trace spans die with it.  This check's p.gradient(x) is the
+# suite's one call of a problem's public gradient, so a tracer in the
+# caller sees it at every lane count.
+_CALLER_CHECKS = frozenset({"finite-difference-error"})
+# The longest check, re-agm-envelope, takes about a quarter of the suite's
+# serial time: from four lanes on it sets the wall time, and a further
+# lane only adds a fork.
+_MAX_LANES = 4
+
+
+def _deal(lanes: int) -> List[List[int]]:
+    """Indices into ``CHECKS`` per lane: i in lane i % lanes, a caller check in lane 0."""
+    dealt: List[List[int]] = [[] for _ in range(lanes)]
+    for i, (name, _) in enumerate(CHECKS):
+        dealt[0 if name in _CALLER_CHECKS else i % lanes].append(i)
+    return dealt
+
+
+def _run_lane(indices: Sequence[int]) -> List[CheckResult]:
+    return [_run_check(*CHECKS[i]) for i in indices]
 
 
 def _lane_count() -> int:
-    """The usable CPUs, at most one per gate; one where the platform cannot fork."""
+    """The usable CPUs, at most four; one where the platform cannot fork."""
     if not hasattr(os, "fork"):
         return 1
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, len(CHECKS)))
+    return max(1, min(cpus, _MAX_LANES))
 
 
 def run_all_checks() -> List[CheckResult]:
@@ -373,14 +391,18 @@ def run_all_checks() -> List[CheckResult]:
     """
     lanes = _lane_count()
     if lanes == 1:
-        return _run_lane(0, 1)
+        return _run_lane(range(len(CHECKS)))
     # imported here, as for `ngl sweep`: start-up loads no pool modules.  A
     # forked worker starts with numpy and ngl loaded; a spawned one would
     # import them again, which takes about as long as lane 1's gates
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    dealt = _deal(lanes)
     with ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        others = [pool.submit(_run_lane, lane, lanes) for lane in range(1, lanes)]
-        dealt = [iter(_run_lane(0, lanes))] + [iter(future.result()) for future in others]
-    return [next(dealt[i % lanes]) for i in range(len(CHECKS))]
+        others = [pool.submit(_run_lane, indices) for indices in dealt[1:]]
+        results = [_run_lane(dealt[0])] + [future.result() for future in others]
+    rows = {}
+    for indices, lane_rows in zip(dealt, results):
+        rows.update(zip(indices, lane_rows))
+    return [rows[i] for i in range(len(CHECKS))]

@@ -865,26 +865,45 @@ class TestBoundsCommand:
             assert float(line.split(",")[1]) == pytest.approx(level)
 
 
+@pytest.fixture(scope="module")
+def serial_verify_rows():
+    """Name, status and detail of each check, run one after another here."""
+    import ngl.verify as verify
+
+    return [[name, "PASS", fn().detail] for name, fn in verify.CHECKS]
+
+
+def verify_rows(capsys):
+    return [line.split(None, 3) for line in capsys.readouterr().out.splitlines()]
+
+
 class TestVerifyCommand:
-    @pytest.mark.parametrize("lanes", [1, 2, 3])
-    def test_all_checks_pass(self, lanes, monkeypatch, capsys):
+    def test_all_checks_pass(self, serial_verify_rows, capsys):
+        import ngl.verify as verify
+
+        assert cli.main(["verify"]) == 0
+        rows = verify_rows(capsys)
+        # one row per check, in CHECKS order, then the overall line
+        assert len(verify.CHECKS) == 14
+        assert [[r[0], r[1], r[3]] for r in rows[:-1]] == serial_verify_rows
+        assert rows[-1] == ["overall", "PASS"]
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3, 5])
+    def test_every_lane_count_prints_the_serial_table(self, lanes, serial_verify_rows,
+                                                      monkeypatch, capsys):
         import ngl.verify as verify
 
         monkeypatch.setattr(verify, "_lane_count", lambda: lanes)
         assert cli.main(["verify"]) == 0
-        rows = [line.split(None, 3) for line in capsys.readouterr().out.splitlines()]
-        # at every lane count, one row per check with the serial run's status
-        # and detail, in CHECKS order, then the overall line
-        assert len(verify.CHECKS) == 14
-        serial = [[name, "PASS", fn().detail] for name, fn in verify.CHECKS]
-        assert [[r[0], r[1], r[3]] for r in rows[:-1]] == serial
+        rows = verify_rows(capsys)
+        assert [[r[0], r[1], r[3]] for r in rows[:-1]] == serial_verify_rows
         assert rows[-1] == ["overall", "PASS"]
 
     @pytest.mark.parametrize("affinity, count, fork, lanes", [
-        (1, 8, True, 1), (2, 8, True, 2), (64, 8, True, 14), (None, 3, True, 3),
-        (None, None, True, 1), (8, 8, False, 1)])
-    def test_one_lane_per_usable_cpu_at_most_one_per_check(self, affinity, count, fork, lanes,
-                                                            monkeypatch):
+        (1, 8, True, 1), (2, 8, True, 2), (3, 8, True, 3), (64, 8, True, 4),
+        (None, 3, True, 3), (None, None, True, 1), (8, 8, False, 1)])
+    def test_one_lane_per_usable_cpu_at_most_four(self, affinity, count, fork, lanes,
+                                                  monkeypatch):
         # the CPUs this process may run on, else the machine's count; one lane
         # where the platform cannot fork.  Nothing is started here
         import ngl.verify as verify
@@ -899,16 +918,46 @@ class TestVerifyCommand:
             monkeypatch.delattr(os, "fork", raising=False)
         assert verify._lane_count() == lanes
 
-    def test_lane_zero_runs_in_the_caller(self, monkeypatch):
+    def test_lane_zero_and_finite_difference_run_in_the_caller(self, monkeypatch):
+        # finite-difference-error runs in lane 0 even where i % lanes is not 0
         import ngl.verify as verify
 
         def pid():
             return verify.Outcome(True, str(os.getpid()))
-        monkeypatch.setattr(verify, "CHECKS", [("a", pid), ("b", pid), ("c", pid)])
+        names = ["a", "b", "c", "finite-difference-error"]
+        monkeypatch.setattr(verify, "CHECKS", [(name, pid) for name in names])
         monkeypatch.setattr(verify, "_lane_count", lambda: 2)
         rows = verify.run_all_checks()
-        assert [r.name for r in rows] == ["a", "b", "c"]
-        assert rows[0].detail == rows[2].detail == str(os.getpid()) != rows[1].detail
+        assert [r.name for r in rows] == names
+        assert [r.detail == str(os.getpid()) for r in rows] == [True, False, True, True]
+
+    def test_traced_cli_mix_keeps_its_gradient_span_at_five_lanes(self, monkeypatch, tmp_path):
+        # the benchmark's traced runs time problems.gradient by the one public
+        # p.gradient call of the suite, in finite-difference-error (check 12):
+        # a worker's spans die with it, so that check must stay in the caller
+        # also where the lane count does not divide 12
+        import ngl.verify as verify
+
+        monkeypatch.setattr(verify, "_lane_count", lambda: 5)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "benchmarks"))
+        import layers
+        import workloads
+        from tracer import Tracer
+
+        w = workloads.WORKLOADS["cli_mix"](3, small=True, workdir=tmp_path)
+        w.setup()
+        tracer = Tracer()
+        tracer.install()
+        tracer.on = True
+        monkeypatch.setattr(workloads, "SAMPLING", False)
+        try:
+            round_ = w.run_round()
+        finally:
+            tracer.on = False
+            tracer.uninstall()
+        assert [op.name for op in round_.ops if op.error and not op.known_fault] == []
+        metrics = layers.workload_metrics(tracer.take(), 1, [round_.extra])
+        assert metrics["problems.gradient.us"] is not None
 
     def test_corrupted_step_constant_fails_envelope_check(self, monkeypatch):
         # an understated step parks the iterate near f0 while the printed
@@ -924,26 +973,31 @@ class TestVerifyCommand:
         assert not passed
         assert "excess" in detail
 
-    @pytest.mark.parametrize("index, lanes, detail", [
-        (0, 1, "forced failure"), (1, 2, "RuntimeError: forced failure")],
-        ids=["returned-in-lane-0", "raised-in-lane-1"])
-    def test_failed_check_exits_two(self, index, lanes, detail, monkeypatch, capsys):
-        # a failed check is a violated guarantee, not a malformed config; a
-        # check raising in a worker's lane is a FAIL row like any other
+    def test_failed_check_exits_two(self, monkeypatch, capsys):
+        # a failed check is a violated guarantee, not a malformed config
+        import ngl.verify as verify
+
+        name, _ = verify.CHECKS[0]
+        forced = (name, lambda: verify.Outcome(False, "forced failure"))
+        monkeypatch.setattr(verify, "CHECKS", [forced] + verify.CHECKS[1:])
+        assert cli.main(["verify"]) == cli.EXIT_VIOLATION == 2
+        out = capsys.readouterr().out
+        assert f"{name}" in out and "forced failure" in out
+        assert any(line.split() == ["overall", "FAIL"] for line in out.splitlines())
+
+    def test_check_raising_in_a_worker_lane_is_a_fail_row(self, monkeypatch, capsys):
         import ngl.verify as verify
 
         def forced():
-            if index:
-                raise RuntimeError("forced failure")
-            return verify.Outcome(False, "forced failure")
+            raise RuntimeError("forced failure")
         checks = list(verify.CHECKS)
-        name = checks[index][0]
-        checks[index] = (name, forced)
+        name = checks[1][0]
+        checks[1] = (name, forced)
         monkeypatch.setattr(verify, "CHECKS", checks)
-        monkeypatch.setattr(verify, "_lane_count", lambda: lanes)
+        monkeypatch.setattr(verify, "_lane_count", lambda: 2)
         assert cli.main(["verify"]) == cli.EXIT_VIOLATION == 2
-        rows = [line.split(None, 3) for line in capsys.readouterr().out.splitlines()]
-        assert [rows[index][i] for i in (0, 1, 3)] == [name, "FAIL", detail]
+        rows = verify_rows(capsys)
+        assert [rows[1][i] for i in (0, 1, 3)] == [name, "FAIL", "RuntimeError: forced failure"]
         assert rows[-1] == ["overall", "FAIL"]
 
 

@@ -10,7 +10,8 @@ and the change first in odd ones, and reads the JSON object each run
 prints last.  Beside those end-to-end metrics each run records
 ``raw_wall_s``, lower being better: the median of its rounds' wall times
 (``rounds[].wall_s`` in the results file the run writes), unlike
-``ref_wall_s`` not rescaled by the reference kernel's speed.  OUT holds, per workload, every run's metrics, each metric's median and
+``ref_wall_s`` not rescaled by the reference kernel's speed.  OUT
+holds, per workload, every run's metrics, each metric's median and
 quartiles per side, and the pairs the change won by the metric's
 direction (ties count for neither side), with the seed, each checkout's
 HEAD commit and the host.
