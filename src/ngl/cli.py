@@ -15,6 +15,9 @@ missing its certified target, a failed verify check), 3 a mathematical
 hypothesis guard rejected the configuration (for example alpha > 1/3
 with re_agm).
 The environment variable NGL_SEED overrides the config's oracle seed.
+A warning a run raises (gd with solver.alpha_param below the declared
+level) is one stderr line, "warning: <message>", after "run N: " in a
+sweep.
 
 trace.csv columns are k, f_gap, grad_norm, noisy_grad_norm, bound,
 inner_loops; floats are rendered with 17 significant digits so offline
@@ -48,6 +51,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -180,22 +184,27 @@ def _write_trace_csv(path: Path, trace, bound) -> None:
 def _execute_core(cfg: ExperimentConfig, out_dir: Path) -> dict:
     """Run one experiment and write its artifacts.
 
-    Returns a merge-friendly record: exit code, error, summary fields,
-    the envelope floor and the first iteration at or below ten times it.
-    A field the run never reached (no bound, no noise floor, a failed
-    run's summary) is absent, and comparison.csv reads it as nan.
+    Returns a merge-friendly record: exit code, error, the messages of
+    the warnings the run raised, summary fields, the envelope floor and
+    the first iteration at or below ten times it.  A field the run never
+    reached (no bound, no noise floor, a failed run's summary) is
+    absent, and comparison.csv reads it as nan.
     """
     record = {"code": EXIT_OK, "error": "", "terminal": ""}
     t0 = time.perf_counter()
-    try:
-        trace, env = _run_experiment(cfg)
-    except ValueError as exc:
-        record["code"] = EXIT_GUARD
-        record["error"] = f"hypothesis guard: {exc}"
-        return record
-    except (ConvergenceFailureError, DivergedError, InnerLoopStallError) as exc:
-        record["code"] = EXIT_VIOLATION
-        record["error"] = f"guarantee violated: {exc}"
+    # each warning is reported as one line of its run, not in Python's
+    # two-line form; the active filters still decide which are raised
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            trace, env = _run_experiment(cfg)
+        except ValueError as exc:
+            record["code"] = EXIT_GUARD
+            record["error"] = f"hypothesis guard: {exc}"
+        except (ConvergenceFailureError, DivergedError, InnerLoopStallError) as exc:
+            record["code"] = EXIT_VIOLATION
+            record["error"] = f"guarantee violated: {exc}"
+    record["warnings"] = [str(w.message) for w in caught]
+    if record["code"] != EXIT_OK:
         return record
     wall = time.perf_counter() - t0
 
@@ -246,6 +255,8 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     record = _execute_core(cfg, Path(cfg.out_dir))
+    for message in record["warnings"]:
+        print(f"warning: {message}", file=sys.stderr)
     if record["error"]:
         print(record["error"], file=sys.stderr)
     if record["code"] == EXIT_OK:
@@ -311,6 +322,8 @@ def cmd_sweep(args) -> int:
 
     worst = EXIT_OK
     for record in records:
+        for message in record["warnings"]:
+            print(f"run {record['index']}: warning: {message}", file=sys.stderr)
         if record.get("error"):
             print(f"run {record['index']}: {record['error']}",
                   file=sys.stderr)

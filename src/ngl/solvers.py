@@ -12,14 +12,12 @@ Three runners share one trace format:
   accepts the step; no relative level needs to be known up front.
 
 Trace convention: row 0 is the starting point before any step; row k is
-the iterate after k accepted steps.  All runners accept an optional
-``monitor`` callback, an observer: it is shown each recorded point, in
-order, as an ``IterateView`` (an immutable NamedTuple), and must return
-None (any other value raises ``ValueError``).  A declared stop is the
-one way to end a run early: ``GDConfig`` and ``ReAgmConfig`` may declare
-one, which the core checks itself.  ``gap_target`` ends the run at the
-first point whose gap is at most the target, ``threshold`` at the first
-queried point whose noisy gradient norm is at most the threshold.
+the iterate after k accepted steps.  The returned ``RunTrace`` is the
+one record of a run.  A declared stop is the one way to end a run
+early: ``GDConfig`` and ``ReAgmConfig`` may declare one, which the core
+checks itself.  ``gap_target`` ends the run at the first point whose
+gap is at most the target, ``threshold`` at the first queried point
+whose noisy gradient norm is at most the threshold.
 Either ends the run at that point (an accelerated run's y point
 included) with terminal "stopping_rule"; the drivers' stopping, ridge
 and restart routes stop this way.
@@ -33,19 +31,18 @@ Each runner holds only its parameters and its update rule; one private
 stepping core (``_Core``) does the rest for all three: the start point,
 the finiteness guards that raise ``DivergedError`` or
 ``InnerLoopStallError`` with the partial trace, the gap-floor check,
-the x rows, y rows and adaptive columns, the monitor call and the final
-``RunTrace``.  The core validates each iterate once, with one
-finiteness check, and evaluates it with the problem's trusted kernels;
-every oracle query still goes through
-``GradientOracle.estimate_with_exact``, the one ``as_vector`` of a gd
-step.
+the x rows, y rows and adaptive columns and the final ``RunTrace``.
+The core validates each iterate once, with one finiteness check, and
+evaluates it with the problem's trusted kernels; every oracle query
+still goes through ``GradientOracle.estimate_with_exact``, the one
+``as_vector`` of a gd step.
 
 Its query rule: a point is queried only when the method steps from its
 estimate, and a gap target is checked before the query, so a point
 whose gap meets the target ends the run unqueried.  A threshold is
 checked right after the query, so it reads the point's noisy norm and
-needs no f(x).  The monitor sees every recorded point, with a NaN noisy
-norm where nothing was queried.
+needs no f(x).  The trace records every visited point, with a NaN
+noisy norm where nothing was queried.
 
 Its evaluation rule: every point pends with what the method needed at
 once (the x check, the query, the estimate guard, a queried point's
@@ -59,10 +56,7 @@ threshold reads only the noisy norm: when it fires, the core records
 the block up to that point and ends the run there.  Failures settle
 earlier rows first, so errors and traces do not depend on the block;
 only a run that defers f(x) and whose objective overflows may query up
-to a block more.  The monitor is called as each row is recorded, so it
-sees a block's rows after the block's queries; it picks no block and
-makes no query, so a watched run is the unwatched run, row for row,
-query for query and error for error.
+to a block more.
 """
 
 from __future__ import annotations
@@ -244,29 +238,6 @@ def re_agm_calculate_parameters(mu: float, L: float, alpha: float) -> ReAgmParam
     return ReAgmParameters(h=h, L_hat=L_hat, gamma_star=gamma_star, s=s, m=m, q=q, omega=omega)
 
 
-class IterateView(NamedTuple):
-    """What a monitor callback sees at each recorded point.
-
-    ``kind`` is "x" for main-sequence iterates and "y" for the
-    accelerated method's extrapolation points.  The monitor sees every
-    recorded point in order and returns None: it observes, and a
-    declared stop ends a run.  ``noisy_grad_norm`` is NaN where no
-    oracle query was made.  An immutable named tuple: the core builds
-    one per point, and a tuple costs a third of a frozen dataclass to
-    build.
-    """
-
-    kind: str
-    k: int
-    x: np.ndarray
-    f_gap: float
-    grad_norm: float
-    noisy_grad_norm: float
-
-
-Monitor = Callable[[IterateView], None]
-
-
 @dataclass
 class RunTrace:
     """Per-iteration record of a single run.
@@ -362,7 +333,7 @@ _INT_COLUMNS = ("k", "inner_loops")
 
 
 class _Core:
-    """The stepping core: one run's loop, guards, stops, trace rows and monitor.
+    """The stepping core: one run's loop, guards, stops and trace rows.
 
     A runner supplies only its update rule, ``step(point) -> (next x, its
     f or None)``, and ``run`` visits rows 0..steps around it.  ``adaptive``
@@ -375,19 +346,16 @@ class _Core:
     a deferred overflowing f is found up to a block of queries late.
     ``block`` is 1 in adaptive runs and when dim > 8192 (``block_rows``);
     ``at_point`` settles f(x) in ``visit``, before the query, where the
-    block is 1 or a gap target reads it.  ``record`` shows each row to
-    the monitor, which only observes: it sets neither.  f(x), its
-    finiteness and the gap floor are the run's problem's; the gradient
-    norms are those of the problem the oracle estimates.
+    block is 1 or a gap target reads it.  f(x), its finiteness and the
+    gap floor are the run's problem's; the gradient norms are those of
+    the problem the oracle estimates.
     """
 
     def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
-                 monitor: Optional[Monitor], adaptive: bool = False,
-                 accelerated: bool = False, gap_target: Optional[float] = None,
-                 threshold: Optional[float] = None):
+                 adaptive: bool = False, accelerated: bool = False,
+                 gap_target: Optional[float] = None, threshold: Optional[float] = None):
         self.problem = problem
         self.oracle = oracle
-        self.monitor = monitor
         self.adaptive = adaptive
         self.accelerated = accelerated
         self.gap_target = gap_target
@@ -515,10 +483,6 @@ class _Core:
         add_gap(gap)
         add_grad(grad_norm)
         add_noisy(noisy_norm)
-        if self.monitor is not None and self.monitor(
-                IterateView(kind, k, x, gap, grad_norm, noisy_norm)) is not None:
-            raise ValueError("a monitor only observes and must return None; "
-                             "end a run with the config's gap_target or threshold")
 
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
         """Set the adaptive columns of the latest row to the step leaving it."""
@@ -546,14 +510,22 @@ class _Core:
         )
 
 
+# benchmarks/tracer.py still calls each runner with monitor=None: the keyword
+# goes with the tracer's _monitored wrapper (ROADMAP item 2)
+def _no_monitor(monitor) -> None:
+    if monitor is not None:
+        raise TypeError("the runners take no monitor; read the returned RunTrace's columns")
+
+
 def gd_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: GDConfig,
-           x0=None, monitor: Optional[Monitor] = None) -> RunTrace:
+           x0=None, monitor=None) -> RunTrace:
     """Run N fixed steps x <- x - h * estimate(x).
 
     The step size comes from cfg.alpha/cfg.L; if cfg.alpha understates
     the oracle's declared relative level the run proceeds but is flagged
     with a warning, since the descent guarantees no longer apply.
     """
+    _no_monitor(monitor)
     if cfg.alpha < oracle.declared_alpha:
         warnings.warn(
             f"config alpha={cfg.alpha} is below the oracle's declared "
@@ -561,12 +533,12 @@ def gd_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: GDConfig,
             stacklevel=2,
         )
     h = cfg.step_size
-    core = _Core(problem, oracle, monitor, gap_target=cfg.gap_target, threshold=cfg.threshold)
+    core = _Core(problem, oracle, gap_target=cfg.gap_target, threshold=cfg.threshold)
     return core.run(cfg.steps, x0, lambda pt: (pt.x - h * pt.est, None))
 
 
 def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConfig,
-               x0=None, monitor: Optional[Monitor] = None) -> RunTrace:
+               x0=None, monitor=None) -> RunTrace:
     """Run the accelerated two-sequence recursion.
 
     Starting from u = x, each iteration extrapolates
@@ -575,16 +547,16 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
     descent step x <- y - h*estimate.  Row k of the trace is x^k; the
     y_* arrays record every extrapolation point.
 
-    The x rows are never queried; a monitor sees them with a NaN noisy
-    norm, and a declared stop at y makes that y the terminal point (see
-    RunTrace).
+    The x rows are never queried, so their noisy norms are NaN, and a
+    declared stop at y makes that y the terminal point (see RunTrace).
     """
+    _no_monitor(monitor)
     params = cfg.parameters
     omega, h = params.omega, params.h
     # the step's scalar factors, the same Python floats at every step
     y_div, u_keep, u_grad = 1.0 + omega, 1.0 - omega, 2.0 * omega / cfg.mu
-    core = _Core(problem, oracle, monitor, accelerated=True,
-                 gap_target=cfg.gap_target, threshold=cfg.threshold)
+    core = _Core(problem, oracle, accelerated=True, gap_target=cfg.gap_target,
+                 threshold=cfg.threshold)
     u = None
 
     def step(pt: _Point) -> np.ndarray:
@@ -609,8 +581,7 @@ def _adaptive_coefficients(t: int, L0: float, adapt_L: bool):
 
 
 def adaptive_gd_run(problem: ObjectiveProblem, oracle: GradientOracle,
-                    cfg: AdaptiveGDConfig, x0=None,
-                    monitor: Optional[Monitor] = None) -> RunTrace:
+                    cfg: AdaptiveGDConfig, x0=None, monitor=None) -> RunTrace:
     """Backtracking descent with doubling error-level guesses.
 
     Each outer step reuses one oracle query and retries the step with
@@ -624,7 +595,8 @@ def adaptive_gd_run(problem: ObjectiveProblem, oracle: GradientOracle,
     N + max(log2(1/(1-alpha)), log2(L/L0)) + 1 for conforming oracles.
     inner_loops[k] records failed trials while leaving row k.
     """
-    core = _Core(problem, oracle, monitor, adaptive=True)
+    _no_monitor(monitor)
+    core = _Core(problem, oracle, adaptive=True)
     J = 1
     delta_sq = cfg.delta * cfg.delta
 

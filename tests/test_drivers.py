@@ -507,14 +507,14 @@ class TestRestart:
 
 
 def test_routes_stop_through_the_config(monkeypatch):
-    # every route hands the core a declared stop, never a monitor callback
+    # every route hands the core its stop through the config
     import ngl.drivers as drivers
 
     calls = []
     for name in ("gd_run", "re_agm_run"):
-        def runner(problem, oracle, cfg, x0=None, monitor=None, real=getattr(drivers, name)):
-            calls.append((cfg.gap_target, cfg.threshold, monitor))
-            return real(problem, oracle, cfg, x0=x0, monitor=monitor)
+        def runner(problem, oracle, cfg, x0=None, real=getattr(drivers, name)):
+            calls.append((cfg.gap_target, cfg.threshold))
+            return real(problem, oracle, cfg, x0=x0)
         monkeypatch.setattr(drivers, name, runner)
     base = nesterov_convex(5, 10.0, 20)
     R = float(np.linalg.norm(base.x_star))
@@ -526,10 +526,9 @@ def test_routes_stop_through_the_config(monkeypatch):
     solve_convex_re_agm(base, exact_oracle(base), eps, 0.5, R)
     combined_reg_stop(base, sampled_oracle(base, alpha=0.05, seed=21), eps, 0.0, R)
     restart_to_convex("gd", p, exact_oracle(p), p.gap(np.zeros(8)) / 8.0)
-    assert calls[:4] == [(None, rule.threshold(0.0), None), (eps, None, None), (eps, None, None),
-                         (eps, plan_combined(base.L, R, 0.05, eps, 0.0)[3], None)]
+    assert calls[:4] == [(None, rule.threshold(0.0)), (eps, None), (eps, None),
+                         (eps, plan_combined(base.L, R, 0.05, eps, 0.0)[3])]
     targets = [p.gap(np.zeros(8)) / 2 ** i for i in (1, 2, 3)]
-    assert [call[2] for call in calls[4:]] == [None] * 3
     assert [call[1] for call in calls[4:]] == [None] * 3
     assert [call[0] for call in calls[4:]] == pytest.approx(targets, rel=1e-15)
 

@@ -23,7 +23,6 @@ from ngl.solvers import (
     DivergedError,
     GDConfig,
     InnerLoopStallError,
-    IterateView,
     ReAgmConfig,
     _adaptive_coefficients,
     adaptive_gd_run,
@@ -255,51 +254,22 @@ class TestGDRun:
         assert np.all(np.isfinite(trace.f_gap))
 
     def test_monitor_stops_early(self):
-        # a monitor cannot end a run any more: asking to raises, and the
-        # declared threshold gives the early stop it used to
+        # a monitor cannot end a run: the runner refuses one, and the
+        # declared threshold gives the early stop
         prob = half_sphere_quadratic()
-        seen = []
-
-        def monitor(view: IterateView):
-            seen.append(view.kind)
-            return "stopping_rule" if view.grad_norm <= 0.3 else None
-
-        with pytest.raises(ValueError, match="must return None.*gap_target or threshold"):
-            gd_run(prob, exact_oracle(prob), GDConfig(steps=100, alpha=0.0, L=1.0),
-                   x0=[1.0, 0.0], monitor=monitor)
-        # |grad| = 0.75^k falls below 0.3 at k = 5
-        assert seen == ["x"] * 6
-        seen.clear()
+        cfg = GDConfig(steps=100, alpha=0.0, L=1.0)
+        with pytest.raises(TypeError, match="take no monitor"):
+            gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0],
+                   monitor=lambda trace: "stopping_rule")
         cfg = GDConfig(steps=100, alpha=0.0, L=1.0, threshold=0.3)
-        trace = gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0],
-                       monitor=lambda view: seen.append(view.kind))
+        trace = gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0])
+        # |grad| = 0.75^k falls below 0.3 at k = 5
         assert trace.terminal == "stopping_rule"
         assert trace.iterations == 5
         assert len(trace) == 6
         assert trace.final_f_gap == trace.f_gap[-1]
-        assert seen == ["x"] * 6
         # the halting row is queried before the threshold is read: it is not the last
         assert not np.any(np.isnan(trace.noisy_grad_norm))
-
-    def test_monitor_envelope_reason_passes_through(self):
-        # no terminal reason a monitor returns reaches the trace: the run
-        # raises at the row the monitor answered, and no trace carries it
-        prob = half_sphere_quadratic()
-        cfg = GDConfig(steps=3, alpha=0.0, L=1.0)
-        seen = []
-
-        def monitor(view):
-            seen.append(view.k)
-            return "envelope_violation" if view.k == 2 else None
-
-        with pytest.raises(ValueError, match="must return None") as exc:
-            gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0], monitor=monitor)
-        assert seen == [0, 1, 2]
-        assert not hasattr(exc.value, "trace")
-        trace = gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0],
-                       monitor=lambda view: None)
-        assert trace.terminal == "steps_exhausted"
-        assert trace.iterations == 3
 
     def test_gap_never_negative_beyond_tolerance(self):
         prob = nesterov_strongly_convex(1.0, 100.0, 30)
@@ -398,75 +368,68 @@ class TestReAgmRun:
 
     @pytest.mark.parametrize("monitored", [False, True], ids=["unmonitored", "monitored"])
     @pytest.mark.parametrize("mode", ["sampled_unbiased", "adversarial_opposing"])
-    def test_matches_reference_recursion(self, mode, monitored):
+    def test_matches_reference_recursion(self, monkeypatch, mode, monitored):
+        # "monitored": in the eager order, a block of one row (see
+        # TestMonitorRule), and in one block of 301 rows otherwise
+        if monitored:
+            monkeypatch.setattr(solvers, "block_rows", lambda dim: 1)
         # mu = 0.7, not a power of two, so dividing by it rounds
         prob = nesterov_strongly_convex(0.7, 70.0, 20)
         spec = NoiseSpec(alpha=0.3, delta=0.05, mode=mode, seed=11)
         cfg = ReAgmConfig(steps=300, mu=0.7, L=70.0, alpha=0.3)
         x0 = np.linspace(-1.0, 2.0, 20)
-        monitor = CountingMonitor() if monitored else None
         oracle = SyntheticNoiseOracle(prob, spec)
-        trace = re_agm_run(prob, oracle, cfg, x0=x0, monitor=monitor)
-        want, views, x_final = reference_re_agm(prob, SyntheticNoiseOracle(prob, spec), cfg, x0)
+        trace = re_agm_run(prob, oracle, cfg, x0=x0)
+        want, x_final = reference_run(prob, SyntheticNoiseOracle(prob, spec), cfg, x0)
         for name, column in want.items():
             assert np.array_equal(getattr(trace, name), column, equal_nan=True), name
         assert trace.terminal == "steps_exhausted"
         assert np.array_equal(trace.x_final, x_final)
         assert trace.final_f_gap == want["f_gap"][-1]
         assert oracle.queries == cfg.steps
-        if monitored:
-            assert len(monitor.views) == len(views) == 2 * cfg.steps + 1
-            for got, (kind, k, x, *row) in zip(monitor.views, views):
-                assert (got.kind, got.k) == (kind, k)
-                assert np.array_equal(got[3:], row, equal_nan=True)
-                assert np.array_equal(got.x, x)
 
 
-def reference_re_agm(problem, oracle, cfg, x0):
-    """The accelerated recursion written out with its literal expressions,
-    one query per y point and none at the x rows.  Returns the RunTrace
-    columns, the view of every recorded point in order and the final x."""
-    params = re_agm_calculate_parameters(cfg.mu, cfg.L, cfg.alpha)
-    omega, h, mu = params.omega, params.h, cfg.mu
-    cols = {name: [] for name in ("k", "f_gap", "grad_norm", "noisy_grad_norm",
-                                  "y_f_gap", "y_grad_norm", "y_noisy_grad_norm")}
-    views = []
+def reference_run(problem, oracle, cfg, x0):
+    """gd, or the accelerated recursion, written out with its literal
+    expressions: one query per point the method steps from (the x rows but
+    the last; the y points), f from ``problem`` and every gradient norm
+    from ``oracle.problem``.  Returns the RunTrace columns and the final x."""
+    accelerated = isinstance(cfg, ReAgmConfig)
+    names = ("f_gap", "grad_norm", "noisy_grad_norm")
+    cols = {name: [] for name in ("k",) + names + (("y_f_gap", "y_grad_norm", "y_noisy_grad_norm")
+                                                   if accelerated else ())}
 
-    def evaluate(kind, k, z, query):
+    def evaluate(prefix, z, query):
         gap = problem.value(z) - problem.f_star
         if query:
             est, exact = oracle.estimate_with_exact(z)
             noisy = float(np.linalg.norm(est))
         else:
-            est, exact, noisy = None, problem.gradient(z), math.nan
-        row = (gap, float(np.linalg.norm(exact)), noisy)
-        prefix = "" if kind == "x" else "y_"
-        for name, value in zip(("f_gap", "grad_norm", "noisy_grad_norm"), row):
+            est, exact, noisy = None, oracle.problem.gradient(z), math.nan
+        for name, value in zip(names, (gap, float(np.linalg.norm(exact)), noisy)):
             cols[prefix + name].append(value)
-        views.append((kind, k, z, *row))
         return est
 
+    if accelerated:
+        params = re_agm_calculate_parameters(cfg.mu, cfg.L, cfg.alpha)
+        omega, h, mu = params.omega, params.h, cfg.mu
+    else:
+        h = gd_step_size(cfg.alpha, cfg.L)
     x = np.array(x0, dtype=np.float64)
     u = x
     for k in range(cfg.steps + 1):
         cols["k"].append(k)
-        evaluate("x", k, x, False)
+        est = evaluate("", x, not (accelerated or k == cfg.steps))
         if k == cfg.steps:
             break
-        y = (omega * u + x) / (1.0 + omega)
-        est = evaluate("y", k, y, True)
-        u = (1.0 - omega) * u + omega * y - (2.0 * omega / mu) * est
-        x = y - h * est
-    return {name: np.asarray(col) for name, col in cols.items()}, views, x
-
-
-def test_iterate_view_is_an_immutable_named_tuple():
-    assert IterateView._fields == ("kind", "k", "x", "f_gap", "grad_norm", "noisy_grad_norm")
-    view = IterateView("x", 3, np.ones(2), 0.5, 1.0, math.nan)
-    assert view.k == 3 and view[3] == 0.5
-    for field in IterateView._fields:
-        with pytest.raises(AttributeError):
-            setattr(view, field, 0.0)
+        if accelerated:
+            y = (omega * u + x) / (1.0 + omega)
+            est = evaluate("y_", y, True)
+            u = (1.0 - omega) * u + omega * y - (2.0 * omega / mu) * est
+            x = y - h * est
+        else:
+            x = x - h * est
+    return {name: np.asarray(col) for name, col in cols.items()}, x
 
 
 class TestAdaptiveRun:
@@ -545,21 +508,13 @@ class TestAdaptiveRun:
         assert trace.iterations == 200
 
 
-class CountingMonitor:
-    """Keeps every view it is shown."""
-
-    def __init__(self):
-        self.views = []
-
-    def __call__(self, view):
-        self.views.append(view)
-
-
 class TestMonitorRule:
-    """The core's rule: a point is queried only when the method steps from
-    its estimate.  The monitor sees every recorded point, and a NaN noisy
-    norm exactly where nothing was queried; it only observes, so it never
-    changes the run."""
+    """A runner takes no monitor: its trace is the one record of the run.
+    A point is queried only when the method steps from its estimate, or to
+    read a threshold; the trace has a NaN noisy norm exactly where nothing
+    was queried.  A run's "watched" or "monitored" twin is the same run in
+    the eager order, the core's block of one row, which reads each point
+    as it comes, as a watched run once did."""
 
     RUNNERS = {
         "gd": (gd_run, GDConfig(steps=30, alpha=0.25, L=100.0)),
@@ -575,71 +530,63 @@ class TestMonitorRule:
     }
 
     @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
-    def test_monitor_sees_exactly_the_queried_points(self, name):
+    def test_trace_marks_exactly_the_queried_points(self, name):
+        # with no stop, then (gd and re_agm declare one) with a gap target
+        # and with a threshold that each end the run at point 15 or before
         run, cfg = self.RUNNERS[name]
         prob = nesterov_strongly_convex(1.0, 100.0, 20)
-        oracle = self.ORACLES["sampled"](prob)
-        monitor = CountingMonitor()
-        trace = run(prob, oracle, cfg, x0=np.ones(20), monitor=monitor)
-        assert trace.terminal == "steps_exhausted"
-        queried = [(v.kind, v.k) for v in monitor.views if math.isfinite(v.noisy_grad_norm)]
-        assert len(queried) == oracle.queries == cfg.steps
-        assert [v.k for v in monitor.views if v.kind == "x"] == list(range(cfg.steps + 1))
-        if name == "re_agm":
-            # the accelerated method steps from its y points, never from x rows
-            assert queried == [("y", k) for k in range(cfg.steps)]
-            assert np.all(np.isnan(trace.noisy_grad_norm))
-        else:
-            assert queried == [("x", k) for k in range(cfg.steps)]
-            assert math.isnan(trace.noisy_grad_norm[-1])
+        full = run(prob, self.ORACLES["sampled"](prob), cfg, x0=np.ones(20))
+        stops = [{}]
+        if name != "adaptive_gd":
+            noisy = full.noisy_grad_norm if name == "gd" else full.y_noisy_grad_norm
+            stops += [{"gap_target": float(full.f_gap[15])}, {"threshold": float(noisy[15])}]
+        for stop in stops:
+            oracle = self.ORACLES["sampled"](prob)
+            trace = run(prob, oracle, dataclasses.replace(cfg, **stop), x0=np.ones(20))
+            assert trace.terminal == ("stopping_rule" if stop else "steps_exhausted"), stop
+            assert 0 < trace.iterations <= (15 if stop else cfg.steps)
+            assert np.array_equal(trace.k, np.arange(trace.iterations + 1))
+            if name == "re_agm":
+                # the accelerated method steps from its y points, never from x rows
+                assert np.all(np.isnan(trace.noisy_grad_norm))
+                noisy, ends_there = trace.y_noisy_grad_norm, len(trace.y_f_gap) == len(trace.k)
+            else:
+                noisy, ends_there = trace.noisy_grad_norm, True
+            # every point the run stepped from is queried; its terminal point
+            # only to read a threshold
+            assert np.all(np.isfinite(noisy[:-1] if ends_there else noisy)), stop
+            if ends_there:
+                assert math.isfinite(noisy[-1]) == ("threshold" in stop), stop
+            assert oracle.queries == np.count_nonzero(np.isfinite(noisy)), stop
 
     @pytest.mark.parametrize("oracle_name", ["sampled", "adversarial", "fd_value_noise"])
     @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
-    def test_watching_a_run_never_changes_it(self, name, oracle_name):
-        run, cfg = self.RUNNERS[name]
+    def test_watching_a_run_never_changes_it(self, monkeypatch, name, oracle_name):
         # runs evaluate rows in blocks of 2**14 // n = 8 here, so gd's 31
-        # rows span 4 blocks and re_agm's 61 points 8; the monitor is shown
-        # each block's rows as they are recorded
+        # rows span 4 blocks and re_agm's 61 points 8 (an adaptive run's
+        # block is always one row): each run is its eager twin, row for row
+        # and query for query
+        run, cfg = self.RUNNERS[name]
         prob = nesterov_strongly_convex(1.0, 100.0, 2000)
-        assert solvers._Core(prob, None, None).block == 8
-        alone, watched = self.ORACLES[oracle_name](prob), self.ORACLES[oracle_name](prob)
-        want = run(prob, alone, cfg, x0=np.ones(2000))
-        monitor = CountingMonitor()
-        got = run(prob, watched, cfg, x0=np.ones(2000), monitor=monitor)
-        for field in dataclasses.fields(want):
-            a, b = getattr(want, field.name), getattr(got, field.name)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b, equal_nan=True), field.name
-            else:
-                assert a == b, field.name
-        assert watched.queries == alone.queries
-        # every recorded point, in order: x0, then (y_k, x_{k+1}) for re_agm
-        seen = [(v.kind, v.k, v.f_gap, v.grad_norm, v.noisy_grad_norm) for v in monitor.views]
-        rows = list(zip(want.k, want.f_gap, want.grad_norm, want.noisy_grad_norm))
-        if want.y_f_gap is None:
-            recorded = [("x", *row) for row in rows]
-        else:
-            ys = zip(range(len(want.y_f_gap)), want.y_f_gap, want.y_grad_norm, want.y_noisy_grad_norm)
-            recorded = [("x", *rows[0])] + [p for y, x in zip(ys, rows[1:]) for p in (("y", *y), ("x", *x))]
-        assert len(seen) == len(recorded)
-        for s_point, r_point in zip(seen, recorded):
-            assert s_point[:2] == r_point[:2]
-            assert np.array_equal(s_point[2:], r_point[2:], equal_nan=True)
+        assert solvers._Core(prob, None).block == 8
+        blocked_oracle, eager_oracle = self.ORACLES[oracle_name](prob), self.ORACLES[oracle_name](prob)
+        blocked = run(prob, blocked_oracle, cfg, x0=np.ones(2000))
+        monkeypatch.setattr(solvers, "block_rows", lambda dim: 1)
+        eager = run(prob, eager_oracle, cfg, x0=np.ones(2000))
+        queries, eager_queries = blocked_oracle.queries, eager_oracle.queries
+        assert_same_trace(blocked, eager)
+        assert queries == eager_queries == cfg.steps
 
     @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
     def test_a_monitor_that_returns_a_value_raises(self, name):
-        # a monitor cannot end a run: the config's declared stop does that
+        # a runner refuses any monitor, before its first query: read the
+        # returned trace, and end a run early with the config's declared stop
         run, cfg = self.RUNNERS[name]
         prob = nesterov_strongly_convex(1.0, 100.0, 20)
-        seen = []
-
-        def monitor(view):
-            seen.append(view.k)
-            return "stopping_rule" if view.k == 3 else None
-
-        with pytest.raises(ValueError, match="must return None.*gap_target or threshold"):
-            run(prob, self.ORACLES["sampled"](prob), cfg, x0=np.ones(20), monitor=monitor)
-        assert seen[-1] == 3
+        oracle = self.ORACLES["sampled"](prob)
+        with pytest.raises(TypeError, match="^the runners take no monitor; read the returned RunTrace"):
+            run(prob, oracle, cfg, x0=np.ones(20), monitor=lambda trace: "stopping_rule")
+        assert oracle.queries == 0
 
     @pytest.mark.parametrize("name", ["gd", "adaptive_gd"])
     def test_unmonitored_final_row_is_unqueried(self, name):
@@ -658,38 +605,26 @@ class TestRecordingRule:
 
     @pytest.mark.parametrize("name", ["gd", "re_agm"])
     def test_base_run_with_a_ridge_oracle(self, name):
-        # 2**14 // 2000 = 8 rows per block: the unmonitored run spans several
+        # 2**14 // 2000 = 8 rows per block: the run spans several
         base = nesterov_convex(1000, 10.0, 2000)
         reg = drivers.RegularizedProblem(base, np.zeros(2000), 0.05)
 
-        def run(monitor):
+        def ridge_oracle():
             base_oracle = SyntheticNoiseOracle(base, NoiseSpec(0.1, 0.0, "sampled_unbiased", 3))
-            oracle = drivers.RegularizedOracle(base_oracle, np.zeros(2000), 0.05, 1.0)
-            if name == "gd":
-                cfg = GDConfig(steps=40, alpha=0.2, L=reg.L)
-                return gd_run(base, oracle, cfg, x0=np.ones(2000), monitor=monitor)
-            cfg = ReAgmConfig(steps=40, mu=reg.mu, L=reg.L, alpha=0.2)
-            return re_agm_run(base, oracle, cfg, x0=np.ones(2000), monitor=monitor)
+            return drivers.RegularizedOracle(base_oracle, np.zeros(2000), 0.05, 1.0)
 
-        monitor = CountingMonitor()
-        watched, alone = run(monitor), run(None)
-        for field in dataclasses.fields(watched):
-            a, b = getattr(watched, field.name), getattr(alone, field.name)
-            if isinstance(a, np.ndarray):
-                assert np.array_equal(a, b, equal_nan=True), field.name
-            else:
-                assert a == b, field.name
-        rows = {"x": (watched.f_gap, watched.grad_norm), "y": (watched.y_f_gap, watched.y_grad_norm)}
-        counts = {"x": 0, "y": 0}
-        for view in monitor.views:
-            gaps, norms = rows[view.kind]
-            i = counts[view.kind]
-            counts[view.kind] += 1
-            g = reg._gradient(view.x)
-            assert gaps[i] == base._value(view.x) - base.f_star
-            assert norms[i] == math.sqrt(g.dot(g))
-        assert counts["x"] == len(watched.f_gap) == 41
-        assert counts["y"] == (40 if name == "re_agm" else 0)
+        if name == "gd":
+            run, cfg = gd_run, GDConfig(steps=40, alpha=0.2, L=reg.L)
+        else:
+            run, cfg = re_agm_run, ReAgmConfig(steps=40, mu=reg.mu, L=reg.L, alpha=0.2)
+        trace = run(base, ridge_oracle(), cfg, x0=np.ones(2000))
+        want, x_final = reference_run(base, ridge_oracle(), cfg, np.ones(2000))
+        for column, values in want.items():
+            assert np.array_equal(getattr(trace, column), values, equal_nan=True), column
+        assert np.array_equal(trace.x_final, x_final)
+        assert len(trace.f_gap) == 41 and len(want.get("y_f_gap", ())) == (40 if name == "re_agm" else 0)
+        # the two problems' gradients differ, so the norms tell which one was read
+        assert trace.grad_norm[0] != np.linalg.norm(base.gradient(np.ones(2000)))
 
 
 def assert_same_trace(want, got):
@@ -706,33 +641,33 @@ class TestDeclaredStop:
     threshold right after a query, the gap target before it."""
 
     @staticmethod
-    def run(name, steps, monitor=None, **stop):
+    def run(name, steps, **stop):
         # n = 2000: 2**14 // n = 8 rows per block, so a declared stop fires mid-block
         prob = nesterov_strongly_convex(1.0, 50.0, 2000)
         oracle = SyntheticNoiseOracle(prob, NoiseSpec(0.0, 0.5, "sampled_unbiased", seed=5))
         if name == "gd":
-            trace = gd_run(prob, oracle, GDConfig(steps, 0.0, prob.L, **stop),
-                           x0=np.ones(2000), monitor=monitor)
+            trace = gd_run(prob, oracle, GDConfig(steps, 0.0, prob.L, **stop), x0=np.ones(2000))
         else:
             trace = re_agm_run(prob, oracle, ReAgmConfig(steps, 1.0, prob.L, 0.0, **stop),
-                               x0=np.ones(2000), monitor=monitor)
+                               x0=np.ones(2000))
+        # the terminal point's gap, from x_final
+        assert prob._value(trace.x_final) - prob.f_star == trace.final_f_gap
         return trace, oracle.queries
 
     def test_gap_target_keeps_the_block(self):
         # the target reads f(x) at each point, before the query; the
         # gradient norms of unqueried rows still wait for the block
         prob = nesterov_strongly_convex(1.0, 50.0, 2000)
-        core = solvers._Core(prob, None, None, gap_target=1e-3)
+        core = solvers._Core(prob, None, gap_target=1e-3)
         assert core.block == 8 and core.at_point
-        assert not solvers._Core(prob, None, None, threshold=1e-3).at_point
+        assert not solvers._Core(prob, None, threshold=1e-3).at_point
 
     @pytest.mark.parametrize("name", ["gd", "re_agm"])
     def test_threshold_stop_cuts_the_unstopped_run(self, name):
         # the least noisy norm of the first 21 queries: the stop fires there
-        views = CountingMonitor()
-        full, _ = self.run(name, 60, monitor=views)
-        kind = "x" if name == "gd" else "y"
+        full, _ = self.run(name, 60)
         noisy = full.noisy_grad_norm if name == "gd" else full.y_noisy_grad_norm
+        gaps = full.f_gap if name == "gd" else full.y_f_gap
         first = int(np.argmin(noisy[:21]))
         threshold = float(noisy[first])
         # the point's place among the recorded points (x0, y0, x1, ... for
@@ -742,8 +677,7 @@ class TestDeclaredStop:
         assert trace.terminal == "stopping_rule" and trace.iterations == first
         # the unstopped run up to that point, x rows and y points alike,
         # and that point is the terminal one
-        halt = [view for view in views.views if view.kind == kind][first]
-        assert trace.final_f_gap == halt.f_gap and np.array_equal(trace.x_final, halt.x)
+        assert trace.final_f_gap == gaps[first]
         for field in dataclasses.fields(full):
             column = getattr(full, field.name)
             if isinstance(column, np.ndarray) and field.name != "x_final":
@@ -755,30 +689,33 @@ class TestDeclaredStop:
     def test_gap_halted_point_is_never_queried(self, name):
         # the target is the gap of the first point below every earlier one,
         # a y point for re_agm: the stop ends the run there, unqueried
-        views = CountingMonitor()
-        full, _ = self.run(name, 60, monitor=views)
+        full, _ = self.run(name, 60)
         kind = "x" if name == "gd" else "y"
-        for i, view in enumerate(views.views):
-            if view.kind == kind and view.k > 10 and view.f_gap < min(v.f_gap for v in views.views[:i]):
-                halt = view
+        # every recorded point's (kind, k, gap) in order: x0, then (y_k, x_{k+1}) for re_agm
+        points = [("x", 0, full.f_gap[0])]
+        for k in range(1, len(full.k)):
+            points += [("y", k - 1, full.y_f_gap[k - 1])] if name == "re_agm" else []
+            points.append(("x", k, full.f_gap[k]))
+        for i, (point_kind, k, gap) in enumerate(points):
+            if point_kind == kind and k > 10 and gap < min(p[2] for p in points[:i]):
                 break
         else:
             pytest.fail(f"no {kind} point below every earlier gap")
-        trace, queries = self.run(name, 60, gap_target=halt.f_gap)
+        trace, queries = self.run(name, 60, gap_target=gap)
         assert trace.terminal == "stopping_rule"
-        assert trace.final_f_gap == halt.f_gap and np.array_equal(trace.x_final, halt.x)
-        assert trace.iterations == halt.k
+        assert trace.final_f_gap == gap
+        assert trace.iterations == k
         if name == "gd":
             noisy, full_noisy = trace.noisy_grad_norm, full.noisy_grad_norm
         else:
             noisy, full_noisy = trace.y_noisy_grad_norm, full.y_noisy_grad_norm
-            assert np.array_equal(trace.y_f_gap, full.y_f_gap[:halt.k + 1])
+            assert np.array_equal(trace.y_f_gap, full.y_f_gap[:k + 1])
         # every earlier point as in the unstopped run; the halting point unqueried
-        assert math.isnan(noisy[-1]) and np.isfinite(full_noisy[halt.k])
-        assert np.array_equal(noisy[:-1], full_noisy[:halt.k])
-        assert np.array_equal(trace.f_gap, full.f_gap[:halt.k + 1])
-        assert np.array_equal(trace.grad_norm, full.grad_norm[:halt.k + 1])
-        assert queries == halt.k
+        assert math.isnan(noisy[-1]) and np.isfinite(full_noisy[k])
+        assert np.array_equal(noisy[:-1], full_noisy[:k])
+        assert np.array_equal(trace.f_gap, full.f_gap[:k + 1])
+        assert np.array_equal(trace.grad_norm, full.grad_norm[:k + 1])
+        assert queries == k
 
 
 class NonFiniteAtQuery(GradientOracle):
@@ -816,8 +753,7 @@ class TestDeferredRows:
 
         The eager twin is the same run with a block of one row
         (``numkit.BLOCK_FLOATS`` = 1), which settles f(x) before each
-        query.  A watched run is the run itself, queries included.  A
-        huge estimate at query 12 sends the next point where f(x)
+        query.  A huge estimate at query 12 sends the next point where f(x)
         overflows while x stays finite: row 13, in the second block of 8.
         With a NaN estimate at query 14 too, the estimate guard fails at
         a later point of the same block, and row 13 must still win.
@@ -827,18 +763,15 @@ class TestDeferredRows:
                     "re_agm": (re_agm_run, ReAgmConfig(steps=40, mu=1.0, L=50.0, alpha=0.0,
                                                        **stop))}[name]
         raised = []
-        for monitor, block_floats in ((None, numkit.BLOCK_FLOATS),
-                                      (CountingMonitor(), numkit.BLOCK_FLOATS), (None, 1)):
+        for block_floats in (numkit.BLOCK_FLOATS, 1):
             monkeypatch.setattr(numkit, "BLOCK_FLOATS", block_floats)
             oracle = (cls.ThenNaN if then_nan else NonFiniteAtQuery)(prob, 12, 1e200)
             with pytest.raises(DivergedError) as exc:
-                run(prob, oracle, cfg, x0=np.ones(2000), monitor=monitor)
+                run(prob, oracle, cfg, x0=np.ones(2000))
             raised.append((str(exc.value), exc.value.trace, oracle.queries))
-        (message, trace, queries), watched, (eager_message, eager_trace, eager_queries) = raised
-        assert message == watched[0] == eager_message == "non-finite objective value at step 13"
-        assert_same_trace(trace, watched[1])
+        (message, trace, queries), (eager_message, eager_trace, eager_queries) = raised
+        assert message == eager_message == "non-finite objective value at step 13"
         assert_same_trace(trace, eager_trace)
-        assert watched[2] == queries
         assert list(trace.k) == list(range(13))
         assert eager_queries == 13
         return queries
@@ -849,7 +782,7 @@ class TestDeferredRows:
     def test_divergence_mid_block_matches_the_monitored_twin(self, monkeypatch, name, then_nan):
         queries = self.twin_queries(monkeypatch, name, then_nan)
         # the documented difference: the run queried on to the end of the
-        # block before it evaluated row 13, watched or not
+        # block before it evaluated row 13
         assert 13 < queries <= 13 + 8
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -12,14 +12,12 @@ CPU features numpy dispatches to, the three things the digests depend
 on besides the code; a tier-1 test compares the listing case by case.
 
 - A solver case digests every ``RunTrace`` field, ``oracle.queries``,
-  every ``IterateView`` its monitor saw, the exception it raised (type,
-  message and carried trace, and the queries its oracles made before
-  it) and the warnings it raised.
+  the exception it raised (type, message and carried trace, and the
+  queries its oracles made before it) and the warnings it raised.
 - Cases cover gd, re_agm and adaptive_gd (``adapt_L`` off and on) at 0
-  and 40 steps; no monitor (``nomon``), a recording monitor (``rec``)
-  that sees every recorded point, and (gd, re_agm) a recording monitor
-  on a run that declares a gap target (``gaptarget``, 0.3 of the start
-  gap); synthetic noise in every mode with
+  and 40 steps; a run without a declared stop (``nomon``) and (gd,
+  re_agm) a run that declares a gap target (``gaptarget``, 0.3 of the
+  start gap); synthetic noise in every mode with
   certification off and on, finite differences with and without value
   noise, the three compressors and reduced precision; three problems.
   At n = 2000 (8 rows per evaluation block), gd and re_agm with sampled
@@ -30,7 +28,7 @@ on besides the code; a tier-1 test compares the listing case by case.
 - The five driver routes on two seeds, and the ridge routes'
   ``ConvergenceFailureError`` traces under a 5-step budget.
 - gd and re_agm run on a ridge's base problem with the ridge oracle at
-  n = 2000 (``edge:ridge_base:``), with and without a monitor.
+  n = 2000 (``edge:ridge_base:``).
 - The chains' tridiagonal solve: ``x_star`` and ``f_star`` at n = 1, 2
   and 5000, and the ``L = inf`` construction error.
 - Guards (``guard:``): the error of each budget, plan, parameter
@@ -61,11 +59,7 @@ on besides the code; a tier-1 test compares the listing case by case.
 Cases whose name starts with ``edge:`` are points where a change is
 expected to alter behaviour on purpose (the verify summation row is
 one); the last two lines give one digest over the other cases and one
-over the edge cases.  A last line compares each ``nomon`` run with its
-``rec`` twin: how many pairs end alike (same outcome and terminal) and
-how many are identical apart from the views (same trace and same
-queries, and the same error if one was raised).  A monitor only
-observes, so every pair should be identical.
+over the edge cases.
 """
 
 from __future__ import annotations
@@ -87,8 +81,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-
-VIEW_FIELDS = ("kind", "k", "x", "f_gap", "grad_norm", "noisy_grad_norm")
 
 
 class Digest:
@@ -134,25 +126,9 @@ class Digest:
         return self.h.hexdigest()[:16]
 
 
-def view_record(view) -> tuple:
-    # attribute access: the same record whether the view is a dataclass or a tuple
-    return tuple(getattr(view, name) for name in VIEW_FIELDS)
-
-
-class Recorder:
-    """Monitor that keeps every view."""
-
-    def __init__(self):
-        self.views = []
-
-    def __call__(self, view):
-        self.views.append(view_record(view))
-
-
 class Cases:
     def __init__(self):
         self.lines = []
-        self.pairs = {}  # pair key -> [(outcome, terminal, run digest)]
         self.watched = []  # the oracles the running case made
 
     def watch(self, oracle):
@@ -160,38 +136,24 @@ class Cases:
         self.watched.append(oracle)
         return oracle
 
-    def run(self, name: str, fn, pair=None) -> None:
-        """Call fn() and digest its result, or its exception, and the warnings.
-
-        With a ``pair`` key, fn returns (trace, queries, views); the run's
-        end and a digest of everything but the views are kept under it.
-        """
+    def run(self, name: str, fn) -> None:
+        """Call fn() and digest its result, or its exception, and the warnings."""
         d = Digest()
         outcome = "ok"
         self.watched = []
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                result = fn()
-                d.add(("ok", result))
-                if pair is not None:
-                    trace, ran = result[0], result[:2]
+                d.add(("ok", fn()))
             except Exception as exc:  # every exception is an observable outcome
                 outcome = type(exc).__name__
                 d.add(("raised", outcome, str(exc)))
                 for attr in ("trace", "stage", "target", "achieved"):
                     if hasattr(exc, attr):
                         d.add((attr, getattr(exc, attr)))
-                queries = [oracle.queries for oracle in self.watched]
-                d.add(("queries", queries))
-                trace = getattr(exc, "trace", None)
-                ran = (str(exc), trace, queries)
+                d.add(("queries", [oracle.queries for oracle in self.watched]))
         d.add(sorted({(w.category.__name__, str(w.message)) for w in caught}))
         self.lines.append(f"{name} {outcome} {d.hex()}")
-        if pair is not None:
-            rd = Digest()
-            rd.add(ran)
-            self.pairs.setdefault(pair, []).append((outcome, getattr(trace, "terminal", None), rd.hex()))
 
 
 def solver_cases(cases: Cases) -> None:
@@ -224,16 +186,16 @@ def solver_cases(cases: Cases) -> None:
         "fp30": lambda p: O.FloatingPointQuadraticOracle(p, PrecisionSpec(30), 10.0),
     }
 
-    def run_solver(rname, p, oracle, steps, monitor, gap_target=None):
+    def run_solver(rname, p, oracle, steps, gap_target=None):
         """One runner from the start np.ones at the oracle's own levels."""
         a, x0 = oracle.declared_alpha, np.ones(p.dim)
         if rname == "gd":
-            return S.gd_run(p, oracle, S.GDConfig(steps, a, p.L, gap_target), x0=x0, monitor=monitor)
+            return S.gd_run(p, oracle, S.GDConfig(steps, a, p.L, gap_target), x0=x0)
         if rname == "re_agm":
             cfg = S.ReAgmConfig(steps, p.mu, p.L, min(a, 1.0 / 3.0), gap_target)
-            return S.re_agm_run(p, oracle, cfg, x0=x0, monitor=monitor)
+            return S.re_agm_run(p, oracle, cfg, x0=x0)
         cfg = S.AdaptiveGDConfig(steps, p.L / 4.0, oracle.declared_delta, adapt_L=rname == "adaptive_L")
-        return S.adaptive_gd_run(p, oracle, cfg, x0=x0, monitor=monitor)
+        return S.adaptive_gd_run(p, oracle, cfg, x0=x0)
 
     for pname, p in problems.items():
         gap0 = p.gap(np.ones(p.dim))
@@ -245,17 +207,15 @@ def solver_cases(cases: Cases) -> None:
             for steps in (0, 40):
                 for rname in rnames:
                     # only gd and re_agm declare a stop
-                    for mname in ("nomon", "rec") + (("gaptarget",) if rname in ("gd", "re_agm") else ()):
+                    for mname in ("nomon",) + (("gaptarget",) if rname in ("gd", "re_agm") else ()):
 
                         def case():
                             oracle = cases.watch(make(p))
-                            monitor = None if mname == "nomon" else Recorder()
                             target = 0.3 * gap0 if mname == "gaptarget" else None
-                            trace = run_solver(rname, p, oracle, steps, monitor, target)
-                            return trace, oracle.queries, monitor.views if monitor else None
+                            # the None keeps each digest that of the listing's earlier tuple
+                            return run_solver(rname, p, oracle, steps, target), oracle.queries, None
 
-                        pair = f"{pname}:{oname}:{rname}:{steps}" if mname in ("nomon", "rec") else None
-                        cases.run(f"run:{pname}:{oname}:{rname}:{steps}:{mname}", case, pair)
+                        cases.run(f"run:{pname}:{oname}:{rname}:{steps}:{mname}", case)
 
     class Bad(O.GradientOracle):
         """Exact gradient, except entry 0 of query ``at`` is ``value``."""
@@ -282,22 +242,18 @@ def solver_cases(cases: Cases) -> None:
     x1 = np.ones(p.dim)
     for bad in (math.nan, math.inf, -math.inf, 1e200):
         for at in range(6):
-            for mname in ("nomon", "rec"):
-                for rname in ("gd", "re_agm", "adaptive"):
-                    def case(bad=bad, at=at, mname=mname, rname=rname):
-                        oracle = cases.watch(Bad(p, at, bad))
-                        monitor = Recorder() if mname == "rec" else None
-                        with np.errstate(over="ignore"):
-                            if rname == "gd":
-                                trace = S.gd_run(p, oracle, S.GDConfig(10, 0.0, p.L), x0=x1, monitor=monitor)
-                            elif rname == "re_agm":
-                                trace = S.re_agm_run(p, oracle, S.ReAgmConfig(10, p.mu, p.L, 0.0),
-                                                     x0=x1, monitor=monitor)
-                            else:
-                                trace = S.adaptive_gd_run(p, oracle, S.AdaptiveGDConfig(10, p.L),
-                                                          x0=x1, monitor=monitor)
-                        return trace, oracle.queries, monitor.views if monitor else None
-                    cases.run(f"bad_estimate:{bad}:{at}:{rname}:{mname}", case, f"{bad}:{at}:{rname}")
+            for rname in ("gd", "re_agm", "adaptive"):
+                def case(bad=bad, at=at, rname=rname):
+                    oracle = cases.watch(Bad(p, at, bad))
+                    with np.errstate(over="ignore"):
+                        if rname == "gd":
+                            trace = S.gd_run(p, oracle, S.GDConfig(10, 0.0, p.L), x0=x1)
+                        elif rname == "re_agm":
+                            trace = S.re_agm_run(p, oracle, S.ReAgmConfig(10, p.mu, p.L, 0.0), x0=x1)
+                        else:
+                            trace = S.adaptive_gd_run(p, oracle, S.AdaptiveGDConfig(10, p.L), x0=x1)
+                    return trace, oracle.queries, None
+                cases.run(f"bad_estimate:{bad}:{at}:{rname}:nomon", case)
 
     def exact(q):
         return cases.watch(oracles["none"](q))
@@ -305,20 +261,18 @@ def solver_cases(cases: Cases) -> None:
     # several evaluation blocks: 2**14 // 2000 = 8 rows each
     wide = P.nesterov_strongly_convex(1.0, 50.0, 2000)
     for rname in ("gd", "re_agm"):
-        for mname in ("nomon", "rec"):
-            def case(rname=rname, mname=mname):
-                oracle, monitor = cases.watch(oracles["sampled"](wide)), Recorder() if mname == "rec" else None
-                trace = run_solver(rname, wide, oracle, 40, monitor)
-                return trace, oracle.queries, monitor.views if monitor else None
-            cases.run(f"blocks:{rname}:{mname}", case, f"blocks:{rname}")
+        def case(rname=rname):
+            oracle = cases.watch(oracles["sampled"](wide))
+            return run_solver(rname, wide, oracle, 40), oracle.queries, None
+        cases.run(f"blocks:{rname}:nomon", case)
 
-            # a huge estimate at query 12 overflows the objective mid-block in the second block
-            def overflow(rname=rname, mname=mname):
-                oracle, monitor = cases.watch(Bad(wide, 12, 1e200)), Recorder() if mname == "rec" else None
-                with np.errstate(over="ignore"):
-                    trace = run_solver(rname, wide, oracle, 40, monitor)
-                return trace, oracle.queries, monitor.views if monitor else None
-            cases.run(f"blocks:overflow:{rname}:{mname}", overflow, f"blocks:overflow:{rname}")
+        # a huge estimate at query 12 overflows the objective mid-block in the second block
+        def overflow(rname=rname):
+            oracle = cases.watch(Bad(wide, 12, 1e200))
+            with np.errstate(over="ignore"):
+                trace = run_solver(rname, wide, oracle, 40)
+            return trace, oracle.queries, None
+        cases.run(f"blocks:overflow:{rname}:nomon", overflow)
 
     cases.run("explode:gd", lambda: S.gd_run(p, exact(p), S.GDConfig(1000, 0.0, p.L / 100.0), x0=x1))
     cases.run("explode:re_agm", lambda: S.re_agm_run(
@@ -408,17 +362,15 @@ def driver_cases(cases: Cases) -> None:
     # evaluation blocks; the unqueried rows' gradient norms are the ridge's
     wide = P.nesterov_convex(1000, 10.0, 2000)
     for rname in ("gd", "re_agm"):
-        for mname in ("nomon", "rec"):
-            def ridge_base(rname=rname, mname=mname):
-                oracle = cases.watch(D.RegularizedOracle(sampled(wide, 0.1, 0.0, 3), np.zeros(2000), 0.05, 1.0))
-                reg, monitor, x0 = oracle.problem, Recorder() if mname == "rec" else None, np.ones(2000)
-                if rname == "gd":
-                    trace = S.gd_run(wide, oracle, S.GDConfig(40, 0.2, reg.L), x0=x0, monitor=monitor)
-                else:
-                    cfg = S.ReAgmConfig(40, reg.mu, reg.L, 0.2)
-                    trace = S.re_agm_run(wide, oracle, cfg, x0=x0, monitor=monitor)
-                return trace, oracle.queries, monitor.views if monitor else None
-            cases.run(f"edge:ridge_base:{rname}:{mname}", ridge_base, f"ridge_base:{rname}")
+        def ridge_base(rname=rname):
+            oracle = cases.watch(D.RegularizedOracle(sampled(wide, 0.1, 0.0, 3), np.zeros(2000), 0.05, 1.0))
+            reg, x0 = oracle.problem, np.ones(2000)
+            if rname == "gd":
+                trace = S.gd_run(wide, oracle, S.GDConfig(40, 0.2, reg.L), x0=x0)
+            else:
+                trace = S.re_agm_run(wide, oracle, S.ReAgmConfig(40, reg.mu, reg.L, 0.2), x0=x0)
+            return trace, oracle.queries, None
+        cases.run(f"edge:ridge_base:{rname}:nomon", ridge_base)
 
     # constants that leave floating range at L = 1e308
     from ngl import bounds as B
@@ -655,12 +607,6 @@ def run_cases(root: Path, cli: bool) -> Cases:
     return cases
 
 
-def monitor_pairs(cases: Cases):
-    """(pairs, pairs that end alike, pairs identical apart from the views)."""
-    pairs = [ends for ends in cases.pairs.values() if len(ends) == 2]
-    return len(pairs), sum(a[:2] == b[:2] for a, b in pairs), sum(a == b for a, b in pairs)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
@@ -687,7 +633,6 @@ def main(argv=None) -> int:
     for label, group in (("digest", kept), ("edge digest", edge)):
         joined = "\n".join(group).encode()
         print(f"{label} ({len(group)} cases) {hashlib.sha256(joined).hexdigest()[:16]}")
-    print("monitor pairs ({}): {} end alike, {} identical".format(*monitor_pairs(cases)))
     return 0
 
 
