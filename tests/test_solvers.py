@@ -573,9 +573,8 @@ class TestMonitorRule:
         blocked = run(prob, blocked_oracle, cfg, x0=np.ones(2000))
         monkeypatch.setattr(solvers, "block_rows", lambda dim: 1)
         eager = run(prob, eager_oracle, cfg, x0=np.ones(2000))
-        queries, eager_queries = blocked_oracle.queries, eager_oracle.queries
         assert_same_trace(blocked, eager)
-        assert queries == eager_queries == cfg.steps
+        assert blocked_oracle.queries == eager_oracle.queries == cfg.steps
 
     @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
     def test_a_monitor_that_returns_a_value_raises(self, name):

@@ -13,7 +13,9 @@ on besides the code; a tier-1 test compares the listing case by case.
 
 - A solver case digests every ``RunTrace`` field, ``oracle.queries``,
   the exception it raised (type, message and carried trace, and the
-  queries its oracles made before it) and the warnings it raised.
+  queries its oracles made before it) and the warnings it raised.  It
+  returns ``(trace, queries, None)``: the listing's digests were
+  recorded with the None in that place.
 - Cases cover gd, re_agm and adaptive_gd (``adapt_L`` off and on) at 0
   and 40 steps; a run without a declared stop (``nomon``) and (gd,
   re_agm) a run that declares a gap target (``gaptarget``, 0.3 of the
@@ -212,7 +214,6 @@ def solver_cases(cases: Cases) -> None:
                         def case():
                             oracle = cases.watch(make(p))
                             target = 0.3 * gap0 if mname == "gaptarget" else None
-                            # the None keeps each digest that of the listing's earlier tuple
                             return run_solver(rname, p, oracle, steps, target), oracle.queries, None
 
                         cases.run(f"run:{pname}:{oname}:{rname}:{steps}:{mname}", case)
