@@ -101,6 +101,7 @@ class RegularizedProblem(ObjectiveProblem):
         self.base = base
         self.center = as_vector(center, base.dim).copy()
         self.mu_reg = float(mu_reg)
+        self._mu_reg_0d = np.array(self.mu_reg)  # a 0-d factor: see oracles._ZERO
 
     value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
     gradient = ObjectiveProblem.gradient
@@ -111,7 +112,7 @@ class RegularizedProblem(ObjectiveProblem):
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         d = x - self.center
-        return self.base._gradient(x) + self.mu_reg * d
+        return self.base._gradient(x) + self._mu_reg_0d * d
 
     def _values(self, X: np.ndarray) -> np.ndarray:
         D = X - self.center
@@ -152,7 +153,7 @@ class RegularizedOracle(GradientOracle):
         # x is validated by this query; the base query still counts and
         # certifies, and its exact gradient is the base half of the ridge's
         est, exact = self.base_oracle._query(x)
-        ridge = self.problem.mu_reg * (x - self.problem.center)
+        ridge = self.problem._mu_reg_0d * (x - self.problem.center)
         return est + ridge, exact + ridge
 
 

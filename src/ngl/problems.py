@@ -23,6 +23,10 @@ import numpy as np
 
 from .numkit import as_vector, row_dots
 
+# a kernel's fixed factors are 0-d float64 arrays: numpy multiplies a
+# vector by one faster than by a Python float, with the same IEEE product
+_TWO = np.array(2.0)
+
 
 def _solve_spd_tridiagonal(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve T x = rhs for the SPD tridiagonal T with diagonal d and off-diagonal e.
@@ -130,6 +134,7 @@ class ChainedConvex(ObjectiveProblem):
         x_star[:k] = 1.0 - j / (k + 1)
         self.x_star = x_star
         self.f_star = self.value(x_star)
+        self._quarter_L = np.array(self.L / 4.0)  # a 0-d constant: see _TWO
 
     value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
     gradient = ObjectiveProblem.gradient
@@ -148,10 +153,10 @@ class ChainedConvex(ObjectiveProblem):
         # row_dots on strided rows need not give the 1-D dot's bits
         h = x[: self.k]
         g = np.zeros(x.shape, order="F")
-        Ah = 2.0 * h
+        Ah = _TWO * h
         Ah[:-1] -= h[1:]
         Ah[1:] -= h[:-1]
-        g[: self.k] = self.L / 4.0 * Ah
+        g[: self.k] = self._quarter_L * Ah
         g[0] -= self.L / 4.0
         return g
 
@@ -182,6 +187,7 @@ class ChainedStronglyConvex(ObjectiveProblem):
         super().__init__(f"chained_strongly_convex(mu={mu},L={L},n={n})", n, mu, L)
         # Hessian = c * B + mu * I with B the chain matrix (B_nn = 1)
         c = self._c = mu * (self.L / self.mu - 1.0) / 4.0
+        self._c_0d, self._mu_0d = np.array(c), np.array(self.mu)  # see _TWO
         d = np.full(n, 2.0 * c + self.mu)
         d[-1] = c + self.mu
         rhs = np.zeros(n)
@@ -201,12 +207,12 @@ class ChainedStronglyConvex(ObjectiveProblem):
         return quarter * (float(chain) - 2.0 * float(x[0])) + self.mu / 2.0 * float(x @ x)
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
-        Bx = 2.0 * x
+        Bx = _TWO * x
         Bx[-1] -= x[-1]
         if self.dim > 1:
             Bx[:-1] -= x[1:]
             Bx[1:] -= x[:-1]
-        g = self._c * Bx + self.mu * x
+        g = self._c_0d * Bx + self._mu_0d * x
         g[0] -= self._c
         return g
 

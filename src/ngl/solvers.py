@@ -32,10 +32,11 @@ stepping core (``_Core``) does the rest for all three: the start point,
 the finiteness guards that raise ``DivergedError`` or
 ``InnerLoopStallError`` with the partial trace, the gap-floor check,
 the x rows, y rows and adaptive columns and the final ``RunTrace``.
-The core validates each iterate once, with one finiteness check, and
-evaluates it with the problem's trusted kernels; every oracle query
-still goes through ``GradientOracle.estimate_with_exact``, the one
-``as_vector`` of a gd step.
+The core validates each iterate once, with one finiteness test, and
+evaluates it with the problem's trusted kernels.  Every oracle query
+goes through ``GradientOracle.estimate_with_exact``, whose
+``as_vector`` is the test of a queried point; the core tests the
+others, and a point whose f(x) it reads before the query.
 
 Its query rule: a point is queried only when the method steps from its
 estimate, and a gap target is checked before the query, so a point
@@ -48,8 +49,11 @@ Its evaluation rule: every point pends with what the method needed at
 once (the x check, the query, the estimate guard, a queried point's
 norms), and a block of ``numkit.block_rows(dim)`` pending rows is
 flushed: the row kernels evaluate what the rows lack, f(x) and an
-unqueried point's gradient norm, with the same bits, and the rows are
-recorded in order.  f(x) is read at the point, before the query, only
+unqueried point's gradient norm, with the same bits; the block's values
+are tested for finiteness and its gaps against the floor once each,
+and its rows are stored in float64 columns grown in chunks.  When a
+test fails, the rows before the first failing one are stored and that
+row's error is raised.  f(x) is read at the point, before the query, only
 where a gap target checks it or the block is one row: in adaptive runs,
 whose predicate reads each row as it comes, and at dim > 8192.  A
 threshold reads only the noisy norm: when it fires, the core records
@@ -329,7 +333,50 @@ class _Point(NamedTuple):
 _X_COLUMNS = ("k", "f_gap", "grad_norm", "noisy_grad_norm")
 _ADAPTIVE_COLUMNS = ("inner_loops", "alpha_hat", "L_hat")
 _Y_COLUMNS = ("y_f_gap", "y_grad_norm", "y_noisy_grad_norm")
-_INT_COLUMNS = ("k", "inner_loops")
+_FIRST_ROWS = 1024  # rows a trace column holds at first; a full column doubles
+
+
+class _Columns:
+    """One kind of row's trace columns, gap first: float64 arrays, and
+    int64 for ``inner_loops``, filled a block of rows at a time."""
+
+    def __init__(self, names: tuple):
+        self.names = names
+        self.arrays = [np.empty(_FIRST_ROWS, np.int64 if name == "inner_loops" else np.float64)
+                       for name in names]
+        self.size = 0
+
+    def reserve(self, count: int) -> int:
+        """Room for ``count`` more rows; returns the first one's index."""
+        start = self.size
+        self.size = start + count
+        if self.size > len(self.arrays[0]):
+            grown = []
+            for array in self.arrays:
+                new = np.empty(max(self.size, 2 * len(array)), array.dtype)
+                new[:start] = array[:start]
+                grown.append(new)
+            self.arrays = grown
+        return start
+
+    def append(self, row: tuple) -> None:
+        """Store one row of scalars."""
+        i = self.reserve(1)
+        for array, value in zip(self.arrays, row):
+            array[i] = value
+
+    def extend(self, columns: tuple) -> None:
+        """Store rows: per column an array of them (the first column's
+        length is their count), or one scalar for all."""
+        start = self.reserve(len(columns[0]))
+        for array, column in zip(self.arrays, columns):
+            array[start:self.size] = column
+
+    def last_gap(self) -> float:
+        return float(self.arrays[0][self.size - 1]) if self.size else math.nan
+
+    def trace_columns(self) -> dict:
+        return {name: array[:self.size].copy() for name, array in zip(self.names, self.arrays)}
 
 
 class _Core:
@@ -342,13 +389,16 @@ class _Core:
     columns, which the update rule fills by visiting its extrapolation
     points.  ``visit`` does what the method needs to go on and pends the
     row; ``flush`` evaluates what a block of pending rows lacks with the
-    row kernels, then ``record`` checks and appends each row in order, so
+    row kernels, tests the block's values for finiteness and its gaps
+    against the floor once each, and stores it in the x and y columns; a
+    failing row raises its error after the rows before it are stored, so
     a deferred overflowing f is found up to a block of queries late.
-    ``block`` is 1 in adaptive runs and when dim > 8192 (``block_rows``);
-    ``at_point`` settles f(x) in ``visit``, before the query, where the
-    block is 1 or a gap target reads it.  f(x), its finiteness and the
-    gap floor are the run's problem's; the gradient norms are those of
-    the problem the oracle estimates.
+    ``block`` is 1 in adaptive runs and when dim > 8192 (``block_rows``),
+    and a block of one row whose f and norms are known is checked and
+    stored in Python floats.  ``at_point`` settles f(x) in ``visit``,
+    before the query, where the block is 1 or a gap target reads it.
+    f(x), its finiteness and the gap floor are the run's problem's; the
+    gradient norms are those of the problem the oracle estimates.
     """
 
     def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
@@ -357,7 +407,6 @@ class _Core:
         self.problem = problem
         self.oracle = oracle
         self.adaptive = adaptive
-        self.accelerated = accelerated
         self.gap_target = gap_target
         self.threshold = threshold
         self.block = 1 if adaptive else block_rows(problem.dim)
@@ -366,16 +415,10 @@ class _Core:
         # relative, like the package's other 1e-9 tolerances: the computed
         # f(x) - f_star carries rounding error on the scale of |f_star|
         self.floor = _GAP_FLOOR * max(1.0, abs(problem.f_star))
-        # one list of scalars per RunTrace column: rows kept as tuples
-        # would give the garbage collector a container per row to scan
-        names = (_X_COLUMNS + (_ADAPTIVE_COLUMNS if adaptive else ())
-                 + (_Y_COLUMNS if accelerated else ()))
-        self.cols = {name: [] for name in names}
-        # each column's append, bound once: record runs for every point
-        self.add_k = self.cols["k"].append
-        self.add_x = tuple(self.cols[name].append for name in _X_COLUMNS[1:])
-        self.add_trials = tuple(self.cols[name].append for name in _ADAPTIVE_COLUMNS) if adaptive else ()
-        self.add_y = tuple(self.cols[name].append for name in _Y_COLUMNS) if accelerated else ()
+        self.x_rows = _Columns(_X_COLUMNS[1:] + (_ADAPTIVE_COLUMNS if adaptive else ()))
+        # an x row's adaptive columns until trials() sets the step leaving it
+        self.x_blank = (0, math.nan, math.nan) if adaptive else ()
+        self.y_rows = _Columns(_Y_COLUMNS) if accelerated else None
         self.last_x: Optional[np.ndarray] = None
 
     def run(self, steps: int, x0, step: Callable[[_Point], tuple]) -> RunTrace:
@@ -383,28 +426,31 @@ class _Core:
         self.estimated = self.oracle.problem  # gives every row's grad_norm
         x = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
         f_val = None
+        accelerated = self.y_rows is not None
         # an overflow ends in DivergedError or a failed trial, not a warning
         with np.errstate(over="ignore"):
             try:
                 for k in range(steps + 1):
                     last = k == steps
                     # the accelerated method steps from its y points
-                    point = self.visit("x", k, x, not (last or self.accelerated), f_val)
+                    point = self.visit("x", k, x, not (last or accelerated), f_val)
                     if last:
                         break
                     x, f_val = step(point)
                 self.flush()
             except _Halt as halt:
                 return halt.trace
-        return self.build(TERMINAL_STEPS_EXHAUSTED, x, self.cols["f_gap"][-1])
+        return self.build(TERMINAL_STEPS_EXHAUSTED, x, self.x_rows.last_gap())
 
     def visit(self, kind: str, k: int, x: np.ndarray, query: bool,
               f_val: Optional[float] = None) -> _Point:
         """Check and query an "x" row or "y" point (``f_val``: f(x) if known), and pend it."""
         # the one validation of x: the start went through as_vector and
-        # each update rule builds float64 vectors of the problem's dimension;
-        # the finiteness test is as_vector's
-        if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
+        # each update rule builds float64 vectors of the problem's
+        # dimension, so a queried point's finiteness test is the query's
+        # as_vector, unless f(x) is read first
+        if ((self.at_point or not query) and not math.isfinite(np.vdot(x, x))
+                and not np.isfinite(x).all()):
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
         halt = False
         if self.at_point:  # f(x) is checked before the query
@@ -416,7 +462,9 @@ class _Core:
         if query:
             try:
                 est, exact = self.oracle.estimate_with_exact(x)
-            except Exception:  # an earlier row's error, or this f(x)'s, comes first
+            except Exception:  # an earlier row's error, or this x's or f(x)'s, comes first
+                if not np.isfinite(x).all():  # the query's as_vector refused x
+                    raise self.abort(DivergedError, f"non-finite iterate at step {k}") from None
                 self.settle(k, x, f_val)
                 self.flush()
                 raise
@@ -434,8 +482,8 @@ class _Core:
         if halt or len(self.pending) == self.block:
             self.flush()
         if halt:
-            gap = self.cols["f_gap" if kind == "x" else "y_f_gap"][-1]
-            raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, gap))
+            rows = self.x_rows if kind == "x" else self.y_rows
+            raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, rows.last_gap()))
         return _Point(k, x, f_val, est, noisy_norm)
 
     def settle(self, k: int, x: np.ndarray, f_val: Optional[float]) -> float:
@@ -447,66 +495,81 @@ class _Core:
         return f_val
 
     def flush(self) -> None:
-        """Evaluate what the pending rows lack with the row kernels, then record them in order."""
+        """Evaluate what the pending rows lack with the row kernels, test the
+        block once and store it; a failing row raises after the rows before it."""
         pending = self.pending
         if not pending:
             return
         self.pending = []
-        unvalued = [row[2] for row in pending if row[3] is None]
-        if unvalued:
-            values = iter(self.problem._values(np.array(unvalued)).tolist())
-        unqueried = [row[2] for row in pending if row[4] is None]
+        if len(pending) == 1:
+            # a settled (so finite), queried row, as where the block is one row
+            kind, k, x, f_val, grad_norm, noisy_norm = pending[0]
+            gap = math.nan if f_val is None else f_val - self.problem.f_star
+            if grad_norm is not None and gap >= self.floor:
+                if kind == "x":
+                    self.last_x = x
+                    self.x_rows.append((gap, grad_norm, noisy_norm) + self.x_blank)
+                else:
+                    self.y_rows.append((gap, grad_norm, noisy_norm))
+                return
+        kinds, ks, xs, f_vals, grad_norms, noisy_norms = zip(*pending)
+        X = np.array(xs)
+        # f(x) is deferred for the whole block or for none of it
+        values = self.problem._values(X) if f_vals[0] is None else np.array(f_vals)
+        grads = np.array(grad_norms, dtype=np.float64)  # NaN where unqueried
+        unqueried = [i for i, norm in enumerate(grad_norms) if norm is None]
         if unqueried:
-            G = self.estimated._gradients(np.array(unqueried))
-            norms = iter(np.sqrt(row_dots(G, G)).tolist())
-        for kind, k, x, f_val, grad_norm, noisy_norm in pending:
-            if f_val is None:
-                f_val = next(values)
-                if not math.isfinite(f_val):
-                    raise self.abort(DivergedError, f"non-finite objective value at step {k}")
-            self.record(kind, k, x, f_val, next(norms) if grad_norm is None else grad_norm, noisy_norm)
+            G = self.estimated._gradients(X[unqueried])
+            grads[unqueried] = np.sqrt(row_dots(G, G))
+        gaps = values - self.problem.f_star
+        bad = ~(np.isfinite(values) & (gaps >= self.floor))  # a NaN gap fails the floor too
+        stop = int(bad.argmax()) if bad.any() else len(pending)
+        if stop:
+            self.store(kinds[:stop], xs[:stop],
+                       (gaps[:stop], grads[:stop], np.array(noisy_norms[:stop])))
+        if stop < len(pending):
+            k = ks[stop]
+            if not math.isfinite(values[stop]):
+                raise self.abort(DivergedError, f"non-finite objective value at step {k}")
+            where = f"row {k}" if kinds[stop] == "x" else f"y point {k}"
+            raise AssertionError(f"f_gap {float(gaps[stop])} below {self.floor} at {where}: bad f_star?")
 
-    def record(self, kind, k, x, f_val, grad_norm, noisy_norm) -> None:
-        gap = f_val - self.problem.f_star
-        if not gap >= self.floor:
-            where = f"row {k}" if kind == "x" else f"y point {k}"
-            raise AssertionError(f"f_gap {gap} below {self.floor} at {where}: bad f_star?")
-        if kind == "x":
-            self.last_x = x
-            self.add_k(k)
-            if self.adaptive:  # placeholders until trials() sets the step leaving this row
-                for add, value in zip(self.add_trials, (0, math.nan, math.nan)):
-                    add(value)
-            add_gap, add_grad, add_noisy = self.add_x
-        else:
-            add_gap, add_grad, add_noisy = self.add_y
-        add_gap(gap)
-        add_grad(grad_norm)
-        add_noisy(noisy_norm)
+    def store(self, kinds: tuple, xs: tuple, columns: tuple) -> None:
+        """Store a block's checked rows, x rows and y points apart."""
+        if self.y_rows is None:
+            self.last_x = xs[-1]
+            self.x_rows.extend(columns + self.x_blank)
+            return
+        y = np.array([kind == "y" for kind in kinds])
+        if not y.all():
+            self.last_x = xs[len(kinds) - 1 - kinds[::-1].index("x")]
+        self.x_rows.extend(tuple(column[~y] for column in columns))
+        self.y_rows.extend(tuple(column[y] for column in columns))
 
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
         """Set the adaptive columns of the latest row to the step leaving it."""
-        for name, value in zip(_ADAPTIVE_COLUMNS, (fails, alpha_hat, L_hat)):
-            self.cols[name][-1] = value
+        i = self.x_rows.size - 1
+        for array, value in zip(self.x_rows.arrays[3:], (fails, alpha_hat, L_hat)):
+            array[i] = value
 
     def abort(self, error, message: str) -> RuntimeError:
         """``error`` carrying the rows so far, to the last x row (a failing pending row raises first)."""
         self.flush()
         terminal = _TERMINAL_STALLED if error is InnerLoopStallError else _TERMINAL_DIVERGED
-        gaps = self.cols["f_gap"]
-        gap = gaps[-1] if gaps else math.nan
-        return error(message, self.build(terminal, self.last_x, gap))
+        return error(message, self.build(terminal, self.last_x, self.x_rows.last_gap()))
 
     def build(self, terminal: str, x_final: np.ndarray, final_f_gap: float) -> RunTrace:
-        arrays = {name: np.asarray(col, dtype=np.int64 if name in _INT_COLUMNS else np.float64)
-                  for name, col in self.cols.items()}
+        columns = self.x_rows.trace_columns()
+        if self.y_rows is not None:
+            columns.update(self.y_rows.trace_columns())
         return RunTrace(
+            k=np.arange(self.x_rows.size, dtype=np.int64),
             terminal=terminal,
             x_final=np.array(x_final, dtype=np.float64, copy=True),
             final_f_gap=float(final_f_gap),
             declared_alpha=self.oracle.declared_alpha,
             declared_delta=self.oracle.declared_delta,
-            **arrays,
+            **columns,
         )
 
 
@@ -532,7 +595,7 @@ def gd_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: GDConfig,
             f"relative level {oracle.declared_alpha}; descent guarantees do not apply",
             stacklevel=2,
         )
-    h = cfg.step_size
+    h = np.array(cfg.step_size)  # a 0-d factor: see re_agm_run
     core = _Core(problem, oracle, gap_target=cfg.gap_target, threshold=cfg.threshold)
     return core.run(cfg.steps, x0, lambda pt: (pt.x - h * pt.est, None))
 
@@ -551,10 +614,12 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
     declared stop at y makes that y the terminal point (see RunTrace).
     """
     _no_monitor(monitor)
-    params = cfg.parameters
-    omega, h = params.omega, params.h
-    # the step's scalar factors, the same Python floats at every step
-    y_div, u_keep, u_grad = 1.0 + omega, 1.0 - omega, 2.0 * omega / cfg.mu
+    w = cfg.parameters.omega
+    # the step's factors, fixed for the run, as 0-d float64 arrays: numpy
+    # multiplies a vector by one faster than by a Python float, with the
+    # same IEEE product
+    omega, y_div, u_keep, u_grad, h = map(np.array, (
+        w, 1.0 + w, 1.0 - w, 2.0 * w / cfg.mu, cfg.parameters.h))
     core = _Core(problem, oracle, accelerated=True, gap_target=cfg.gap_target,
                  threshold=cfg.threshold)
     u = None

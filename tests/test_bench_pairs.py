@@ -1,7 +1,7 @@
 """``tools/bench_pairs.py``: the run order alternates, and pairs are won by
 each metric's direction in BENCHMARK.json, over every workload it lists,
-each run's median raw round wall is read from its results file, and an
-edited checkout names no commit."""
+each run's median raw round wall and its setup samples are read from its
+results file, and an edited checkout names no commit."""
 
 import importlib.util
 import json
@@ -40,6 +40,7 @@ def test_alternating_pairs_are_summarised(tmp_path, monkeypatch):
         wall = walls[side][sum(1 for w, s in calls if (w, s) == (workload, side))]
         calls.append((workload, side))
         return {"correct": True, "attempted": 12, "failed": 0, "raw_wall_s": 2.0 * wall,
+                "setup_runs_s": [wall / 8.0] * 5,
                 "metrics": {"ref_wall_s": {"value": wall}, "ref_steps_per_s": {"value": 1.0 / wall}}}
 
     monkeypatch.setattr(tool, "run_once", run_once)
@@ -59,6 +60,9 @@ def test_alternating_pairs_are_summarised(tmp_path, monkeypatch):
         assert entry["metrics"]["raw_wall_s"]["change"]["median"] == 1.625
         assert entry["metrics"]["raw_wall_s"]["better"] == "lower"
         assert [r["raw_wall_s"] for r in entry["runs"]["parent"]] == [2.0] * 4
+        # each run keeps the samples whose median is its setup_s, beside the medians
+        assert [r["setup_runs_s"] for r in entry["runs"]["change"]] == [
+            [w / 8.0] * 5 for w in walls["change"]]
 
 
 def test_a_run_reads_its_raw_round_wall(tmp_path):
@@ -73,13 +77,15 @@ def test_a_run_reads_its_raw_round_wall(tmp_path):
         results = pathlib.Path("benchmarks/results")
         results.mkdir()
         rounds = [{"wall_s": w, "ref_wall_s": 1.0} for w in (0.5, 0.25, 0.75, 2.0)]
+        setup = [0.25, 0.5, 0.125, 0.375, 0.25]
         name = f"{args['--workload']}-seed{args['--seed']}-trace0.json"
-        (results / name).write_text(json.dumps({"rounds": rounds}))
+        (results / name).write_text(json.dumps({"rounds": rounds, "setup_runs_s": setup}))
         print("a progress line")
         print(json.dumps({"correct": True, "metrics": {}}))
     """))
     result = tool.run_once(tmp_path, "w", 4, 2.5)
-    assert result == {"correct": True, "metrics": {}, "raw_wall_s": 0.625}
+    assert result == {"correct": True, "metrics": {}, "raw_wall_s": 0.625,
+                      "setup_runs_s": [0.25, 0.5, 0.125, 0.375, 0.25]}
 
 
 def test_a_checkout_with_edits_is_refused(tmp_path):

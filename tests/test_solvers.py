@@ -544,7 +544,8 @@ class TestMonitorRule:
             oracle = self.ORACLES["sampled"](prob)
             trace = run(prob, oracle, dataclasses.replace(cfg, **stop), x0=np.ones(20))
             assert trace.terminal == ("stopping_rule" if stop else "steps_exhausted"), stop
-            assert 0 < trace.iterations <= (15 if stop else cfg.steps)
+            assert trace.iterations <= 15 if stop else trace.iterations == cfg.steps
+            assert trace.iterations > 0
             assert np.array_equal(trace.k, np.arange(trace.iterations + 1))
             if name == "re_agm":
                 # the accelerated method steps from its y points, never from x rows
@@ -586,16 +587,6 @@ class TestMonitorRule:
         with pytest.raises(TypeError, match="^the runners take no monitor; read the returned RunTrace"):
             run(prob, oracle, cfg, x0=np.ones(20), monitor=lambda trace: "stopping_rule")
         assert oracle.queries == 0
-
-    @pytest.mark.parametrize("name", ["gd", "adaptive_gd"])
-    def test_unmonitored_final_row_is_unqueried(self, name):
-        run, cfg = self.RUNNERS[name]
-        prob = nesterov_strongly_convex(1.0, 100.0, 20)
-        oracle = self.ORACLES["sampled"](prob)
-        trace = run(prob, oracle, cfg, x0=np.ones(20))
-        assert oracle.queries == cfg.steps
-        assert math.isnan(trace.noisy_grad_norm[-1])
-        assert np.all(np.isfinite(trace.noisy_grad_norm[:-1]))
 
 
 class TestRecordingRule:
@@ -718,17 +709,18 @@ class TestDeclaredStop:
 
 
 class NonFiniteAtQuery(GradientOracle):
-    """Exact gradient, except entry 0 of query ``at`` is set to ``value``."""
+    """Exact gradient, except entry ``entry`` of query ``at`` is set to ``value``."""
 
-    def __init__(self, problem, at, value):
+    def __init__(self, problem, at, value, entry=0):
         super().__init__(problem, 0.0, 0.0)
         self.at = at
         self.value = value
+        self.entry = entry
 
     def _estimate(self, x, exact):
         est = exact.copy()
         if self.queries == self.at:
-            est[0] = self.value
+            est[self.entry] = self.value
         return est
 
 
@@ -791,6 +783,67 @@ class TestDeferredRows:
         # a gap target that never fires: the run keeps its block of 8, but
         # settles f(x) at each point, before the query, as its eager twin does
         assert self.twin_queries(monkeypatch, name, then_nan, gap_target=-1.0) == 13
+
+    @staticmethod
+    def blocked_and_eager(monkeypatch, make_oracle, run):
+        """``run(oracle)``'s error, carried trace and queries, first with
+        blocks of 8 rows (n = 2000), then with the core's block of one row;
+        both runs must give the same."""
+        raised = []
+        for eager in (False, True):
+            if eager:
+                monkeypatch.setattr(solvers, "block_rows", lambda dim: 1)
+            oracle = make_oracle()
+            with pytest.raises(Exception) as exc:
+                run(oracle)
+            raised.append((type(exc.value), str(exc.value), getattr(exc.value, "trace", None),
+                           oracle.queries))
+        (kind, message, trace, queries), (eager_kind, eager_message, eager_trace, eager_queries) = raised
+        assert (kind, message, queries) == (eager_kind, eager_message, eager_queries)
+        if trace is not None or eager_trace is not None:
+            assert_same_trace(trace, eager_trace)
+        return kind, message, trace, queries
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["gd", "re_agm"])
+    def test_iterate_turning_non_finite_mid_block(self, monkeypatch, name):
+        # entry 1999 is a flat direction of the convex chain (k = 500), so f
+        # stays finite while a huge estimate there at query 12 sends the
+        # point the method queries next to infinity: gd's row 13 (h = 2.5),
+        # re_agm's y point 13 through u (2 omega / mu = 819, h = 2.5); the
+        # query's validation refuses it mid-block, after the rows before it
+        prob = nesterov_convex(500, 0.1, 2000)
+        if name == "gd":
+            run, cfg, kick = gd_run, GDConfig(steps=40, alpha=0.0, L=0.1), 1e308
+        else:
+            run, cfg, kick = re_agm_run, ReAgmConfig(steps=40, mu=1e-6, L=0.1, alpha=0.0), 1e307
+        kind, message, trace, queries = self.blocked_and_eager(
+            monkeypatch, lambda: NonFiniteAtQuery(prob, 12, kick, entry=1999),
+            lambda oracle: run(prob, oracle, cfg, x0=np.ones(2000)))
+        assert (kind, message) == (DivergedError, "non-finite iterate at step 13")
+        assert queries == 13
+        if name == "gd":
+            assert list(trace.k) == list(range(13))
+        else:  # x row 13 is finite, and recorded before its y point
+            assert list(trace.k) == list(range(14)) and len(trace.y_f_gap) == 13
+
+    def test_gap_floor_at_a_y_point_mid_block(self, monkeypatch):
+        # f_star raised just past the value at y point 37, below every
+        # earlier point's and above x row 38's, so both fail the floor; the
+        # two are points 75 and 76 of the run, inside the block 72-79, and
+        # the first one raises, after the 75 points stored before it
+        prob = nesterov_strongly_convex(1.0, 50.0, 2000)
+        cfg = ReAgmConfig(steps=38, mu=1.0, L=50.0, alpha=0.0)
+        full = re_agm_run(prob, exact_oracle(prob), cfg, x0=np.ones(2000))
+        earlier = min(full.f_gap[:38].min(), full.y_f_gap[:37].min())
+        assert full.f_gap[38] < full.y_f_gap[37] < earlier - 1.0
+        prob.f_star += float(full.y_f_gap[37]) + 1e-3
+        kind, message, _, queries = self.blocked_and_eager(
+            monkeypatch, lambda: exact_oracle(prob),
+            lambda oracle: re_agm_run(prob, oracle, cfg, x0=np.ones(2000)))
+        assert kind is AssertionError
+        assert message.startswith("f_gap -0.00") and message.endswith(" at y point 37: bad f_star?")
+        assert queries == 38
 
 
 class TestEstimateGuard:

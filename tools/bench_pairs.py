@@ -10,7 +10,10 @@ and the change first in odd ones, and reads the JSON object each run
 prints last.  Beside those end-to-end metrics each run records
 ``raw_wall_s``, lower being better: the median of its rounds' wall times
 (``rounds[].wall_s`` in the results file the run writes), unlike
-``ref_wall_s`` not rescaled by the reference kernel's speed.  OUT
+``ref_wall_s`` not rescaled by the reference kernel's speed, and
+``setup_runs_s``, the fresh-interpreter samples whose median is its
+``setup_s``, so that a move of ``setup_s`` can be read against its
+spread within one run.  OUT
 holds, per workload, every run's metrics, each metric's median and
 quartiles per side, and the pairs the change won by the metric's
 direction (ties count for neither side), with the seed, each checkout's
@@ -31,14 +34,15 @@ import numpy as np
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The run's printed result, with ``raw_wall_s`` from the results file it wrote."""
+    """The run's printed result, with ``raw_wall_s`` and ``setup_runs_s`` from the results file it wrote."""
     cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     record = root / "benchmarks" / "results" / f"{workload}-seed{seed}-trace0.json"
-    rounds = json.loads(record.read_text())["rounds"]
-    return result | {"raw_wall_s": statistics.median(r["wall_s"] for r in rounds)}
+    details = json.loads(record.read_text())
+    return result | {"raw_wall_s": statistics.median(r["wall_s"] for r in details["rounds"]),
+                     "setup_runs_s": details["setup_runs_s"]}
 
 
 def commit(root: Path) -> str:
@@ -76,7 +80,8 @@ def pairs(parent: Path, change: Path, workload: str, count: int, seed: int, seco
             result = run_once(parent if side == "parent" else change, workload, seed, seconds)
             values = {name: m["value"] for name, m in result["metrics"].items()}
             values["raw_wall_s"] = result["raw_wall_s"]
-            runs[side].append({k: result[k] for k in ("correct", "attempted", "failed")} | values)
+            kept = ("correct", "attempted", "failed", "setup_runs_s")
+            runs[side].append({k: result[k] for k in kept} | values)
             print(f"{workload} pair {i} {side}: {json.dumps(values)}", file=sys.stderr)
 
     metrics = {}

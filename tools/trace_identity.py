@@ -23,7 +23,9 @@ on besides the code; a tier-1 test compares the listing case by case.
   certification off and on, finite differences with and without value
   noise, the three compressors and reduced precision; three problems.
   At n = 2000 (8 rows per evaluation block), gd and re_agm with sampled
-  noise span several blocks (``blocks:``).
+  noise span several blocks (``blocks:``); at n = 2, sampled gd,
+  re_agm and adaptive_gd runs of 10,000 to 30,000 steps span several
+  8,192-row blocks and the trace columns' growth (``long:``).
 - Error cases: non-finite and huge estimates at queries 0-5, exploding
   steps, an ascent stall, bad starts, a wrong ``f_star``, and at
   n = 2000 an objective that overflows mid-block in a later block.
@@ -274,6 +276,15 @@ def solver_cases(cases: Cases) -> None:
                 trace = run_solver(rname, wide, oracle, 40)
             return trace, oracle.queries, None
         cases.run(f"blocks:overflow:{rname}:nomon", overflow)
+
+    # at n = 2 a block holds 8192 rows: long runs span several blocks and
+    # outgrow the trace columns' first allocations
+    narrow = P.nesterov_strongly_convex(1.0, 50.0, 2)
+    for rname, steps in (("gd", 30_000), ("re_agm", 20_000), ("adaptive", 10_000)):
+        def case(rname=rname, steps=steps):
+            oracle = cases.watch(oracles["sampled"](narrow))
+            return run_solver(rname, narrow, oracle, steps), oracle.queries, None
+        cases.run(f"long:{rname}:n2", case)
 
     cases.run("explode:gd", lambda: S.gd_run(p, exact(p), S.GDConfig(1000, 0.0, p.L / 100.0), x0=x1))
     cases.run("explode:re_agm", lambda: S.re_agm_run(
