@@ -406,7 +406,6 @@ class _Core:
                  gap_target: Optional[float] = None, threshold: Optional[float] = None):
         self.problem = problem
         self.oracle = oracle
-        self.adaptive = adaptive
         self.gap_target = gap_target
         self.threshold = threshold
         self.block = 1 if adaptive else block_rows(problem.dim)
@@ -549,7 +548,7 @@ class _Core:
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
         """Set the adaptive columns of the latest row to the step leaving it."""
         i = self.x_rows.size - 1
-        for array, value in zip(self.x_rows.arrays[3:], (fails, alpha_hat, L_hat)):
+        for array, value in zip(self.x_rows.arrays[-len(_ADAPTIVE_COLUMNS):], (fails, alpha_hat, L_hat)):
             array[i] = value
 
     def abort(self, error, message: str) -> RuntimeError:

@@ -544,8 +544,7 @@ class TestMonitorRule:
             oracle = self.ORACLES["sampled"](prob)
             trace = run(prob, oracle, dataclasses.replace(cfg, **stop), x0=np.ones(20))
             assert trace.terminal == ("stopping_rule" if stop else "steps_exhausted"), stop
-            assert trace.iterations <= 15 if stop else trace.iterations == cfg.steps
-            assert trace.iterations > 0
+            assert (0 < trace.iterations <= 15) if stop else trace.iterations == cfg.steps, stop
             assert np.array_equal(trace.k, np.arange(trace.iterations + 1))
             if name == "re_agm":
                 # the accelerated method steps from its y points, never from x rows
