@@ -587,6 +587,16 @@ class TestMonitorRule:
             run(prob, oracle, cfg, x0=np.ones(20), monitor=lambda trace: "stopping_rule")
         assert oracle.queries == 0
 
+    @pytest.mark.parametrize("name", ["gd", "adaptive_gd"])
+    def test_unmonitored_final_row_is_unqueried(self, name):
+        run, cfg = self.RUNNERS[name]
+        prob = nesterov_strongly_convex(1.0, 100.0, 20)
+        oracle = self.ORACLES["sampled"](prob)
+        trace = run(prob, oracle, cfg, x0=np.ones(20))
+        assert oracle.queries == cfg.steps
+        assert math.isnan(trace.noisy_grad_norm[-1])
+        assert np.all(np.isfinite(trace.noisy_grad_norm[:-1]))
+
 
 class TestRecordingRule:
     """f_gap is the gap of the runner's problem; grad_norm is the norm of
