@@ -391,17 +391,13 @@ class FloatingPointQuadraticOracle(GradientOracle):
         eps = self.precision.eps
         return self.ERROR_CONSTANT * (eps + per_row.shape[0] * eps**2) * float(np.linalg.norm(per_row))
 
-    def _row_error_bound(self, x) -> float:
-        """l2 bound from the per-row envelope at this x."""
-        x = as_vector(x, self.problem.dim)
-        return self._error_bound(np.abs(self.problem.b) + np.abs(self.problem.A) @ np.abs(x))
-
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
         # A and b were validated when the problem was built, x by the query
         est = _fp_quadratic(self.problem.A, self.problem.b, x, self.precision)
         if self.certify:
             err = float(np.linalg.norm(est - exact))
-            allowed = self._row_error_bound(x)
+            # l2 bound from the per-row envelope at this x
+            allowed = self._error_bound(np.abs(self.problem.b) + np.abs(self.problem.A) @ np.abs(x))
             if err > allowed + CERT_SLACK:
                 raise AssertionError(f"precision bound violated: {err} > {allowed}")
         return est

@@ -47,20 +47,22 @@ noisy norm where nothing was queried.
 
 Its evaluation rule: every point pends with what the method needed at
 once (the x check, the query, the estimate guard, a queried point's
-norms), and a block of ``numkit.block_rows(dim)`` pending rows is
-flushed: the row kernels evaluate what the rows lack, f(x) and an
-unqueried point's gradient norm, with the same bits; the block's values
-are tested for finiteness and its gaps against the floor once each,
-and its rows are stored in float64 columns grown in chunks.  When a
-test fails, the rows before the first failing one are stored and that
-row's error is raised.  f(x) is read at the point, before the query, only
-where a gap target checks it or the block is one row: in adaptive runs,
-whose predicate reads each row as it comes, and at dim > 8192.  A
-threshold reads only the noisy norm: when it fires, the core records
-the block up to that point and ends the run there.  Failures settle
-earlier rows first, so errors and traces do not depend on the block;
-only a run that defers f(x) and whose objective overflows may query up
-to a block more.
+norms), and a full block of ``numkit.block_rows(dim)`` pending rows is
+flushed when the next point arrives: the row kernels evaluate what the
+rows lack, f(x) and an unqueried point's gradient norm, with the same
+bits; the block's values are tested for finiteness and its gaps against
+the floor once each, and its rows are stored as a block of float64
+columns, which the trace joins once.  When a test fails, the rows before
+the first failing one are stored and that row's error is raised.  f(x)
+is read at the point, before the query, where the adaptive predicate
+reads it, where a gap target checks it, and where the block is one row
+(dim > 8192).  A threshold reads only the noisy norm: when it fires,
+the core records the block up to that point and ends the run there.
+Failures settle earlier rows first, so errors and traces do not depend
+on the block.  Queries may: a run may query up to a block more than its
+eager twin (a block of one row) when its objective overflows at a
+deferred f(x), and when a wrong f_star fails the gap floor, which is
+checked only when the row's block is flushed.
 """
 
 from __future__ import annotations
@@ -333,50 +335,6 @@ class _Point(NamedTuple):
 _X_COLUMNS = ("k", "f_gap", "grad_norm", "noisy_grad_norm")
 _ADAPTIVE_COLUMNS = ("inner_loops", "alpha_hat", "L_hat")
 _Y_COLUMNS = ("y_f_gap", "y_grad_norm", "y_noisy_grad_norm")
-_FIRST_ROWS = 1024  # rows a trace column holds at first; a full column doubles
-
-
-class _Columns:
-    """One kind of row's trace columns, gap first: float64 arrays, and
-    int64 for ``inner_loops``, filled a block of rows at a time."""
-
-    def __init__(self, names: tuple):
-        self.names = names
-        self.arrays = [np.empty(_FIRST_ROWS, np.int64 if name == "inner_loops" else np.float64)
-                       for name in names]
-        self.size = 0
-
-    def reserve(self, count: int) -> int:
-        """Room for ``count`` more rows; returns the first one's index."""
-        start = self.size
-        self.size = start + count
-        if self.size > len(self.arrays[0]):
-            grown = []
-            for array in self.arrays:
-                new = np.empty(max(self.size, 2 * len(array)), array.dtype)
-                new[:start] = array[:start]
-                grown.append(new)
-            self.arrays = grown
-        return start
-
-    def append(self, row: tuple) -> None:
-        """Store one row of scalars."""
-        i = self.reserve(1)
-        for array, value in zip(self.arrays, row):
-            array[i] = value
-
-    def extend(self, columns: tuple) -> None:
-        """Store rows: per column an array of them (the first column's
-        length is their count), or one scalar for all."""
-        start = self.reserve(len(columns[0]))
-        for array, column in zip(self.arrays, columns):
-            array[start:self.size] = column
-
-    def last_gap(self) -> float:
-        return float(self.arrays[0][self.size - 1]) if self.size else math.nan
-
-    def trace_columns(self) -> dict:
-        return {name: array[:self.size].copy() for name, array in zip(self.names, self.arrays)}
 
 
 class _Core:
@@ -385,18 +343,18 @@ class _Core:
     A runner supplies only its update rule, ``step(point) -> (next x, its
     f or None)``, and ``run`` visits rows 0..steps around it.  ``adaptive``
     keeps the inner_loops/alpha_hat/L_hat columns, which ``trials`` sets
-    for the step leaving the latest row; ``accelerated`` keeps the y
-    columns, which the update rule fills by visiting its extrapolation
-    points.  ``visit`` does what the method needs to go on and pends the
-    row; ``flush`` evaluates what a block of pending rows lacks with the
-    row kernels, tests the block's values for finiteness and its gaps
-    against the floor once each, and stores it in the x and y columns; a
-    failing row raises its error after the rows before it are stored, so
-    a deferred overflowing f is found up to a block of queries late.
-    ``block`` is 1 in adaptive runs and when dim > 8192 (``block_rows``),
-    and a block of one row whose f and norms are known is checked and
-    stored in Python floats.  ``at_point`` settles f(x) in ``visit``,
-    before the query, where the block is 1 or a gap target reads it.
+    in the latest row, still pending, for the step leaving it;
+    ``accelerated`` keeps the y columns, which the update rule fills by
+    visiting its extrapolation points.  ``visit`` does what the method
+    needs to go on and pends the row, after flushing a full block of
+    ``block_rows(dim)`` rows; ``flush`` evaluates what the pending rows
+    lack with the row kernels, tests the block's values for finiteness
+    and its gaps against the floor once each, and stores its checked
+    rows as one column tuple per kind of row; a failing row raises its
+    error after the rows before it are stored, so a deferred overflowing
+    f or a wrong f_star is found up to a block of queries late.
+    ``at_point`` settles f(x) in ``visit``, before the query, where the
+    adaptive predicate, a block of one row or a gap target reads it.
     f(x), its finiteness and the gap floor are the run's problem's; the
     gradient norms are those of the problem the oracle estimates.
     """
@@ -408,16 +366,20 @@ class _Core:
         self.oracle = oracle
         self.gap_target = gap_target
         self.threshold = threshold
-        self.block = 1 if adaptive else block_rows(problem.dim)
-        self.at_point = self.block == 1 or gap_target is not None
-        self.pending = []  # (kind, k, x, f or None, grad_norm or None, noisy_norm) per row
+        self.block = block_rows(problem.dim)
+        self.at_point = adaptive or self.block == 1 or gap_target is not None
+        # (kind, k, x, f or None, grad_norm or None, noisy_norm) per row,
+        # then an adaptive row's fields, blank until trials() sets them
+        self.pending = []
+        self.blank = (0, math.nan, math.nan) if adaptive else ()
         # relative, like the package's other 1e-9 tolerances: the computed
         # f(x) - f_star carries rounding error on the scale of |f_star|
         self.floor = _GAP_FLOOR * max(1.0, abs(problem.f_star))
-        self.x_rows = _Columns(_X_COLUMNS[1:] + (_ADAPTIVE_COLUMNS if adaptive else ()))
-        # an x row's adaptive columns until trials() sets the step leaving it
-        self.x_blank = (0, math.nan, math.nan) if adaptive else ()
-        self.y_rows = _Columns(_Y_COLUMNS) if accelerated else None
+        self.x_names = _X_COLUMNS[1:] + (_ADAPTIVE_COLUMNS if adaptive else ())
+        # each kind's stored blocks, after an empty one that fixes the dtypes
+        self.x_blocks = [tuple(np.empty(0, np.int64 if name == "inner_loops" else np.float64)
+                               for name in self.x_names)]
+        self.y_blocks = [(np.empty(0),) * len(_Y_COLUMNS)] if accelerated else None
         self.last_x: Optional[np.ndarray] = None
 
     def run(self, steps: int, x0, step: Callable[[_Point], tuple]) -> RunTrace:
@@ -425,7 +387,7 @@ class _Core:
         self.estimated = self.oracle.problem  # gives every row's grad_norm
         x = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
         f_val = None
-        accelerated = self.y_rows is not None
+        accelerated = self.y_blocks is not None
         # an overflow ends in DivergedError or a failed trial, not a warning
         with np.errstate(over="ignore"):
             try:
@@ -439,11 +401,13 @@ class _Core:
                 self.flush()
             except _Halt as halt:
                 return halt.trace
-        return self.build(TERMINAL_STEPS_EXHAUSTED, x, self.x_rows.last_gap())
+        return self.build(TERMINAL_STEPS_EXHAUSTED, x)
 
     def visit(self, kind: str, k: int, x: np.ndarray, query: bool,
               f_val: Optional[float] = None) -> _Point:
         """Check and query an "x" row or "y" point (``f_val``: f(x) if known), and pend it."""
+        if len(self.pending) == self.block:  # its errors come before this point's
+            self.flush()
         # the one validation of x: the start went through as_vector and
         # each update rule builds float64 vectors of the problem's
         # dimension, so a queried point's finiteness test is the query's
@@ -477,12 +441,10 @@ class _Core:
             grad_norm = math.sqrt(exact.dot(exact))
             noisy_norm = math.sqrt(est_sq)
             halt = self.threshold is not None and noisy_norm <= self.threshold
-        self.pending.append((kind, k, x, f_val, grad_norm, noisy_norm))
-        if halt or len(self.pending) == self.block:
-            self.flush()
+        self.pending.append((kind, k, x, f_val, grad_norm, noisy_norm) + self.blank)
         if halt:
-            rows = self.x_rows if kind == "x" else self.y_rows
-            raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, rows.last_gap()))
+            self.flush()
+            raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, kind))
         return _Point(k, x, f_val, est, noisy_norm)
 
     def settle(self, k: int, x: np.ndarray, f_val: Optional[float]) -> float:
@@ -500,23 +462,13 @@ class _Core:
         if not pending:
             return
         self.pending = []
-        if len(pending) == 1:
-            # a settled (so finite), queried row, as where the block is one row
-            kind, k, x, f_val, grad_norm, noisy_norm = pending[0]
-            gap = math.nan if f_val is None else f_val - self.problem.f_star
-            if grad_norm is not None and gap >= self.floor:
-                if kind == "x":
-                    self.last_x = x
-                    self.x_rows.append((gap, grad_norm, noisy_norm) + self.x_blank)
-                else:
-                    self.y_rows.append((gap, grad_norm, noisy_norm))
-                return
-        kinds, ks, xs, f_vals, grad_norms, noisy_norms = zip(*pending)
-        X = np.array(xs)
+        kinds, ks, xs, f_vals, grad_norms, noisy_norms, *adaptive = zip(*pending)
         # f(x) is deferred for the whole block or for none of it
-        values = self.problem._values(X) if f_vals[0] is None else np.array(f_vals)
-        grads = np.array(grad_norms, dtype=np.float64)  # NaN where unqueried
+        deferred = f_vals[0] is None
         unqueried = [i for i, norm in enumerate(grad_norms) if norm is None]
+        X = np.array(xs) if deferred or unqueried else None
+        values = self.problem._values(X) if deferred else np.array(f_vals)
+        grads = np.array(grad_norms, dtype=np.float64)  # NaN where unqueried
         if unqueried:
             G = self.estimated._gradients(X[unqueried])
             grads[unqueried] = np.sqrt(row_dots(G, G))
@@ -524,8 +476,8 @@ class _Core:
         bad = ~(np.isfinite(values) & (gaps >= self.floor))  # a NaN gap fails the floor too
         stop = int(bad.argmax()) if bad.any() else len(pending)
         if stop:
-            self.store(kinds[:stop], xs[:stop],
-                       (gaps[:stop], grads[:stop], np.array(noisy_norms[:stop])))
+            columns = (gaps, grads, np.array(noisy_norms)) + tuple(map(np.array, adaptive))
+            self.store(kinds[:stop], xs[:stop], tuple(column[:stop] for column in columns))
         if stop < len(pending):
             k = ks[stop]
             if not math.isfinite(values[stop]):
@@ -535,37 +487,37 @@ class _Core:
 
     def store(self, kinds: tuple, xs: tuple, columns: tuple) -> None:
         """Store a block's checked rows, x rows and y points apart."""
-        if self.y_rows is None:
+        if self.y_blocks is None:
             self.last_x = xs[-1]
-            self.x_rows.extend(columns + self.x_blank)
+            self.x_blocks.append(columns)
             return
         y = np.array([kind == "y" for kind in kinds])
         if not y.all():
             self.last_x = xs[len(kinds) - 1 - kinds[::-1].index("x")]
-        self.x_rows.extend(tuple(column[~y] for column in columns))
-        self.y_rows.extend(tuple(column[y] for column in columns))
+        self.x_blocks.append(tuple(column[~y] for column in columns))
+        self.y_blocks.append(tuple(column[y] for column in columns))
 
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
-        """Set the adaptive columns of the latest row to the step leaving it."""
-        i = self.x_rows.size - 1
-        for array, value in zip(self.x_rows.arrays[-len(_ADAPTIVE_COLUMNS):], (fails, alpha_hat, L_hat)):
-            array[i] = value
+        """Set the adaptive fields of the latest row, still pending, to the step leaving it."""
+        self.pending[-1] = self.pending[-1][:-len(self.blank)] + (fails, alpha_hat, L_hat)
 
     def abort(self, error, message: str) -> RuntimeError:
         """``error`` carrying the rows so far, to the last x row (a failing pending row raises first)."""
         self.flush()
         terminal = _TERMINAL_STALLED if error is InnerLoopStallError else _TERMINAL_DIVERGED
-        return error(message, self.build(terminal, self.last_x, self.x_rows.last_gap()))
+        return error(message, self.build(terminal, self.last_x))
 
-    def build(self, terminal: str, x_final: np.ndarray, final_f_gap: float) -> RunTrace:
-        columns = self.x_rows.trace_columns()
-        if self.y_rows is not None:
-            columns.update(self.y_rows.trace_columns())
+    def build(self, terminal: str, x_final: np.ndarray, kind: str = "x") -> RunTrace:
+        """The trace so far; its final gap is that of the last row of ``kind``."""
+        columns = dict(zip(self.x_names, map(np.concatenate, zip(*self.x_blocks))))
+        if self.y_blocks is not None:
+            columns.update(zip(_Y_COLUMNS, map(np.concatenate, zip(*self.y_blocks))))
+        gaps = columns["f_gap" if kind == "x" else "y_f_gap"]
         return RunTrace(
-            k=np.arange(self.x_rows.size, dtype=np.int64),
+            k=np.arange(len(columns["f_gap"]), dtype=np.int64),
             terminal=terminal,
             x_final=np.array(x_final, dtype=np.float64, copy=True),
-            final_f_gap=float(final_f_gap),
+            final_f_gap=float(gaps[-1]) if len(gaps) else math.nan,
             declared_alpha=self.oracle.declared_alpha,
             declared_delta=self.oracle.declared_delta,
             **columns,

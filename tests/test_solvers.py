@@ -562,13 +562,12 @@ class TestMonitorRule:
     @pytest.mark.parametrize("oracle_name", ["sampled", "adversarial", "fd_value_noise"])
     @pytest.mark.parametrize("name", ["gd", "re_agm", "adaptive_gd"])
     def test_watching_a_run_never_changes_it(self, monkeypatch, name, oracle_name):
-        # runs evaluate rows in blocks of 2**14 // n = 8 here, so gd's 31
-        # rows span 4 blocks and re_agm's 61 points 8 (an adaptive run's
-        # block is always one row): each run is its eager twin, row for row
-        # and query for query
+        # runs evaluate rows in blocks of 2**14 // n = 8 here, so gd's and
+        # the adaptive run's 31 rows span 4 blocks and re_agm's 61 points 8:
+        # each run is its eager twin, row for row and query for query
         run, cfg = self.RUNNERS[name]
         prob = nesterov_strongly_convex(1.0, 100.0, 2000)
-        assert solvers._Core(prob, None).block == 8
+        assert solvers._Core(prob, None).block == solvers._Core(prob, None, adaptive=True).block == 8
         blocked_oracle, eager_oracle = self.ORACLES[oracle_name](prob), self.ORACLES[oracle_name](prob)
         blocked = run(prob, blocked_oracle, cfg, x0=np.ones(2000))
         monkeypatch.setattr(solvers, "block_rows", lambda dim: 1)
@@ -797,7 +796,8 @@ class TestDeferredRows:
     def blocked_and_eager(monkeypatch, make_oracle, run):
         """``run(oracle)``'s error, carried trace and queries, first with
         blocks of 8 rows (n = 2000), then with the core's block of one row;
-        both runs must give the same."""
+        both runs must raise the same error with the same trace.  Returns
+        both runs' queries, the blocked run's first."""
         raised = []
         for eager in (False, True):
             if eager:
@@ -808,10 +808,10 @@ class TestDeferredRows:
             raised.append((type(exc.value), str(exc.value), getattr(exc.value, "trace", None),
                            oracle.queries))
         (kind, message, trace, queries), (eager_kind, eager_message, eager_trace, eager_queries) = raised
-        assert (kind, message, queries) == (eager_kind, eager_message, eager_queries)
+        assert (kind, message) == (eager_kind, eager_message)
         if trace is not None or eager_trace is not None:
             assert_same_trace(trace, eager_trace)
-        return kind, message, trace, queries
+        return kind, message, trace, queries, eager_queries
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", ["gd", "re_agm"])
@@ -826,11 +826,11 @@ class TestDeferredRows:
             run, cfg, kick = gd_run, GDConfig(steps=40, alpha=0.0, L=0.1), 1e308
         else:
             run, cfg, kick = re_agm_run, ReAgmConfig(steps=40, mu=1e-6, L=0.1, alpha=0.0), 1e307
-        kind, message, trace, queries = self.blocked_and_eager(
+        kind, message, trace, queries, eager_queries = self.blocked_and_eager(
             monkeypatch, lambda: NonFiniteAtQuery(prob, 12, kick, entry=1999),
             lambda oracle: run(prob, oracle, cfg, x0=np.ones(2000)))
         assert (kind, message) == (DivergedError, "non-finite iterate at step 13")
-        assert queries == 13
+        assert queries == eager_queries == 13
         if name == "gd":
             assert list(trace.k) == list(range(13))
         else:  # x row 13 is finite, and recorded before its y point
@@ -847,12 +847,54 @@ class TestDeferredRows:
         earlier = min(full.f_gap[:38].min(), full.y_f_gap[:37].min())
         assert full.f_gap[38] < full.y_f_gap[37] < earlier - 1.0
         prob.f_star += float(full.y_f_gap[37]) + 1e-3
-        kind, message, _, queries = self.blocked_and_eager(
+        kind, message, _, queries, eager_queries = self.blocked_and_eager(
             monkeypatch, lambda: exact_oracle(prob),
             lambda oracle: re_agm_run(prob, oracle, cfg, x0=np.ones(2000)))
         assert kind is AssertionError
         assert message.startswith("f_gap -0.00") and message.endswith(" at y point 37: bad f_star?")
-        assert queries == 38
+        assert queries == eager_queries == 38
+
+    class AscentFrom(GradientOracle):
+        """Exact gradient until query ``at``, its negation from there on."""
+
+        def __init__(self, problem, at):
+            super().__init__(problem, 0.0, 0.0)
+            self.at = at
+
+        def _estimate(self, x, exact):
+            return -exact if self.queries >= self.at else exact
+
+    def test_inner_loop_stall_mid_block(self, monkeypatch):
+        # from query 11 on no trial descends, so step 11 stalls: row 11 is
+        # still pending, inside the block 8-15, and the trials set its
+        # inner_loops before the block is stored
+        prob = nesterov_strongly_convex(1.0, 50.0, 2000)
+        kind, message, trace, queries, eager_queries = self.blocked_and_eager(
+            monkeypatch, lambda: self.AscentFrom(prob, 11),
+            lambda oracle: adaptive_gd_run(prob, oracle, AdaptiveGDConfig(steps=40, L0=50.0),
+                                           x0=np.ones(2000)))
+        assert kind is InnerLoopStallError and message.startswith("step 11: 64 rejected trials")
+        assert trace.terminal == "inner_loop_stall"
+        assert list(trace.inner_loops) == [0] * 11 + [INNER_LOOP_CAP]
+        assert queries == eager_queries == 12
+
+    def test_adaptive_gap_floor_mid_block(self, monkeypatch):
+        # f_star raised past row 13's value, below row 12's: an adaptive run
+        # checks the floor when row 13's block (8-15) is flushed, so it
+        # queries on to the end of that block, where its eager twin stops
+        # at row 13's query
+        prob = nesterov_strongly_convex(1.0, 50.0, 2000)
+        cfg = AdaptiveGDConfig(steps=40, L0=50.0)
+        full = adaptive_gd_run(prob, exact_oracle(prob), cfg, x0=np.ones(2000))
+        assert full.f_gap[12] > full.f_gap[13] + 1.0
+        prob.f_star += float(full.f_gap[13]) + 1.0
+        kind, message, _, queries, eager_queries = self.blocked_and_eager(
+            monkeypatch, lambda: exact_oracle(prob),
+            lambda oracle: adaptive_gd_run(prob, oracle, cfg, x0=np.ones(2000)))
+        assert kind is AssertionError
+        assert message.startswith("f_gap -1.0") and message.endswith(" at row 13: bad f_star?")
+        assert eager_queries == 14
+        assert eager_queries < queries <= eager_queries + 8
 
 
 class TestEstimateGuard:

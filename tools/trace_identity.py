@@ -22,10 +22,10 @@ on besides the code; a tier-1 test compares the listing case by case.
   start gap); synthetic noise in every mode with
   certification off and on, finite differences with and without value
   noise, the three compressors and reduced precision; three problems.
-  At n = 2000 (8 rows per evaluation block), gd and re_agm with sampled
-  noise span several blocks (``blocks:``); at n = 2, sampled gd,
+  At n = 2000 (8 rows per evaluation block), every runner with sampled
+  noise spans several blocks (``blocks:``); at n = 2, sampled gd,
   re_agm and adaptive_gd runs of 10,000 to 30,000 steps span several
-  8,192-row blocks and the trace columns' growth (``long:``).
+  8,192-row blocks (``long:``).
 - Error cases: non-finite and huge estimates at queries 0-5, exploding
   steps, an ascent stall, bad starts, a wrong ``f_star``, and at
   n = 2000 an objective that overflows mid-block in a later block.
@@ -263,13 +263,15 @@ def solver_cases(cases: Cases) -> None:
 
     # several evaluation blocks: 2**14 // 2000 = 8 rows each
     wide = P.nesterov_strongly_convex(1.0, 50.0, 2000)
-    for rname in ("gd", "re_agm"):
+    for rname in ("gd", "re_agm", "adaptive", "adaptive_L"):
         def case(rname=rname):
             oracle = cases.watch(oracles["sampled"](wide))
             return run_solver(rname, wide, oracle, 40), oracle.queries, None
         cases.run(f"blocks:{rname}:nomon", case)
 
-        # a huge estimate at query 12 overflows the objective mid-block in the second block
+        # a huge estimate at query 12 overflows the objective mid-block in
+        # the second block: at the next point, or at every trial point of
+        # an adaptive run, which stalls there
         def overflow(rname=rname):
             oracle = cases.watch(Bad(wide, 12, 1e200))
             with np.errstate(over="ignore"):
@@ -277,8 +279,7 @@ def solver_cases(cases: Cases) -> None:
             return trace, oracle.queries, None
         cases.run(f"blocks:overflow:{rname}:nomon", overflow)
 
-    # at n = 2 a block holds 8192 rows: long runs span several blocks and
-    # outgrow the trace columns' first allocations
+    # at n = 2 a block holds 8192 rows: long runs span several blocks
     narrow = P.nesterov_strongly_convex(1.0, 50.0, 2)
     for rname, steps in (("gd", 30_000), ("re_agm", 20_000), ("adaptive", 10_000)):
         def case(rname=rname, steps=steps):
