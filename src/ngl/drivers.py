@@ -103,9 +103,6 @@ class RegularizedProblem(ObjectiveProblem):
         self.mu_reg = float(mu_reg)
         self._mu_reg_0d = np.array(self.mu_reg)  # a 0-d factor: see oracles._ZERO
 
-    value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
-    gradient = ObjectiveProblem.gradient
-
     def _value(self, x: np.ndarray) -> float:
         d = x - self.center
         return self.base._value(x) + 0.5 * self.mu_reg * float(d @ d)
@@ -421,7 +418,7 @@ def _concat_traces(traces: List[RunTrace]) -> RunTrace:
     a later stage's row 0 repeats the row before it and is dropped."""
     cols = {name: np.concatenate([getattr(traces[0], name)]
                                  + [getattr(t, name)[1:] for t in traces[1:]])
-            for name in _X_COLUMNS[1:]}
+            for name in _X_COLUMNS}
     if traces[-1].y_f_gap is not None:
         cols.update((name, np.concatenate([getattr(t, name) for t in traces]))
                     for name in _Y_COLUMNS)

@@ -64,11 +64,16 @@ class ObjectiveProblem:
     L (smoothness), x_star (a minimizer), f_star (minimum value), name.
 
     A subclass implements the kernels ``_value`` and ``_gradient`` and
-    their row forms ``_values`` and ``_gradients``, and binds ``value``
-    and ``gradient`` to these validating wrappers in its own class body,
-    so that tools reading a class's own attributes (the benchmark's
-    tracer) find both.
+    their row forms ``_values`` and ``_gradients``; ``__init_subclass__``
+    binds ``value`` and ``gradient`` to these validating wrappers in each
+    subclass's own class dict, so that tools reading a class's own
+    attributes (the benchmark's tracer) find both.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.value = ObjectiveProblem.value
+        cls.gradient = ObjectiveProblem.gradient
 
     def __init__(self, name: str, dim: int, mu: float, L: float):
         if dim < 1:
@@ -136,9 +141,6 @@ class ChainedConvex(ObjectiveProblem):
         self.f_star = self.value(x_star)
         self._quarter_L = np.array(self.L / 4.0)  # a 0-d constant: see _TWO
 
-    value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
-    gradient = ObjectiveProblem.gradient
-
     def _value(self, x: np.ndarray) -> float:
         h = x[: self.k]
         chain = h[0] ** 2 + h[-1] ** 2
@@ -194,9 +196,6 @@ class ChainedStronglyConvex(ObjectiveProblem):
         rhs[0] = c
         self.x_star = _solve_spd_tridiagonal(d, np.full(n - 1, -c), rhs)
         self.f_star = self.value(self.x_star)
-
-    value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
-    gradient = ObjectiveProblem.gradient
 
     def _value(self, x: np.ndarray) -> float:
         chain = x[0] ** 2
@@ -260,9 +259,6 @@ class Quadratic(ObjectiveProblem):
                 raise ValueError("quadratic is unbounded below: b has a component outside range(A)")
             self.x_star = x_star
         self.f_star = self.value(self.x_star)
-
-    value = ObjectiveProblem.value  # named in the class body: see ObjectiveProblem
-    gradient = ObjectiveProblem.gradient
 
     def _value(self, x: np.ndarray) -> float:
         return 0.5 * float(x @ (self.A @ x)) + float(self.b @ x)

@@ -47,22 +47,24 @@ noisy norm where nothing was queried.
 
 Its evaluation rule: every point pends with what the method needed at
 once (the x check, the query, the estimate guard, a queried point's
-norms), and a full block of ``numkit.block_rows(dim)`` pending rows is
-flushed when the next point arrives: the row kernels evaluate what the
-rows lack, f(x) and an unqueried point's gradient norm, with the same
-bits; the block's values are tested for finiteness and its gaps against
-the floor once each, and its rows are stored as a block of float64
-columns, which the trace joins once.  When a test fails, the rows before
-the first failing one are stored and that row's error is raised.  f(x)
-is read at the point, before the query, where the adaptive predicate
-reads it, where a gap target checks it, and where the block is one row
-(dim > 8192).  A threshold reads only the noisy norm: when it fires,
-the core records the block up to that point and ends the run there.
-Failures settle earlier rows first, so errors and traces do not depend
-on the block.  Queries may: a run may query up to a block more than its
-eager twin (a block of one row) when its objective overflows at a
-deferred f(x), and when a wrong f_star fails the gap floor, which is
-checked only when the row's block is flushed.
+norms), NaN marking what it lacks, and a full block of
+``numkit.block_rows(dim)`` pending rows is flushed when the next point
+arrives: the block becomes one (field x row) float64 array, the row
+kernels fill in what the rows lack, f(x) and an unqueried point's
+gradient norm, with the same bits; f(x) becomes the gap in place, which
+is tested for finiteness and against the floor once, and the checked
+rows are stored as one array per kind of row, which the trace joins
+once.  When a test fails, the rows before the first failing one are
+stored and that row's error is raised.  f(x) is read at the point,
+before the query, where the adaptive predicate reads it, where a gap
+target checks it, and where the block is one row (dim > 8192).  A
+threshold reads only the noisy norm: when it fires, the core records
+the block up to that point and ends the run there.  Failures settle
+earlier rows first, so errors and traces do not depend on the block.
+Queries may: a run may query up to a block more than its eager twin (a
+block of one row) when its objective overflows at a deferred f(x), and
+when a wrong f_star fails the gap floor, which is checked only when the
+row's block is flushed.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -322,17 +324,7 @@ class _Halt(Exception):
         self.trace = trace
 
 
-class _Point(NamedTuple):
-    """A visited point: f(x) if evaluated yet, and the estimate and its norm if queried."""
-
-    k: int
-    x: np.ndarray
-    f_val: Optional[float]
-    est: Optional[np.ndarray]
-    noisy_norm: float
-
-
-_X_COLUMNS = ("k", "f_gap", "grad_norm", "noisy_grad_norm")
+_X_COLUMNS = ("f_gap", "grad_norm", "noisy_grad_norm")
 _ADAPTIVE_COLUMNS = ("inner_loops", "alpha_hat", "L_hat")
 _Y_COLUMNS = ("y_f_gap", "y_grad_norm", "y_noisy_grad_norm")
 
@@ -340,23 +332,24 @@ _Y_COLUMNS = ("y_f_gap", "y_grad_norm", "y_noisy_grad_norm")
 class _Core:
     """The stepping core: one run's loop, guards, stops and trace rows.
 
-    A runner supplies only its update rule, ``step(point) -> (next x, its
-    f or None)``, and ``run`` visits rows 0..steps around it.  ``adaptive``
-    keeps the inner_loops/alpha_hat/L_hat columns, which ``trials`` sets
-    in the latest row, still pending, for the step leaving it;
-    ``accelerated`` keeps the y columns, which the update rule fills by
-    visiting its extrapolation points.  ``visit`` does what the method
-    needs to go on and pends the row, after flushing a full block of
-    ``block_rows(dim)`` rows; ``flush`` evaluates what the pending rows
-    lack with the row kernels, tests the block's values for finiteness
-    and its gaps against the floor once each, and stores its checked
-    rows as one column tuple per kind of row; a failing row raises its
-    error after the rows before it are stored, so a deferred overflowing
-    f or a wrong f_star is found up to a block of queries late.
-    ``at_point`` settles f(x) in ``visit``, before the query, where the
-    adaptive predicate, a block of one row or a gap target reads it.
-    f(x), its finiteness and the gap floor are the run's problem's; the
-    gradient norms are those of the problem the oracle estimates.
+    A runner supplies only its update rule, ``step(k, x, f_val, est,
+    noisy_norm) -> (next x, its f or NaN)``, and ``run`` visits rows
+    0..steps around it.  ``adaptive`` keeps the inner_loops/alpha_hat/L_hat
+    columns, which ``trials`` sets in the latest row, still pending, for
+    the step leaving it; ``accelerated`` keeps the y columns, which the
+    update rule fills by visiting its extrapolation points.  ``visit``
+    does what the method needs to go on and pends the row, NaN marking
+    what it lacks, after flushing a full block of ``block_rows(dim)``
+    rows; ``flush`` makes the block one (field x row) array, evaluates
+    what the rows lack with the row kernels, tests the block's gaps once
+    and stores its checked rows as one array per kind of row; a failing
+    row raises its error after the rows before it are stored, so a
+    deferred overflowing f or a wrong f_star is found up to a block of
+    queries late.  ``at_point`` settles f(x) in ``visit``, before the
+    query, where the adaptive predicate, a block of one row or a gap
+    target reads it; otherwise every f(x) is deferred.  f(x), its
+    finiteness and the gap floor are the run's problem's; the gradient
+    norms are those of the problem the oracle estimates.
     """
 
     def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
@@ -368,25 +361,25 @@ class _Core:
         self.threshold = threshold
         self.block = block_rows(problem.dim)
         self.at_point = adaptive or self.block == 1 or gap_target is not None
-        # (kind, k, x, f or None, grad_norm or None, noisy_norm) per row,
-        # then an adaptive row's fields, blank until trials() sets them
+        # (k, x, is_y, f, grad_norm, noisy_norm) per row, NaN where not yet
+        # known, then an adaptive row's fields, blank until trials() sets them
         self.pending = []
         self.blank = (0, math.nan, math.nan) if adaptive else ()
         # relative, like the package's other 1e-9 tolerances: the computed
         # f(x) - f_star carries rounding error on the scale of |f_star|
         self.floor = _GAP_FLOOR * max(1.0, abs(problem.f_star))
-        self.x_names = _X_COLUMNS[1:] + (_ADAPTIVE_COLUMNS if adaptive else ())
-        # each kind's stored blocks, after an empty one that fixes the dtypes
-        self.x_blocks = [tuple(np.empty(0, np.int64 if name == "inner_loops" else np.float64)
-                               for name in self.x_names)]
-        self.y_blocks = [(np.empty(0),) * len(_Y_COLUMNS)] if accelerated else None
+        self.x_names = _X_COLUMNS + (_ADAPTIVE_COLUMNS if adaptive else ())
+        # each kind's stored (field x row) blocks, after an empty one so
+        # that a run with no stored row joins to empty columns
+        self.x_blocks = [np.empty((len(self.x_names), 0))]
+        self.y_blocks = [np.empty((len(_Y_COLUMNS), 0))] if accelerated else None
         self.last_x: Optional[np.ndarray] = None
 
-    def run(self, steps: int, x0, step: Callable[[_Point], tuple]) -> RunTrace:
+    def run(self, steps: int, x0, step: Callable[..., tuple]) -> RunTrace:
         dim = self.problem.dim
         self.estimated = self.oracle.problem  # gives every row's grad_norm
         x = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
-        f_val = None
+        f_val = math.nan
         accelerated = self.y_blocks is not None
         # an overflow ends in DivergedError or a failed trial, not a warning
         with np.errstate(over="ignore"):
@@ -394,18 +387,19 @@ class _Core:
                 for k in range(steps + 1):
                     last = k == steps
                     # the accelerated method steps from its y points
-                    point = self.visit("x", k, x, not (last or accelerated), f_val)
+                    f_val, est, noisy_norm = self.visit(k, x, not (last or accelerated), f_val)
                     if last:
                         break
-                    x, f_val = step(point)
+                    x, f_val = step(k, x, f_val, est, noisy_norm)
                 self.flush()
             except _Halt as halt:
                 return halt.trace
         return self.build(TERMINAL_STEPS_EXHAUSTED, x)
 
-    def visit(self, kind: str, k: int, x: np.ndarray, query: bool,
-              f_val: Optional[float] = None) -> _Point:
-        """Check and query an "x" row or "y" point (``f_val``: f(x) if known), and pend it."""
+    def visit(self, k: int, x: np.ndarray, query: bool, f_val: float = math.nan,
+              is_y: bool = False) -> tuple:
+        """Check and query row k's x or y point (``f_val``: f(x), NaN if not
+        evaluated), pend it and return its (f_val, estimate, noisy norm)."""
         if len(self.pending) == self.block:  # its errors come before this point's
             self.flush()
         # the one validation of x: the start went through as_vector and
@@ -421,7 +415,7 @@ class _Core:
             # a gap target ends the run here, before a query
             halt = self.gap_target is not None and f_val - self.problem.f_star <= self.gap_target
             query = query and not halt
-        grad_norm, est, noisy_norm = None, None, math.nan
+        est, grad_norm, noisy_norm = None, math.nan, math.nan
         if query:
             try:
                 est, exact = self.oracle.estimate_with_exact(x)
@@ -433,7 +427,8 @@ class _Core:
                 raise
             # sqrt(v.dot(v)) is np.linalg.norm's formula for a real 1-D v;
             # a finite sum of squares means finite entries, and a finite
-            # estimate whose sum overflows still passes
+            # estimate whose sum overflows still passes, so a queried
+            # row's noisy norm is never NaN
             est_sq = est.dot(est)
             if not math.isfinite(est_sq) and not np.isfinite(est).all():
                 self.settle(k, x, f_val)
@@ -441,15 +436,15 @@ class _Core:
             grad_norm = math.sqrt(exact.dot(exact))
             noisy_norm = math.sqrt(est_sq)
             halt = self.threshold is not None and noisy_norm <= self.threshold
-        self.pending.append((kind, k, x, f_val, grad_norm, noisy_norm) + self.blank)
+        self.pending.append((k, x, is_y, f_val, grad_norm, noisy_norm) + self.blank)
         if halt:
             self.flush()
-            raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, kind))
-        return _Point(k, x, f_val, est, noisy_norm)
+            raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, is_y))
+        return f_val, est, noisy_norm
 
-    def settle(self, k: int, x: np.ndarray, f_val: Optional[float]) -> float:
+    def settle(self, k: int, x: np.ndarray, f_val: float) -> float:
         """f(x) at point k; if it is not finite, raise that (after any earlier row's error)."""
-        if f_val is None:
+        if math.isnan(f_val):
             f_val = self.problem._value(x)
         if not math.isfinite(f_val):
             raise self.abort(DivergedError, f"non-finite objective value at step {k}")
@@ -462,40 +457,33 @@ class _Core:
         if not pending:
             return
         self.pending = []
-        kinds, ks, xs, f_vals, grad_norms, noisy_norms, *adaptive = zip(*pending)
-        # f(x) is deferred for the whole block or for none of it
-        deferred = f_vals[0] is None
-        unqueried = [i for i, norm in enumerate(grad_norms) if norm is None]
-        X = np.array(xs) if deferred or unqueried else None
-        values = self.problem._values(X) if deferred else np.array(f_vals)
-        grads = np.array(grad_norms, dtype=np.float64)  # NaN where unqueried
-        if unqueried:
+        ks, xs, is_y, *fields = zip(*pending)
+        block = np.array(fields)  # (field x row) float64
+        values, grads, noisy_norms = block[:3]
+        unqueried = np.isnan(noisy_norms)
+        X = np.array(xs) if not self.at_point or unqueried.any() else None
+        if not self.at_point:  # f(x) is deferred
+            values[:] = self.problem._values(X)
+        if unqueried.any():
             G = self.estimated._gradients(X[unqueried])
             grads[unqueried] = np.sqrt(row_dots(G, G))
-        gaps = values - self.problem.f_star
-        bad = ~(np.isfinite(values) & (gaps >= self.floor))  # a NaN gap fails the floor too
+        gaps = np.subtract(values, self.problem.f_star, out=values)  # the f row, in place
+        bad = ~(np.isfinite(gaps) & (gaps >= self.floor))
         stop = int(bad.argmax()) if bad.any() else len(pending)
-        if stop:
-            columns = (gaps, grads, np.array(noisy_norms)) + tuple(map(np.array, adaptive))
-            self.store(kinds[:stop], xs[:stop], tuple(column[:stop] for column in columns))
+        if stop:  # the checked rows, x rows and y points apart
+            y = np.array(is_y[:stop])
+            x_rows = np.flatnonzero(~y)
+            if len(x_rows):
+                self.last_x = xs[x_rows[-1]]
+            self.x_blocks.append(block[:, x_rows])
+            if self.y_blocks is not None:
+                self.y_blocks.append(block[:, np.flatnonzero(y)])
         if stop < len(pending):
             k = ks[stop]
-            if not math.isfinite(values[stop]):
+            if not math.isfinite(gaps[stop]):
                 raise self.abort(DivergedError, f"non-finite objective value at step {k}")
-            where = f"row {k}" if kinds[stop] == "x" else f"y point {k}"
+            where = f"y point {k}" if is_y[stop] else f"row {k}"
             raise AssertionError(f"f_gap {float(gaps[stop])} below {self.floor} at {where}: bad f_star?")
-
-    def store(self, kinds: tuple, xs: tuple, columns: tuple) -> None:
-        """Store a block's checked rows, x rows and y points apart."""
-        if self.y_blocks is None:
-            self.last_x = xs[-1]
-            self.x_blocks.append(columns)
-            return
-        y = np.array([kind == "y" for kind in kinds])
-        if not y.all():
-            self.last_x = xs[len(kinds) - 1 - kinds[::-1].index("x")]
-        self.x_blocks.append(tuple(column[~y] for column in columns))
-        self.y_blocks.append(tuple(column[y] for column in columns))
 
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
         """Set the adaptive fields of the latest row, still pending, to the step leaving it."""
@@ -507,12 +495,14 @@ class _Core:
         terminal = _TERMINAL_STALLED if error is InnerLoopStallError else _TERMINAL_DIVERGED
         return error(message, self.build(terminal, self.last_x))
 
-    def build(self, terminal: str, x_final: np.ndarray, kind: str = "x") -> RunTrace:
-        """The trace so far; its final gap is that of the last row of ``kind``."""
-        columns = dict(zip(self.x_names, map(np.concatenate, zip(*self.x_blocks))))
+    def build(self, terminal: str, x_final: np.ndarray, is_y: bool = False) -> RunTrace:
+        """The trace so far; its final gap is that of the last x row, or y point if ``is_y``."""
+        columns = dict(zip(self.x_names, np.concatenate(self.x_blocks, axis=1)))
         if self.y_blocks is not None:
-            columns.update(zip(_Y_COLUMNS, map(np.concatenate, zip(*self.y_blocks))))
-        gaps = columns["f_gap" if kind == "x" else "y_f_gap"]
+            columns.update(zip(_Y_COLUMNS, np.concatenate(self.y_blocks, axis=1)))
+        if "inner_loops" in columns:
+            columns["inner_loops"] = columns["inner_loops"].astype(np.int64)
+        gaps = columns["y_f_gap" if is_y else "f_gap"]
         return RunTrace(
             k=np.arange(len(columns["f_gap"]), dtype=np.int64),
             terminal=terminal,
@@ -548,7 +538,7 @@ def gd_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: GDConfig,
         )
     h = np.array(cfg.step_size)  # a 0-d factor: see re_agm_run
     core = _Core(problem, oracle, gap_target=cfg.gap_target, threshold=cfg.threshold)
-    return core.run(cfg.steps, x0, lambda pt: (pt.x - h * pt.est, None))
+    return core.run(cfg.steps, x0, lambda k, x, f_val, est, noisy_norm: (x - h * est, math.nan))
 
 
 def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConfig,
@@ -575,14 +565,14 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
                  threshold=cfg.threshold)
     u = None
 
-    def step(pt: _Point) -> np.ndarray:
+    def step(k, x, f_val, est, noisy_norm) -> tuple:
         nonlocal u
         if u is None:
-            u = pt.x
-        y = (omega * u + pt.x) / y_div
-        est = core.visit("y", pt.k, y, query=True).est
+            u = x
+        y = (omega * u + x) / y_div
+        est = core.visit(k, y, True, is_y=True)[1]
         u = u_keep * u + omega * y - u_grad * est
-        return y - h * est, None
+        return y - h * est, math.nan
 
     return core.run(cfg.steps, x0, step)
 
@@ -616,18 +606,18 @@ def adaptive_gd_run(problem: ObjectiveProblem, oracle: GradientOracle,
     J = 1
     delta_sq = cfg.delta * cfg.delta
 
-    def step(pt: _Point) -> np.ndarray:
+    def step(k, x, f_val, est, noisy_norm) -> tuple:
         nonlocal J
-        est_sq = pt.noisy_norm * pt.noisy_norm
+        est_sq = noisy_norm * noisy_norm
         fails = 0
         t = J
         while True:
             alpha_hat, L_hat, h, theta = _adaptive_coefficients(t, cfg.L0, cfg.adapt_L)
-            x_next = pt.x - h * pt.est
+            x_next = x - h * est
             # the trusted kernel: a trial point that overflows gets a
             # non-finite value and fails below like any rejected trial
             f_next = problem._value(x_next)
-            allowed = pt.f_val - theta * est_sq + 3.0 * delta_sq / (4.0 * (1.0 + alpha_hat) ** 2 * L_hat)
+            allowed = f_val - theta * est_sq + 3.0 * delta_sq / (4.0 * (1.0 + alpha_hat) ** 2 * L_hat)
             # h == 0 means alpha_hat hit 1 in floats; such a "step" can
             # only pass vacuously, so count it as a failure to let
             # violating oracles reach the cap instead of freezing
@@ -638,7 +628,7 @@ def adaptive_gd_run(problem: ObjectiveProblem, oracle: GradientOracle,
                 core.trials(fails, alpha_hat, L_hat)
                 raise core.abort(
                     InnerLoopStallError,
-                    f"step {pt.k}: {fails} rejected trials (last alpha_hat={alpha_hat}, "
+                    f"step {k}: {fails} rejected trials (last alpha_hat={alpha_hat}, "
                     f"L_hat={L_hat}); oracle error fits no alpha < 1")
             t += 1
         core.trials(fails, alpha_hat, L_hat)

@@ -8,7 +8,8 @@ import pytest
 
 from ngl.drivers import RegularizedProblem
 from ngl.numkit import row_dots
-from ngl.problems import (_solve_spd_tridiagonal, nesterov_convex, nesterov_strongly_convex,
+from ngl.problems import (ChainedConvex, ChainedStronglyConvex, ObjectiveProblem, Quadratic,
+                          _solve_spd_tridiagonal, nesterov_convex, nesterov_strongly_convex,
                           quadratic)
 
 
@@ -242,6 +243,14 @@ class TestRowKernels:
             norms = np.sqrt(row_dots(gradients, gradients))
             want_norms = np.array([math.sqrt(g.dot(g)) for g in want_gradients])
             assert norms.tobytes() == want_norms.tobytes(), p
+
+
+@pytest.mark.parametrize("cls", [ChainedConvex, ChainedStronglyConvex, Quadratic, RegularizedProblem])
+def test_each_family_holds_the_validating_wrappers(cls):
+    # the benchmark's tracer wraps value and gradient in each family's own
+    # class dict: a missing binding would show only in a traced run
+    assert vars(cls)["value"] is ObjectiveProblem.value
+    assert vars(cls)["gradient"] is ObjectiveProblem.gradient
 
 
 @pytest.fixture

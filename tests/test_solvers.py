@@ -630,6 +630,11 @@ def assert_same_trace(want, got):
         a, b = getattr(want, field.name), getattr(got, field.name)
         if isinstance(a, np.ndarray):
             assert np.array_equal(a, b, equal_nan=True), field.name
+            # each column is a C-contiguous float64 row (int64 for counts),
+            # as a row kernel reads it
+            dtype = np.int64 if field.name in ("k", "inner_loops") else np.float64
+            for column in (a, b):
+                assert column.dtype == dtype and column.flags.c_contiguous, field.name
         else:
             assert a == b, field.name
 
@@ -895,6 +900,49 @@ class TestDeferredRows:
         assert message.startswith("f_gap -1.0") and message.endswith(" at row 13: bad f_star?")
         assert eager_queries == 14
         assert eager_queries < queries <= eager_queries + 8
+
+
+    @pytest.mark.parametrize("name, stop", [
+        ("gd", {}), ("gd", {"threshold": 0.0}), ("re_agm", {}),
+        ("gd", {"gap_target": -1.0}), ("re_agm", {"gap_target": -1.0}), ("adaptive_gd", {})])
+    def test_one_value_per_row(self, monkeypatch, name, stop):
+        # f(x) is read once per row: at the point where an adaptive step or
+        # a gap target needs it, else by the row kernel when the block of 8
+        # rows flushes; an adaptive run also reads each trial point's
+        prob = nesterov_strongly_convex(1.0, 50.0, 2000)
+        value, values = prob._value, prob._values
+        calls = {"value": 0, "values": 0, "rows": 0}
+
+        def count_value(x):
+            calls["value"] += 1
+            return value(x)
+
+        def count_values(X):
+            calls["values"] += 1
+            calls["rows"] += len(X)
+            return values(X)
+
+        monkeypatch.setattr(prob, "_value", count_value)
+        monkeypatch.setattr(prob, "_values", count_values)
+        oracle = SyntheticNoiseOracle(prob, NoiseSpec(0.0, 0.5, "sampled_unbiased", seed=5))
+        if name == "gd":
+            trace = gd_run(prob, oracle, GDConfig(40, 0.0, prob.L, **stop), x0=np.ones(2000))
+        elif name == "re_agm":
+            trace = re_agm_run(prob, oracle, ReAgmConfig(40, 1.0, prob.L, 0.0, **stop),
+                               x0=np.ones(2000))
+        else:
+            trace = adaptive_gd_run(prob, oracle, AdaptiveGDConfig(40, L0=prob.L, delta=0.5),
+                                    x0=np.ones(2000))
+        assert trace.iterations == 40
+        # x rows plus y points
+        rows = len(trace.f_gap) + (len(trace.y_f_gap) if name == "re_agm" else 0)
+        if name == "adaptive_gd":
+            assert calls == {"value": 1 + 40 + trace.total_inner_loops, "values": 0, "rows": 0}
+        elif stop.get("gap_target") is not None:
+            assert calls == {"value": rows, "values": 0, "rows": 0}
+        else:
+            assert calls == {"value": 0, "values": -(-rows // 8), "rows": rows}
+            assert (rows, calls["values"]) == ((41, 6) if name == "gd" else (81, 11))
 
 
 class TestEstimateGuard:
