@@ -459,6 +459,7 @@ class _Core:
         self.pending = []
         ks, xs, is_y, *fields = zip(*pending)
         block = np.array(fields)  # (field x row) float64
+        del fields  # free the column tuples before the row kernels run
         values, grads, noisy_norms = block[:3]
         unqueried = np.isnan(noisy_norms)
         X = np.array(xs) if not self.at_point or unqueried.any() else None
@@ -471,18 +472,18 @@ class _Core:
         bad = ~(np.isfinite(gaps) & (gaps >= self.floor))
         stop = int(bad.argmax()) if bad.any() else len(pending)
         if stop:  # the checked rows, x rows and y points apart
-            y = np.array(is_y[:stop])
-            x_rows = np.flatnonzero(~y)
-            if len(x_rows):
-                self.last_x = xs[x_rows[-1]]
-            self.x_blocks.append(block[:, x_rows])
+            rows = block[:, :stop]
             if self.y_blocks is not None:
-                self.y_blocks.append(block[:, np.flatnonzero(y)])
+                y = np.array(is_y[:stop])
+                self.y_blocks.append(rows[:, y])
+                rows = rows[:, ~y]
+            self.x_blocks.append(rows)
+            # x_final for abort: the last stored x row's point
+            self.last_x = next((xs[i] for i in range(stop - 1, -1, -1) if not is_y[i]), self.last_x)
         if stop < len(pending):
-            k = ks[stop]
             if not math.isfinite(gaps[stop]):
-                raise self.abort(DivergedError, f"non-finite objective value at step {k}")
-            where = f"y point {k}" if is_y[stop] else f"row {k}"
+                raise self.abort(DivergedError, f"non-finite objective value at step {ks[stop]}")
+            where = f"{'y point' if is_y[stop] else 'row'} {ks[stop]}"
             raise AssertionError(f"f_gap {float(gaps[stop])} below {self.floor} at {where}: bad f_star?")
 
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
@@ -500,8 +501,9 @@ class _Core:
         columns = dict(zip(self.x_names, np.concatenate(self.x_blocks, axis=1)))
         if self.y_blocks is not None:
             columns.update(zip(_Y_COLUMNS, np.concatenate(self.y_blocks, axis=1)))
-        if "inner_loops" in columns:
-            columns["inner_loops"] = columns["inner_loops"].astype(np.int64)
+        if "inner_loops" in columns:  # cast in place, so no float copy outlives the cast
+            loops = columns["inner_loops"] = columns["inner_loops"].view(np.int64)
+            loops[:] = loops.view(np.float64)
         gaps = columns["y_f_gap" if is_y else "f_gap"]
         return RunTrace(
             k=np.arange(len(columns["f_gap"]), dtype=np.int64),

@@ -901,7 +901,6 @@ class TestDeferredRows:
         assert eager_queries == 14
         assert eager_queries < queries <= eager_queries + 8
 
-
     @pytest.mark.parametrize("name, stop", [
         ("gd", {}), ("gd", {"threshold": 0.0}), ("re_agm", {}),
         ("gd", {"gap_target": -1.0}), ("re_agm", {"gap_target": -1.0}), ("adaptive_gd", {})])
@@ -938,7 +937,7 @@ class TestDeferredRows:
         rows = len(trace.f_gap) + (len(trace.y_f_gap) if name == "re_agm" else 0)
         if name == "adaptive_gd":
             assert calls == {"value": 1 + 40 + trace.total_inner_loops, "values": 0, "rows": 0}
-        elif stop.get("gap_target") is not None:
+        elif "gap_target" in stop:
             assert calls == {"value": rows, "values": 0, "rows": 0}
         else:
             assert calls == {"value": 0, "values": -(-rows // 8), "rows": rows}
