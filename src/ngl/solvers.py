@@ -53,8 +53,8 @@ arrives: the block becomes one (field x row) float64 array, the row
 kernels fill in what the rows lack, f(x) and an unqueried point's
 gradient norm, with the same bits; f(x) becomes the gap in place, which
 is tested for finiteness and against the floor once, and the checked
-rows are stored as one array per kind of row; the trace joins each
-field's stored rows once.  When a test fails, the rows before the first failing one are
+rows are stored as one array per kind of row, which the trace joins
+once.  When a test fails, the rows before the first failing one are
 stored and that row's error is raised.  f(x) is read at the point,
 before the query, where the adaptive predicate reads it, where a gap
 target checks it, and where the block is one row (dim > 8192).  A
@@ -498,11 +498,12 @@ class _Core:
 
     def build(self, terminal: str, x_final: np.ndarray, is_y: bool = False) -> RunTrace:
         """The trace so far; its final gap is that of the last x row, or y point if ``is_y``."""
-        columns = dict(zip(self.x_names, map(np.concatenate, zip(*self.x_blocks))))
+        columns = dict(zip(self.x_names, np.concatenate(self.x_blocks, axis=1)))
         if self.y_blocks is not None:
-            columns.update(zip(_Y_COLUMNS, map(np.concatenate, zip(*self.y_blocks))))
-        if "inner_loops" in columns:
-            columns["inner_loops"] = columns["inner_loops"].astype(np.int64)
+            columns.update(zip(_Y_COLUMNS, np.concatenate(self.y_blocks, axis=1)))
+        if "inner_loops" in columns:  # cast in place, so no float copy outlives the cast
+            loops = columns["inner_loops"] = columns["inner_loops"].view(np.int64)
+            loops[:] = loops.view(np.float64)
         gaps = columns["y_f_gap" if is_y else "f_gap"]
         return RunTrace(
             k=np.arange(len(columns["f_gap"]), dtype=np.int64),
