@@ -501,7 +501,7 @@ class _Core:
         columns = dict(zip(self.x_names, np.concatenate(self.x_blocks, axis=1)))
         if self.y_blocks is not None:
             columns.update(zip(_Y_COLUMNS, np.concatenate(self.y_blocks, axis=1)))
-        if "inner_loops" in columns:  # cast in place, so no float copy outlives the cast
+        if "inner_loops" in columns:  # cast in place: a copy would keep the table's float row alive
             loops = columns["inner_loops"] = columns["inner_loops"].view(np.int64)
             loops[:] = loops.view(np.float64)
         gaps = columns["y_f_gap" if is_y else "f_gap"]
