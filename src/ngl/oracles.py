@@ -111,6 +111,9 @@ class GradientOracle:
 
     ``certify=True`` re-checks the composite bound on every query and
     raises on violation; tests and the verification harness use it.
+    The stepping core keeps the exact gradient a query returns until it
+    flushes its block of rows, where it reads that gradient's norm, so a
+    query must return a fresh array, and nothing may write to it after.
     """
 
     def __init__(self, problem: ObjectiveProblem, declared_alpha: float, declared_delta: float,
@@ -128,13 +131,15 @@ class GradientOracle:
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def estimate_with_exact(self, x) -> tuple[np.ndarray, np.ndarray]:
+    def estimate_with_exact(self, x, checked: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """One query: returns (estimate, exact gradient).
 
         Exposing the exact gradient saves solvers a second gradient
-        evaluation per step when recording traces.
+        evaluation per step when recording traces.  x is validated
+        unless ``checked`` says it is already a finite 1-D float64
+        vector of dimension dim, as the stepping core's iterates are.
         """
-        return self._query(as_vector(x, self.problem.dim))
+        return self._query(x if checked else as_vector(x, self.problem.dim))
 
     def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(estimate, exact gradient) at a validated x; an oracle built on

@@ -57,6 +57,11 @@ def _solve_spd_tridiagonal(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.
     return np.array(b)
 
 
+def _padded(buf: np.ndarray) -> tuple:
+    """(buf, buf[1:-1], buf[2:], buf[:-2]): a buffer [0, x, x_n] along axis 0 and its views."""
+    return buf, buf[1:-1], buf[2:], buf[:-2]
+
+
 class ObjectiveProblem:
     """Differentiable objective with known smoothness/convexity constants.
 
@@ -190,6 +195,7 @@ class ChainedStronglyConvex(ObjectiveProblem):
         # Hessian = c * B + mu * I with B the chain matrix (B_nn = 1)
         c = self._c = mu * (self.L / self.mu - 1.0) / 4.0
         self._c_0d, self._mu_0d = np.array(c), np.array(self.mu)  # see _TWO
+        self._pad = _padded(np.zeros(n + 2))
         d = np.full(n, 2.0 * c + self.mu)
         d[-1] = c + self.mu
         rhs = np.zeros(n)
@@ -205,13 +211,23 @@ class ChainedStronglyConvex(ObjectiveProblem):
         quarter = self._c / 2.0  # mu(chi-1)/8
         return quarter * (float(chain) - 2.0 * float(x[0])) + self.mu / 2.0 * float(x @ x)
 
-    def _gradient(self, x: np.ndarray) -> np.ndarray:
+    def __setstate__(self, state):
+        # a copy's views of its buffer were copied apart from it: view it anew
+        self.__dict__.update(state, _pad=_padded(state["_pad"][0]))
+
+    def _gradient(self, x: np.ndarray, pad: tuple = None) -> np.ndarray:
+        # Bx = (2x - right) - left along axis 0, per element in that order,
+        # with right = [x_2..x_n, x_n] and left = [0, x_1..x_{n-1}] read from
+        # ``pad``, views of a buffer [0, x, x_n] (``_padded``); subtracting
+        # the left pad's 0.0 keeps every bit, -0.0 included
+        buf, mid, right, left = self._pad if pad is None else pad
+        mid[...] = x
+        buf[-1] = x[-1]
         Bx = _TWO * x
-        Bx[-1] -= x[-1]
-        if self.dim > 1:
-            Bx[:-1] -= x[1:]
-            Bx[1:] -= x[:-1]
-        g = self._c_0d * Bx + self._mu_0d * x
+        Bx -= right
+        Bx -= left
+        g = self._c_0d * Bx
+        g += self._mu_0d * x
         g[0] -= self._c
         return g
 
@@ -224,7 +240,8 @@ class ChainedStronglyConvex(ObjectiveProblem):
 
     def _gradients(self, X: np.ndarray) -> np.ndarray:
         # the 1-D kernel on X.T's axis 0; elementwise ops keep rows contiguous
-        return self._gradient(X.T).T
+        pad = _padded(np.zeros((self.dim + 2, len(X)), order="F"))
+        return self._gradient(X.T, pad).T
 
 
 class Quadratic(ObjectiveProblem):

@@ -32,11 +32,11 @@ stepping core (``_Core``) does the rest for all three: the start point,
 the finiteness guards that raise ``DivergedError`` or
 ``InnerLoopStallError`` with the partial trace, the gap-floor check,
 the x rows, y rows and adaptive columns and the final ``RunTrace``.
-The core validates each iterate once, with one finiteness test, and
-evaluates it with the problem's trusted kernels.  Every oracle query
-goes through ``GradientOracle.estimate_with_exact``, whose
-``as_vector`` is the test of a queried point; the core tests the
-others, and a point whose f(x) it reads before the query.
+The core validates each iterate once, with its own finiteness test of
+every visited point, and evaluates it with the problem's trusted
+kernels.  It queries the oracle with
+``GradientOracle.estimate_with_exact(x, checked=True)``, which trusts
+that test and validates nothing again.
 
 Its query rule: a point is queried only when the method steps from its
 estimate, and a gap target is checked before the query, so a point
@@ -47,11 +47,13 @@ noisy norm where nothing was queried.
 
 Its evaluation rule: every point pends with what the method needed at
 once (the x check, the query, the estimate guard, a queried point's
-norms), NaN marking what it lacks, and a full block of
-``numkit.block_rows(dim)`` pending rows is flushed when the next point
-arrives: the block becomes one (field x row) float64 array, the row
-kernels fill in what the rows lack, f(x) and an unqueried point's
-gradient norm, with the same bits; f(x) becomes the gap in place, which
+noisy norm), NaN marking what it lacks, and a queried point's exact
+gradient beside it; a full block of ``numkit.block_rows(dim)`` pending
+rows is flushed when the next point arrives: the block becomes one
+(field x row) float64 array, every gradient norm is taken at once, a
+queried row's from the stacked exact gradients and an unqueried one's
+from the row kernel, and the row kernels fill in the deferred f(x),
+all with the one-point bits; f(x) becomes the gap in place, which
 is tested for finiteness and against the floor once, and the checked
 rows are stored as one array per kind of row, which the trace joins
 once.  When a test fails, the rows before the first failing one are
@@ -340,16 +342,18 @@ class _Core:
     update rule fills by visiting its extrapolation points.  ``visit``
     does what the method needs to go on and pends the row, NaN marking
     what it lacks, after flushing a full block of ``block_rows(dim)``
-    rows; ``flush`` makes the block one (field x row) array, evaluates
-    what the rows lack with the row kernels, tests the block's gaps once
-    and stores its checked rows as one array per kind of row; a failing
-    row raises its error after the rows before it are stored, so a
-    deferred overflowing f or a wrong f_star is found up to a block of
-    queries late.  ``at_point`` settles f(x) in ``visit``, before the
-    query, where the adaptive predicate, a block of one row or a gap
-    target reads it; otherwise every f(x) is deferred.  f(x), its
-    finiteness and the gap floor are the run's problem's; the gradient
-    norms are those of the problem the oracle estimates.
+    rows; ``flush`` makes the block one (field x row) array, takes its
+    rows' gradient norms, the queried ones' from the exact gradients kept
+    in ``exacts``, evaluates what else the rows lack with the row
+    kernels, tests the block's gaps once and stores its checked rows as
+    one array per kind of row; a failing row raises its error after the
+    rows before it are stored, so a deferred overflowing f or a wrong
+    f_star is found up to a block of queries late.  ``at_point`` settles
+    f(x) in ``visit``, before the query, where the adaptive predicate, a
+    block of one row or a gap target reads it; otherwise every f(x) is
+    deferred.  f(x), its finiteness and the gap floor are the run's
+    problem's; the gradient norms are those of the problem the oracle
+    estimates.
     """
 
     def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
@@ -362,8 +366,9 @@ class _Core:
         self.block = block_rows(problem.dim)
         self.at_point = adaptive or self.block == 1 or gap_target is not None
         # (k, x, is_y, f, grad_norm, noisy_norm) per row, NaN where not yet
-        # known, then an adaptive row's fields, blank until trials() sets them
-        self.pending = []
+        # known, then an adaptive row's fields, blank until trials() sets them;
+        # beside them each queried row's exact gradient, for its norm
+        self.pending, self.exacts = [], []
         self.blank = (0, math.nan, math.nan) if adaptive else ()
         # relative, like the package's other 1e-9 tolerances: the computed
         # f(x) - f_star carries rounding error on the scale of |f_star|
@@ -404,10 +409,8 @@ class _Core:
             self.flush()
         # the one validation of x: the start went through as_vector and
         # each update rule builds float64 vectors of the problem's
-        # dimension, so a queried point's finiteness test is the query's
-        # as_vector, unless f(x) is read first
-        if ((self.at_point or not query) and not math.isfinite(np.vdot(x, x))
-                and not np.isfinite(x).all()):
+        # dimension, so a finiteness test is all a point lacks
+        if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
         halt = False
         if self.at_point:  # f(x) is checked before the query
@@ -415,13 +418,11 @@ class _Core:
             # a gap target ends the run here, before a query
             halt = self.gap_target is not None and f_val - self.problem.f_star <= self.gap_target
             query = query and not halt
-        est, grad_norm, noisy_norm = None, math.nan, math.nan
+        est, noisy_norm = None, math.nan
         if query:
             try:
-                est, exact = self.oracle.estimate_with_exact(x)
-            except Exception:  # an earlier row's error, or this x's or f(x)'s, comes first
-                if not np.isfinite(x).all():  # the query's as_vector refused x
-                    raise self.abort(DivergedError, f"non-finite iterate at step {k}") from None
+                est, exact = self.oracle.estimate_with_exact(x, checked=True)
+            except Exception:  # an earlier row's error, or this f(x)'s, comes first
                 self.settle(k, x, f_val)
                 self.flush()
                 raise
@@ -433,10 +434,10 @@ class _Core:
             if not math.isfinite(est_sq) and not np.isfinite(est).all():
                 self.settle(k, x, f_val)
                 raise self.abort(DivergedError, f"non-finite gradient estimate at step {k}")
-            grad_norm = math.sqrt(exact.dot(exact))
             noisy_norm = math.sqrt(est_sq)
             halt = self.threshold is not None and noisy_norm <= self.threshold
-        self.pending.append((k, x, is_y, f_val, grad_norm, noisy_norm) + self.blank)
+            self.exacts.append(exact)
+        self.pending.append((k, x, is_y, f_val, math.nan, noisy_norm) + self.blank)
         if halt:
             self.flush()
             raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, is_y))
@@ -451,8 +452,9 @@ class _Core:
         return f_val
 
     def flush(self) -> None:
-        """Evaluate what the pending rows lack with the row kernels, test the
-        block once and store it; a failing row raises after the rows before it."""
+        """Take the pending rows' gradient norms, evaluate what else they lack
+        with the row kernels, test the block once and store it; a failing
+        row raises after the rows before it."""
         pending = self.pending
         if not pending:
             return
@@ -462,6 +464,9 @@ class _Core:
         del fields  # free the column tuples before the row kernels run
         values, grads, noisy_norms = block[:3]
         unqueried = np.isnan(noisy_norms)
+        if self.exacts:  # stacked, the rows are C-contiguous: row_dots has the 1-D dot's bits
+            G, self.exacts = np.array(self.exacts), []
+            grads[~unqueried] = np.sqrt(row_dots(G, G))
         X = np.array(xs) if not self.at_point or unqueried.any() else None
         if not self.at_point:  # f(x) is deferred
             values[:] = self.problem._values(X)

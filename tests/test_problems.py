@@ -245,6 +245,61 @@ class TestRowKernels:
             assert norms.tobytes() == want_norms.tobytes(), p
 
 
+class TestChainKernel:
+    """The strongly convex chain's gradient reads its neighbours from a
+    padded buffer and keeps the bits of the in-place form it replaced."""
+
+    @staticmethod
+    def in_place(p, x):
+        """The in-place form along axis 0: 2x, its last entry less x_n,
+        then the right and the left neighbours subtracted, c * Bx + mu * x,
+        and c taken off the first entry."""
+        Bx = 2.0 * x
+        Bx[-1] -= x[-1]
+        if p.dim > 1:
+            Bx[:-1] -= x[1:]
+            Bx[1:] -= x[:-1]
+        g = p._c * Bx + p.mu * x
+        g[0] -= p._c
+        return g
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 100])
+    @pytest.mark.parametrize("mu, L", [(0.5, 40.0), (1e-3, 1e6)])
+    def test_the_kernels_keep_the_in_place_bits(self, n, mu, L):
+        rng = np.random.default_rng(n)
+        # magnitudes from 1e-300 to 1e308, where 2x overflows to inf, with
+        # -0.0 and 0.0 entries between them
+        X = rng.choice([-1.0, 1.0], (64, n)) * 10.0 ** rng.uniform(-300, 308, (64, n))
+        X[rng.random((64, n)) < 0.1] = -0.0
+        X[rng.random((64, n)) < 0.05] = 0.0
+        X[:8, -1] = -1.5e308
+        p = nesterov_strongly_convex(mu, L, n)
+        with np.errstate(all="ignore"):
+            want = np.array([self.in_place(p, x.copy()) for x in X])
+            rows = p._gradients(X)
+            got = np.array([p._gradient(x.copy()) for x in X])
+        assert np.isinf(want).any()
+        assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_a_gradient_is_not_a_view_of_the_buffer(self):
+        p = nesterov_strongly_convex(0.5, 40.0, 5)
+        first = p._gradient(np.linspace(-1.0, 1.0, 5))
+        kept = first.copy()
+        p._gradient(np.full(5, 3.0))
+        assert np.array_equal(first.view(np.int64), kept.view(np.int64))
+
+    def test_a_copy_views_its_own_buffer(self):
+        import copy
+        import pickle
+
+        p = nesterov_strongly_convex(0.5, 40.0, 5)
+        p._gradient(np.full(5, 3.0))  # the buffer the copies are made of holds this x
+        x = np.linspace(-1.0, 1.0, 5)
+        for q in (copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert np.array_equal(q._gradient(x).view(np.int64), p._gradient(x).view(np.int64))
+
+
 @pytest.mark.parametrize("cls", [ChainedConvex, ChainedStronglyConvex, Quadratic, RegularizedProblem])
 def test_each_family_holds_the_validating_wrappers(cls):
     # the benchmark's tracer wraps value and gradient in each family's own

@@ -974,31 +974,39 @@ class TestEstimateGuard:
 
 
 def test_each_iterate_is_validated_once(monkeypatch):
-    """as_vector runs once per oracle query plus once for the start point;
-    inner calls on an already checked iterate must not re-validate it."""
+    """as_vector runs for start points and public entry points only: the
+    core gives every visited point one finiteness test (one ``np.vdot``)
+    and queries it as checked, and inner calls must not re-validate it."""
     prob = nesterov_strongly_convex(1.0, 100.0, 20)
     oracle = SyntheticNoiseOracle(
         prob, NoiseSpec(alpha=0.25, delta=0.1, mode="sampled_unbiased", seed=4))
-    calls = []
-    as_vector = numkit.as_vector
+    calls, tests = [], []
+    as_vector, vdot = numkit.as_vector, np.vdot
 
     def counting_as_vector(*args, **kwargs):
         calls.append(1)
         return as_vector(*args, **kwargs)
+
+    def counting_vdot(*args):
+        tests.append(1)
+        return vdot(*args)
 
     patched = [name for name, module in sys.modules.items()
                if name.split(".")[0] == "ngl" and getattr(module, "as_vector", None) is as_vector]
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "as_vector", counting_as_vector)
     assert {"ngl.numkit", "ngl.problems", "ngl.oracles", "ngl.solvers", "ngl.drivers"} <= set(patched)
+    monkeypatch.setattr(np, "vdot", counting_vdot)
 
+    # the start's as_vector, then one test per row (and per y point)
     gd_run(prob, oracle, GDConfig(steps=200, alpha=0.25, L=100.0), x0=np.ones(20))
-    assert len(calls) <= 201
+    assert (len(calls), len(tests)) == (1, 1 + 201)
     calls.clear()
+    tests.clear()
     re_agm_run(prob, oracle, ReAgmConfig(steps=200, mu=1.0, L=100.0, alpha=0.25), x0=np.ones(20))
-    assert len(calls) <= 201
+    assert (len(calls), len(tests)) == (1, 1 + 201 + 200)
 
-    # oracles that evaluate the problem themselves: one call per query
+    # oracles that evaluate the problem themselves: one call per public query
     for evaluating in (FiniteDifferenceOracle(prob, h=1e-5, value_noise=1e-9, seed=3),
                        FloatingPointQuadraticOracle(
                            quadratic(2.0 * np.eye(20), np.ones(20)), PrecisionSpec(20))):
@@ -1006,14 +1014,45 @@ def test_each_iterate_is_validated_once(monkeypatch):
         evaluating.estimate_with_exact(np.ones(20))[0]
         assert len(calls) == 1
 
-    # a 5-step accelerated ridge route: one call per query (the ridge
-    # query; the base query inside it reuses the validated x), none for
-    # the base gap, and three to set up (the start, the ridge center and
-    # the core's start)
+    # a 5-step accelerated ridge route: none per query (neither the ridge
+    # query nor the base query inside it) and none for the base gap, but
+    # three to set up (the start, the ridge center and the core's start)
     base = nesterov_convex(5, 10.0, 20)
     oracle = SyntheticNoiseOracle(base, NoiseSpec(alpha=0.1, mode="sampled_unbiased", seed=3))
     calls.clear()
     with pytest.raises(drivers.ConvergenceFailureError):
         drivers._ridge_route("re_agm", base, oracle, 1.0, np.ones(20), 0.05, 0.2, 5, 1e-9)
     assert oracle.queries == 5
-    assert len(calls) == 5 + 3
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("solver", ["gd", "re_agm"])
+@pytest.mark.parametrize("mode, alpha, delta, dots", [
+    ("adversarial_opposing", 0.25, 0.1, 2),
+    ("adversarial_opposing", 0.25, 0.0, 2),
+    ("adversarial_opposing", 0.0, 0.1, 2),
+    ("sampled_unbiased", 0.25, 0.1, 2),
+    ("sampled_unbiased", 0.25, 0.0, 2),
+    ("sampled_unbiased", 0.0, 0.1, 1),
+    ("none", 0.0, 0.0, 1),
+])
+def test_dot_calls_per_query(solver, mode, alpha, delta, dots):
+    # a query's ndarray.dot calls: the core's est.dot(est) for the
+    # estimate guard, and the oracle's exact.dot(exact) where it reads
+    # ||g||; the core takes every gradient norm per block, with row_dots
+    import cProfile
+    import pstats
+
+    prob = nesterov_strongly_convex(1.0, 100.0, 20)
+    oracle = SyntheticNoiseOracle(prob, NoiseSpec(alpha=alpha, delta=delta, mode=mode, seed=1))
+    profile = cProfile.Profile()
+    if solver == "gd":
+        profile.runcall(gd_run, prob, oracle, GDConfig(steps=300, alpha=0.25, L=100.0),
+                        x0=np.ones(20))
+    else:
+        profile.runcall(re_agm_run, prob, oracle,
+                        ReAgmConfig(steps=300, mu=1.0, L=100.0, alpha=0.25), x0=np.ones(20))
+    calls = sum(stat[1] for (_, _, name), stat in pstats.Stats(profile).stats.items()
+                if name == "<method 'dot' of 'numpy.ndarray' objects>")
+    assert oracle.queries == 300
+    assert calls == dots * oracle.queries
