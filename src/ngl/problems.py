@@ -58,8 +58,8 @@ def _solve_spd_tridiagonal(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.
 
 
 def _padded(buf: np.ndarray) -> tuple:
-    """(buf, buf[1:-1], buf[2:], buf[:-2]): a buffer [0, x, x_n] along axis 0 and its views."""
-    return buf, buf[1:-1], buf[2:], buf[:-2]
+    """Views (x's slot, right, left) of a buffer [0, x, x_n] along axis 0: buf[1:-1], buf[2:], buf[:-2]."""
+    return buf[1:-1], buf[2:], buf[:-2]
 
 
 class ObjectiveProblem:
@@ -212,17 +212,17 @@ class ChainedStronglyConvex(ObjectiveProblem):
         return quarter * (float(chain) - 2.0 * float(x[0])) + self.mu / 2.0 * float(x @ x)
 
     def __setstate__(self, state):
-        # a copy's views of its buffer were copied apart from it: view it anew
-        self.__dict__.update(state, _pad=_padded(state["_pad"][0]))
+        # a copy's views were copied apart from each other: give it a buffer of its own
+        self.__dict__.update(state, _pad=_padded(np.zeros(state["dim"] + 2)))
 
-    def _gradient(self, x: np.ndarray, pad: tuple = None) -> np.ndarray:
+    def _gradient(self, x: np.ndarray, pad: tuple | None = None) -> np.ndarray:
         # Bx = (2x - right) - left along axis 0, per element in that order,
         # with right = [x_2..x_n, x_n] and left = [0, x_1..x_{n-1}] read from
         # ``pad``, views of a buffer [0, x, x_n] (``_padded``); subtracting
         # the left pad's 0.0 keeps every bit, -0.0 included
-        buf, mid, right, left = self._pad if pad is None else pad
+        mid, right, left = self._pad if pad is None else pad
         mid[...] = x
-        buf[-1] = x[-1]
+        right[-1] = x[-1]
         Bx = _TWO * x
         Bx -= right
         Bx -= left
