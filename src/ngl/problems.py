@@ -58,7 +58,7 @@ def _solve_spd_tridiagonal(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.
 
 
 def _padded(buf: np.ndarray) -> tuple:
-    """Views (x's slot, right, left) of a buffer [0, x, x_n] along axis 0: buf[1:-1], buf[2:], buf[:-2]."""
+    """The views (x's slot, right, left) of a buffer [0, x, x_n] along axis 0."""
     return buf[1:-1], buf[2:], buf[:-2]
 
 
