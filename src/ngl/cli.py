@@ -78,6 +78,7 @@ from .drivers import (
     solve_convex_gd,
     solve_convex_re_agm,
 )
+from .numkit import block_rows
 from .oracles import NOISE_STREAM
 from .solvers import (
     AdaptiveGDConfig,
@@ -163,7 +164,8 @@ def _format_float(v: float) -> str:
 
 
 def _write_trace_csv(path: Path, trace, bound) -> None:
-    # one %-format per row; "%.17g" % v is format(v, ".17g") for a float
+    # one %-format per row; "%.17g" % v is format(v, ".17g") for a float.
+    # Written a block of rows at a time: a long run's lines are never all held
     columns = [trace.k, trace.f_gap, trace.grad_norm, trace.noisy_grad_norm]
     row = "%d,%.17g,%.17g,%.17g"
     if bound is not None:
@@ -176,9 +178,13 @@ def _write_trace_csv(path: Path, trace, bound) -> None:
         row += ",%d"
     else:
         row += ",nan"
-    lines = ["k,f_gap,grad_norm,noisy_grad_norm,bound,inner_loops"]
-    lines += [row % values for values in zip(*(col.tolist() for col in columns))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row += "\n"
+    rows = block_rows(len(columns))
+    with path.open("w", encoding="utf-8") as out:
+        out.write("k,f_gap,grad_norm,noisy_grad_norm,bound,inner_loops\n")
+        for start in range(0, len(trace.k), rows):
+            block = zip(*(col[start:start + rows].tolist() for col in columns))
+            out.write("".join([row % values for values in block]))
 
 
 def _execute_core(cfg: ExperimentConfig, out_dir: Path) -> dict:

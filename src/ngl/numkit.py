@@ -74,6 +74,12 @@ def row_dots(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.matmul(X[:, None, :], Y[..., None])[:, 0, 0]
 
 
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Row i is ``math.sqrt(X[i].dot(X[i]))``, np.linalg.norm's formula for a real 1-D row,
+    with its bits when the rows are C-contiguous."""
+    return np.sqrt(row_dots(X, X))
+
+
 def round_to_precision(x, spec: PrecisionSpec):
     """Round to ``spec.bits`` significand bits, round-to-nearest ties-to-even.
 

@@ -32,7 +32,7 @@ from functools import partial
 
 import numpy as np
 
-from .numkit import PrecisionSpec, as_vector, block_rows, round_to_precision, row_dots
+from .numkit import PrecisionSpec, as_vector, block_rows, round_to_precision, row_norms
 from .problems import ObjectiveProblem
 
 MODES = ("sampled_unbiased", "adversarial_opposing", "none")
@@ -96,7 +96,7 @@ def _draw_balls(directions: np.random.Generator, radii: np.random.Generator,
     """
     n = size[-1]
     D = directions.standard_normal(size).reshape(-1, n)
-    norms = np.sqrt(row_dots(D, D))
+    norms = row_norms(D)
     # a Python float's ** is C pow, whose bits numpy's array power need not match
     e = 1.0 / n
     r = np.array([u ** e for u in radii.random(D.shape[0]).tolist()])
@@ -216,7 +216,8 @@ def _top_k(g: np.ndarray, k: int) -> np.ndarray:
 
 def _sign(g: np.ndarray) -> np.ndarray:
     """Mean magnitude times the sign pattern; sign(0) = 0."""
-    return float(np.mean(np.abs(g))) * np.sign(g)
+    # np.mean's own add.reduce and one division, without its dispatch
+    return float(np.abs(g).sum() / g.shape[0]) * np.sign(g)
 
 
 _ON_GRID = 2.0**52  # |g*m| from which a float lies within float precision of the grid
@@ -417,9 +418,8 @@ def certification_report(estimate, exact, alpha: float, delta: float) -> dict:
     """
     est = as_vector(estimate)
     g = as_vector(exact)
-    ge = float(np.linalg.norm(est))
-    gn = float(np.linalg.norm(g))
-    err = float(np.linalg.norm(est - g))
+    # sqrt(v.dot(v)) is np.linalg.norm's formula for a real 1-D v
+    ge, gn, err = (math.sqrt(v.dot(v)) for v in (est, g, est - g))
     report = {
         "composite": alpha * gn + delta - err,
         "norm_upper": (1.0 + alpha) * gn + delta - ge,

@@ -45,12 +45,15 @@ checked right after the query, so it reads the point's noisy norm and
 needs no f(x).  The trace records every visited point, with a NaN
 noisy norm where nothing was queried.
 
-Its evaluation rule: every point pends with what the method needed at
-once (the x check, the query, the estimate guard, a queried point's
-noisy norm), NaN marking what it lacks, and a queried point's exact
-gradient beside it; a full block of ``numkit.block_rows(dim)`` pending
-rows is flushed when the next point arrives: the block becomes one
-(field x row) float64 array, every gradient norm is taken at once, a
+Its evaluation rule: the update rule writes every point into the next
+free row of one of the core's two (block, dim) row buffers, and the
+point pends with what the method needed at once (the x check, the
+query, the estimate guard, a queried point's noisy norm) in per-field
+lists, and a queried point's exact gradient beside them; a full block
+of ``numkit.block_rows(dim)`` pending rows is flushed when the next
+point arrives, and the next block fills the other buffer.  A flush
+reads the block's points as a slice of its buffer and fills one
+(field x row) float64 array: every gradient norm is taken at once, a
 queried row's from the stacked exact gradients and an unqueried one's
 from the row kernel, and the row kernels fill in the deferred f(x),
 all with the one-point bits; f(x) becomes the gap in place, which
@@ -78,7 +81,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .numkit import as_vector, block_rows, row_dots
+from .numkit import as_vector, block_rows, row_norms
 from .oracles import GradientOracle
 from .problems import ObjectiveProblem
 
@@ -290,40 +293,34 @@ class RunTrace:
 
     @property
     def total_inner_loops(self) -> int:
-        if self.inner_loops is None:
-            return 0
-        return int(self.inner_loops.sum())
+        return 0 if self.inner_loops is None else int(self.inner_loops.sum())
 
     def __len__(self) -> int:
         return len(self.k)
 
 
-class DivergedError(RuntimeError):
-    """A non-finite iterate appeared; carries the trace up to the last finite row."""
+class _TraceError(RuntimeError):
+    """An end of a run that carries its trace."""
 
     def __init__(self, message: str, trace: RunTrace):
         super().__init__(message)
         self.trace = trace
 
 
-class InnerLoopStallError(RuntimeError):
+class DivergedError(_TraceError):
+    """A non-finite iterate appeared; carries the trace up to the last finite row."""
+
+
+class InnerLoopStallError(_TraceError):
     """Backtracking failed INNER_LOOP_CAP trials in one step.
 
     Indicates an oracle whose error conforms to no (alpha, delta) with
     alpha < 1 at the queried point.  Carries the trace so far.
     """
 
-    def __init__(self, message: str, trace: RunTrace):
-        super().__init__(message)
-        self.trace = trace
 
-
-class _Halt(Exception):
+class _Halt(_TraceError):
     """A declared stop ended the run; carries the finished trace."""
-
-    def __init__(self, trace: RunTrace):
-        super().__init__(trace.terminal)
-        self.trace = trace
 
 
 _X_COLUMNS = ("f_gap", "grad_norm", "noisy_grad_norm")
@@ -335,25 +332,34 @@ class _Core:
     """The stepping core: one run's loop, guards, stops and trace rows.
 
     A runner supplies only its update rule, ``step(k, x, f_val, est,
-    noisy_norm) -> (next x, its f or NaN)``, and ``run`` visits rows
-    0..steps around it.  ``adaptive`` keeps the inner_loops/alpha_hat/L_hat
-    columns, which ``trials`` sets in the latest row, still pending, for
-    the step leaving it; ``accelerated`` keeps the y columns, which the
-    update rule fills by visiting its extrapolation points.  ``visit``
-    does what the method needs to go on and pends the row, NaN marking
-    what it lacks, after flushing a full block of ``block_rows(dim)``
-    rows; ``flush`` makes the block one (field x row) array, takes its
-    rows' gradient norms, the queried ones' from the exact gradients kept
-    in ``exacts``, evaluates what else the rows lack with the row
-    kernels, tests the block's gaps once and stores its checked rows as
-    one array per kind of row; a failing row raises its error after the
-    rows before it are stored, so a deferred overflowing f or a wrong
-    f_star is found up to a block of queries late.  ``at_point`` settles
-    f(x) in ``visit``, before the query, where the adaptive predicate, a
-    block of one row or a gap target reads it; otherwise every f(x) is
-    deferred.  f(x), its finiteness and the gap floor are the run's
-    problem's; the gradient norms are those of the problem the oracle
-    estimates.
+    noisy_norm) -> (next x, its f or NaN)``, which writes every point it
+    makes into ``row()`` with ``out=``, and ``run`` visits rows 0..steps
+    around it.  The pending points are rows of one of two (block, dim)
+    buffers, ``block_rows(dim)`` rows each, used in turn: ``row()`` is the
+    next free row, row 0 of the other buffer when the block is full, and
+    ``visit`` flushes the full block when that point arrives.  A block's
+    rows are written again only after the next block is flushed, so an
+    update rule reads its x and y rows freely, and what outlives that is
+    copied (``last_x``; re_agm rebinds its first u before then).
+    ``visit`` does what the method needs to go on and pends the row in
+    per-field lists: its noisy norm (NaN if unqueried), f(x) if
+    ``at_point`` and whether it is a y point if ``accelerated``, and
+    beside them a queried row's exact gradient in ``exacts``; the row's
+    place gives its k.  ``adaptive`` keeps the inner_loops/alpha_hat/L_hat
+    columns, which ``trials`` sets for the step leaving the latest row;
+    ``accelerated`` keeps the y columns, which the update rule fills by
+    visiting its extrapolation points.  ``flush`` fills a (field x row)
+    array from the lists and the block's slice of its buffer: the
+    gradient norms, the queried ones' from the exact gradients, and what
+    else the rows lack from the row kernels; it tests the block's gaps
+    once and stores its checked rows as one array per kind of row.  A
+    failing row raises its error after the rows before it are stored, so
+    a deferred overflowing f or a wrong f_star is found up to a block of
+    queries late.  ``at_point`` settles f(x) in ``visit``, before the
+    query, where the adaptive predicate, a block of one row or a gap
+    target reads it; otherwise every f(x) is deferred.  f(x), its
+    finiteness and the gap floor are the run's problem's; the gradient
+    norms are those of the problem the oracle estimates.
     """
 
     def __init__(self, problem: ObjectiveProblem, oracle: GradientOracle,
@@ -365,11 +371,13 @@ class _Core:
         self.threshold = threshold
         self.block = block_rows(problem.dim)
         self.at_point = adaptive or self.block == 1 or gap_target is not None
-        # (k, x, is_y, f, grad_norm, noisy_norm) per row, NaN where not yet
-        # known, then an adaptive row's fields, blank until trials() sets them;
-        # beside them each queried row's exact gradient, for its norm
-        self.pending, self.exacts = [], []
-        self.blank = (0, math.nan, math.nan) if adaptive else ()
+        # the points of the pending rows, n of them, are X[:n]; their fields
+        # are lists: noisy norms (n), f(x) if at_point, is_y if accelerated
+        # and the adaptive fields; beside them the queried rows' exact gradients
+        self.X, self.spare = np.empty((2, self.block, problem.dim))
+        self.noisy, self.values, self.is_y, *self.trial = self.fields = [
+            [] for _ in range(6 if adaptive else 3)]
+        self.exacts = []
         # relative, like the package's other 1e-9 tolerances: the computed
         # f(x) - f_star carries rounding error on the scale of |f_star|
         self.floor = _GAP_FLOOR * max(1.0, abs(problem.f_star))
@@ -378,12 +386,12 @@ class _Core:
         # that a run with no stored row joins to empty columns
         self.x_blocks = [np.empty((len(self.x_names), 0))]
         self.y_blocks = [np.empty((len(_Y_COLUMNS), 0))] if accelerated else None
-        self.last_x: Optional[np.ndarray] = None
 
     def run(self, steps: int, x0, step: Callable[..., tuple]) -> RunTrace:
         dim = self.problem.dim
         self.estimated = self.oracle.problem  # gives every row's grad_norm
-        x = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim).copy()
+        x = self.row()
+        x[:] = self.last_x = np.zeros(dim) if x0 is None else as_vector(x0, dim)
         f_val = math.nan
         accelerated = self.y_blocks is not None
         # an overflow ends in DivergedError or a failed trial, not a warning
@@ -393,32 +401,41 @@ class _Core:
                     last = k == steps
                     # the accelerated method steps from its y points
                     f_val, est, noisy_norm = self.visit(k, x, not (last or accelerated), f_val)
-                    if last:
+                    if last:  # no step leaves the last row
+                        self.trials(0, math.nan, math.nan)
                         break
                     x, f_val = step(k, x, f_val, est, noisy_norm)
                 self.flush()
             except _Halt as halt:
                 return halt.trace
-        return self.build(TERMINAL_STEPS_EXHAUSTED, x)
+        # the last x row is the final point; the buffers go before the columns are joined
+        x = self.X = self.spare = None
+        return self.build(TERMINAL_STEPS_EXHAUSTED, self.last_x)
+
+    def row(self) -> np.ndarray:
+        """The next point's row, for the update rule to write: row 0 of the
+        spare buffer when the block is full, which ``visit`` then flushes."""
+        n = len(self.noisy)
+        return self.X[n] if n < self.block else self.spare[0]
 
     def visit(self, k: int, x: np.ndarray, query: bool, f_val: float = math.nan,
               is_y: bool = False) -> tuple:
-        """Check and query row k's x or y point (``f_val``: f(x), NaN if not
-        evaluated), pend it and return its (f_val, estimate, noisy norm)."""
-        if len(self.pending) == self.block:  # its errors come before this point's
+        """Check and query row k's x or y point, the one ``row()`` gave
+        (``f_val``: f(x), NaN if not evaluated), pend it and return its
+        (f_val, estimate, noisy norm)."""
+        if len(self.noisy) == self.block:  # its errors come before this point's
             self.flush()
-        # the one validation of x: the start went through as_vector and
-        # each update rule builds float64 vectors of the problem's
-        # dimension, so a finiteness test is all a point lacks
-        if not math.isfinite(np.vdot(x, x)) and not np.isfinite(x).all():
+        # the one validation of x, a float64 row of the problem's dimension:
+        # a finite sum of squares means finite entries, and under run's
+        # errstate a sum that overflows raises no warning
+        if not math.isfinite(x.dot(x)) and not np.isfinite(x).all():
             raise self.abort(DivergedError, f"non-finite iterate at step {k}")
-        halt = False
+        halt, est, noisy_norm = False, None, math.nan
         if self.at_point:  # f(x) is checked before the query
             f_val = self.settle(k, x, f_val)
             # a gap target ends the run here, before a query
             halt = self.gap_target is not None and f_val - self.problem.f_star <= self.gap_target
             query = query and not halt
-        est, noisy_norm = None, math.nan
         if query:
             try:
                 est, exact = self.oracle.estimate_with_exact(x, checked=True)
@@ -437,10 +454,14 @@ class _Core:
             noisy_norm = math.sqrt(est_sq)
             halt = self.threshold is not None and noisy_norm <= self.threshold
             self.exacts.append(exact)
-        self.pending.append((k, x, is_y, f_val, math.nan, noisy_norm) + self.blank)
+        self.noisy.append(noisy_norm)
+        if self.at_point:
+            self.values.append(f_val)
+        if self.y_blocks is not None:
+            self.is_y.append(is_y)
         if halt:
             self.flush()
-            raise _Halt(self.build(TERMINAL_STOPPING_RULE, x, is_y))
+            raise _Halt("declared stop", self.build(TERMINAL_STOPPING_RULE, x, is_y))
         return f_val, est, noisy_norm
 
     def settle(self, k: int, x: np.ndarray, f_val: float) -> float:
@@ -455,45 +476,46 @@ class _Core:
         """Take the pending rows' gradient norms, evaluate what else they lack
         with the row kernels, test the block once and store it; a failing
         row raises after the rows before it."""
-        pending = self.pending
-        if not pending:
+        n = len(self.noisy)
+        if not n:
             return
-        self.pending = []
-        ks, xs, is_y, *fields = zip(*pending)
-        block = np.array(fields)  # (field x row) float64
-        del fields  # free the column tuples before the row kernels run
-        values, grads, noisy_norms = block[:3]
-        unqueried = np.isnan(noisy_norms)
-        if self.exacts:  # stacked, the rows are C-contiguous: row_dots has the 1-D dot's bits
-            G, self.exacts = np.array(self.exacts), []
-            grads[~unqueried] = np.sqrt(row_dots(G, G))
-        X = np.array(xs) if not self.at_point or unqueried.any() else None
-        if not self.at_point:  # f(x) is deferred
-            values[:] = self.problem._values(X)
+        # the block's points; the next block's go to the other buffer
+        X, self.X, self.spare = self.X[:n], self.spare, self.X
+        block = np.empty((len(self.x_names), n))  # (field x row) float64
+        block[2:] = [self.noisy, *self.trial]  # the rows the lists hold
+        values, grads, noisy = block[:3]
+        unqueried = np.isnan(noisy)
+        if self.exacts:  # stacked, C-contiguous rows: the 1-D norm's bits; freed at once
+            grads[~unqueried], self.exacts = row_norms(np.array(self.exacts)), []
+        values[:] = self.values if self.at_point else self.problem._values(X)
         if unqueried.any():
-            G = self.estimated._gradients(X[unqueried])
-            grads[unqueried] = np.sqrt(row_dots(G, G))
+            grads[unqueried] = row_norms(self.estimated._gradients(X[unqueried]))
+        is_y = np.array(self.is_y, dtype=bool)
+        for column in self.fields:
+            column.clear()
         gaps = np.subtract(values, self.problem.f_star, out=values)  # the f row, in place
         bad = ~(np.isfinite(gaps) & (gaps >= self.floor))
-        stop = int(bad.argmax()) if bad.any() else len(pending)
+        stop = int(bad.argmax()) if bad.any() else n
         if stop:  # the checked rows, x rows and y points apart
-            rows = block[:, :stop]
+            rows, x_at = block[:, :stop], range(stop)
             if self.y_blocks is not None:
-                y = np.array(is_y[:stop])
-                self.y_blocks.append(rows[:, y])
-                rows = rows[:, ~y]
+                self.y_blocks.append(rows[:, is_y[:stop]])
+                rows, x_at = rows[:, ~is_y[:stop]], np.flatnonzero(~is_y[:stop])
             self.x_blocks.append(rows)
-            # x_final for abort: the last stored x row's point
-            self.last_x = next((xs[i] for i in range(stop - 1, -1, -1) if not is_y[i]), self.last_x)
-        if stop < len(pending):
+            if len(x_at):  # x_final for abort, copied: its buffer row is reused
+                self.last_x = X[x_at[-1]].copy()
+        if stop < n:
+            y = stop < len(is_y) and is_y[stop]
+            k = sum(b.shape[1] for b in (self.y_blocks if y else self.x_blocks))  # stored before it
             if not math.isfinite(gaps[stop]):
-                raise self.abort(DivergedError, f"non-finite objective value at step {ks[stop]}")
-            where = f"{'y point' if is_y[stop] else 'row'} {ks[stop]}"
+                raise self.abort(DivergedError, f"non-finite objective value at step {k}")
+            where = f"{'y point' if y else 'row'} {k}"
             raise AssertionError(f"f_gap {float(gaps[stop])} below {self.floor} at {where}: bad f_star?")
 
     def trials(self, fails: int, alpha_hat: float, L_hat: float) -> None:
         """Set the adaptive fields of the latest row, still pending, to the step leaving it."""
-        self.pending[-1] = self.pending[-1][:-len(self.blank)] + (fails, alpha_hat, L_hat)
+        for column, value in zip(self.trial, (fails, alpha_hat, L_hat)):
+            column.append(value)
 
     def abort(self, error, message: str) -> RuntimeError:
         """``error`` carrying the rows so far, to the last x row (a failing pending row raises first)."""
@@ -510,15 +532,11 @@ class _Core:
             loops = columns["inner_loops"] = columns["inner_loops"].view(np.int64)
             loops[:] = loops.view(np.float64)
         gaps = columns["y_f_gap" if is_y else "f_gap"]
-        return RunTrace(
-            k=np.arange(len(columns["f_gap"]), dtype=np.int64),
-            terminal=terminal,
-            x_final=np.array(x_final, dtype=np.float64, copy=True),
-            final_f_gap=float(gaps[-1]) if len(gaps) else math.nan,
-            declared_alpha=self.oracle.declared_alpha,
-            declared_delta=self.oracle.declared_delta,
-            **columns,
-        )
+        return RunTrace(k=np.arange(len(columns["f_gap"]), dtype=np.int64), terminal=terminal,
+                        x_final=np.array(x_final, dtype=np.float64, copy=True),
+                        final_f_gap=float(gaps[-1]) if len(gaps) else math.nan,
+                        declared_alpha=self.oracle.declared_alpha,
+                        declared_delta=self.oracle.declared_delta, **columns)
 
 
 # benchmarks/tracer.py still calls each runner with monitor=None: the keyword
@@ -545,7 +563,8 @@ def gd_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: GDConfig,
         )
     h = np.array(cfg.step_size)  # a 0-d factor: see re_agm_run
     core = _Core(problem, oracle, gap_target=cfg.gap_target, threshold=cfg.threshold)
-    return core.run(cfg.steps, x0, lambda k, x, f_val, est, noisy_norm: (x - h * est, math.nan))
+    return core.run(cfg.steps, x0, lambda k, x, f_val, est, noisy_norm: (
+        np.subtract(x, h * est, out=core.row()), math.nan))
 
 
 def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConfig,
@@ -574,12 +593,12 @@ def re_agm_run(problem: ObjectiveProblem, oracle: GradientOracle, cfg: ReAgmConf
 
     def step(k, x, f_val, est, noisy_norm) -> tuple:
         nonlocal u
-        if u is None:
+        if u is None:  # x0's row is not written again before u is
             u = x
-        y = (omega * u + x) / y_div
+        y = np.divide(omega * u + x, y_div, out=core.row())
         est = core.visit(k, y, True, is_y=True)[1]
         u = u_keep * u + omega * y - u_grad * est
-        return y - h * est, math.nan
+        return np.subtract(y, h * est, out=core.row()), math.nan
 
     return core.run(cfg.steps, x0, step)
 
@@ -620,7 +639,7 @@ def adaptive_gd_run(problem: ObjectiveProblem, oracle: GradientOracle,
         t = J
         while True:
             alpha_hat, L_hat, h, theta = _adaptive_coefficients(t, cfg.L0, cfg.adapt_L)
-            x_next = x - h * est
+            x_next = np.subtract(x, h * est, out=core.row())  # the accepted trial stays
             # the trusted kernel: a trial point that overflows gets a
             # non-finite value and fails below like any rejected trial
             f_next = problem._value(x_next)

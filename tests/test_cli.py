@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import ngl.cli as cli
 import ngl.config as config
+import ngl.numkit as numkit
 from config_faults import FAULTS, fault_config
 from ngl.bounds import envelope, start_constants
 from ngl.config import ConfigError, expand_sweep, parse_config
@@ -228,13 +229,20 @@ class TestRunCommand:
         value = text[1].split(",")[1]
         assert value == format(float(value), ".17g")
 
+    # blocks of 5, 4 or 3 rows for 4, 5 or 6 columns (BLOCK_FLOATS = 20): the
+    # file is written a block of rows at a time, with the bytes of one pass
+    @pytest.mark.parametrize("block_floats", [None, 20], ids=["one_block", "blocks"])
     @pytest.mark.parametrize("with_bound", [False, True])
     @pytest.mark.parametrize("with_inner", [False, True])
-    def test_trace_csv_matches_per_cell_format(self, tmp_path, with_bound, with_inner):
+    def test_trace_csv_matches_per_cell_format(self, tmp_path, monkeypatch, with_bound,
+                                               with_inner, block_floats):
         floats = np.array([0.0, -0.0, 1.0 / 3.0, 5e-324, 1e-310, 2.5e-17,
                            1.7976931348623157e308, 123456789.0, -7.0,
                            math.inf, -math.inf, math.nan])
         n = len(floats)
+        if block_floats:
+            monkeypatch.setattr(numkit, "BLOCK_FLOATS", block_floats)
+        assert (numkit.block_rows(6) < n) == bool(block_floats)
         trace = RunTrace(
             k=np.arange(n, dtype=np.int64), f_gap=floats, grad_norm=floats[::-1].copy(),
             noisy_grad_norm=np.roll(floats, 3), terminal="steps_exhausted",

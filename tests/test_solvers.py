@@ -944,6 +944,84 @@ class TestDeferredRows:
             assert (rows, calls["values"]) == ((41, 6) if name == "gd" else (81, 11))
 
 
+    @staticmethod
+    def buffered_run(monkeypatch, name, case, rows):
+        """The run's (error type, message, trace, queries) at n = 20 with
+        blocks of ``rows`` rows (``numkit.BLOCK_FLOATS`` = 20 * rows), with
+        the core's block of one row, and with the default block of 819
+        rows, which no run here fills, so no row of it is reused."""
+        if case == "diverges" and name != "adaptive_gd":
+            # entry 19 is a flat direction of the convex chain (k = 10): a
+            # kick of 1e308 there at query 5 sends x6 to -inf (h = 2.5)
+            prob = nesterov_convex(10, 0.1, 20)
+            make = lambda: NonFiniteAtQuery(prob, 5, 1e308, entry=19)  # noqa: E731
+            cfg = GDConfig(30, 0.0, 0.1) if name == "gd" else ReAgmConfig(30, 1e-6, 0.1, 0.0)
+        else:
+            prob = nesterov_strongly_convex(1.0, 50.0, 20)
+            if case == "diverges":  # a NaN estimate at row 6's query
+                make = lambda: NonFiniteAtQuery(prob, 6, np.nan)  # noqa: E731
+            else:
+                make = lambda: SyntheticNoiseOracle(  # noqa: E731
+                    prob, NoiseSpec(0.25, 0.1, "sampled_unbiased", seed=6))
+            cfg = {"gd": GDConfig(30, 0.25, 50.0), "re_agm": ReAgmConfig(30, 1.0, 50.0, 0.25),
+                   "adaptive_gd": AdaptiveGDConfig(30, L0=50.0, delta=0.1)}[name]
+        run = {"gd": gd_run, "re_agm": re_agm_run, "adaptive_gd": adaptive_gd_run}[name]
+
+        def outcome(cfg, block_floats=None, eager=False):
+            with monkeypatch.context() as patch:
+                if block_floats:
+                    patch.setattr(numkit, "BLOCK_FLOATS", block_floats)
+                if eager:
+                    patch.setattr(solvers, "block_rows", lambda dim: 1)
+                assert solvers._Core(prob, None).block == (1 if eager else rows if block_floats
+                                                           else 819)
+                oracle = make()
+                try:
+                    return None, None, run(prob, oracle, cfg, x0=np.ones(20)), oracle.queries
+                except DivergedError as exc:
+                    return type(exc), str(exc), exc.trace, oracle.queries
+
+        if case == "threshold":
+            # the first point after y3 (gd: row 3) below every earlier noisy norm
+            full = outcome(cfg)[2]
+            noisy = full.noisy_grad_norm if name == "gd" else full.y_noisy_grad_norm
+            stop = next(k for k in range(4, 30) if noisy[k] < noisy[:k].min())
+            cfg = dataclasses.replace(cfg, threshold=float(noisy[stop]))
+        results = [outcome(cfg, 20 * rows), outcome(cfg, eager=True), outcome(cfg)]
+        first = results[0]
+        for other in results[1:]:
+            assert (other[0], other[1], other[3]) == (first[0], first[1], first[3])
+            assert_same_trace(first[2], other[2])
+        return prob, first
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("name, case", [
+        ("gd", "steps"), ("re_agm", "steps"), ("adaptive_gd", "steps"),
+        ("gd", "diverges"), ("re_agm", "diverges"), ("adaptive_gd", "diverges"),
+        ("gd", "threshold"), ("re_agm", "threshold")])
+    def test_reused_rows(self, monkeypatch, name, case, rows):
+        # each point is a row of one of two (block, n) buffers that later
+        # blocks reuse: with blocks of 1 to 3 rows a run flushes its first
+        # block at step 0 (re_agm's u starts as x0, and with one row per
+        # block x0's row holds x1), diverges at row 0 of a later block,
+        # where x_final is the row before it, flushed one or two blocks
+        # back, or halts at a y point, which is then the terminal point;
+        # each run is its eager twin and its run with one unflushed block
+        prob, (kind, message, trace, queries) = self.buffered_run(monkeypatch, name, case, rows)
+        # x_final is the terminal point: the last x row's, or the halting y point's
+        gaps = trace.y_f_gap if case == "threshold" and name == "re_agm" else trace.f_gap
+        assert prob._value(trace.x_final) - prob.f_star == trace.final_f_gap == gaps[-1]
+        if case == "steps":
+            assert (kind, trace.terminal, queries) == (None, "steps_exhausted", 30)
+        elif case == "diverges":
+            guard = "gradient estimate" if name == "adaptive_gd" else "iterate"
+            assert (kind, message) == (DivergedError, f"non-finite {guard} at step 6")
+            assert list(trace.k) == list(range(6)) and np.isfinite(trace.x_final).all()
+        else:
+            assert trace.terminal == "stopping_rule" and queries == trace.iterations + 1
+
+
 class TestEstimateGuard:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_estimate_ends_the_run(self, bad):
@@ -973,38 +1051,47 @@ class TestEstimateGuard:
         assert math.isfinite(trace.grad_norm[0])
 
 
+def profiled_dots(run, *args, **kwargs) -> tuple:
+    """``run(*args, **kwargs)``'s ``ndarray.dot`` and ``np.vdot`` calls, counted by cProfile."""
+    import cProfile
+    import pstats
+
+    profile = cProfile.Profile()
+    profile.runcall(run, *args, **kwargs)
+    calls = {name: stat[1] for (_, _, name), stat in pstats.Stats(profile).stats.items()}
+    return calls.get("<method 'dot' of 'numpy.ndarray' objects>", 0), calls.get("vdot", 0)
+
+
 def test_each_iterate_is_validated_once(monkeypatch):
     """as_vector runs for start points and public entry points only: the
-    core gives every visited point one finiteness test (one ``np.vdot``)
-    and queries it as checked, and inner calls must not re-validate it."""
+    core gives every visited point one finiteness test (one
+    ``ndarray.dot``) and queries it as checked, and inner calls must not
+    re-validate it."""
     prob = nesterov_strongly_convex(1.0, 100.0, 20)
     oracle = SyntheticNoiseOracle(
         prob, NoiseSpec(alpha=0.25, delta=0.1, mode="sampled_unbiased", seed=4))
-    calls, tests = [], []
-    as_vector, vdot = numkit.as_vector, np.vdot
+    calls = []
+    as_vector = numkit.as_vector
 
     def counting_as_vector(*args, **kwargs):
         calls.append(1)
         return as_vector(*args, **kwargs)
-
-    def counting_vdot(*args):
-        tests.append(1)
-        return vdot(*args)
 
     patched = [name for name, module in sys.modules.items()
                if name.split(".")[0] == "ngl" and getattr(module, "as_vector", None) is as_vector]
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "as_vector", counting_as_vector)
     assert {"ngl.numkit", "ngl.problems", "ngl.oracles", "ngl.solvers", "ngl.drivers"} <= set(patched)
-    monkeypatch.setattr(np, "vdot", counting_vdot)
 
-    # the start's as_vector, then one test per row (and per y point)
-    gd_run(prob, oracle, GDConfig(steps=200, alpha=0.25, L=100.0), x0=np.ones(20))
-    assert (len(calls), len(tests)) == (1, 1 + 201)
+    # the start's as_vector (its one np.vdot), then one dot per row (and
+    # per y point) beside the two of each query (test_dot_calls_per_query)
+    dots = profiled_dots(gd_run, prob, oracle, GDConfig(steps=200, alpha=0.25, L=100.0),
+                         x0=np.ones(20))
+    assert (len(calls), dots) == (1, (201 + 2 * 200, 1))
     calls.clear()
-    tests.clear()
-    re_agm_run(prob, oracle, ReAgmConfig(steps=200, mu=1.0, L=100.0, alpha=0.25), x0=np.ones(20))
-    assert (len(calls), len(tests)) == (1, 1 + 201 + 200)
+    dots = profiled_dots(re_agm_run, prob, oracle,
+                         ReAgmConfig(steps=200, mu=1.0, L=100.0, alpha=0.25), x0=np.ones(20))
+    assert (len(calls), dots) == (1, (201 + 200 + 2 * 200, 1))
 
     # oracles that evaluate the problem themselves: one call per public query
     for evaluating in (FiniteDifferenceOracle(prob, h=1e-5, value_noise=1e-9, seed=3),
@@ -1039,20 +1126,17 @@ def test_each_iterate_is_validated_once(monkeypatch):
 def test_dot_calls_per_query(solver, mode, alpha, delta, dots):
     # a query's ndarray.dot calls: the core's est.dot(est) for the
     # estimate guard, and the oracle's exact.dot(exact) where it reads
-    # ||g||; the core takes every gradient norm per block, with row_dots
-    import cProfile
-    import pstats
-
+    # ||g||; the core takes every gradient norm per block, with row_dots,
+    # and tests each visited point with one x.dot(x): 301 rows, and for
+    # re_agm 300 y points
     prob = nesterov_strongly_convex(1.0, 100.0, 20)
     oracle = SyntheticNoiseOracle(prob, NoiseSpec(alpha=alpha, delta=delta, mode=mode, seed=1))
-    profile = cProfile.Profile()
     if solver == "gd":
-        profile.runcall(gd_run, prob, oracle, GDConfig(steps=300, alpha=0.25, L=100.0),
-                        x0=np.ones(20))
+        calls, _ = profiled_dots(gd_run, prob, oracle, GDConfig(steps=300, alpha=0.25, L=100.0),
+                                 x0=np.ones(20))
     else:
-        profile.runcall(re_agm_run, prob, oracle,
-                        ReAgmConfig(steps=300, mu=1.0, L=100.0, alpha=0.25), x0=np.ones(20))
-    calls = sum(stat[1] for (_, _, name), stat in pstats.Stats(profile).stats.items()
-                if name == "<method 'dot' of 'numpy.ndarray' objects>")
+        calls, _ = profiled_dots(re_agm_run, prob, oracle,
+                                 ReAgmConfig(steps=300, mu=1.0, L=100.0, alpha=0.25),
+                                 x0=np.ones(20))
     assert oracle.queries == 300
-    assert calls == dots * oracle.queries
+    assert calls == dots * oracle.queries + (301 if solver == "gd" else 601)
