@@ -1,6 +1,7 @@
 """Solver unit tests: parameter formulas, traces, guards, inner-loop accounting."""
 
 import dataclasses
+import functools
 import math
 import sys
 
@@ -954,15 +955,15 @@ class TestDeferredRows:
             # entry 19 is a flat direction of the convex chain (k = 10): a
             # kick of 1e308 there at query 5 sends x6 to -inf (h = 2.5)
             prob = nesterov_convex(10, 0.1, 20)
-            make = lambda: NonFiniteAtQuery(prob, 5, 1e308, entry=19)  # noqa: E731
+            make = functools.partial(NonFiniteAtQuery, prob, 5, 1e308, entry=19)
             cfg = GDConfig(30, 0.0, 0.1) if name == "gd" else ReAgmConfig(30, 1e-6, 0.1, 0.0)
         else:
             prob = nesterov_strongly_convex(1.0, 50.0, 20)
             if case == "diverges":  # a NaN estimate at row 6's query
-                make = lambda: NonFiniteAtQuery(prob, 6, np.nan)  # noqa: E731
+                make = functools.partial(NonFiniteAtQuery, prob, 6, np.nan)
             else:
-                make = lambda: SyntheticNoiseOracle(  # noqa: E731
-                    prob, NoiseSpec(0.25, 0.1, "sampled_unbiased", seed=6))
+                make = functools.partial(SyntheticNoiseOracle, prob,
+                                         NoiseSpec(0.25, 0.1, "sampled_unbiased", seed=6))
             cfg = {"gd": GDConfig(30, 0.25, 50.0), "re_agm": ReAgmConfig(30, 1.0, 50.0, 0.25),
                    "adaptive_gd": AdaptiveGDConfig(30, L0=50.0, delta=0.1)}[name]
         run = {"gd": gd_run, "re_agm": re_agm_run, "adaptive_gd": adaptive_gd_run}[name]
