@@ -229,20 +229,14 @@ class TestRunCommand:
         value = text[1].split(",")[1]
         assert value == format(float(value), ".17g")
 
-    # blocks of 5, 4 or 3 rows for 4, 5 or 6 columns (BLOCK_FLOATS = 20): the
-    # file is written a block of rows at a time, with the bytes of one pass
-    @pytest.mark.parametrize("block_floats", [None, 20], ids=["one_block", "blocks"])
     @pytest.mark.parametrize("with_bound", [False, True])
     @pytest.mark.parametrize("with_inner", [False, True])
     def test_trace_csv_matches_per_cell_format(self, tmp_path, monkeypatch, with_bound,
-                                               with_inner, block_floats):
+                                               with_inner):
         floats = np.array([0.0, -0.0, 1.0 / 3.0, 5e-324, 1e-310, 2.5e-17,
                            1.7976931348623157e308, 123456789.0, -7.0,
                            math.inf, -math.inf, math.nan])
         n = len(floats)
-        if block_floats:
-            monkeypatch.setattr(numkit, "BLOCK_FLOATS", block_floats)
-        assert (numkit.block_rows(6) < n) == bool(block_floats)
         trace = RunTrace(
             k=np.arange(n, dtype=np.int64), f_gap=floats, grad_norm=floats[::-1].copy(),
             noisy_grad_norm=np.roll(floats, 3), terminal="steps_exhausted",
@@ -263,6 +257,12 @@ class TestRunCommand:
                 format(int(trace.inner_loops[i]), "d") if with_inner else "nan",
             ]))
         assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+        # written a block of rows at a time, the bytes are those of one pass:
+        # blocks of 5, 4 or 3 rows for 4, 5 or 6 columns at BLOCK_FLOATS = 20
+        monkeypatch.setattr(numkit, "BLOCK_FLOATS", 20)
+        assert numkit.block_rows(4) < n
+        cli._write_trace_csv(tmp_path / "blocks.csv", trace, bound)
+        assert (tmp_path / "blocks.csv").read_bytes() == path.read_bytes()
 
     def test_bit_reproducible(self, tmp_path):
         a = write_config(tmp_path, name="a.json",
