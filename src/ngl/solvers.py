@@ -293,7 +293,9 @@ class RunTrace:
 
     @property
     def total_inner_loops(self) -> int:
-        return 0 if self.inner_loops is None else int(self.inner_loops.sum())
+        if self.inner_loops is None:
+            return 0
+        return int(self.inner_loops.sum())
 
     def __len__(self) -> int:
         return len(self.k)
@@ -532,11 +534,15 @@ class _Core:
             loops = columns["inner_loops"] = columns["inner_loops"].view(np.int64)
             loops[:] = loops.view(np.float64)
         gaps = columns["y_f_gap" if is_y else "f_gap"]
-        return RunTrace(k=np.arange(len(columns["f_gap"]), dtype=np.int64), terminal=terminal,
-                        x_final=np.array(x_final, dtype=np.float64, copy=True),
-                        final_f_gap=float(gaps[-1]) if len(gaps) else math.nan,
-                        declared_alpha=self.oracle.declared_alpha,
-                        declared_delta=self.oracle.declared_delta, **columns)
+        return RunTrace(
+            k=np.arange(len(columns["f_gap"]), dtype=np.int64),
+            terminal=terminal,
+            x_final=np.array(x_final, dtype=np.float64, copy=True),
+            final_f_gap=float(gaps[-1]) if len(gaps) else math.nan,
+            declared_alpha=self.oracle.declared_alpha,
+            declared_delta=self.oracle.declared_delta,
+            **columns,
+        )
 
 
 # benchmarks/tracer.py still calls each runner with monitor=None: the keyword
