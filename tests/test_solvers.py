@@ -799,21 +799,26 @@ class TestDeferredRows:
         assert self.twin_queries(monkeypatch, name, then_nan, gap_target=-1.0) == 13
 
     @staticmethod
-    def blocked_and_eager(monkeypatch, make_oracle, run):
-        """``run(oracle)``'s error, carried trace and queries, first with
-        blocks of 8 rows (n = 2000), then with the core's block of one row;
-        both runs must raise the same error with the same trace.  Returns
-        both runs' queries, the blocked run's first."""
-        raised = []
+    def blocked_and_eager(monkeypatch, make_oracle, run, block_floats=None):
+        """``run(oracle)``'s error (None if it returns), message, trace and
+        queries, first with the core's blocks (``numkit.BLOCK_FLOATS`` =
+        ``block_floats`` if given; 8 rows at n = 2000 by default), then with
+        a block of one row; both runs must end alike, with the same trace.
+        Returns both runs' queries, the blocked run's first."""
+        outcomes = []
         for eager in (False, True):
-            if eager:
-                monkeypatch.setattr(solvers, "block_rows", lambda dim: 1)
-            oracle = make_oracle()
-            with pytest.raises(Exception) as exc:
-                run(oracle)
-            raised.append((type(exc.value), str(exc.value), getattr(exc.value, "trace", None),
-                           oracle.queries))
-        (kind, message, trace, queries), (eager_kind, eager_message, eager_trace, eager_queries) = raised
+            with monkeypatch.context() as patch:
+                if block_floats is not None:
+                    patch.setattr(numkit, "BLOCK_FLOATS", block_floats)
+                if eager:
+                    patch.setattr(solvers, "block_rows", lambda dim: 1)
+                oracle = make_oracle()
+                try:
+                    kind, message, trace = None, None, run(oracle)
+                except Exception as exc:
+                    kind, message, trace = type(exc), str(exc), getattr(exc, "trace", None)
+            outcomes.append((kind, message, trace, oracle.queries))
+        (kind, message, trace, queries), (eager_kind, eager_message, eager_trace, eager_queries) = outcomes
         assert (kind, message) == (eager_kind, eager_message)
         if trace is not None or eager_trace is not None:
             assert_same_trace(trace, eager_trace)
@@ -945,12 +950,22 @@ class TestDeferredRows:
             assert (rows, calls["values"]) == ((41, 6) if name == "gd" else (81, 11))
 
 
-    @staticmethod
-    def buffered_run(monkeypatch, name, case, rows):
-        """The run's (error type, message, trace, queries) at n = 20 with
-        blocks of ``rows`` rows (``numkit.BLOCK_FLOATS`` = 20 * rows), with
-        the core's block of one row, and with the default block of 819
-        rows, which no run here fills, so no row of it is reused."""
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("name, case", [
+        ("gd", "steps"), ("re_agm", "steps"), ("adaptive_gd", "steps"),
+        ("gd", "diverges"), ("re_agm", "diverges"), ("adaptive_gd", "diverges"),
+        ("gd", "threshold"), ("re_agm", "threshold")])
+    def test_reused_rows(self, monkeypatch, name, case, rows):
+        # each point is a row of one of two (block, n) buffers that later
+        # blocks reuse: at n = 20 with blocks of 1 to 3 rows a run flushes
+        # its first block at step 0 (re_agm's u starts as x0, and with one
+        # row per block x0's row holds x1), diverges at row 0 of a later
+        # block, where x_final is the row before it, flushed one or two
+        # blocks back, or halts at a y point, which is then the terminal
+        # point; each run is its eager twin, and as the run with the
+        # default block of 819 rows, which no run here fills, so no row of
+        # it is reused
         if case == "diverges" and name != "adaptive_gd":
             # entry 19 is a flat direction of the convex chain (k = 10): a
             # kick of 1e308 there at query 5 sends x6 to -inf (h = 2.5)
@@ -967,49 +982,18 @@ class TestDeferredRows:
             cfg = {"gd": GDConfig(30, 0.25, 50.0), "re_agm": ReAgmConfig(30, 1.0, 50.0, 0.25),
                    "adaptive_gd": AdaptiveGDConfig(30, L0=50.0, delta=0.1)}[name]
         run = {"gd": gd_run, "re_agm": re_agm_run, "adaptive_gd": adaptive_gd_run}[name]
-
-        def outcome(cfg, block_floats=None, eager=False):
-            with monkeypatch.context() as patch:
-                if block_floats:
-                    patch.setattr(numkit, "BLOCK_FLOATS", block_floats)
-                if eager:
-                    patch.setattr(solvers, "block_rows", lambda dim: 1)
-                assert solvers._Core(prob, None).block == (1 if eager else rows if block_floats
-                                                           else 819)
-                oracle = make()
-                try:
-                    return None, None, run(prob, oracle, cfg, x0=np.ones(20)), oracle.queries
-                except DivergedError as exc:
-                    return type(exc), str(exc), exc.trace, oracle.queries
-
         if case == "threshold":
             # the first point after y3 (gd: row 3) below every earlier noisy norm
-            full = outcome(cfg)[2]
+            full = run(prob, make(), cfg, x0=np.ones(20))
             noisy = full.noisy_grad_norm if name == "gd" else full.y_noisy_grad_norm
             stop = next(k for k in range(4, 30) if noisy[k] < noisy[:k].min())
             cfg = dataclasses.replace(cfg, threshold=float(noisy[stop]))
-        results = [outcome(cfg, 20 * rows), outcome(cfg, eager=True), outcome(cfg)]
-        first = results[0]
-        for other in results[1:]:
-            assert (other[0], other[1], other[3]) == (first[0], first[1], first[3])
-            assert_same_trace(first[2], other[2])
-        return prob, first
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("rows", [1, 2, 3])
-    @pytest.mark.parametrize("name, case", [
-        ("gd", "steps"), ("re_agm", "steps"), ("adaptive_gd", "steps"),
-        ("gd", "diverges"), ("re_agm", "diverges"), ("adaptive_gd", "diverges"),
-        ("gd", "threshold"), ("re_agm", "threshold")])
-    def test_reused_rows(self, monkeypatch, name, case, rows):
-        # each point is a row of one of two (block, n) buffers that later
-        # blocks reuse: with blocks of 1 to 3 rows a run flushes its first
-        # block at step 0 (re_agm's u starts as x0, and with one row per
-        # block x0's row holds x1), diverges at row 0 of a later block,
-        # where x_final is the row before it, flushed one or two blocks
-        # back, or halts at a y point, which is then the terminal point;
-        # each run is its eager twin and its run with one unflushed block
-        prob, (kind, message, trace, queries) = self.buffered_run(monkeypatch, name, case, rows)
+        (kind, message, trace, queries, eager_queries), unreused = [
+            self.blocked_and_eager(monkeypatch, make, lambda oracle: run(prob, oracle, cfg,
+                                                                         x0=np.ones(20)), floats)
+            for floats in (20 * rows, None)]
+        assert unreused[:2] == (kind, message) and unreused[3] == queries == eager_queries
+        assert_same_trace(trace, unreused[2])
         # x_final is the terminal point: the last x row's, or the halting y point's
         gaps = trace.y_f_gap if case == "threshold" and name == "re_agm" else trace.f_gap
         assert prob._value(trace.x_final) - prob.f_star == trace.final_f_gap == gaps[-1]
