@@ -4,7 +4,8 @@ Subcommands:
 
   run <config>       execute one experiment, write trace.csv + summary.json
   sweep <config>     cross-product of list-valued fields, one run per combo,
-                     aggregated into comparison.csv (parallel with --jobs)
+                     aggregated into comparison.csv (on --jobs forked
+                     workers; serial where the platform cannot fork)
   verify             run the built-in invariant suite, print a pass table
   bounds <theorem> <key=value...>  print an envelope table for constants
 
@@ -86,7 +87,7 @@ from .solvers import (
     InnerLoopStallError,
     adaptive_gd_run,
 )
-from .verify import run_all_checks
+from .verify import _fork_map, run_all_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -305,16 +306,7 @@ def cmd_sweep(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    tasks = list(enumerate(configs))
-    if args.jobs > 1 and len(tasks) > 1:
-        # imported here: the pool's modules (multiprocessing, socket, logging)
-        # would otherwise load on every command's start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_sweep_task, tasks))
-    else:
-        records = [_sweep_task(t) for t in tasks]
+    records = _fork_map(_sweep_task, list(enumerate(configs)), args.jobs)
 
     lines = [",".join(["run", *varied, *_COMPARED])]
     for record, run_raw in zip(records, run_dicts):

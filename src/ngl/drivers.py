@@ -40,6 +40,7 @@ from .solvers import (
     GDConfig,
     ReAgmConfig,
     RunTrace,
+    _TraceError,
     gd_run,
     re_agm_run,
 )
@@ -60,16 +61,11 @@ __all__ = [
     "plan_convex_gd",
     "plan_convex_re_agm",
     "plan_combined",
-    "plan_restart_stages",
 ]
 
 
-class ConvergenceFailureError(RuntimeError):
-    """A driver exhausted its budget without certifying its target."""
-
-    def __init__(self, message: str, trace: Optional[RunTrace] = None):
-        super().__init__(message)
-        self.trace = trace
+class ConvergenceFailureError(_TraceError):
+    """A driver exhausted its budget without certifying its target; carries its trace."""
 
 
 class StageFailureError(ConvergenceFailureError):
@@ -388,15 +384,6 @@ class RestartResult:
         return self.trace.final_f_gap
 
 
-def plan_restart_stages(gap0: float, epsilon: float) -> int:
-    """Number of gap-halving stages from gap0 down to epsilon."""
-    if not (epsilon > 0.0 and math.isfinite(epsilon)):
-        raise ValueError(f"target accuracy must be positive, got {epsilon}")
-    if not math.isfinite(gap0) or gap0 <= epsilon:
-        return 0
-    return int(math.ceil(math.log2(gap0 / epsilon)))
-
-
 def _invert_envelope(env, target: float) -> int:
     """Smallest N with env.curve(N) <= target; env must decay to below it."""
     head = target - env.floor
@@ -449,7 +436,11 @@ def restart_to_convex(solver: str, problem: ObjectiveProblem,
     theorem = "GD_PL" if solver == "gd" else "REAGM"
     x = np.zeros(problem.dim) if x0 is None else as_vector(x0, problem.dim)
     gap_bound = problem.gap(x)
-    n_stages = plan_restart_stages(gap_bound, epsilon)
+    if not (epsilon > 0.0 and math.isfinite(epsilon)):
+        raise ValueError(f"target accuracy must be positive, got {epsilon}")
+    # gap-halving stages down to epsilon: none from a start gap that is not
+    # finite or already meets it
+    n_stages = math.ceil(math.log2(gap_bound / epsilon)) if epsilon < gap_bound < math.inf else 0
 
     traces: List[RunTrace] = []
     reports: List[StageReport] = []

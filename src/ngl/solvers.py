@@ -297,9 +297,6 @@ class RunTrace:
             return 0
         return int(self.inner_loops.sum())
 
-    def __len__(self) -> int:
-        return len(self.k)
-
 
 class _TraceError(RuntimeError):
     """An end of a run that carries its trace."""

@@ -7,11 +7,12 @@ a one-line detail, and the runs a caller may assert more about.
 ``tests/test_acceptance.py`` calls the same gates at full scale.  All
 checks are deterministic, so a pass table is reproducible bit for bit.
 
-``run_all_checks`` deals the gates round-robin into one lane per usable
-CPU, at most four: gate i runs in lane i % P, and finite-difference-error
-always in lane 0.  Lane 0 runs in the calling process and each other
-lane in a forked worker, which shares the caller's imports and
-``CHECKS``; rows come back in ``CHECKS`` order.
+``run_all_checks`` runs finite-difference-error in the calling process
+and then every other gate on a pool of forked workers, one per usable
+CPU and at most four, each handed the next gate when it is free; the
+workers share the caller's imports and ``CHECKS``, and rows come back
+in ``CHECKS`` order.  ``_fork_map`` is that pool, and `ngl sweep --jobs`
+runs its experiments on it too.
 """
 
 from __future__ import annotations
@@ -351,8 +352,8 @@ def _run_check(name: str, fn: Callable[[], Outcome]) -> CheckResult:
 
 
 # A worker's trace spans die with it.  This check's p.gradient(x) is the
-# suite's one call of a problem's public gradient, so a tracer in the
-# caller sees it at every lane count.
+# suite's one call of a problem's public gradient, so it runs in the
+# caller, where a tracer sees it at every lane count.
 _CALLER_CHECKS = frozenset({"finite-difference-error"})
 # The longest check, re-agm-envelope, takes about a quarter of the suite's
 # serial time: from four lanes on it sets the wall time, and a further
@@ -360,22 +361,33 @@ _CALLER_CHECKS = frozenset({"finite-difference-error"})
 _MAX_LANES = 4
 
 
-def _deal(lanes: int) -> List[List[int]]:
-    """Indices into ``CHECKS`` per lane: i in lane i % lanes, a caller check in lane 0."""
-    dealt: List[List[int]] = [[] for _ in range(lanes)]
-    for i, (name, _) in enumerate(CHECKS):
-        dealt[0 if name in _CALLER_CHECKS else i % lanes].append(i)
-    return dealt
+def _fork_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> List[Any]:
+    """``[fn(x) for x in items]``, in item order, on up to ``workers`` forked processes.
+
+    Runs in this process when one worker or one item would do, or where
+    the platform cannot fork.  Each worker takes the next item when it is
+    free.  ``fn`` must be a module-level function; ``items`` and the
+    results are pickled.
+    """
+    workers = min(workers, len(items))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [fn(x) for x in items]
+    # imported here: start-up loads no pool modules.  A forked worker starts
+    # with numpy and ngl loaded; a spawned one would first import them
+    # again, about as long as a worker's share of the verify checks takes
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items))
 
 
-def _run_lane(indices: Sequence[int]) -> List[CheckResult]:
-    return [_run_check(*CHECKS[i]) for i in indices]
+def _run_index(i: int) -> CheckResult:
+    return _run_check(*CHECKS[i])
 
 
 def _lane_count() -> int:
-    """The usable CPUs, at most four; one where the platform cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
+    """The usable CPUs, at most four."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -384,25 +396,14 @@ def _lane_count() -> int:
 
 
 def run_all_checks() -> List[CheckResult]:
-    """Run every invariant check in lanes, catching failures as FAIL rows.
+    """Run every invariant check, catching failures as FAIL rows.
 
-    Rows are in ``CHECKS`` order, each with its gate's own seconds.  With
-    one lane the gates run one after another in this process.
+    Rows are in ``CHECKS`` order, each with its gate's own seconds.  The
+    ``_CALLER_CHECKS`` run here first, so the workers fork with what they
+    imported (numpy.random, about 10 ms a process) already loaded; the
+    rest run on ``_lane_count()`` forked workers, or here with one.
     """
-    lanes = _lane_count()
-    if lanes == 1:
-        return _run_lane(range(len(CHECKS)))
-    # imported here, as for `ngl sweep`: start-up loads no pool modules.  A
-    # forked worker starts with numpy and ngl loaded; a spawned one would
-    # import them again, which takes about as long as lane 1's gates
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    dealt = _deal(lanes)
-    with ProcessPoolExecutor(lanes - 1, mp_context=multiprocessing.get_context("fork")) as pool:
-        others = [pool.submit(_run_lane, indices) for indices in dealt[1:]]
-        results = [_run_lane(dealt[0])] + [future.result() for future in others]
-    rows = {}
-    for indices, lane_rows in zip(dealt, results):
-        rows.update(zip(indices, lane_rows))
-    return [rows[i] for i in range(len(CHECKS))]
+    here = {name: _run_check(name, fn) for name, fn in CHECKS if name in _CALLER_CHECKS}
+    pooled = [i for i, (name, _) in enumerate(CHECKS) if name not in here]
+    rows = iter(_fork_map(_run_index, pooled, _lane_count()))
+    return [here[name] if name in here else next(rows) for name, _ in CHECKS]

@@ -926,11 +926,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("affinity, count, fork, lanes", [
         (1, 8, True, 1), (2, 8, True, 2), (3, 8, True, 3), (64, 8, True, 4),
-        (None, 3, True, 3), (None, None, True, 1), (8, 8, False, 1)])
+        (None, 3, True, 3), (None, None, True, 1), (8, 8, False, 4)])
     def test_one_lane_per_usable_cpu_at_most_four(self, affinity, count, fork, lanes,
                                                   monkeypatch):
-        # the CPUs this process may run on, else the machine's count; one lane
-        # where the platform cannot fork.  Nothing is started here
+        # the CPUs this process may run on, else the machine's count, whether
+        # or not the platform can fork: _fork_map alone decides to run serially
+        # there.  Nothing is started here
         import ngl.verify as verify
 
         if affinity is None:
@@ -943,18 +944,36 @@ class TestVerifyCommand:
             monkeypatch.delattr(os, "fork", raising=False)
         assert verify._lane_count() == lanes
 
-    def test_lane_zero_and_finite_difference_run_in_the_caller(self, monkeypatch):
-        # finite-difference-error runs in lane 0 even where i % lanes is not 0
+    def test_finite_difference_runs_in_the_caller_and_the_rest_in_workers(self, monkeypatch):
         import ngl.verify as verify
 
         def pid():
             return verify.Outcome(True, str(os.getpid()))
-        names = ["a", "b", "c", "finite-difference-error"]
+        names = ["a", "b", "finite-difference-error", "c", "d"]
         monkeypatch.setattr(verify, "CHECKS", [(name, pid) for name in names])
         monkeypatch.setattr(verify, "_lane_count", lambda: 2)
         rows = verify.run_all_checks()
         assert [r.name for r in rows] == names
-        assert [r.detail == str(os.getpid()) for r in rows] == [True, False, True, True]
+        assert [r.detail == str(os.getpid()) for r in rows] == [False, False, True, False, False]
+
+    @pytest.mark.parametrize("items, workers, fork", [
+        ([3, 1, 2], 1, True), ([3], 4, True), ([3, 1, 2], 4, False)],
+        ids=["one_worker", "one_item", "no_fork"])
+    def test_fork_map_runs_here_when_one_process_would_do(self, items, workers, fork,
+                                                          monkeypatch):
+        # one worker, one item or no os.fork: the results in item order and no
+        # process started, which the raising executor would show
+        import concurrent.futures
+
+        import ngl.verify as verify
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        if not fork:
+            monkeypatch.delattr(os, "fork", raising=False)
+        results = verify._fork_map(lambda x: (x * x, os.getpid()), items, workers)
+        assert results == [(x * x, os.getpid()) for x in items]
 
     def test_traced_cli_mix_keeps_its_gradient_span_at_five_lanes(self, monkeypatch, tmp_path):
         # the benchmark's traced runs time problems.gradient by the one public

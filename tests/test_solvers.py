@@ -214,7 +214,7 @@ class TestGDRun:
         cfg = GDConfig(steps=1, alpha=0.0, L=1.0)
         trace = gd_run(prob, exact_oracle(prob), cfg, x0=[1.0, 0.0])
         assert np.array_equal(trace.x_final, [0.75, 0.0])
-        assert len(trace) == 2 and trace.iterations == 1
+        assert len(trace.k) == 2 and trace.iterations == 1
         assert trace.terminal == "steps_exhausted"
         assert trace.f_gap[0] == 0.5
         assert trace.f_gap[1] == 0.5 * 0.75**2
@@ -226,7 +226,7 @@ class TestGDRun:
         prob = half_sphere_quadratic()
         trace = gd_run(prob, exact_oracle(prob), GDConfig(steps=0, alpha=0.0, L=1.0),
                        x0=[1.0, 0.0])
-        assert len(trace) == 1 and trace.iterations == 0
+        assert len(trace.k) == 1 and trace.iterations == 0
         assert np.array_equal(trace.x_final, [1.0, 0.0])
 
     def test_default_start_is_origin(self):
@@ -267,7 +267,7 @@ class TestGDRun:
         # |grad| = 0.75^k falls below 0.3 at k = 5
         assert trace.terminal == "stopping_rule"
         assert trace.iterations == 5
-        assert len(trace) == 6
+        assert len(trace.k) == 6
         assert trace.final_f_gap == trace.f_gap[-1]
         # the halting row is queried before the threshold is read: it is not the last
         assert not np.any(np.isnan(trace.noisy_grad_norm))
@@ -345,7 +345,7 @@ class TestReAgmRun:
         prob = nesterov_strongly_convex(1.0, 100.0, 10)
         cfg = ReAgmConfig(steps=0, mu=1.0, L=100.0, alpha=0.1)
         trace = re_agm_run(prob, exact_oracle(prob), cfg)
-        assert len(trace) == 1
+        assert len(trace.k) == 1
         assert trace.y_f_gap.shape == (0,)
         assert np.array_equal(trace.x_final, np.zeros(10))
 
@@ -355,7 +355,7 @@ class TestReAgmRun:
         cfg = ReAgmConfig(steps=2000, mu=1.0, L=100.0, alpha=alpha)
         trace = re_agm_run(prob, exact_oracle(prob), cfg)
         assert trace.final_f_gap <= 1e-6 * trace.f_gap[0]
-        assert len(trace) == 2001
+        assert len(trace.k) == 2001
         assert len(trace.y_f_gap) == 2000
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
