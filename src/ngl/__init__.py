@@ -15,6 +15,7 @@ from .bounds import (
     Envelope,
     EnvelopeConstants,
     EnvelopeDomainError,
+    certification_report,
     envelope,
     iteration_budget,
     stopping_level,
@@ -39,7 +40,6 @@ from .oracles import (
     GradientOracle,
     NoiseSpec,
     SyntheticNoiseOracle,
-    certification_report,
 )
 from .problems import (
     ObjectiveProblem,
@@ -70,14 +70,14 @@ __all__ = [
     # oracles
     "GradientOracle", "NoiseSpec", "SyntheticNoiseOracle",
     "CompressedGradientOracle", "FiniteDifferenceOracle",
-    "FloatingPointQuadraticOracle", "certification_report",
+    "FloatingPointQuadraticOracle",
     # solvers
     "GDConfig", "ReAgmConfig", "AdaptiveGDConfig", "RunTrace",
     "gd_run", "re_agm_run", "adaptive_gd_run", "gd_step_size",
     "re_agm_calculate_parameters", "DivergedError", "InnerLoopStallError",
     # bounds
     "THEOREM_IDS", "Envelope", "EnvelopeConstants", "EnvelopeDomainError",
-    "envelope", "iteration_budget", "stopping_level",
+    "envelope", "iteration_budget", "stopping_level", "certification_report",
     # drivers
     "RegularizedProblem", "RegularizedOracle", "StoppingRule",
     "RestartResult", "run_with_stopping", "solve_convex_gd",

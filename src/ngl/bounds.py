@@ -4,6 +4,8 @@ Each guarantee is turned into an explicit curve N -> upper bound on the
 optimality gap (squared gradient norm for the min-gradient variant),
 split into a geometrically decaying term and a noise floor.  Everything
 here is pure arithmetic on declared constants; nothing runs a solver.
+``certification_report`` gives the slacks of an oracle's composite
+bound and of the sandwich inequalities it implies, for given estimates.
 
 Curve evaluation uses exp(N * log1p(-rate)) so that rates far below
 float epsilon still decay correctly at large N.
@@ -17,10 +19,12 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .numkit import as_vector, row_dots, row_norms
 from .solvers import re_agm_calculate_parameters
 
 __all__ = [
     "THEOREM_IDS",
+    "certification_report",
     "EnvelopeConstants",
     "start_constants",
     "Envelope",
@@ -413,3 +417,37 @@ def iteration_budget(theorem_id: str, constants: EnvelopeConstants,
     if theorem_id == "GD_REG":
         return _budget_gd_reg(constants, epsilon)
     return _budget_reagm_reg(constants, epsilon, beta)
+
+
+def certification_report(estimate, exact, alpha: float, delta: float) -> dict:
+    """Slacks of the composite bound and its derived sandwich inequalities.
+
+    Every entry is (non-negative means satisfied): value = lhs-to-rhs slack.
+    Derived bounds: norm sandwich both ways, squared-norm sandwich both
+    ways, and the alignment (cosine) bound when delta = 0.  Given (m, n)
+    blocks of estimates and exact gradients, each entry is an (m,) array
+    of the 1-D reports' values, row by row.
+    """
+    est, g = (np.ascontiguousarray(v, dtype=np.float64) for v in (estimate, exact))
+    rows = est.ndim == 2
+    if not rows:  # one row
+        est, g = as_vector(est)[None], as_vector(g)[None]
+    elif g.shape != est.shape or not (np.isfinite(est).all() and np.isfinite(g).all()):
+        raise ValueError(f"expected two finite blocks of one shape, got {est.shape}, {g.shape}")
+    # row_norms has np.linalg.norm's bits on each row, and a square stays C pow per value
+    ge, gn, err = (row_norms(V) for V in (est, g, est - g))
+    ge2, gn2 = (np.array([v ** 2 for v in V.tolist()]) for V in (ge, gn))
+    report = {
+        "composite": alpha * gn + delta - err,
+        "norm_upper": (1.0 + alpha) * gn + delta - ge,
+        "norm_lower": ge - ((1.0 - alpha) * gn - delta),
+        "exact_norm_upper": (ge + delta) / (1.0 - alpha) - gn,
+        "exact_norm_lower": gn - (ge - delta) / (1.0 + alpha),
+        "sq_upper": 2.0 * (1.0 + alpha) ** 2 * gn2 + 2.0 * delta**2 - ge2,
+        "sq_lower": ge2 - (0.5 * (1.0 - alpha) ** 2 * gn2 - delta**2),
+        "exact_sq_upper": 2.0 / (1.0 - alpha) ** 2 * ge2 + 2.0 / (1.0 - alpha) ** 2 * delta**2 - gn2,
+        "exact_sq_lower": gn2 - (ge2 / (2.0 * (1.0 + alpha) ** 2) - delta**2 / (1.0 + alpha) ** 2),
+    }
+    if delta == 0.0:
+        report["alignment"] = row_dots(est, g) - math.sqrt(max(0.0, 1.0 - alpha**2)) * ge * gn
+    return report if rows else {key: float(v[0]) for key, v in report.items()}

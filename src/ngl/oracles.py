@@ -21,6 +21,12 @@ next n+1 ``uniform(-v, v)`` draws of one such generator.  The draws are
 made a block of queries at a time, at most ``max(numkit.BLOCK_FLOATS,
 one query)`` floats, and numpy's block draws equal its one-at-a-time
 draws bit for bit, so the block size is not part of the stream.
+
+A block query, ``GradientOracle._query_rows(X)``, answers the rows of an
+(m, n) block as m one-point queries would, bit for bit and counted the
+same: ``_Blocks.take(m)`` hands out the next m queries' draws in stream
+order, across refills.  The synthetic and compressed oracles compute a
+block's rows together; every other oracle makes one query per row.
 """
 
 from __future__ import annotations
@@ -85,6 +91,10 @@ class _Blocks:
         row = self._rows[self._next]
         self._next += 1
         return row
+
+    def take(self, m: int) -> np.ndarray:
+        """The next m queries' draws, stacked in stream order, across refills."""
+        return np.array([self.next() for _ in range(m)])
 
 
 def _draw_balls(directions: np.random.Generator, radii: np.random.Generator,
@@ -156,10 +166,36 @@ class GradientOracle:
             err = math.sqrt(diff.dot(diff))
             allowed = self.declared_alpha * math.sqrt(exact.dot(exact)) + self.declared_delta
             if err > allowed + CERT_SLACK:
-                raise AssertionError(
-                    f"composite bound violated: error {err} > {allowed} (query {self.queries})"
-                )
+                raise self._violation(err, allowed)
         return est, exact
+
+    def _violation(self, err: float, allowed: float) -> AssertionError:
+        return AssertionError(
+            f"composite bound violated: error {err} > {allowed} (query {self.queries})")
+
+    def _query_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Queries at the rows of a validated C-contiguous (m, dim) float64 X, m >= 1: (E, G).
+
+        Row i is the (queries + i + 1)-th one-point ``_query``, at X[i],
+        bit for bit, and ``queries`` grows by m; under ``certify`` the
+        first row that breaks the bound raises that query's message and
+        leaves ``queries`` at its number.  Here each row is one query; an
+        oracle that computes the rows together hands them to ``_counted``.
+        """
+        E, G = zip(*map(self._query, X))
+        return np.array(E), np.array(G)
+
+    def _counted(self, E: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Counts and certifies a computed block of queries as ``_query`` does each one."""
+        start = self.queries
+        self.queries += len(E)
+        if self.certify:
+            err = row_norms(E - G)
+            allowed = self.declared_alpha * row_norms(G) + self.declared_delta
+            for i in np.flatnonzero(err > allowed + CERT_SLACK)[:1]:
+                self.queries = start + int(i) + 1
+                raise self._violation(float(err[i]), float(allowed[i]))
+        return E, G
 
 
 class SyntheticNoiseOracle(GradientOracle):
@@ -200,6 +236,23 @@ class SyntheticNoiseOracle(GradientOracle):
         if gnorm == 0.0:
             return exact + rel + 0.0
         return exact + rel + (-delta / gnorm) * exact
+
+    def _query_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # _estimate's arithmetic on every row at once
+        G = self.problem._gradients(X)
+        alpha, delta = self.declared_alpha, self.declared_delta
+        if self._balls is not None:
+            R = self._balls.take(len(X))
+            if alpha == 0.0:
+                return self._counted(G + R[:, 0], G)
+            E = (alpha * row_norms(G))[:, None] * R[:, 0] + G
+            return self._counted(E + R[:, 1] if delta > 0.0 else E, G)
+        if self.spec.mode != "adversarial_opposing" or (alpha == 0.0 and delta == 0.0):
+            return self._counted(G + _ZERO, G)
+        norms = row_norms(G)
+        # a zero row adds 0.0 * G, whose -0.0 entries fall on G + rel's +0.0 ones
+        scale = np.divide(-delta, norms, out=np.zeros_like(norms), where=norms != 0.0)
+        return self._counted(G + self._minus_alpha * G + scale[:, None] * G, G)
 
 
 def _top_k(g: np.ndarray, k: int) -> np.ndarray:
@@ -275,6 +328,23 @@ class CompressedGradientOracle(GradientOracle):
         if self.kind == "sign":
             return _sign(exact)
         return _grid(exact, self.param)
+
+    def _query_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the kernels' arithmetic on every row at once
+        G = self.problem._gradients(X)
+        p = self.param
+        if self.kind == "top_k":  # at k = n every entry is kept, as _top_k's copy does
+            keep = np.argsort(-np.abs(G), axis=1, kind="stable")[:, :p]
+            E = np.zeros_like(G)
+            np.put_along_axis(E, keep, np.take_along_axis(G, keep, axis=1), axis=1)
+        elif self.kind == "sign":
+            E = (np.abs(G).sum(axis=1) / G.shape[1])[:, None] * np.sign(G)
+        else:  # a row past _grid's norm test takes its entry-by-entry form
+            with np.errstate(over="ignore"):
+                scaled, far = G * p, ~(row_norms(G) * p < _ON_GRID)
+            E = np.rint(scaled) / p
+            E[far] = np.where(np.abs(scaled[far]) < _ON_GRID, E[far], G[far])
+        return self._counted(E, G)
 
 
 def _forward_differences(values, x: np.ndarray, h: float, shifts: np.ndarray | None) -> np.ndarray:
@@ -407,30 +477,3 @@ class FloatingPointQuadraticOracle(GradientOracle):
             if err > allowed + CERT_SLACK:
                 raise AssertionError(f"precision bound violated: {err} > {allowed}")
         return est
-
-
-def certification_report(estimate, exact, alpha: float, delta: float) -> dict:
-    """Slacks of the composite bound and its derived sandwich inequalities.
-
-    Every entry is (non-negative means satisfied): value = lhs-to-rhs slack.
-    Derived bounds: norm sandwich both ways, squared-norm sandwich both
-    ways, and the alignment (cosine) bound when delta = 0.
-    """
-    est = as_vector(estimate)
-    g = as_vector(exact)
-    # sqrt(v.dot(v)) is np.linalg.norm's formula for a real 1-D v
-    ge, gn, err = (math.sqrt(v.dot(v)) for v in (est, g, est - g))
-    report = {
-        "composite": alpha * gn + delta - err,
-        "norm_upper": (1.0 + alpha) * gn + delta - ge,
-        "norm_lower": ge - ((1.0 - alpha) * gn - delta),
-        "exact_norm_upper": (ge + delta) / (1.0 - alpha) - gn,
-        "exact_norm_lower": gn - (ge - delta) / (1.0 + alpha),
-        "sq_upper": 2.0 * (1.0 + alpha) ** 2 * gn**2 + 2.0 * delta**2 - ge**2,
-        "sq_lower": ge**2 - (0.5 * (1.0 - alpha) ** 2 * gn**2 - delta**2),
-        "exact_sq_upper": 2.0 / (1.0 - alpha) ** 2 * ge**2 + 2.0 / (1.0 - alpha) ** 2 * delta**2 - gn**2,
-        "exact_sq_lower": gn**2 - (ge**2 / (2.0 * (1.0 + alpha) ** 2) - delta**2 / (1.0 + alpha) ** 2),
-    }
-    if delta == 0.0:
-        report["alignment"] = float(est @ g) - math.sqrt(max(0.0, 1.0 - alpha**2)) * ge * gn
-    return report

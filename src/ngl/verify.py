@@ -9,9 +9,9 @@ checks are deterministic, so a pass table is reproducible bit for bit.
 
 ``run_all_checks`` runs finite-difference-error in the calling process
 and then every other gate on a pool of forked workers, one per usable
-CPU and at most four, each handed the next gate when it is free; the
-workers share the caller's imports and ``CHECKS``, and rows come back
-in ``CHECKS`` order.  ``_fork_map`` is that pool, and `ngl sweep --jobs`
+CPU (within the cgroup's CPU quota) and at most four, each handed the
+next gate when it is free; the workers share the caller's imports and
+``CHECKS``, and rows come back in ``CHECKS`` order.  ``_fork_map`` is that pool, and `ngl sweep --jobs`
 runs its experiments on it too.
 """
 
@@ -25,7 +25,8 @@ from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .bounds import EnvelopeConstants, envelope, start_constants, stopping_level
+from .bounds import (EnvelopeConstants, certification_report, envelope, start_constants,
+                     stopping_level)
 from .drivers import (
     StoppingRule,
     plan_convex_gd,
@@ -42,7 +43,6 @@ from .oracles import (
     NoiseSpec,
     SyntheticNoiseOracle,
     _fp_quadratic,
-    certification_report,
 )
 from .problems import nesterov_convex, nesterov_strongly_convex, quadratic
 from .solvers import (
@@ -81,8 +81,7 @@ def oracle_certification(problem, alpha: float, delta: float, seed: int, queries
     """Certified queries in both noise modes at spread * N(0, I) points; a breach raises."""
     for mode in _NOISE_MODES:
         oracle = SyntheticNoiseOracle(problem, NoiseSpec(alpha, delta, mode, seed), certify=True)
-        for _ in range(queries):
-            oracle.estimate_with_exact(spread * rng.standard_normal(problem.dim))[0]
+        oracle._query_rows(spread * rng.standard_normal((queries, problem.dim)))
     return Outcome(True, f"{len(_NOISE_MODES) * queries} certified queries, no violation")
 
 
@@ -93,12 +92,11 @@ def sandwich_inequalities(problem, levels: Levels, seed: int, queries: int, spre
     worst = math.inf
     for alpha, delta in levels:
         oracle = SyntheticNoiseOracle(problem, NoiseSpec(alpha, delta, "sampled_unbiased", seed))
-        for _ in range(queries):
-            est, exact = oracle.estimate_with_exact(spread * rng.standard_normal(problem.dim))
-            report = certification_report(est, exact, alpha, delta)
-            if delta == 0.0 and "alignment" not in report:
-                return Outcome(False, f"no alignment bound at alpha={alpha}")
-            worst = min(worst, min(report.values()))
+        E, G = oracle._query_rows(spread * rng.standard_normal((queries, problem.dim)))
+        report = certification_report(E, G, alpha, delta)
+        if delta == 0.0 and "alignment" not in report:
+            return Outcome(False, f"no alignment bound at alpha={alpha}")
+        worst = min(worst, *(float(v.min()) for v in report.values()))
     return Outcome(worst >= -_SLACK, f"minimum slack {worst:.3e}")
 
 
@@ -108,11 +106,9 @@ def compressor_levels(problem, compressors: Sequence[Tuple[str, Any]], queries: 
     oracles = [CompressedGradientOracle(problem, kind, param) for kind, param in compressors]
     worst = math.inf
     for oracle in oracles:
-        for _ in range(queries):
-            est, exact = oracle.estimate_with_exact(spread * rng.standard_normal(problem.dim))
-            report = certification_report(est, exact, oracle.declared_alpha,
-                                          oracle.declared_delta)
-            worst = min(worst, report["composite"])
+        E, G = oracle._query_rows(spread * rng.standard_normal((queries, problem.dim)))
+        report = certification_report(E, G, oracle.declared_alpha, oracle.declared_delta)
+        worst = min(worst, float(report["composite"].min()))
     return Outcome(worst >= -_SLACK, f"minimum slack {worst:.3e}", oracles)
 
 
@@ -386,13 +382,41 @@ def _run_index(i: int) -> CheckResult:
     return _run_check(*CHECKS[i])
 
 
+def _cgroup_file(name: str) -> str | None:
+    """The text of the cgroup file ``name`` under /sys/fs/cgroup, None where it cannot be read."""
+    try:
+        with open(os.path.join("/sys/fs/cgroup", name), encoding="ascii") as fh:
+            return fh.read()
+    except (OSError, ValueError):
+        return None
+
+
+def _quota_cpus() -> float:
+    """The CPUs the cgroup's CPU quota grants, rounded up; math.inf where it sets none.
+
+    cgroup v2 ``cpu.max`` holds "quota period", v1 ``cpu.cfs_quota_us``
+    and ``cpu.cfs_period_us`` one each; a quota of max or -1, or a file
+    that cannot be read, sets no limit.
+    """
+    v2 = _cgroup_file("cpu.max")
+    fields = v2.split() if v2 is not None else [
+        _cgroup_file("cpu/cpu.cfs_quota_us"), _cgroup_file("cpu/cpu.cfs_period_us")]
+    try:
+        quota, period = float(fields[0]), float(fields[1])
+    except (TypeError, ValueError, IndexError):
+        return math.inf
+    if 0.0 < quota < math.inf and 0.0 < period < math.inf:
+        return math.ceil(quota / period)
+    return math.inf
+
+
 def _lane_count() -> int:
-    """The usable CPUs, at most four."""
+    """The usable CPUs, at most four: the affinity mask's, within the cgroup's CPU quota."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _MAX_LANES))
+    return max(1, min(cpus, _quota_cpus(), _MAX_LANES))
 
 
 def run_all_checks() -> List[CheckResult]:

@@ -1,7 +1,8 @@
 """``tools/bench_pairs.py``: the run order alternates, and pairs are won by
 each metric's direction in BENCHMARK.json, over every workload it lists,
 each run's median raw round wall and its setup samples are read from its
-results file, and an edited checkout names no commit."""
+results file, its operation times from its rounds, and an edited
+checkout names no commit."""
 
 import importlib.util
 import json
@@ -39,8 +40,10 @@ def test_alternating_pairs_are_summarised(tmp_path, monkeypatch):
         side = root.name
         wall = walls[side][sum(1 for w, s in calls if (w, s) == (workload, side))]
         calls.append((workload, side))
+        # only workload w reports an operation time
         return {"correct": True, "attempted": 12, "failed": 0, "raw_wall_s": 2.0 * wall,
                 "setup_runs_s": [wall / 8.0] * 5,
+                "op_s": {"verify_s": wall / 4.0} if workload == "w" else {},
                 "metrics": {"ref_wall_s": {"value": wall}, "ref_steps_per_s": {"value": 1.0 / wall}}}
 
     monkeypatch.setattr(tool, "run_once", run_once)
@@ -63,17 +66,39 @@ def test_alternating_pairs_are_summarised(tmp_path, monkeypatch):
         # each run keeps the samples whose median is its setup_s, beside the medians
         assert [r["setup_runs_s"] for r in entry["runs"]["change"]] == [
             [w / 8.0] * 5 for w in walls["change"]]
+    verify_s = record["workloads"]["w"]["metrics"]["verify_s"]
+    assert (verify_s["better"], verify_s["pairs_won"], verify_s["pairs_lost"]) == ("lower", 3, 1)
+    assert verify_s["change"]["median"] == 0.8125 / 4.0
+    assert "verify_s" not in record["workloads"]["v"]["metrics"]
 
 
 def test_a_run_reads_its_raw_round_wall(tmp_path):
-    # a stand-in for benchmarks/run.py: the results file it writes holds the
-    # rounds, and the last line it prints is the result
+    # stand-ins for benchmarks/run.py and its workloads: the results file
+    # run.py writes holds the rounds, the last line it prints is the result,
+    # and each round reports its operation times beside its ops
     tool = _tool()
     (tmp_path / "benchmarks").mkdir()
+    (tmp_path / "benchmarks" / "workloads.py").write_text(textwrap.dedent("""\
+        class Round:
+            def __init__(self, extra):
+                self.extra = extra
+
+        class W:
+            times = iter([0.5, 0.25, 0.75])
+
+            def run_round(self):
+                return Round({"verify_s": next(self.times), "artifact_s": [1.0, 2.0]})
+
+        WORKLOADS = {"w": W}
+    """))
     (tmp_path / "benchmarks" / "run.py").write_text(textwrap.dedent("""\
-        import json, pathlib, sys
+        import json, os, pathlib, sys
+        import workloads
         args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
         assert args["--trace"] == "0" and args["--seconds"] == "2.5"
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+        for _ in range(3):
+            workloads.WORKLOADS[args["--workload"]]().run_round()
         results = pathlib.Path("benchmarks/results")
         results.mkdir()
         rounds = [{"wall_s": w, "ref_wall_s": 1.0} for w in (0.5, 0.25, 0.75, 2.0)]
@@ -82,10 +107,12 @@ def test_a_run_reads_its_raw_round_wall(tmp_path):
         (results / name).write_text(json.dumps({"rounds": rounds, "setup_runs_s": setup}))
         print("a progress line")
         print(json.dumps({"correct": True, "metrics": {}}))
+        sys.exit(0)
     """))
     result = tool.run_once(tmp_path, "w", 4, 2.5)
     assert result == {"correct": True, "metrics": {}, "raw_wall_s": 0.625,
-                      "setup_runs_s": [0.25, 0.5, 0.125, 0.375, 0.25]}
+                      "setup_runs_s": [0.25, 0.5, 0.125, 0.375, 0.25],
+                      "op_s": {"verify_s": 0.5}}
 
 
 def test_a_checkout_with_edits_is_refused(tmp_path):

@@ -940,8 +940,32 @@ class TestVerifyCommand:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
                                 raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
+        monkeypatch.setattr(verify, "_cgroup_file", lambda name: None)  # no CPU quota
         if not fork:
             monkeypatch.delattr(os, "fork", raising=False)
+        assert verify._lane_count() == lanes
+
+    @pytest.mark.parametrize("files, lanes", [
+        ({"cpu.max": "150000 100000\n"}, 2),
+        ({"cpu.max": "50000 100000\n"}, 1),
+        ({"cpu.max": "800000 100000\n"}, 3),
+        ({"cpu.max": "max 100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "200000\n", "cpu/cpu.cfs_period_us": "100000\n"}, 2),
+        ({"cpu/cpu.cfs_quota_us": "-1\n", "cpu/cpu.cfs_period_us": "100000\n"}, 3),
+        ({"cpu/cpu.cfs_quota_us": "100000\n"}, 3),
+        ({"cpu.max": "\n"}, 3),
+        ({}, 3)],
+        ids=["v2-1.5", "v2-0.5", "v2-8", "v2-max", "v1-2", "v1-none", "v1-no-period",
+             "v2-empty", "unreadable"])
+    def test_a_cpu_quota_caps_the_lanes(self, files, lanes, monkeypatch):
+        # min(affinity, ceil(quota / period), 4) on three usable CPUs; v2's
+        # cpu.max is read first, and a quota of max or -1 or an unreadable
+        # file sets no limit.  Nothing is started here
+        import ngl.verify as verify
+
+        assert verify._cgroup_file("no/such/file") is None
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(verify, "_cgroup_file", files.get)
         assert verify._lane_count() == lanes
 
     def test_finite_difference_runs_in_the_caller_and_the_rest_in_workers(self, monkeypatch):

@@ -2,9 +2,9 @@
 alignment bound, decomposition, unbiasedness, the ball radius law,
 compressor tie rules, finite-difference closed forms, reduced-precision
 error envelopes, the noise stream against a one-query-at-a-time
-reference, the scalar reference for the
-row-vectorised reduced-precision gradient, and its full-precision row
-sums against exact rational sums."""
+reference, block queries against one-point queries, the scalar
+reference for the row-vectorised reduced-precision gradient, and its
+full-precision row sums against exact rational sums."""
 
 import math
 import sys
@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import ngl.numkit
+from ngl.bounds import certification_report
+from ngl.drivers import RegularizedOracle
 from ngl.numkit import PrecisionSpec, round_to_precision
 from ngl.oracles import (
     CompressedGradientOracle,
@@ -32,7 +34,6 @@ from ngl.oracles import (
     _generator,
     _sign,
     _top_k,
-    certification_report,
 )
 from ngl.problems import nesterov_convex, nesterov_strongly_convex, quadratic
 from ngl.solvers import DivergedError, GDConfig, gd_run
@@ -548,6 +549,163 @@ class TestStreamIdentity:
         assert not np.any(a.estimate_with_exact(np.zeros(3))[0])
         b.estimate_with_exact(x)
         assert np.array_equal(a.estimate_with_exact(x)[0], b.estimate_with_exact(x)[0])
+
+
+def _report_reference(est, g, alpha, delta):
+    """certification_report for one pair, in Python floats: three 1-D norms and C pow squares."""
+    ge, gn, err = (math.sqrt(v.dot(v)) for v in (est, g, est - g))
+    report = {
+        "composite": alpha * gn + delta - err,
+        "norm_upper": (1.0 + alpha) * gn + delta - ge,
+        "norm_lower": ge - ((1.0 - alpha) * gn - delta),
+        "exact_norm_upper": (ge + delta) / (1.0 - alpha) - gn,
+        "exact_norm_lower": gn - (ge - delta) / (1.0 + alpha),
+        "sq_upper": 2.0 * (1.0 + alpha) ** 2 * gn**2 + 2.0 * delta**2 - ge**2,
+        "sq_lower": ge**2 - (0.5 * (1.0 - alpha) ** 2 * gn**2 - delta**2),
+        "exact_sq_upper": 2.0 / (1.0 - alpha) ** 2 * ge**2 + 2.0 / (1.0 - alpha) ** 2 * delta**2 - gn**2,
+        "exact_sq_lower": gn**2 - (ge**2 / (2.0 * (1.0 + alpha) ** 2) - delta**2 / (1.0 + alpha) ** 2),
+    }
+    if delta == 0.0:
+        report["alignment"] = float(est @ g) - math.sqrt(max(0.0, 1.0 - alpha**2)) * ge * gn
+    return report
+
+
+def _rows_match_points(make, chunks):
+    """One oracle takes ``chunks`` as given, 2-D ones as block queries; a
+    twin takes every row as a one-point query.  Both give the same bits
+    and count the same queries."""
+    block, point = make(), make()
+    for chunk in chunks:
+        if chunk.ndim == 1:
+            got = [block.estimate_with_exact(chunk)]
+        else:
+            got = list(zip(*block._query_rows(np.ascontiguousarray(chunk))))
+        want = [point.estimate_with_exact(x.copy()) for x in np.atleast_2d(chunk)]
+        for (e, g), (we, wg) in zip(got, want, strict=True):
+            assert e.tobytes() == we.tobytes() and g.tobytes() == wg.tobytes()
+        assert block.queries == point.queries
+    return block
+
+
+def _interleaved(X):
+    """X's rows as blocks of 5, 1 and the rest, with one-point queries between them."""
+    return [X[:5], X[5], X[6:7], X[7], X[8]] + ([X[9:]] if len(X) > 9 else [])
+
+
+class TestQueryRows:
+    """A block query's row i is the (queries + i + 1)-th one-point query, bit for bit."""
+
+    @pytest.mark.parametrize("block", [1, 40, ngl.numkit.BLOCK_FLOATS])
+    @pytest.mark.parametrize("alpha, delta, mode", [
+        (0.0, 0.3, "sampled_unbiased"), (0.4, 0.0, "sampled_unbiased"),
+        (0.4, 0.3, "sampled_unbiased"), (0.4, 0.3, "none")])
+    def test_sampled(self, monkeypatch, block, alpha, delta, mode):
+        # small blocks make the noise refill inside a block query
+        monkeypatch.setattr(ngl.numkit, "BLOCK_FLOATS", block)
+        rng = np.random.default_rng(31)
+        for p in (nesterov_strongly_convex(1.0, 10.0, 7), quadratic(np.eye(6), np.zeros(6))):
+            X = rng.standard_normal((24, p.dim))
+            X[[2, 11]] = 0.0  # a zero gradient on the identity quadratic
+            spec = NoiseSpec(alpha, delta, mode, seed=5)
+            _rows_match_points(lambda: SyntheticNoiseOracle(p, spec), _interleaved(X))
+
+    @pytest.mark.parametrize("alpha, delta", [(0.5, 0.1), (0.5, 0.0), (0.0, 0.1), (0.0, 0.0)])
+    def test_adversarial_with_zero_gradient_rows(self, alpha, delta):
+        p = quadratic(np.eye(5), np.zeros(5))  # the gradient is x itself
+        X = np.random.default_rng(32).standard_normal((12, 5))
+        X[1], X[6] = 0.0, -0.0
+        X[3] = 1e-170  # squares underflow: a zero norm with nonzero entries
+        X[8, 2] = -0.0
+        spec = NoiseSpec(alpha, delta, "adversarial_opposing")
+        _rows_match_points(lambda: SyntheticNoiseOracle(p, spec), _interleaved(X))
+
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    def test_top_k_ties(self, k):
+        p = quadratic(np.eye(7), np.zeros(7))
+        X = np.random.default_rng(33).integers(-2, 3, size=(12, 7)).astype(float)
+        X[4] = [1.0, -1.0, 2.0, -2.0, 2.0, 0.0, -0.0]
+        _rows_match_points(lambda: CompressedGradientOracle(p, "top_k", k), _interleaved(X))
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 100, 1000])
+    def test_sign_with_zero_entries(self, n):
+        # the chain's gradient is zero past its head; the sum's pairwise
+        # blocking changes with n
+        p = nesterov_convex(max(1, n // 2), 4.0, n)
+        X = np.random.default_rng(34).standard_normal((12, n)) * 3.0
+        X[5] = 0.0
+        _rows_match_points(lambda: CompressedGradientOracle(p, "sign"), _interleaved(X))
+
+    @pytest.mark.parametrize("m", [16, 1e300])
+    def test_grid_past_float_precision(self, m):
+        p = quadratic(np.eye(4), np.zeros(4))
+        X = np.random.default_rng(35).standard_normal((12, 4))
+        X[2] = [2.0**51, 0.3, -2.0**60, 1e30]  # |g*m| past 2**52; at m = 1e300 it overflows
+        X[7] = [1e-170, -3e-171, 0.0, 1e-200]  # a zero norm: the fast form, whatever m
+        _rows_match_points(lambda: CompressedGradientOracle(p, "grid", m), _interleaved(X))
+
+    def test_one_query_per_row_elsewhere(self):
+        # finite differences, reduced precision and the ridge oracle take each row as a query
+        p = nesterov_strongly_convex(1.0, 10.0, 6)
+        rng = np.random.default_rng(36)
+        M = rng.standard_normal((6, 6))
+        quad = quadratic(M @ M.T + np.eye(6), rng.standard_normal(6))
+        makes = [
+            lambda: FiniteDifferenceOracle(p, h=1e-4, value_noise=1e-7, seed=3, certify=True),
+            lambda: FloatingPointQuadraticOracle(quad, PrecisionSpec(16), 20.0, certify=True),
+            lambda: RegularizedOracle(SyntheticNoiseOracle(
+                p, NoiseSpec(0.2, 0.1, "sampled_unbiased", seed=4)), np.ones(6), 0.5, 10.0),
+        ]
+        for make in makes:
+            block = _rows_match_points(make, _interleaved(rng.standard_normal((14, 6))))
+        assert block.base_oracle.queries == 14
+
+    @pytest.mark.parametrize("make, level", [
+        (lambda p: SyntheticNoiseOracle(p, NoiseSpec(0.4, 0.3, "sampled_unbiased", seed=6),
+                                        certify=True), "declared_delta"),
+        (lambda p: CompressedGradientOracle(p, "top_k", 2, certify=True), "declared_alpha"),
+    ], ids=["sampled", "top_k"])
+    def test_a_breach_raises_the_one_point_message(self, make, level):
+        p = nesterov_strongly_convex(1.0, 10.0, 8)
+
+        def tightened():
+            # a declared level below what the oracle emits (the estimates
+            # do not read it): some queries break it
+            oracle = make(p)
+            setattr(oracle, level, 0.1 * getattr(oracle, level))
+            return oracle
+
+        X = np.random.default_rng(37).standard_normal((40, 8))
+        X[:6] = 0.0  # at the origin the chain's gradient has one nonzero entry, which top_k keeps
+        block, point = tightened(), tightened()
+        block.estimate_with_exact(X[0])
+        with pytest.raises(AssertionError) as raised:
+            block._query_rows(X[1:])
+        with pytest.raises(AssertionError) as want:
+            for x in X:
+                point.estimate_with_exact(x.copy())
+        assert str(raised.value) == str(want.value)
+        assert block.queries == point.queries > 2
+
+    def test_certification_report_rows(self):
+        rng = np.random.default_rng(38)
+        G = rng.standard_normal((50, 100)) * np.exp(rng.uniform(-20, 20, size=(50, 1)))
+        E = G + rng.standard_normal((50, 100)) * rng.uniform(0.0, 2.0, size=(50, 1))
+        E[3] = G[3]  # no error
+        G[7] = 0.0
+        # norms whose C pow square is not their product's
+        for row, v in ((10, 21.00529813526687), (11, 0.01732616306962217)):
+            assert v ** 2 != v * v
+            G[row], E[row] = 0.0, 0.0
+            G[row, 0] = E[row + 1, 0] = v
+        for alpha, delta in ((0.3, 0.1), (0.3, 0.0), (0.0, 0.0)):
+            rows = certification_report(E, G, alpha, delta)
+            for i in range(len(G)):
+                one = certification_report(E[i].copy(), G[i].copy(), alpha, delta)
+                want = _report_reference(E[i].copy(), G[i].copy(), alpha, delta)
+                assert list(rows) == list(one) == list(want)
+                assert [v[i] for v in rows.values()] == list(one.values()) == list(want.values())
+        with pytest.raises(ValueError):
+            certification_report(E, G[:, :-1], 0.3, 0.1)
 
 
 @pytest.mark.parametrize("make", [

@@ -13,7 +13,11 @@ prints last.  Beside those end-to-end metrics each run records
 ``ref_wall_s`` not rescaled by the reference kernel's speed, and
 ``setup_runs_s``, the fresh-interpreter samples whose median is its
 ``setup_s``, so that a move of ``setup_s`` can be read against its
-spread within one run.  OUT
+spread within one run.  A run also keeps, as ``op_s``, the median over
+its rounds of each operation time a round reports beside its ops
+(``cli_mix``'s ``verify_s``, ``sweep_jobs1_s`` and ``sweep_jobs2_s``),
+lower being better: ``run.py`` runs as ``__main__`` under a wrapper that
+keeps each round's ``extra``, which the results file does not hold.  OUT
 holds, per workload, every run's metrics, each metric's median and
 quartiles per side, and the pairs the change won by the metric's
 direction (ties count for neither side), with the seed, each checkout's
@@ -24,25 +28,62 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 
+# Runs benchmarks/run.py as __main__ (argv: the file for the extras, then
+# run.py's own argv) after wrapping every workload's run_round to keep its
+# round's ``extra``, and writes the list of them as JSON
+_KEEP_EXTRAS = """
+import json, runpy, sys
+from pathlib import Path
+out, sys.argv = sys.argv[1], sys.argv[2:]
+sys.path[:0] = [str(Path(d).resolve()) for d in ("benchmarks", "src")]
+import workloads
+extras = []
+def keeping(run_round):
+    def run(self):
+        done = run_round(self)
+        extras.append(done.extra)
+        return done
+    return run
+for workload in workloads.WORKLOADS.values():
+    workload.run_round = keeping(workload.run_round)
+try:
+    runpy.run_path(sys.argv[0], run_name="__main__")
+finally:
+    Path(out).write_text(json.dumps(extras))
+"""
+# run.py sets these before its first numpy import; the wrapper imports numpy first
+_ONE_BLAS_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The run's printed result, with ``raw_wall_s`` and ``setup_runs_s`` from the results file it wrote."""
-    cmd = [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout
+    """The run's printed result, with ``raw_wall_s`` and ``setup_runs_s`` from the results file
+    it wrote, and ``op_s``, the median of each operation time its rounds report."""
+    with tempfile.TemporaryDirectory() as tmp:
+        kept = Path(tmp) / "extras.json"
+        cmd = [sys.executable, "-c", _KEEP_EXTRAS, str(kept), "benchmarks/run.py",
+               "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
+               "--trace", "0"]
+        out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True,
+                             env=os.environ | _ONE_BLAS_THREAD).stdout
+        extras = json.loads(kept.read_text())
     result = json.loads(out.strip().splitlines()[-1])
     record = root / "benchmarks" / "results" / f"{workload}-seed{seed}-trace0.json"
     details = json.loads(record.read_text())
+    ops = {name: statistics.median(e[name] for e in extras)
+           for name, value in extras[0].items() if isinstance(value, float)} if extras else {}
     return result | {"raw_wall_s": statistics.median(r["wall_s"] for r in details["rounds"]),
-                     "setup_runs_s": details["setup_runs_s"]}
+                     "setup_runs_s": details["setup_runs_s"], "op_s": ops}
 
 
 def commit(root: Path) -> str:
@@ -74,18 +115,22 @@ def host() -> dict:
 def pairs(parent: Path, change: Path, workload: str, count: int, seed: int, seconds: float,
           better: dict) -> dict:
     runs = {"parent": [], "change": []}
+    ops = None  # the operation times every run reports
     for i in range(count):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             result = run_once(parent if side == "parent" else change, workload, seed, seconds)
             values = {name: m["value"] for name, m in result["metrics"].items()}
             values["raw_wall_s"] = result["raw_wall_s"]
+            op_s = result.get("op_s", {})
+            values |= op_s
+            ops = set(op_s) if ops is None else ops & set(op_s)
             kept = ("correct", "attempted", "failed", "setup_runs_s")
             runs[side].append({k: result[k] for k in kept} | values)
             print(f"{workload} pair {i} {side}: {json.dumps(values)}", file=sys.stderr)
 
     metrics = {}
-    for name, direction in better.items():
+    for name, direction in (better | dict.fromkeys(sorted(ops or ()), "lower")).items():
         p = [r[name] for r in runs["parent"]]
         c = [r[name] for r in runs["change"]]
         won = sum(ci < pi if direction == "lower" else ci > pi for pi, ci in zip(p, c))

@@ -405,6 +405,7 @@ def driver_cases(cases: Cases) -> None:
 
 
 def helper_cases(cases: Cases) -> None:
+    import ngl
     from ngl import numkit as N
     from ngl import oracles as O
     from ngl import problems as P
@@ -451,8 +452,10 @@ def helper_cases(cases: Cases) -> None:
     cases.run("as_vector:bad", lambda: N.as_vector([1.0, math.inf]))
     g = rng.standard_normal(9)
     cases.run("compress", lambda: (O._top_k(g, 3), O._sign(g), O._grid(g, 4)))
+    # the package exports it, from oracles at earlier commits and from bounds now
+    report = ngl.certification_report
     cases.run("certification_report", lambda: (
-        O.certification_report(g + 0.1, g, 0.2, 0.0), O.certification_report(g * 1.1, g, 0.2, 0.3)))
+        report(g + 0.1, g, 0.2, 0.0), report(g * 1.1, g, 0.2, 0.3)))
 
 
 def config_cases(root: Path, cases: Cases) -> None:
