@@ -122,9 +122,8 @@ def pairs(parent: Path, change: Path, workload: str, count: int, seed: int, seco
             result = run_once(parent if side == "parent" else change, workload, seed, seconds)
             values = {name: m["value"] for name, m in result["metrics"].items()}
             values["raw_wall_s"] = result["raw_wall_s"]
-            op_s = result.get("op_s", {})
-            values |= op_s
-            ops = set(op_s) if ops is None else ops & set(op_s)
+            values |= result["op_s"]
+            ops = set(result["op_s"]) if ops is None else ops & set(result["op_s"])
             kept = ("correct", "attempted", "failed", "setup_runs_s")
             runs[side].append({k: result[k] for k in kept} | values)
             print(f"{workload} pair {i} {side}: {json.dumps(values)}", file=sys.stderr)
