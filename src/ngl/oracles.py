@@ -192,8 +192,10 @@ class GradientOracle:
         if self.certify:
             err = row_norms(E - G)
             allowed = self.declared_alpha * row_norms(G) + self.declared_delta
-            for i in np.flatnonzero(err > allowed + CERT_SLACK)[:1]:
-                self.queries = start + int(i) + 1
+            bad = np.flatnonzero(err > allowed + CERT_SLACK)
+            if bad.size:
+                i = int(bad[0])
+                self.queries = start + i + 1
                 raise self._violation(float(err[i]), float(allowed[i]))
         return E, G
 
