@@ -79,6 +79,7 @@ from .drivers import (
     solve_convex_gd,
     solve_convex_re_agm,
 )
+from .lanes import _fork_map
 from .numkit import block_rows
 from .oracles import NOISE_STREAM
 from .solvers import (
@@ -87,7 +88,7 @@ from .solvers import (
     InnerLoopStallError,
     adaptive_gd_run,
 )
-from .verify import _fork_map, run_all_checks
+from .verify import run_all_checks
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

@@ -45,9 +45,11 @@ solver wiring, and the solver.N default of 10^4 steps when mu > 0 and
 
 The quadratic family builds a diagonal spectrum spread linearly over
 [mu, L] with the minimizer at the all-ones point, so conditioning is
-set by (mu, L) alone.  The start point is always the origin and driver
-radii come from the problem's analytic minimizer; both are reproduction
-conveniences, not tuned inputs.
+set by (mu, L) alone; it is held as its diagonal
+(``problems.diagonal_quadratic``), O(n) to build and to evaluate.  The
+start point is always the origin and driver radii come from the
+problem's analytic minimizer; both are reproduction conveniences, not
+tuned inputs.
 """
 
 from __future__ import annotations
@@ -71,9 +73,9 @@ from .oracles import (
 )
 from .problems import (
     ObjectiveProblem,
+    diagonal_quadratic,
     nesterov_convex,
     nesterov_strongly_convex,
-    quadratic,
 )
 
 __all__ = [
@@ -313,9 +315,7 @@ def build_problem(cfg: ExperimentConfig) -> ObjectiveProblem:
         return nesterov_strongly_convex(cfg.mu, cfg.L, cfg.n)
     # diagonal spectrum spread over [mu, L], minimizer at the ones vector
     diag = np.linspace(cfg.mu, cfg.L, cfg.n)
-    A = np.diag(diag)
-    b = -diag.copy()
-    return quadratic(A, b, name=f"diag[{cfg.mu},{cfg.L}]^{cfg.n}")
+    return diagonal_quadratic(diag, -diag, name=f"diag[{cfg.mu},{cfg.L}]^{cfg.n}")
 
 
 def build_oracle(cfg: ExperimentConfig, problem: ObjectiveProblem) -> GradientOracle:

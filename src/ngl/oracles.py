@@ -39,7 +39,7 @@ from functools import partial
 import numpy as np
 
 from .numkit import PrecisionSpec, as_vector, block_rows, round_to_precision, row_norms
-from .problems import ObjectiveProblem
+from .problems import DiagonalQuadratic, ObjectiveProblem
 
 MODES = ("sampled_unbiased", "adversarial_opposing", "none")
 CERT_SLACK = 1e-12
@@ -149,7 +149,12 @@ class GradientOracle:
         unless ``checked`` says it is already a finite 1-D float64
         vector of dimension dim, as the stepping core's iterates are.
         """
-        return self._query(x if checked else as_vector(x, self.problem.dim))
+        if checked:  # the core's query, already under its errstate
+            return self._query(x)
+        # a finite gradient with entries past about 1e154 overflows the
+        # sums of squares its noise and certification take, to inf
+        with np.errstate(over="ignore"):
+            return self._query(as_vector(x, self.problem.dim))
 
     def _evaluate(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(estimate, exact gradient) at a validated x; an oracle built on
@@ -179,9 +184,15 @@ class GradientOracle:
         Row i is the (queries + i + 1)-th one-point ``_query``, at X[i],
         bit for bit, and ``queries`` grows by m; under ``certify`` the
         first row that breaks the bound raises that query's message and
-        leaves ``queries`` at its number.  Here each row is one query; an
-        oracle that computes the rows together hands them to ``_counted``.
+        leaves ``queries`` at its number.  It runs ``_compute_rows`` under
+        ``estimate_with_exact``'s errstate.
         """
+        with np.errstate(over="ignore"):
+            return self._compute_rows(X)
+
+    def _compute_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``_query_rows``' work: here each row is one query; an oracle that
+        computes the rows together hands them to ``_counted``."""
         E, G = zip(*map(self._query, X))
         return np.array(E), np.array(G)
 
@@ -191,7 +202,8 @@ class GradientOracle:
         self.queries += len(E)
         if self.certify:
             err = row_norms(E - G)
-            allowed = self.declared_alpha * row_norms(G) + self.declared_delta
+            with np.errstate(invalid="ignore"):  # 0 * an overflowed norm: NaN, as _query's is
+                allowed = self.declared_alpha * row_norms(G) + self.declared_delta
             bad = np.flatnonzero(err > allowed + CERT_SLACK)
             if bad.size:
                 i = int(bad[0])
@@ -239,7 +251,7 @@ class SyntheticNoiseOracle(GradientOracle):
             return exact + rel + 0.0
         return exact + rel + (-delta / gnorm) * exact
 
-    def _query_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _compute_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # _estimate's arithmetic on every row at once
         G = self.problem._gradients(X)
         alpha, delta = self.declared_alpha, self.declared_delta
@@ -331,7 +343,7 @@ class CompressedGradientOracle(GradientOracle):
             return _sign(exact)
         return _grid(exact, self.param)
 
-    def _query_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _compute_rows(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # the kernels' arithmetic on every row at once
         G = self.problem._gradients(X)
         p = self.param
@@ -342,8 +354,7 @@ class CompressedGradientOracle(GradientOracle):
         elif self.kind == "sign":
             E = (np.abs(G).sum(axis=1) / G.shape[1])[:, None] * np.sign(G)
         else:  # a row past _grid's norm test takes its entry-by-entry form
-            with np.errstate(over="ignore"):
-                scaled, far = G * p, ~(row_norms(G) * p < _ON_GRID)
+            scaled, far = G * p, ~(row_norms(G) * p < _ON_GRID)
             E = np.rint(scaled) / p
             E[far] = np.where(np.abs(scaled[far]) < _ON_GRID, E[far], G[far])
         return self._counted(E, G)
@@ -441,14 +452,20 @@ class FloatingPointQuadraticOracle(GradientOracle):
 
     The declared absolute level covers every query with ||x|| <=
     domain_radius; certification additionally checks the sharp
-    x-dependent per-row envelope on each query.
+    x-dependent per-row envelope on each query.  The oracle keeps its
+    own explicit A: a ``DiagonalQuadratic``'s is built here from its
+    diagonal.
     """
 
     ERROR_CONSTANT = 8.0
 
     def __init__(self, problem, spec: PrecisionSpec, domain_radius: float = 1.0,
                  certify: bool = False):
-        if not hasattr(problem, "A") or not hasattr(problem, "b"):
+        if isinstance(problem, DiagonalQuadratic):
+            self.A = np.diag(problem.diagonal)
+        elif hasattr(problem, "A") and hasattr(problem, "b"):
+            self.A = problem.A
+        else:
             raise ValueError("reduced-precision oracle needs an explicit quadratic problem")
         if not domain_radius > 0.0:
             raise ValueError("domain_radius must be > 0")
@@ -456,7 +473,7 @@ class FloatingPointQuadraticOracle(GradientOracle):
         # |x_j| <= ||x||_2 <= radius, so |b_i| + sum_j |A_ij||x_j| is bounded
         # rowwise; a bound that overflows is rejected here, not warned about
         with np.errstate(over="ignore"):
-            per_row = np.abs(problem.b) + domain_radius * np.abs(problem.A).sum(axis=1)
+            per_row = np.abs(problem.b) + domain_radius * np.abs(self.A).sum(axis=1)
             delta = self._error_bound(per_row)
         if not math.isfinite(delta):
             raise ValueError(f"domain_radius = {domain_radius} leaves floating range: "
@@ -471,11 +488,11 @@ class FloatingPointQuadraticOracle(GradientOracle):
 
     def _estimate(self, x: np.ndarray, exact: np.ndarray) -> np.ndarray:
         # A and b were validated when the problem was built, x by the query
-        est = _fp_quadratic(self.problem.A, self.problem.b, x, self.precision)
+        est = _fp_quadratic(self.A, self.problem.b, x, self.precision)
         if self.certify:
             err = float(np.linalg.norm(est - exact))
             # l2 bound from the per-row envelope at this x
-            allowed = self._error_bound(np.abs(self.problem.b) + np.abs(self.problem.A) @ np.abs(x))
+            allowed = self._error_bound(np.abs(self.problem.b) + np.abs(self.A) @ np.abs(x))
             if err > allowed + CERT_SLACK:
                 raise AssertionError(f"precision bound violated: {err} > {allowed}")
         return est

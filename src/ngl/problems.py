@@ -19,6 +19,8 @@ The row kernels ``_values``/``_gradients`` give each row of a 2-D X its bits.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .numkit import as_vector, row_dots
@@ -26,6 +28,7 @@ from .numkit import as_vector, row_dots
 # a kernel's fixed factors are 0-d float64 arrays: numpy multiplies a
 # vector by one faster than by a Python float, with the same IEEE product
 _TWO = np.array(2.0)
+_ZERO = np.array(0.0)
 
 
 def _solve_spd_tridiagonal(d: np.ndarray, e: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -70,15 +73,18 @@ class ObjectiveProblem:
 
     A subclass implements the kernels ``_value`` and ``_gradient`` and
     their row forms ``_values`` and ``_gradients``; ``__init_subclass__``
-    binds ``value`` and ``gradient`` to these validating wrappers in each
-    subclass's own class dict, so that tools reading a class's own
-    attributes (the benchmark's tracer) find both.
+    binds ``value`` and ``gradient`` to these validating wrappers in the
+    own class dict of each direct subclass, so that tools reading a
+    class's own attributes (the benchmark's tracer) find both.  A
+    subclass of one of those (``DiagonalQuadratic``) takes its parent's,
+    so a tool wrapping the parent's wraps both classes.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls.value = ObjectiveProblem.value
-        cls.gradient = ObjectiveProblem.gradient
+        if ObjectiveProblem in cls.__bases__:
+            cls.value = ObjectiveProblem.value
+            cls.gradient = ObjectiveProblem.gradient
 
     def __init__(self, name: str, dim: int, mu: float, L: float):
         if dim < 1:
@@ -245,7 +251,13 @@ class ChainedStronglyConvex(ObjectiveProblem):
 
 
 class Quadratic(ObjectiveProblem):
-    """Explicit quadratic f(x) = 1/2 x'Ax + b'x with symmetric PSD A."""
+    """Explicit quadratic f(x) = 1/2 x'Ax + b'x with symmetric PSD A, held dense.
+
+    mu and L are LAPACK's extreme eigenvalues of A, and x_star its solve
+    (least squares where A is singular to 1e-12 of its largest entry).
+    ``quadratic`` and ``diagonal_quadratic`` build the O(n)
+    ``DiagonalQuadratic`` instead wherever it has this class's bits.
+    """
 
     def __init__(self, A, b, name: str | None = None):
         A = np.asarray(A, dtype=np.float64)
@@ -291,6 +303,92 @@ class Quadratic(ObjectiveProblem):
         return np.matmul(self.A, X[:, :, None])[:, :, 0] + self.b
 
 
+# eigvalsh rescales a matrix whose largest entry lies outside about
+# [1.5e-146, 6.7e145], which moves its eigenvalues' last bits
+# (1e-300 * I gives 9.999999999999999e-301); inside, a diagonal's
+# eigenvalues are its entries
+_DIAGONAL_RANGE = (1e-140, 1e140)
+
+
+def _diagonal_fits(d: np.ndarray) -> bool:
+    """Whether the diagonal quadratic of entries ``d`` keeps the dense class's bits:
+    d lies in ``_DIAGONAL_RANGE`` and its least entry exceeds 1e-12 times its
+    largest, where the dense class solves (rather than takes least squares)."""
+    if not d.size:
+        return False
+    lo, hi = float(d.min()), float(d.max())
+    low, high = _DIAGONAL_RANGE
+    return low <= lo and hi <= high and lo > 1e-12 * hi
+
+
+class DiagonalQuadratic(Quadratic):
+    """f(x) = 1/2 x'Dx + b'x with D = diag(d), held as the vector d: O(n) in time and memory.
+
+    Built by ``quadratic`` and ``diagonal_quadratic`` where
+    ``_diagonal_fits(d)``, with the dense class's bits.  mu and L are
+    d's extreme entries (LAPACK's eigenvalues of a diagonal), and x_star
+    is -b/d (its solve; only where b holds +0.0 may -b/d's -0.0 meet the
+    blocked solve's +0.0).  D @ x is d * x, except that the zero
+    products a gemv adds make its -0.0 entries +0.0: the gradient adds
+    b with its -0.0 entries made +0.0, which gives the same sum, and no
+    value shows the sign of a zero x'Dx term.  In a row with a
+    non-finite entry the gemv's 0 * inf and 0 * NaN make every other
+    entry NaN; ``_spread`` gives that row the same NaN where its
+    non-finite entries make NaNs of one bit pattern (inf beside NaN
+    leaves the gemv a pick of two).  An overflow warns from multiply
+    where the dense class's warns from matmul.
+    """
+
+    def __init__(self, d: np.ndarray, b: np.ndarray, name: str | None = None):
+        n = d.shape[0]
+        ObjectiveProblem.__init__(self, name or f"quadratic(n={n})", n, float(d.min()),
+                                  float(d.max()))
+        self.diagonal = d
+        self.b = b
+        self._b_plus = b + _ZERO  # b with -0.0 made +0.0, as adding D @ x's +0.0 does
+        self.x_star = -b / d
+        self.f_star = self.value(self.x_star)
+
+    def _spread(self, R: np.ndarray) -> np.ndarray:
+        """D @ r for rows r that each hold a non-finite entry, NaN where the gemv spreads it."""
+        bad = ~np.isfinite(R)
+        others = bad.sum(axis=1, keepdims=True) - bad > 0  # another entry is not finite
+        first = R[np.arange(len(R)), bad.argmax(axis=1)]
+        # 0 * that entry in a matmul, as the zero entries of D make it, and with its warning
+        return np.where(others, np.matmul(first[:, None], np.zeros((1, 1))), self.diagonal * R)
+
+    def _value(self, x: np.ndarray) -> float:
+        v = 0.5 * float(x @ (self.diagonal * x)) + float(self.b @ x)
+        if math.isfinite(v):  # so x is finite
+            return v
+        return 0.5 * float(x @ self._spread(x[None])[0]) + float(self.b @ x)
+
+    def _gradient(self, x: np.ndarray) -> np.ndarray:
+        g = self.diagonal * x
+        g += self._b_plus
+        # vdot, unlike dot, warns of no overflow; a finite g means a finite x
+        if math.isfinite(np.vdot(g, g)) or np.isfinite(x).all():
+            return g
+        return self._spread(x[None])[0] + self.b
+
+    def _values(self, X: np.ndarray) -> np.ndarray:
+        v = 0.5 * row_dots(X, self.diagonal * X) + row_dots(X, self.b)
+        rows = ~np.isfinite(v)  # finite values mean finite rows
+        if rows.any():
+            rows[rows] = ~np.isfinite(X[rows]).all(axis=1)
+            R = X[rows]
+            v[rows] = 0.5 * row_dots(R, self._spread(R)) + row_dots(R, self.b)
+        return v
+
+    def _gradients(self, X: np.ndarray) -> np.ndarray:
+        G = self.diagonal * X
+        G += self._b_plus
+        rows = ~np.isfinite(X).all(axis=1)
+        if rows.any():
+            G[rows] = self._spread(X[rows]) + self.b
+        return G
+
+
 def nesterov_convex(k: int, L: float, n: int) -> ObjectiveProblem:
     """Worst-case convex chain problem (mu = 0) with analytic minimizer."""
     return ChainedConvex(k, L, n)
@@ -302,5 +400,21 @@ def nesterov_strongly_convex(mu: float, L: float, n: int) -> ObjectiveProblem:
 
 
 def quadratic(A, b, name: str | None = None) -> ObjectiveProblem:
-    """Explicit symmetric PSD quadratic."""
+    """Explicit symmetric PSD quadratic; a diagonal A that ``_diagonal_fits`` is held as
+    its diagonal (``DiagonalQuadratic``), any other A dense (``Quadratic``)."""
+    A = np.asarray(A, dtype=np.float64)
+    b = as_vector(b)
+    n = b.shape[0]
+    if A.shape == (n, n):
+        d = A.diagonal()
+        if _diagonal_fits(d) and np.count_nonzero(A) == n:
+            return DiagonalQuadratic(d.copy(), b, name)
     return Quadratic(A, b, name)
+
+
+def diagonal_quadratic(d, b, name: str | None = None) -> ObjectiveProblem:
+    """``quadratic(np.diag(d), b, name)``, built without the matrix where ``_diagonal_fits(d)``."""
+    d, b = np.asarray(d, dtype=np.float64), as_vector(b)
+    if d.shape == b.shape and _diagonal_fits(d):
+        return DiagonalQuadratic(d, b, name)
+    return Quadratic(np.diag(d), b, name)

@@ -8,17 +8,17 @@ a one-line detail, and the runs a caller may assert more about.
 checks are deterministic, so a pass table is reproducible bit for bit.
 
 ``run_all_checks`` runs finite-difference-error in the calling process
-and then every other gate on a pool of forked workers, one per usable
-CPU (within the cgroup's CPU quota) and at most four, each handed the
-next gate when it is free; the workers share the caller's imports and
-``CHECKS``, and rows come back in ``CHECKS`` order.  ``_fork_map`` is that pool, and `ngl sweep --jobs`
-runs its experiments on it too.
+and then every other gate on forked workers, one per usable CPU (within
+the cgroup's CPU quota) and at most four, each handed the next gate
+when it is free; the workers share the caller's imports and ``CHECKS``,
+and rows come back in ``CHECKS`` order.  The workers are the bare forks
+of ``lanes._fork_map``, which `ngl sweep --jobs` runs its experiments
+on too.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, NamedTuple, Sequence, Tuple
@@ -36,6 +36,7 @@ from .drivers import (
     solve_convex_gd,
     solve_convex_re_agm,
 )
+from .lanes import _fork_map, _lane_count
 from .numkit import PrecisionSpec
 from .oracles import (
     CompressedGradientOracle,
@@ -351,72 +352,10 @@ def _run_check(name: str, fn: Callable[[], Outcome]) -> CheckResult:
 # suite's one call of a problem's public gradient, so it runs in the
 # caller, where a tracer sees it at every lane count.
 _CALLER_CHECKS = frozenset({"finite-difference-error"})
-# The longest check, re-agm-envelope, takes about a quarter of the suite's
-# serial time: from four lanes on it sets the wall time, and a further
-# lane only adds a fork.
-_MAX_LANES = 4
-
-
-def _fork_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> List[Any]:
-    """``[fn(x) for x in items]``, in item order, on up to ``workers`` forked processes.
-
-    Runs in this process when one worker or one item would do, or where
-    the platform cannot fork.  Each worker takes the next item when it is
-    free.  ``fn`` must be a module-level function; ``items`` and the
-    results are pickled.
-    """
-    workers = min(workers, len(items))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(x) for x in items]
-    # imported here: start-up loads no pool modules.  A forked worker starts
-    # with numpy and ngl loaded; a spawned one would first import them
-    # again, about as long as a worker's share of the verify checks takes
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(fn, items))
 
 
 def _run_index(i: int) -> CheckResult:
     return _run_check(*CHECKS[i])
-
-
-def _cgroup_file(name: str) -> str | None:
-    """The text of the cgroup file ``name`` under /sys/fs/cgroup, None where it cannot be read."""
-    try:
-        with open(os.path.join("/sys/fs/cgroup", name), encoding="ascii") as fh:
-            return fh.read()
-    except (OSError, ValueError):
-        return None
-
-
-def _quota_cpus() -> float:
-    """The CPUs the cgroup's CPU quota grants, rounded up; math.inf where it sets none.
-
-    cgroup v2 ``cpu.max`` holds "quota period", v1 ``cpu.cfs_quota_us``
-    and ``cpu.cfs_period_us`` one each; a quota of max or -1, or a file
-    that cannot be read, sets no limit.
-    """
-    v2 = _cgroup_file("cpu.max")
-    fields = v2.split() if v2 is not None else [
-        _cgroup_file("cpu/cpu.cfs_quota_us"), _cgroup_file("cpu/cpu.cfs_period_us")]
-    try:
-        quota, period = float(fields[0]), float(fields[1])
-    except (TypeError, ValueError, IndexError):
-        return math.inf
-    if 0.0 < quota < math.inf and 0.0 < period < math.inf:
-        return math.ceil(quota / period)
-    return math.inf
-
-
-def _lane_count() -> int:
-    """The usable CPUs, at most four: the affinity mask's, within the cgroup's CPU quota."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, _quota_cpus(), _MAX_LANES))
 
 
 def run_all_checks() -> List[CheckResult]:

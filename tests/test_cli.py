@@ -932,7 +932,7 @@ class TestVerifyCommand:
         # the CPUs this process may run on, else the machine's count, whether
         # or not the platform can fork: _fork_map alone decides to run serially
         # there.  Nothing is started here
-        import ngl.verify as verify
+        import ngl.lanes as lane_module
 
         if affinity is None:
             monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -940,10 +940,10 @@ class TestVerifyCommand:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
                                 raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: count)
-        monkeypatch.setattr(verify, "_cgroup_file", lambda name: None)  # no CPU quota
+        monkeypatch.setattr(lane_module, "_cgroup_file", lambda name: None)  # no CPU quota
         if not fork:
             monkeypatch.delattr(os, "fork", raising=False)
-        assert verify._lane_count() == lanes
+        assert lane_module._lane_count() == lanes
 
     @pytest.mark.parametrize("files, lanes", [
         ({"cpu.max": "150000 100000\n"}, 2),
@@ -961,12 +961,12 @@ class TestVerifyCommand:
         # min(affinity, ceil(quota / period), 4) on three usable CPUs; v2's
         # cpu.max is read first, and a quota of max or -1 or an unreadable
         # file sets no limit.  Nothing is started here
-        import ngl.verify as verify
+        import ngl.lanes as lane_module
 
-        assert verify._cgroup_file("no/such/file") is None
+        assert lane_module._cgroup_file("no/such/file") is None
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(verify, "_cgroup_file", files.get)
-        assert verify._lane_count() == lanes
+        monkeypatch.setattr(lane_module, "_cgroup_file", files.get)
+        assert lane_module._lane_count() == lanes
 
     def test_finite_difference_runs_in_the_caller_and_the_rest_in_workers(self, monkeypatch):
         import ngl.verify as verify
@@ -986,17 +986,16 @@ class TestVerifyCommand:
     def test_fork_map_runs_here_when_one_process_would_do(self, items, workers, fork,
                                                           monkeypatch):
         # one worker, one item or no os.fork: the results in item order and no
-        # process started, which the raising executor would show
-        import concurrent.futures
+        # process started, which the raising os.fork would show
+        import ngl.lanes as lanes
 
-        import ngl.verify as verify
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        if not fork:
+        def no_fork():
+            raise AssertionError("a process was forked")
+        if fork:
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
             monkeypatch.delattr(os, "fork", raising=False)
-        results = verify._fork_map(lambda x: (x * x, os.getpid()), items, workers)
+        results = lanes._fork_map(lambda x: (x * x, os.getpid()), items, workers)
         assert results == [(x * x, os.getpid()) for x in items]
 
     def test_traced_cli_mix_keeps_its_gradient_span_at_five_lanes(self, monkeypatch, tmp_path):
@@ -1069,6 +1068,87 @@ class TestVerifyCommand:
         assert rows[-1] == ["overall", "FAIL"]
 
 
+def _no_child_left():
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkMap:
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 5, 13])
+    def test_results_come_back_in_item_order(self, workers, count):
+        import ngl.lanes as lanes
+
+        items = [(7 * i) % 13 for i in range(count)]
+        # a lambda reaches the workers by the fork; the pids show who ran what
+        results = lanes._fork_map(lambda x: (x * x, os.getpid()), items, workers)
+        _no_child_left()
+        assert [r[0] for r in results] == [x * x for x in items]
+        # one item runs here; more run on at most min(workers, count) forks
+        pids = {r[1] for r in results}
+        assert len(pids) <= min(workers, count)
+        assert (os.getpid() in pids) == (count == 1)
+
+    def test_a_free_worker_takes_the_next_item(self):
+        # one slow item holds one worker; the other takes every other item
+        import time
+
+        import ngl.lanes as lanes
+
+        def work(x):
+            if x == 0:
+                time.sleep(0.5)
+            return os.getpid()
+        pids = lanes._fork_map(work, list(range(6)), 2)
+        _no_child_left()
+        assert len(set(pids[1:])) == 1 and pids[0] not in pids[1:]
+
+    def test_a_worker_exception_reaches_the_caller(self):
+        import ngl.lanes as lanes
+
+        def work(x):
+            if x in (3, 4):
+                raise KeyError(f"item {x}")
+            return x
+        with pytest.raises(KeyError, match="item 3"):
+            lanes._fork_map(work, list(range(8)), 2)
+        _no_child_left()
+
+    def test_an_unpicklable_result_is_one_error(self):
+        import ngl.lanes as lanes
+
+        with pytest.raises(RuntimeError, match="worker result: .*pickle"):
+            lanes._fork_map(lambda x: (lambda: x), [1, 2], 2)
+        _no_child_left()
+
+    def test_a_killed_worker_is_a_one_line_error(self):
+        import signal
+
+        import ngl.lanes as lanes
+
+        def work(x):
+            if x == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return x
+        with pytest.raises(RuntimeError) as info:
+            lanes._fork_map(work, list(range(5)), 2)
+        _no_child_left()
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.endswith("ended without a result (killed by signal 9)")
+
+    def test_every_worker_killed_is_one_error_and_no_hang(self):
+        import signal
+
+        import ngl.lanes as lanes
+
+        # more tickets than a pipe holds, so writing them meets no reader
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            lanes._fork_map(lambda x: os.kill(os.getpid(), signal.SIGKILL), [0] * 20_000, 2)
+        _no_child_left()
+
+
 class TestConsoleScript:
     def test_module_entry_point(self, tmp_path):
         path = write_config(tmp_path, **{"solver.N": 20})
@@ -1079,17 +1159,25 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert (tmp_path / "out" / "trace.csv").exists()
 
-    def test_start_up_imports_no_scipy_and_no_process_pool(self):
-        # numpy is the only runtime dependency, and the pool's modules load
-        # only when a sweep or ngl verify runs in parallel
+    def test_start_up_imports_no_scipy_and_no_process_pool(self, tmp_path):
+        # numpy is the only runtime dependency, and the forked workers of
+        # ngl verify and a --jobs 2 sweep load no pool module either
         src = str(Path(cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        code = ("import sys, ngl, ngl.cli; print(*sorted(m for m in sys.modules if "
-                "m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))")
+        sweep = write_config(tmp_path, **{"oracle.seed": [1, 2], "solver.N": 20})
+        code = ("import sys, ngl, ngl.cli\n"
+                "def loaded():\n"
+                "    print(sorted(m for m in sys.modules if\n"
+                "                 m.split('.')[0] in ('scipy', 'concurrent', 'multiprocessing')))\n"
+                "loaded()\n"
+                "assert ngl.cli.main(['verify']) == 0\n"
+                "loaded()\n"
+                f"assert ngl.cli.main(['sweep', '--jobs', '2', {str(sweep)!r}]) == 0\n"
+                "loaded()\n")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path})
+                              env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == []
+        assert [line for line in proc.stdout.splitlines() if line.startswith("[")] == ["[]"] * 3
 
     @pytest.mark.parametrize("module", ["ngl", "ngl.bounds", "ngl.drivers", "ngl.config"])
     def test_every_exported_name_resolves(self, module):

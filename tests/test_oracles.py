@@ -306,6 +306,29 @@ class TestGridSparsify:
         assert float(np.linalg.norm(out - g)) <= math.sqrt(len(g)) / (2.0 * m) + 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("make", [
+    lambda p: CompressedGradientOracle(p, "grid", 16),
+    lambda p: CompressedGradientOracle(p, "grid", 16, certify=True),
+    lambda p: SyntheticNoiseOracle(p, NoiseSpec(0.25, 0.1, "adversarial_opposing")),
+    lambda p: SyntheticNoiseOracle(p, NoiseSpec(0.25, 0.1, "adversarial_opposing"),
+                                   certify=True)],
+    ids=["grid", "grid_certified", "adversarial", "adversarial_certified"])
+def test_a_finite_gradient_past_1e154_queries_without_a_warning(make):
+    # its sums of squares overflow to inf, which the norms and the
+    # certification read as such; a query outside the core warns of nothing
+    p = quadratic(np.eye(2), np.zeros(2))
+    x = np.array([1e200, 0.5])
+    one, rows = make(p), make(p)
+    est, exact = one.estimate_with_exact(x)
+    E, G = rows._query_rows(np.array([x, -x, [0.25, 1.0]]))
+    assert np.array_equal(exact, x) and np.array_equal(G[0], x)
+    assert est.tobytes() == E[0].tobytes()
+    assert np.all(np.isfinite(E))
+    if one.declared_alpha == 0.0:  # the grid keeps a coordinate past float precision
+        assert np.array_equal(est, [1e200, 0.5])
+
+
 class TestFiniteDifference:
     def test_quadratic_closed_form(self):
         p = quadratic(np.eye(4), np.zeros(4))

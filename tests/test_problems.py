@@ -8,8 +8,9 @@ import pytest
 
 from ngl.drivers import RegularizedProblem
 from ngl.numkit import row_dots
-from ngl.problems import (ChainedConvex, ChainedStronglyConvex, ObjectiveProblem, Quadratic,
-                          _solve_spd_tridiagonal, nesterov_convex, nesterov_strongly_convex,
+from ngl.problems import (ChainedConvex, ChainedStronglyConvex, DiagonalQuadratic,
+                          ObjectiveProblem, Quadratic, _solve_spd_tridiagonal,
+                          diagonal_quadratic, nesterov_convex, nesterov_strongly_convex,
                           quadratic)
 
 
@@ -306,6 +307,160 @@ def test_each_family_holds_the_validating_wrappers(cls):
     # class dict: a missing binding would show only in a traced run
     assert vars(cls)["value"] is ObjectiveProblem.value
     assert vars(cls)["gradient"] is ObjectiveProblem.gradient
+
+
+def test_the_diagonal_form_takes_the_dense_wrappers():
+    # a tracer wrapping Quadratic's value and gradient wraps the diagonal form's too
+    assert "value" not in vars(DiagonalQuadratic) and "gradient" not in vars(DiagonalQuadratic)
+    assert DiagonalQuadratic.value is Quadratic.value is ObjectiveProblem.value
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDiagonalQuadratic:
+    """A diagonal quadratic is held as its diagonal, with the dense class's bits."""
+
+    @staticmethod
+    def rows(rng, n):
+        """Rows of ordinary, -0.0, 0.0 and underflowing entries, then rows
+        holding inf, -inf, NaN or two infs (first, last and middle entries)."""
+        X = rng.standard_normal((12, n)) * 10.0 ** rng.uniform(-3, 3, (12, n))
+        X[rng.random((12, n)) < 0.2] = -0.0
+        X[rng.random((12, n)) < 0.1] = 0.0
+        X[0] = -0.0
+        X[1, :] = -1e-300  # d * x underflows to -0.0
+        for row, (j, v) in enumerate([(0, np.inf), (n - 1, -np.inf), (n // 2, np.nan),
+                                      (n - 1, np.nan), (0, -np.inf)], start=6):
+            X[row, j] = v
+        X[11, [0, n - 1]] = np.inf
+        return X
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 333, 1000])
+    def test_it_keeps_the_dense_bits(self, n):
+        rng = np.random.default_rng(n)
+        d = 10.0 ** rng.uniform(-3, 3, n)
+        b = rng.standard_normal(n)
+        b[rng.random(n) < 0.3] = -0.0
+        A = np.diag(d)
+        if n > 1:
+            A[0, 1] = A[1, 0] = -0.0  # a -0.0 off the diagonal is a zero too
+        p, dense = quadratic(A, b), Quadratic(A, b)
+        assert type(p) is DiagonalQuadratic and not hasattr(p, "A")
+        for attr in ("mu", "L", "x_star", "f_star"):
+            assert same_bits(getattr(p, attr), getattr(dense, attr)), attr
+        X = self.rows(rng, n)
+        with np.errstate(invalid="ignore"):
+            assert same_bits(p._values(X), dense._values(X))
+            assert same_bits(p._gradients(X), dense._gradients(X))
+            for x in X:
+                assert same_bits(p._value(x.copy()), dense._value(x.copy())), x
+                assert same_bits(p._gradient(x.copy()), dense._gradient(x.copy())), x
+
+    def test_a_non_finite_row_warns_as_the_dense_gemv_does(self):
+        import warnings
+
+        d, b = np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 2.0])
+        p, dense = quadratic(np.diag(d), b), Quadratic(np.diag(d), b)
+        for x in (np.array([1.0, np.inf, 2.0]), np.array([1.0, np.nan, 2.0])):
+            caught = []
+            for q in (p, dense):
+                with warnings.catch_warnings(record=True) as got:
+                    warnings.simplefilter("always")
+                    q._gradient(x)
+                    q._gradients(x[None])
+                caught.append(sorted({(w.category.__name__, str(w.message)) for w in got}))
+            assert caught[0] == caught[1], x
+
+    def test_x_star_zero_signs(self):
+        # -b/d; the blocked LAPACK solve gives +0.0 for -(+0.0)/d after its first entry
+        p = quadratic(np.diag([2.0, 4.0, 8.0]), [0.0, -0.0, -8.0])
+        assert same_bits(p.x_star, [-0.0, 0.0, 1.0])
+        assert np.array_equal(p.x_star, Quadratic(np.diag([2.0, 4.0, 8.0]), [0.0, -0.0, -8.0]).x_star)
+
+    @pytest.mark.parametrize("A", [
+        1e-300 * np.eye(2),  # eigvalsh rescales: 9.999999999999999e-301
+        1e141 * np.eye(2),
+        np.diag([0.0, 1.0]),  # singular: least squares
+        np.diag([1e-13, 1.0]),  # singular to 1e-12 of its largest entry
+        np.array([[2.0, 1e-300], [1e-300, 2.0]]),
+        np.diag([-1.0, 1.0])],
+        ids=["tiny", "huge", "singular", "near_singular", "off_diagonal", "indefinite"])
+    def test_the_dense_class_stays_where_the_bits_would_move(self, A):
+        b = np.array([1.0, 0.0]) if A[0, 0] else np.array([0.0, 1.0])
+        want = raised_or(lambda: Quadratic(A, b))
+        assert raised_or(lambda: quadratic(A, b)) == want
+        if not isinstance(want, tuple):
+            assert type(quadratic(A, b)) is Quadratic
+        if not np.count_nonzero(A - np.diag(np.diag(A))):  # the diagonal's own constructor
+            assert raised_or(lambda: diagonal_quadratic(np.diag(A), b)) == want
+
+    def test_invalid_input_raises_the_dense_message(self):
+        for A, b in ((np.diag([1.0, np.nan]), [1.0, 1.0]), (np.eye(3), [1.0, 1.0]),
+                     (np.eye(2), [1.0, np.inf]), (np.zeros((0, 0)), [])):
+            assert raised(lambda: quadratic(A, b)) == raised(lambda: Quadratic(A, b))
+        assert (raised(lambda: diagonal_quadratic([1.0, np.nan], [1.0, 1.0]))
+                == raised(lambda: Quadratic(np.diag([1.0, np.nan]), [1.0, 1.0])))
+
+    def test_the_config_family_at_n_1e5_builds_fast_and_without_lapack(self, monkeypatch):
+        import time
+
+        from ngl.config import build_problem, parse_config
+
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("LAPACK was called")
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+        monkeypatch.setattr(np.linalg, "solve", no_lapack)
+        cfg = parse_config({"problem.family": "quadratic", "problem.mu": 1.0, "problem.L": 10.0,
+                            "problem.n": 100_000, "oracle.mode": "none", "output.dir": "out"})
+        best = math.inf
+        for _ in range(3):
+            t0 = time.perf_counter()
+            p = build_problem(cfg)
+            best = min(best, time.perf_counter() - t0)
+        assert type(p) is DiagonalQuadratic and (p.mu, p.L) == (1.0, 10.0)
+        assert np.array_equal(p.x_star, np.ones(100_000))
+        assert best < 0.1
+
+    def test_the_config_family_keeps_the_dense_bits(self):
+        from ngl.config import build_problem, parse_config
+
+        for n in (1, 16, 333):
+            cfg = parse_config({"problem.family": "quadratic", "problem.mu": 0.3, "problem.L": 7.0,
+                                "problem.n": n, "oracle.mode": "none", "output.dir": "out"})
+            p = build_problem(cfg)
+            d = np.linspace(0.3, 7.0, n)
+            dense = Quadratic(np.diag(d), -d)
+            for attr in ("mu", "L", "x_star", "f_star"):
+                assert same_bits(getattr(p, attr), getattr(dense, attr)), (n, attr)
+
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_reduced_precision_estimates_keep_their_bits(self, certify):
+        from ngl.numkit import PrecisionSpec
+        from ngl.oracles import FloatingPointQuadraticOracle
+
+        rng = np.random.default_rng(5)
+        d, b = np.linspace(1.0, 10.0, 16), rng.standard_normal(16)
+        made = [FloatingPointQuadraticOracle(q, PrecisionSpec(bits), 8.0, certify=certify)
+                for q in (quadratic(np.diag(d), b), Quadratic(np.diag(d), b)) for bits in (10, 30)]
+        assert isinstance(made[0].problem, DiagonalQuadratic)
+        for diag, dense in zip(made[:2], made[2:]):
+            assert diag.declared_delta == dense.declared_delta
+            for _ in range(5):
+                x = rng.standard_normal(16)
+                for got, want in zip(diag.estimate_with_exact(x), dense.estimate_with_exact(x)):
+                    assert same_bits(got, want)
+
+
+def raised_or(fn):
+    """(type, message) of the exception fn() raises, or fn()'s problem's constants."""
+    try:
+        p = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [p.mu, p.L, p.x_star.tobytes(), p.f_star]
 
 
 @pytest.fixture

@@ -26,6 +26,10 @@ on besides the code; a tier-1 test compares the listing case by case.
   noise spans several blocks (``blocks:``); at n = 2, sampled gd,
   re_agm and adaptive_gd runs of 10,000 to 30,000 steps span several
   8,192-row blocks (``long:``).
+- The config's ``quadratic`` family at n = 1000 (``quadcfg:``), built by
+  ``build_problem`` and ``build_oracle``: gd, re_agm and adaptive_gd
+  with sampled noise, and gd with the reduced-precision oracle; each
+  digests the problem's mu, L, x_star and f_star beside the run.
 - Error cases: non-finite and huge estimates at queries 0-5, exploding
   steps, an ascent stall, bad starts, a wrong ``f_star``, and at
   n = 2000 an objective that overflows mid-block in a later block.
@@ -335,6 +339,36 @@ def solver_cases(cases: Cases) -> None:
     cases.run("edge:fd_overflowing_shift_query", fd_overflow_query)
 
 
+def config_quadratic_cases(cases: Cases) -> None:
+    """gd, re_agm and adaptive_gd on the config's quadratic family, and the reduced-precision oracle."""
+    from ngl import solvers as S
+    from ngl.config import build_oracle, build_problem, parse_config
+
+    base = {"problem.family": "quadratic", "problem.mu": 0.5, "problem.L": 20.0, "problem.n": 1000,
+            "output.dir": "out"}
+    sampled = {"oracle.mode": "sampled_unbiased", "oracle.alpha": 0.1, "oracle.delta": 0.01,
+               "oracle.seed": 5}
+    reduced = {"oracle.mode": "reduced_precision", "oracle.precision_bits": 20,
+               "oracle.domain_radius": 40.0}
+    for name, oracle_keys, rname, steps in (("gd", sampled, "gd", 40), ("re_agm", sampled, "re_agm", 40),
+                                            ("adaptive_gd", sampled, "adaptive_gd", 40),
+                                            ("reduced_precision:gd", reduced, "gd", 3)):
+        def case(oracle_keys=oracle_keys, rname=rname, steps=steps):
+            cfg = parse_config({**base, **oracle_keys})
+            p = build_problem(cfg)
+            oracle = cases.watch(build_oracle(cfg, p))
+            a = oracle.declared_alpha
+            if rname == "gd":
+                trace = S.gd_run(p, oracle, S.GDConfig(steps, a, p.L))
+            elif rname == "re_agm":
+                trace = S.re_agm_run(p, oracle, S.ReAgmConfig(steps, p.mu, p.L, a))
+            else:
+                trace = S.adaptive_gd_run(p, oracle, S.AdaptiveGDConfig(steps, p.L / 4.0,
+                                                                        oracle.declared_delta))
+            return (p.mu, p.L, p.x_star, p.f_star), trace, oracle.queries
+        cases.run(f"quadcfg:{name}:n1000", case)
+
+
 def driver_cases(cases: Cases) -> None:
     from ngl import drivers as D
     from ngl import oracles as O
@@ -613,6 +647,7 @@ def run_cases(root: Path, cli: bool) -> Cases:
     """Every case, with the ``ngl run``/``ngl sweep`` artifacts when ``cli``."""
     cases = Cases()
     solver_cases(cases)
+    config_quadratic_cases(cases)
     driver_cases(cases)
     helper_cases(cases)
     config_cases(root, cases)
