@@ -124,18 +124,20 @@ def _fork_map(fn: Callable[[Any], Any], items: Sequence[Any], workers: int) -> L
     try:
         for _ in range(workers):
             r, w = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the worker; it never returns from here
-                code = 1
-                try:
-                    os.close(tickets_w)
-                    _serve(fn, items, tickets_r, w)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
             reads.append(r)
-            os.close(w)  # so that later workers do not hold it open
+            try:
+                pid = os.fork()
+                if pid == 0:  # the worker; it never returns from here
+                    code = 1
+                    try:
+                        os.close(tickets_w)
+                        _serve(fn, items, tickets_r, w)
+                        code = 0
+                    finally:
+                        os._exit(code)
+            finally:
+                os.close(w)  # so that later workers do not hold it open
+            pids.append(pid)
         os.close(tickets_r)
         tickets_r = -1
         try:

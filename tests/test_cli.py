@@ -1138,6 +1138,24 @@ class TestForkMap:
         assert "\n" not in message
         assert message.endswith("ended without a result (killed by signal 9)")
 
+    def test_a_failed_fork_closes_its_pipes_and_reaps_the_started_worker(self, monkeypatch):
+        import ngl.lanes as lanes
+
+        fork, forks = os.fork, []
+
+        def second_fails():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return fork()
+        monkeypatch.setattr(os, "fork", second_fails)
+        open_fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        with pytest.raises(BlockingIOError, match="temporarily unavailable"):
+            lanes._fork_map(lambda x: x, [1, 2, 3], 2)
+        _no_child_left()
+        if open_fds is not None:
+            assert sorted(os.listdir("/proc/self/fd")) == open_fds
+
     def test_every_worker_killed_is_one_error_and_no_hang(self):
         import signal
 
